@@ -37,7 +37,10 @@ def build_model(args):
     if args.model == "microcredit":
         if not args.data:
             raise UsageError("--data is required for the microcredit model")
-        data = load_microcredit_csv(args.data)
+        try:
+            data = load_microcredit_csv(args.data)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         priors = DEFAULT_PRIORS
         if overrides:
             try:

@@ -50,4 +50,5 @@ class NotConjugate(LrvbError):
 
 
 class DegenerateChain(LrvbError):
-    """MCMC acceptance rate outside the usable range."""
+    """MCMC acceptance rate outside the usable range, or coupled chains
+    whose sampled differences are all zero."""

@@ -18,8 +18,10 @@ parameters are stored with doubled off-diagonal coefficients so that
 matrices are half-vectorized rather than fully vectorized to keep the
 sufficient-statistic covariance nonsingular.
 
-All functions are pure; :class:`ExpFamBlock` instances are immutable and
-safe to share between threads.
+All functions are pure and :class:`ExpFamBlock` instances are immutable.
+They call into the same BLAS library as every other stage, and concurrent
+calls from threads of one process have not been shown safe with it; run
+independent work in separate processes.
 """
 
 import enum
@@ -31,8 +33,9 @@ from scipy.special import gammaln
 from scipy.stats import wishart as sp_wishart
 
 from .errors import DomainError
-from .util import (digamma, dim_from_vech, is_pos_def, multidigamma,
-                   multigamma_ln, multitrigamma, solve_log_minus_digamma,
+from .util import (chol_from_logchol, digamma, dim_from_vech, is_pos_def,
+                   logchol_from_chol, multidigamma, multigamma_ln,
+                   multitrigamma, solve_log_minus_digamma, tril, tril_diag,
                    trigamma, unvech, unvech_half, vech, vech_dim, vech_dup)
 
 ROUND_TRIP_TOL = 1e-10
@@ -245,8 +248,7 @@ class _GaussianMultivariate:
         # Wick's theorem for Gaussian moments up to fourth order.
         mu, sigma = self.standard_from_natural(eta)
         d = mu.size
-        rows, cols = np.tril_indices(d)
-        pairs = list(zip(rows, cols))
+        pairs = list(zip(*tril(d)))
         n = d + len(pairs)
         cov = np.zeros((n, n))
         cov[:d, :d] = sigma
@@ -265,51 +267,35 @@ class _GaussianMultivariate:
     # fit parameterization: z = (mu, lower Cholesky of Sigma with log diagonal)
     def unconstrained_from_standard(self, mu, sigma):
         chol = np.linalg.cholesky(np.asarray(sigma, dtype=float))
-        d = chol.shape[0]
-        coords = []
-        for i in range(d):
-            for j in range(i + 1):
-                coords.append(np.log(chol[i, i]) if i == j else chol[i, j])
-        return np.concatenate([np.asarray(mu, dtype=float), coords])
+        return np.concatenate([np.asarray(mu, dtype=float), logchol_from_chol(chol)])
 
     def standard_from_unconstrained(self, z):
-        total = len(z)
-        d = self.var_dim_from_stat_dim(total)  # same coordinate count as stats
-        mu = np.asarray(z[:d], dtype=float)
-        chol = np.zeros((d, d))
-        idx = d
-        for i in range(d):
-            for j in range(i + 1):
-                chol[i, j] = np.exp(z[idx]) if i == j else z[idx]
-                idx += 1
-        return mu, chol @ chol.T
+        d = self.var_dim_from_stat_dim(len(z))  # same coordinate count as stats
+        chol = chol_from_logchol(z[d:])
+        return np.asarray(z[:d], dtype=float), chol @ chol.T
 
     def mean_jacobian_unconstrained(self, z):
         mu, sigma = self.standard_from_unconstrained(z)
         d = mu.size
         chol = np.linalg.cholesky(sigma)
-        rows, cols = np.tril_indices(d)
-        nstat = d + len(rows)
+        nstat = self.stat_dim(d)
         jac = np.zeros((nstat, len(z)))
         for c in range(d):  # d/d mu_c
             jac[c, c] = 1.0
             dm2 = np.outer(_unit(d, c), mu) + np.outer(mu, _unit(d, c))
             jac[d:, c] = vech(dm2)
-        idx = d
-        for i in range(d):
-            for j in range(i + 1):
-                dl = np.zeros((d, d))
-                dl[i, j] = chol[i, i] if i == j else 1.0
-                dsigma = dl @ chol.T + chol @ dl.T
-                jac[d:, idx] = vech(dsigma)
-                idx += 1
+        for idx, (i, j) in enumerate(zip(*tril(d)), start=d):
+            dl = np.zeros((d, d))
+            dl[i, j] = chol[i, i] if i == j else 1.0
+            dsigma = dl @ chol.T + chol @ dl.T
+            jac[d:, idx] = vech(dsigma)
         return jac
 
     # underlying-variable helpers
     def suff_stats(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         second = np.einsum("ni,nj->nij", x, x)
-        rows, cols = np.tril_indices(x.shape[1])
+        rows, cols = tril(x.shape[1])
         return np.column_stack([x, second[:, rows, cols]])
 
     def log_density(self, x, eta):
@@ -596,8 +582,7 @@ class _Wishart:
     def suff_stat_cov(self, eta):
         dof, scale = self.standard_from_natural(eta)
         k = scale.shape[0]
-        rows, cols = np.tril_indices(k)
-        pairs = list(zip(rows, cols))
+        pairs = list(zip(*tril(k)))
         n = len(pairs) + 1
         cov = np.zeros((n, n))
         for a, (i, j) in enumerate(pairs):
@@ -616,20 +601,11 @@ class _Wishart:
         scale = np.asarray(scale, dtype=float)
         k = scale.shape[0]
         chol = np.linalg.cholesky(dof * scale)
-        coords = []
-        for i in range(k):
-            for j in range(i + 1):
-                coords.append(np.log(chol[i, i]) if i == j else chol[i, j])
-        return np.concatenate([coords, [np.log(dof - k - 1.0)]])
+        return np.concatenate([logchol_from_chol(chol), [np.log(dof - k - 1.0)]])
 
     def standard_from_unconstrained(self, z):
-        k = dim_from_vech(len(z) - 1)
-        chol = np.zeros((k, k))
-        idx = 0
-        for i in range(k):
-            for j in range(i + 1):
-                chol[i, j] = np.exp(z[idx]) if i == j else z[idx]
-                idx += 1
+        chol = chol_from_logchol(z[:-1])
+        k = chol.shape[0]
         dof = np.exp(z[-1]) + k + 1.0
         return dof, (chol @ chol.T) / dof
 
@@ -641,15 +617,12 @@ class _Wishart:
         mean_inv = np.linalg.inv(mean_mat)
         nstat = self.stat_dim(k)
         jac = np.zeros((nstat, len(z)))
-        idx = 0
-        for i in range(k):
-            for j in range(i + 1):
-                dl = np.zeros((k, k))
-                dl[i, j] = chol[i, i] if i == j else 1.0
-                dmean = dl @ chol.T + chol @ dl.T
-                jac[:-1, idx] = vech(dmean)
-                jac[-1, idx] = np.trace(mean_inv @ dmean)
-                idx += 1
+        for idx, (i, j) in enumerate(zip(*tril(k))):
+            dl = np.zeros((k, k))
+            dl[i, j] = chol[i, i] if i == j else 1.0
+            dmean = dl @ chol.T + chol @ dl.T
+            jac[:-1, idx] = vech(dmean)
+            jac[-1, idx] = np.trace(mean_inv @ dmean)
         ddof = dof - k - 1.0  # d dof / d z_last
         # logdet coordinate = multidigamma(dof/2) + log|mean| - K log dof + K log 2
         jac[-1, -1] = (0.5 * multitrigamma(dof / 2.0, k) - k / dof) * ddof
@@ -660,7 +633,7 @@ class _Wishart:
         x = np.asarray(x, dtype=float)
         if x.ndim == 2:
             x = x[None, :, :]
-        rows, cols = np.tril_indices(x.shape[1])
+        rows, cols = tril(x.shape[1])
         logdets = np.linalg.slogdet(x)[1]
         return np.column_stack([x[:, rows, cols], logdets])
 
@@ -681,28 +654,17 @@ class _Wishart:
         return draws if size > 1 else draws[None, :, :]
 
     def value_from_unconstrained(self, z):
-        k = dim_from_vech(len(z))
-        chol = np.zeros((k, k))
-        idx = 0
+        chol = chol_from_logchol(z)
+        k = chol.shape[0]
+        # |dX/dz| for X = L L' with log-diagonal coordinates, accumulated in
+        # diagonal order
         logjac = k * np.log(2.0)
-        for i in range(k):
-            for j in range(i + 1):
-                if i == j:
-                    chol[i, i] = np.exp(z[idx])
-                    logjac += (k - i + 1.0) * z[idx]
-                else:
-                    chol[i, j] = z[idx]
-                idx += 1
+        for i, z_ii in enumerate(np.asarray(z, dtype=float)[tril_diag(k)]):
+            logjac += (k - i + 1.0) * z_ii
         return chol @ chol.T, logjac
 
     def unconstrained_from_value(self, x):
-        chol = np.linalg.cholesky(np.asarray(x, dtype=float))
-        k = chol.shape[0]
-        coords = []
-        for i in range(k):
-            for j in range(i + 1):
-                coords.append(np.log(chol[i, i]) if i == j else chol[i, j])
-        return np.asarray(coords)
+        return logchol_from_chol(np.linalg.cholesky(np.asarray(x, dtype=float)))
 
 
 def _unit(n, i):

@@ -25,6 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NonConvergence, SingularSystem
+from .util import fd_jacobian
 
 HESSIAN_REL_STEP = 1e-5
 CONDITION_LIMIT = 1e12
@@ -68,14 +69,7 @@ def hessian_of_objective(model, m, alpha=None, rel_step=HESSIAN_REL_STEP):
     def grad(x):
         return model.grad_log_lik(x) + model.grad_log_prior(x, alpha)
 
-    n = m.size
-    hess = np.empty((n, n))
-    for j in range(n):
-        step = rel_step * max(abs(m[j]), 1.0)
-        mp, mm = m.copy(), m.copy()
-        mp[j] += step
-        mm[j] -= step
-        hess[:, j] = (grad(mp) - grad(mm)) / (2.0 * step)
+    hess = fd_jacobian(grad, m, rel_step=rel_step)
     return (hess + hess.T) / 2.0
 
 

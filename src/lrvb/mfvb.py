@@ -30,7 +30,7 @@ import scipy.optimize
 from . import expfam
 from .errors import DomainError, DomainViolation, NonConvergence
 from .expfam import FAMILIES, Family
-from .util import unvech, vech_dim
+from .util import chol_from_logchol, fd_jacobian, tril, tril_diag, unvech, vech_dim
 
 
 @dataclass(frozen=True)
@@ -83,15 +83,13 @@ class Layout:
             lab = b.labels
             if b.family in (Family.GAUSSIAN_UNIVARIATE, Family.GAUSSIAN_MULTIVARIATE):
                 names.extend(lab)
-                rows, cols = np.tril_indices(b.var_dim)
-                names.extend(f"{lab[i]}*{lab[j]}" for i, j in zip(rows, cols))
+                names.extend(f"{lab[i]}*{lab[j]}" for i, j in zip(*tril(b.var_dim)))
             elif b.family is Family.GAMMA:
                 names.extend([lab[0], f"log({lab[0]})"])
             elif b.family is Family.INVERSE_GAMMA:
                 names.extend([f"1/{lab[0]}", f"log({lab[0]})"])
             else:  # Wishart
-                rows, cols = np.tril_indices(b.var_dim)
-                names.extend(f"{b.name}[{i},{j}]" for i, j in zip(rows, cols))
+                names.extend(f"{b.name}[{i},{j}]" for i, j in zip(*tril(b.var_dim)))
                 names.append(f"logdet({b.name})")
         return names
 
@@ -275,26 +273,16 @@ class Layout:
             if b.family is Family.GAUSSIAN_UNIVARIATE:
                 out[:, sl] = np.column_stack([z[:, 0], z[:, 0] ** 2])
             elif b.family is Family.GAUSSIAN_MULTIVARIATE:
-                rows, cols = np.tril_indices(b.var_dim)
+                rows, cols = tril(b.var_dim)
                 out[:, sl] = np.column_stack([z, z[:, rows] * z[:, cols]])
             elif b.family in (Family.GAMMA, Family.INVERSE_GAMMA):
                 first = np.exp(z[:, 0]) if b.family is Family.GAMMA else np.exp(-z[:, 0])
                 out[:, sl] = np.column_stack([first, z[:, 0]])
             else:  # Wishart: log-Cholesky coordinates
-                k = b.var_dim
-                chol = np.zeros((n, k, k))
-                logdet = np.zeros(n)
-                idx = 0
-                for r in range(k):
-                    for c in range(r + 1):
-                        if r == c:
-                            chol[:, r, c] = np.exp(z[:, idx])
-                            logdet += 2.0 * z[:, idx]
-                        else:
-                            chol[:, r, c] = z[:, idx]
-                        idx += 1
+                chol = chol_from_logchol(z)
+                logdet = (2.0 * z[:, tril_diag(b.var_dim)]).sum(axis=1)
                 mats = np.einsum("nij,nkj->nik", chol, chol)
-                rows, cols = np.tril_indices(k)
+                rows, cols = tril(b.var_dim)
                 out[:, sl] = np.column_stack([mats[:, rows, cols], logdet])
             pos += d
         return out
@@ -364,6 +352,9 @@ class ModelSpec:
     * ``log_lik_values`` / ``log_prior_values`` -- pointwise log
       likelihood and prior over a dict of per-block variable values; used
       by the MCMC and quadrature oracles, never by the fit itself.
+    * ``exact_posterior(alpha)`` -- closed-form posterior expected
+      statistics in the mean layout and the log evidence (or None), for
+      conjugate models; read by :func:`lrvb.oracle.exact_conjugate_posterior`.
     """
 
     name: str
@@ -379,6 +370,7 @@ class ModelSpec:
     prior_block_logpdf: Mapping = field(default_factory=dict)
     log_lik_values: Optional[Callable] = None
     log_prior_values: Optional[Callable] = None
+    exact_posterior: Optional[Callable] = None
     # optional factory alpha -> (sampler vector -> log posterior + Jacobian);
     # a hand-vectorized equivalent of the generic pointwise path for hot
     # sampling loops.  Must match the generic path exactly.
@@ -478,7 +470,7 @@ def fit(model, init=None, opts=None, alpha=None):
         gnorm = np.max(np.abs(gz))
         if gnorm <= opts.tol:
             break
-        hess = _fd_grad_jacobian(lambda zz: value_grad(zz)[1], z)
+        hess = fd_jacobian(lambda zz: value_grad(zz)[1], z)
         hess = (hess + hess.T) / 2.0
         step = _newton_direction(hess, gz)
         accepted = False
@@ -519,18 +511,6 @@ def fit(model, init=None, opts=None, alpha=None):
             f"gradient norm {grad_norm:.3g} above tol {opts.tol:g} "
             f"after {iterations} iterations", solution=solution)
     return solution
-
-
-def _fd_grad_jacobian(grad, z, rel_step=1e-6):
-    n = z.size
-    jac = np.empty((n, n))
-    for j in range(n):
-        h = rel_step * max(abs(z[j]), 1.0)
-        zp, zm = z.copy(), z.copy()
-        zp[j] += h
-        zm[j] -= h
-        jac[:, j] = (grad(zp) - grad(zm)) / (2.0 * h)
-    return jac
 
 
 def _newton_direction(hess, grad):

@@ -6,10 +6,12 @@ or quadrature evidence.
 """
 
 import numpy as np
+from scipy.special import gammaln
 
-from ..errors import DomainError
+from ..errors import DomainError, NotConjugate
 from ..expfam import FAMILIES, Family
 from ..mfvb import BlockDef, Hyperparams, Layout, ModelSpec
+from ..util import digamma, tril
 
 _GU = FAMILIES[Family.GAUSSIAN_UNIVARIATE]
 _IG = FAMILIES[Family.INVERSE_GAMMA]
@@ -85,6 +87,12 @@ def normal_normal_model(data, noise_var, prior_natural):
     def default_init(alpha):
         return _GU.mean_from_natural(_nat(alpha))
 
+    def exact_posterior(alpha):
+        prior = _nat(alpha)
+        post = prior + lik_coeff
+        log_z = _GU.log_partition(post) - _GU.log_partition(prior) + lik_const
+        return _GU.mean_from_natural(post), float(log_z)
+
     return ModelSpec(
         name="normal_normal", layout=layout, hyperparams=hyper,
         expected_log_lik=expected_log_lik, grad_log_lik=grad_log_lik,
@@ -92,7 +100,8 @@ def normal_normal_model(data, noise_var, prior_natural):
         default_init=default_init, data={"x": x, "noise_var": float(noise_var)},
         prior_alpha_grad=prior_alpha_grad,
         prior_block_logpdf={"theta": prior_block_logpdf},
-        log_lik_values=log_lik_values, log_prior_values=log_prior_values)
+        log_lik_values=log_lik_values, log_prior_values=log_prior_values,
+        exact_posterior=exact_posterior)
 
 
 def normal_invgamma_model(data, prior_loc, prior_obs, prior_shape, prior_rate):
@@ -130,7 +139,6 @@ def normal_invgamma_model(data, prior_loc, prior_obs, prior_shape, prior_rate):
             raise DomainError("hyperparameters left the prior domain")
         quad = m[1] - 2.0 * mu0 * m[0] + mu0 ** 2
         loc = -0.5 * LOG_2PI + 0.5 * np.log(k0) - 0.5 * m[3] - 0.5 * k0 * m[2] * quad
-        from scipy.special import gammaln
         scale = a0 * np.log(b0) - gammaln(a0) - (a0 + 1.0) * m[3] - b0 * m[2]
         return loc + scale
 
@@ -182,7 +190,6 @@ def normal_invgamma_model(data, prior_loc, prior_obs, prior_shape, prior_rate):
         a0, b0 = alpha["prior_shape"], alpha["prior_rate"]
         th = float(np.asarray(values["theta"]).reshape(-1)[0])
         v = float(np.asarray(values["noise_var"]).reshape(-1)[0])
-        from scipy.special import gammaln
         loc = (-0.5 * LOG_2PI + 0.5 * np.log(k0) - 0.5 * np.log(v)
                - 0.5 * k0 * (th - mu0) ** 2 / v)
         scale = (a0 * np.log(b0) - gammaln(a0)
@@ -196,6 +203,22 @@ def normal_invgamma_model(data, prior_loc, prior_obs, prior_shape, prior_rate):
         m_v = _IG.mean_from_standard(a0, b0)
         return np.concatenate([m_theta, m_v])
 
+    def exact_posterior(alpha):
+        mu0, k0 = alpha["prior_loc"], alpha["prior_obs"]
+        a0, b0 = alpha["prior_shape"], alpha["prior_rate"]
+        kn = k0 + n
+        mun = (k0 * mu0 + sx) / kn
+        an = a0 + 0.5 * n
+        bn = b0 + 0.5 * (sxx + k0 * mu0 ** 2 - kn * mun ** 2)
+        if an <= 1.0:
+            raise NotConjugate("posterior lacks finite second moments (shape <= 1)")
+        var_theta = bn / (kn * (an - 1.0))
+        mean = np.array([mun, mun ** 2 + var_theta, an / bn,
+                         np.log(bn) - digamma(an)])
+        log_z = (-0.5 * n * np.log(2.0 * np.pi) + 0.5 * np.log(k0 / kn)
+                 + gammaln(an) - gammaln(a0) + a0 * np.log(b0) - an * np.log(bn))
+        return mean, float(log_z)
+
     return ModelSpec(
         name="normal_invgamma", layout=layout, hyperparams=hyper,
         expected_log_lik=expected_log_lik, grad_log_lik=grad_log_lik,
@@ -203,7 +226,8 @@ def normal_invgamma_model(data, prior_loc, prior_obs, prior_shape, prior_rate):
         default_init=default_init, data={"x": x},
         prior_alpha_grad=prior_alpha_grad,
         prior_block_logpdf={"noise_var": prior_block_logpdf},
-        log_lik_values=log_lik_values, log_prior_values=log_prior_values)
+        log_lik_values=log_lik_values, log_prior_values=log_prior_values,
+        exact_posterior=exact_posterior)
 
 
 def gaussian_target_model(nat_loc, info):
@@ -228,9 +252,8 @@ def gaussian_target_model(nat_loc, info):
     layout = Layout([BlockDef(f"theta_{i+1}", Family.GAUSSIAN_UNIVARIATE,
                               labels=(f"theta_{i+1}",)) for i in range(d)])
     entries = {f"nat_loc_{i+1}": nat_loc[i] for i in range(d)}
-    for i in range(d):
-        for j in range(i + 1):
-            entries[f"info_{i+1}{j+1}"] = info[i, j]
+    for i, j in zip(*tril(d)):
+        entries[f"info_{i+1}{j+1}"] = info[i, j]
     hyper = Hyperparams(entries)
     loc_idx = np.arange(d) * 2       # E[theta_i]
     sq_idx = loc_idx + 1             # E[theta_i^2]
@@ -238,9 +261,8 @@ def gaussian_target_model(nat_loc, info):
     def _unpack(alpha):
         h = np.array([alpha[f"nat_loc_{i+1}"] for i in range(d)])
         lam = np.zeros((d, d))
-        for i in range(d):
-            for j in range(i + 1):
-                lam[i, j] = lam[j, i] = alpha[f"info_{i+1}{j+1}"]
+        for i, j in zip(*tril(d)):
+            lam[i, j] = lam[j, i] = alpha[f"info_{i+1}{j+1}"]
         return h, lam
 
     def expected_log_lik(m):
@@ -275,17 +297,16 @@ def gaussian_target_model(nat_loc, info):
             c = direction.get(f"nat_loc_{i+1}", 0.0)
             if c:
                 out[loc_idx[i]] += c
-        for i in range(d):
-            for j in range(i + 1):
-                c = direction.get(f"info_{i+1}{j+1}", 0.0)
-                if not c:
-                    continue
-                if i == j:
-                    out[sq_idx[i]] += -0.5 * c
-                else:
-                    # term -lam_ij mu_i mu_j in the objective
-                    out[loc_idx[i]] += -c * mu[j]
-                    out[loc_idx[j]] += -c * mu[i]
+        for i, j in zip(*tril(d)):
+            c = direction.get(f"info_{i+1}{j+1}", 0.0)
+            if not c:
+                continue
+            if i == j:
+                out[sq_idx[i]] += -0.5 * c
+            else:
+                # term -lam_ij mu_i mu_j in the objective
+                out[loc_idx[i]] += -c * mu[j]
+                out[loc_idx[j]] += -c * mu[i]
         return out
 
     def log_lik_values(values):
@@ -323,4 +344,7 @@ def gaussian_target_model(nat_loc, info):
         expected_log_prior=expected_log_prior, grad_log_prior=grad_log_prior,
         default_init=default_init, data=None,
         prior_alpha_grad=prior_alpha_grad, prior_block_logpdf=prior_pdfs,
-        log_lik_values=log_lik_values, log_prior_values=log_prior_values)
+        log_lik_values=log_lik_values, log_prior_values=log_prior_values,
+        # no data: the posterior is the Gaussian target itself, whose exact
+        # moments are what default_init starts from
+        exact_posterior=lambda alpha: (default_init(alpha), None))

@@ -34,7 +34,7 @@ from scipy.special import gammaln
 from ..errors import DomainError
 from ..expfam import FAMILIES, Family
 from ..mfvb import BlockDef, Hyperparams, Layout, ModelSpec
-from ..util import digamma, multitrigamma, trigamma, unvech, vech, vech_dup
+from ..util import digamma, multitrigamma, tril, trigamma, unvech, vech, vech_dup
 
 _GM = FAMILIES[Family.GAUSSIAN_MULTIVARIATE]
 _IG = FAMILIES[Family.INVERSE_GAMMA]
@@ -152,10 +152,14 @@ def load_microcredit_csv(path):
         required = {"site", "treatment", "outcome"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise DomainError(f"CSV must have header columns {sorted(required)}")
-        for row in reader:
-            sites.append(int(row["site"]))
-            treats.append(int(row["treatment"]))
-            ys.append(float(row["outcome"]))
+        for line, row in enumerate(reader, start=2):
+            try:
+                sites.append(int(row["site"]))
+                treats.append(int(row["treatment"]))
+                ys.append(float(row["outcome"]))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}, line {line}: missing or non-numeric "
+                                 f"cell ({exc})") from exc
     sites = np.asarray(sites)
     labels = np.unique(sites)
     remap = {lab: i for i, lab in enumerate(labels)}
@@ -249,7 +253,7 @@ def build_microcredit_model(data, priors=None):
         """d(block mean)/d(vech scale, dof); rows match the block layout."""
         p = np.linalg.inv(scale)
         p = (p + p.T) / 2.0
-        rows, cols = np.tril_indices(KW)
+        rows, cols = tril(KW)
         nv = len(rows)
         jac = np.zeros((nv + 1, nv + 1))
         for a in range(nv):
@@ -266,7 +270,7 @@ def build_microcredit_model(data, priors=None):
         Returns (log_terms, inv_terms, d_log, d_inv): values per diagonal j
         and gradients with respect to (vech scale, dof).
         """
-        rows, cols = np.tril_indices(KW)
+        rows, cols = tril(KW)
         nv = len(rows)
         shape_m = (dof - KW + 1.0) / 2.0
         log_terms = np.log(np.diag(p) / 2.0) - digamma(shape_m)

@@ -84,52 +84,11 @@ class ConjugatePosterior:
 
 
 def exact_conjugate_posterior(model, alpha=None):
-    """Closed-form posterior moments for the conjugate zoo models."""
-    alpha = model.resolve_alpha(alpha)
-    if model.name == "normal_normal":
-        x, s2 = model.data["x"], model.data["noise_var"]
-        fam = FAMILIES[Family.GAUSSIAN_UNIVARIATE]
-        prior = np.array([alpha["prior_nat_1"], alpha["prior_nat_2"]])
-        lik = np.array([np.sum(x) / s2, -0.5 * x.size / s2])
-        post = prior + lik
-        lik_const = (-0.5 * x.size * np.log(2.0 * np.pi * s2)
-                     - 0.5 * np.sum(x ** 2) / s2)
-        log_z = fam.log_partition(post) - fam.log_partition(prior) + lik_const
-        return ConjugatePosterior(mean=fam.mean_from_natural(post),
-                                  log_evidence=float(log_z))
-    if model.name == "normal_invgamma":
-        from scipy.special import gammaln
-        x = model.data["x"]
-        mu0, k0 = alpha["prior_loc"], alpha["prior_obs"]
-        a0, b0 = alpha["prior_shape"], alpha["prior_rate"]
-        n, sx, sxx = x.size, float(np.sum(x)), float(np.sum(x ** 2))
-        kn = k0 + n
-        mun = (k0 * mu0 + sx) / kn
-        an = a0 + 0.5 * n
-        bn = b0 + 0.5 * (sxx + k0 * mu0 ** 2 - kn * mun ** 2)
-        if an <= 1.0:
-            raise NotConjugate("posterior lacks finite second moments (shape <= 1)")
-        var_theta = bn / (kn * (an - 1.0))
-        mean = np.array([mun, mun ** 2 + var_theta, an / bn,
-                         np.log(bn) - digamma(an)])
-        log_z = (-0.5 * n * np.log(2.0 * np.pi) + 0.5 * np.log(k0 / kn)
-                 + gammaln(an) - gammaln(a0) + a0 * np.log(b0) - an * np.log(bn))
-        return ConjugatePosterior(mean=mean, log_evidence=float(log_z))
-    if model.name == "gaussian_target":
-        # no data: the posterior is the prior itself
-        d = len(model.layout.blocks)
-        h = np.array([alpha[f"nat_loc_{i+1}"] for i in range(d)])
-        lam = np.zeros((d, d))
-        for i in range(d):
-            for j in range(i + 1):
-                lam[i, j] = lam[j, i] = alpha[f"info_{i+1}{j+1}"]
-        cov = np.linalg.inv(lam)
-        mu = cov @ h
-        mean = np.empty(2 * d)
-        mean[0::2] = mu
-        mean[1::2] = mu ** 2 + np.diag(cov)
-        return ConjugatePosterior(mean=mean, log_evidence=None)
-    raise NotConjugate(f"no closed-form posterior for model {model.name!r}")
+    """Closed-form posterior moments from the model's ``exact_posterior`` hook."""
+    if model.exact_posterior is None:
+        raise NotConjugate(f"no closed-form posterior for model {model.name!r}")
+    mean, log_evidence = model.exact_posterior(model.resolve_alpha(alpha))
+    return ConjugatePosterior(mean=mean, log_evidence=log_evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +281,7 @@ def contaminated_model(model, block, pc_logpdf, eps):
     return replace(model, name=model.name + "+contaminated",
                    expected_log_prior=expected_log_prior,
                    grad_log_prior=grad_log_prior,
-                   prior_alpha_grad=None)
+                   prior_alpha_grad=None, exact_posterior=None)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +495,11 @@ def perturb_and_rerun(model, direction, engine, step=None, sol=None, sys=None,
         stats_base = layout.suff_stats_of_sampler_matrix(base_run.draws)
         stats_pert = layout.suff_stats_of_sampler_matrix(pert_run.draws)
         diff = (stats_pert - stats_base) / step
+        if not np.any(diff):
+            raise DegenerateChain(
+                f"the base and perturbed chains made identical moves at step "
+                f"{step:g}, so every sampled difference is zero; use a larger "
+                "step (--step on the command line)")
         actual = diff.mean(axis=0)
         se, _ = batch_means_se(diff)
     else:

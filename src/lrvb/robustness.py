@@ -58,7 +58,6 @@ class ContaminationSpec:
 
     block: Union[str, int]
     contaminant: tuple
-    epsilon: float = 0.0
 
     def validated(self, model):
         layout = model.layout

@@ -1,5 +1,7 @@
 """Small numerical helpers: half-vectorization, 1-D inversions, derivatives."""
 
+import functools
+
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import polygamma
@@ -15,18 +17,40 @@ def trigamma(x):
     return polygamma(1, x)
 
 
+@functools.lru_cache(maxsize=None)
+def tril(k):
+    """Row and column indices of the k x k lower triangle, row-major.
+
+    This is the one layout of every half-vectorized coordinate vector in
+    the package.  The arrays are cached and read-only.
+    """
+    rows, cols = np.tril_indices(k)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+@functools.lru_cache(maxsize=None)
+def tril_diag(k):
+    """Positions of the diagonal entries within the :func:`tril` layout."""
+    rows, cols = tril(k)
+    pos = np.flatnonzero(rows == cols)
+    pos.setflags(write=False)
+    return pos
+
+
 def vech(mat):
     """Lower triangle of a symmetric matrix in row-major order."""
     mat = np.asarray(mat, dtype=float)
-    rows, cols = np.tril_indices(mat.shape[0])
-    return mat[rows, cols].copy()
+    rows, cols = tril(mat.shape[0])
+    return mat[rows, cols]
 
 
 def unvech(v, k):
     """Inverse of :func:`vech` for a k x k symmetric matrix."""
     v = np.asarray(v, dtype=float)
     out = np.zeros((k, k))
-    rows, cols = np.tril_indices(k)
+    rows, cols = tril(k)
     out[rows, cols] = v
     out[cols, rows] = v
     return out
@@ -59,6 +83,35 @@ def unvech_half(v, k):
     """Inverse of :func:`vech_dup`."""
     doubled = unvech(v, k)
     return (doubled + np.diag(np.diag(doubled))) / 2.0
+
+
+def chol_from_logchol(z):
+    """Lower Cholesky factor from log-Cholesky coordinates.
+
+    ``z`` holds the factor's lower triangle in :func:`tril` order with the
+    diagonal entries log-transformed, so every real vector maps to a
+    factor with a positive diagonal.  Leading axes are batch axes: an
+    (..., k(k+1)/2) array gives an (..., k, k) array of factors.
+    """
+    z = np.asarray(z, dtype=float)
+    k = dim_from_vech(z.shape[-1])
+    rows, cols = tril(k)
+    chol = np.zeros(z.shape[:-1] + (k, k))
+    chol[..., rows, cols] = z
+    on_diag = np.arange(k)
+    chol[..., on_diag, on_diag] = np.exp(z[..., tril_diag(k)])
+    return chol
+
+
+def logchol_from_chol(chol):
+    """Inverse of :func:`chol_from_logchol`; batched the same way."""
+    chol = np.asarray(chol, dtype=float)
+    k = chol.shape[-1]
+    rows, cols = tril(k)
+    diag = tril_diag(k)
+    z = chol[..., rows, cols]
+    z[..., diag] = np.log(z[..., diag])
+    return z
 
 
 def is_pos_def(mat, tol=0.0):
@@ -110,17 +163,23 @@ def multitrigamma(a, k):
 
 
 def fd_jacobian(func, x, rel_step=1e-6):
-    """Central-difference Jacobian of a vector-valued func at x."""
+    """Central-difference Jacobian of a vector-valued func at x.
+
+    Column j steps x[j] by ``rel_step * max(|x[j]|, 1)`` each way, so func
+    is called exactly 2 * x.size times.
+    """
     x = np.asarray(x, dtype=float)
-    f0 = np.asarray(func(x), dtype=float)
-    jac = np.empty((f0.size, x.size))
+    jac = np.empty((0, x.size))
     for j in range(x.size):
         h = rel_step * max(abs(x[j]), 1.0)
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
         xm[j] -= h
-        jac[:, j] = (np.asarray(func(xp)) - np.asarray(func(xm))) / (2.0 * h)
+        col = (np.asarray(func(xp)) - np.asarray(func(xm))) / (2.0 * h)
+        if j == 0:
+            jac = np.empty((col.size, x.size))
+        jac[:, j] = col
     return jac
 
 

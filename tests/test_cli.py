@@ -60,6 +60,18 @@ class TestFit:
         err = capsys.readouterr().err
         assert "bogus" in err and "lkj_shape" in err
 
+    def test_non_numeric_cell_is_usage_error(self, data_csv, tmp_path, capsys):
+        lines = open(data_csv).read().splitlines()
+        site, treat, _ = lines[3].split(",")
+        lines[3] = f"{site},{treat},abc"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run("fit", "--model", "microcredit", "--data", str(bad),
+                   "--out", str(tmp_path / "x.json"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 4" in err and "abc" in err
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # indefinite precision override -> domain failure -> exit 3
         code = run("fit", "--model", "gaussian3d",
@@ -142,6 +154,17 @@ class TestCompare:
         payload = json.loads(open(out).read())
         assert payload["correlation"] > 0.9
         assert all(e["mc_standard_error"] > 0 for e in payload["entries"])
+
+    def test_mcmc_identical_chains_exit_numeric(self, data_csv, tmp_path, capsys):
+        # the default step (1% of prior_info_11) is too small for the coupled
+        # chains to ever decide differently: no sampled difference to report
+        out = tmp_path / "cmp.json"
+        code = run("compare", "--model", "microcredit", "--data", data_csv,
+                   "--engine", "mcmc", "--direction", "prior_info_11=1",
+                   "--chain-length", "300", "--burn-in", "50", "--out", str(out))
+        assert code == 3
+        assert "DegenerateChain" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_direction_validation(self, tmp_path):
         code = run("compare", "--model", "normal-normal", "--engine", "vb",

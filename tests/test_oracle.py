@@ -60,6 +60,19 @@ class TestExactConjugatePosterior:
         with pytest.raises(NotConjugate):
             oracle.exact_conjugate_posterior(micro_model)
 
+    def test_gaussian_target_is_its_own_posterior(self, gauss2_model):
+        post = oracle.exact_conjugate_posterior(gauss2_model)
+        cov = np.linalg.inv(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+        assert np.allclose(post.mean, [0.0, cov[0, 0], 0.0, cov[1, 1]], rtol=1e-12)
+        assert post.log_evidence is None
+
+    def test_contaminated_model_not_conjugate(self, nn_model):
+        cont = oracle.contaminated_model(
+            nn_model, "theta", lambda x: st.norm.logpdf(x, 1.0, 2.0), 0.1)
+        assert cont.exact_posterior is None
+        with pytest.raises(NotConjugate):
+            oracle.exact_conjugate_posterior(cont)
+
 
 class TestMetropolis:
     def _logpost(self, model):

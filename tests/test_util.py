@@ -1,0 +1,221 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from lrvb import linear_response
+from lrvb.expfam import FAMILIES, Family
+from lrvb.mfvb import BlockDef, Layout
+from lrvb.util import (chol_from_logchol, dim_from_vech, fd_jacobian,
+                       logchol_from_chol, tril, tril_diag, unvech, vech,
+                       vech_dim)
+
+_WI = FAMILIES[Family.WISHART]
+_GM = FAMILIES[Family.GAUSSIAN_MULTIVARIATE]
+
+
+# --- literal copies of the hand-written loops the helpers replaced ----------
+
+def loop_pack(chol):
+    k = chol.shape[0]
+    coords = []
+    for i in range(k):
+        for j in range(i + 1):
+            coords.append(np.log(chol[i, i]) if i == j else chol[i, j])
+    return np.asarray(coords)
+
+
+def loop_unpack(z):
+    k = dim_from_vech(len(z))
+    chol = np.zeros((k, k))
+    idx = 0
+    for i in range(k):
+        for j in range(i + 1):
+            chol[i, j] = np.exp(z[idx]) if i == j else z[idx]
+            idx += 1
+    return chol
+
+
+def loop_wishart_value(z):
+    k = dim_from_vech(len(z))
+    chol = np.zeros((k, k))
+    idx = 0
+    logjac = k * np.log(2.0)
+    for i in range(k):
+        for j in range(i + 1):
+            if i == j:
+                chol[i, i] = np.exp(z[idx])
+                logjac += (k - i + 1.0) * z[idx]
+            else:
+                chol[i, j] = z[idx]
+            idx += 1
+    return chol @ chol.T, logjac
+
+
+def loop_wishart_sampler_stats(z, k):
+    n = z.shape[0]
+    chol = np.zeros((n, k, k))
+    logdet = np.zeros(n)
+    idx = 0
+    for r in range(k):
+        for c in range(r + 1):
+            if r == c:
+                chol[:, r, c] = np.exp(z[:, idx])
+                logdet += 2.0 * z[:, idx]
+            else:
+                chol[:, r, c] = z[:, idx]
+            idx += 1
+    mats = np.einsum("nij,nkj->nik", chol, chol)
+    rows, cols = np.tril_indices(k)
+    return np.column_stack([mats[:, rows, cols], logdet])
+
+
+def loop_hessian(model, m, alpha=None, rel_step=linear_response.HESSIAN_REL_STEP):
+    alpha = model.resolve_alpha(alpha)
+
+    def grad(x):
+        return model.grad_log_lik(x) + model.grad_log_prior(x, alpha)
+
+    n = m.size
+    hess = np.empty((n, n))
+    for j in range(n):
+        step = rel_step * max(abs(m[j]), 1.0)
+        mp, mm = m.copy(), m.copy()
+        mp[j] += step
+        mm[j] -= step
+        hess[:, j] = (grad(mp) - grad(mm)) / (2.0 * step)
+    return (hess + hess.T) / 2.0
+
+
+# --- strategies --------------------------------------------------------------
+
+coord = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def logchol_coords(draw, batch=False):
+    k = draw(st.integers(1, 4))
+    shape = (draw(st.integers(1, 5)), vech_dim(k)) if batch else (vech_dim(k),)
+    return draw(hnp.arrays(np.float64, shape, elements=coord))
+
+
+# --- tests ---------------------------------------------------------------------
+
+class TestTril:
+    def test_cached_arrays_are_read_only(self):
+        rows, cols = tril(3)
+        diag = tril_diag(3)
+        assert tril(3)[0] is rows and tril_diag(3) is diag
+        for arr in (rows, cols, diag):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_layout(self, k):
+        rows, cols = tril(k)
+        assert np.array_equal(rows, np.tril_indices(k)[0])
+        assert np.array_equal(cols, np.tril_indices(k)[1])
+        assert np.array_equal(rows[tril_diag(k)], np.arange(k))
+        assert np.array_equal(cols[tril_diag(k)], np.arange(k))
+
+    def test_vech_round_trip_and_fresh_output(self):
+        mat = np.array([[2.0, 0.5, 0.1], [0.5, 3.0, -0.2], [0.1, -0.2, 1.0]])
+        v = vech(mat)
+        assert np.array_equal(v, [2.0, 0.5, 3.0, 0.1, -0.2, 1.0])
+        v[0] = 99.0  # writing the output must not touch the input or cache
+        assert mat[0, 0] == 2.0
+        assert np.array_equal(unvech(vech(mat), 3), mat)
+
+
+class TestLogCholesky:
+    @settings(max_examples=60, deadline=None)
+    @given(logchol_coords())
+    def test_round_trip_single(self, z):
+        chol = chol_from_logchol(z)
+        k = dim_from_vech(z.size)
+        assert chol.shape == (k, k)
+        assert np.array_equal(chol, np.tril(chol))
+        assert np.all(np.diag(chol) > 0)
+        assert np.allclose(logchol_from_chol(chol), z, rtol=0, atol=1e-14)
+        assert np.allclose(chol_from_logchol(logchol_from_chol(chol)), chol,
+                           rtol=1e-14, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(logchol_coords(batch=True))
+    def test_round_trip_batched_matches_single(self, z):
+        chol = chol_from_logchol(z)
+        assert chol.shape == z.shape[:1] + (chol.shape[-1],) * 2
+        for n in range(z.shape[0]):
+            assert np.array_equal(chol[n], chol_from_logchol(z[n]))
+        back = logchol_from_chol(chol)
+        assert np.array_equal(back, np.stack([logchol_from_chol(c) for c in chol]))
+        assert np.allclose(back, z, rtol=0, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(logchol_coords())
+    def test_bit_identical_to_nested_loops(self, z):
+        chol = chol_from_logchol(z)
+        assert np.array_equal(chol, loop_unpack(z))
+        assert np.array_equal(logchol_from_chol(chol), loop_pack(chol))
+        x, logjac = _WI.value_from_unconstrained(z)
+        x_loop, logjac_loop = loop_wishart_value(z)
+        assert np.array_equal(x, x_loop)
+        assert logjac == logjac_loop
+        spd = x + np.eye(x.shape[0])
+        assert np.array_equal(_WI.unconstrained_from_value(spd),
+                              loop_pack(np.linalg.cholesky(spd)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(logchol_coords(batch=True))
+    def test_sampler_matrix_bit_identical_to_nested_loop(self, z):
+        k = dim_from_vech(z.shape[1])
+        layout = Layout([BlockDef("w", Family.WISHART, k)])
+        assert np.array_equal(layout.suff_stats_of_sampler_matrix(z),
+                              loop_wishart_sampler_stats(z, k))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_family_fit_coordinates_match_loops(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(d, d))
+        sigma = a @ a.T + d * np.eye(d)
+        mu = rng.normal(size=d)
+        z = _GM.unconstrained_from_standard(mu, sigma)
+        assert np.array_equal(z[d:], loop_pack(np.linalg.cholesky(sigma)))
+        mu2, sigma2 = _GM.standard_from_unconstrained(z)
+        chol = loop_unpack(z[d:])
+        assert np.array_equal(mu2, mu) and np.array_equal(sigma2, chol @ chol.T)
+        dof = d + 3.5
+        zw = _WI.unconstrained_from_standard(dof, sigma)
+        assert np.array_equal(zw[:-1], loop_pack(np.linalg.cholesky(dof * sigma)))
+        dof2, scale2 = _WI.standard_from_unconstrained(zw)
+        chol = loop_unpack(zw[:-1])
+        assert dof2 == np.exp(zw[-1]) + d + 1.0
+        assert np.array_equal(scale2, (chol @ chol.T) / dof2)
+
+
+class TestFdJacobian:
+    def test_calls_func_exactly_twice_per_coordinate(self):
+        a = np.arange(15.0).reshape(3, 5) / 7.0
+        calls = []
+
+        def func(x):
+            calls.append(x.copy())
+            return a @ x
+
+        jac = fd_jacobian(func, np.linspace(-2.0, 3.0, 5))
+        assert len(calls) == 10
+        assert jac.shape == (3, 5)
+        assert np.allclose(jac, a, rtol=1e-8, atol=1e-9)
+
+    def test_scalar_output(self):
+        jac = fd_jacobian(lambda x: float(x @ x), np.array([1.0, -2.0]))
+        assert jac.shape == (1, 2)
+        assert np.allclose(jac, [[2.0, -4.0]], rtol=1e-8)
+
+    def test_hessian_of_objective_bit_identical_to_loop(self, nig_model, nig_fit):
+        sol, _ = nig_fit
+        assert np.array_equal(
+            linear_response.hessian_of_objective(nig_model, sol.mean),
+            loop_hessian(nig_model, sol.mean))
