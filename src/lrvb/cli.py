@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import linear_response, mfvb, oracle, robustness
-from .errors import LrvbError
+from .errors import DomainError, LrvbError
 from .models import (DEFAULT_PRIORS, build_microcredit_model,
                      gaussian_target_model, load_microcredit_csv,
                      normal_normal_model)
@@ -38,16 +38,13 @@ def build_model(args):
         if not args.data:
             raise UsageError("--data is required for the microcredit model")
         try:
-            data = load_microcredit_csv(args.data)
-        except ValueError as exc:
+            priors = DEFAULT_PRIORS.with_updates(**overrides)
+        except KeyError as exc:
+            raise UsageError(exc.args[0]) from exc
+        try:
+            return build_microcredit_model(load_microcredit_csv(args.data), priors)
+        except (ValueError, DomainError) as exc:
             raise UsageError(str(exc)) from exc
-        priors = DEFAULT_PRIORS
-        if overrides:
-            try:
-                priors = priors.with_updates(**overrides)
-            except KeyError as exc:
-                raise UsageError(exc.args[0]) from exc
-        return build_microcredit_model(data, priors)
     if args.model == "normal-normal":
         # small built-in fixture: 4 observations, unit noise, N(0,1) prior
         model = normal_normal_model(

@@ -10,12 +10,13 @@ covariance
 which also prices the response of any smooth function of the means to
 any smooth perturbation direction via ``grad_h' sigma_hat grad_f``.
 
-H is evaluated by central differencing of the model's analytic gradient
-of L in mean coordinates (relative step 1e-5); the mean-parameter domain
-is open, so small coordinate steps stay feasible.  An independent full
-second-difference Hessian of the scalar objective is used by the test
-suite to validate this path.  The factorization is a dense LU: target
-model sizes are O(10^2) coordinates.
+H is :func:`lrvb.mfvb.hessian_of_objective`, central differences of the
+model's analytic gradient of L in mean coordinates (relative step
+HESSIAN_REL_STEP).  The fit's Newton polish uses the same H:
+(I - VH) = -V (H - V^-1), and H - V^-1 is the objective's Hessian in m.
+An independent full second-difference Hessian of the scalar objective
+is used by the test suite to validate this path.  The factorization is
+a dense LU: target model sizes are O(10^2) coordinates.
 """
 
 import warnings
@@ -25,9 +26,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NonConvergence, SingularSystem
-from .util import fd_jacobian
+from .mfvb import HESSIAN_REL_STEP, hessian_of_objective  # noqa: F401
 
-HESSIAN_REL_STEP = 1e-5
 CONDITION_LIMIT = 1e12
 SYMMETRY_WARN = 1e-6
 
@@ -61,25 +61,13 @@ class LrvbSystem:
         return scipy.linalg.lu_solve(self._lu, np.asarray(lhs, dtype=float), trans=1)
 
 
-def hessian_of_objective(model, m, alpha=None, rel_step=HESSIAN_REL_STEP):
-    """d^2 L / dm dm' by central differences of the analytic gradient."""
-    alpha = model.resolve_alpha(alpha)
-    m = np.asarray(m, dtype=float)
-
-    def grad(x):
-        return model.grad_log_lik(x) + model.grad_log_prior(x, alpha)
-
-    hess = fd_jacobian(grad, m, rel_step=rel_step)
-    return (hess + hess.T) / 2.0
-
-
-def build_system(model, sol, alpha=None, hessian_rel_step=HESSIAN_REL_STEP):
+def build_system(model, sol, alpha=None):
     """Assemble the linear-response system at a converged solution."""
     if not sol.converged:
         raise NonConvergence("linear-response system requires a converged solution")
     m = np.asarray(sol.mean, dtype=float)
     v = model.layout.suff_stat_cov(m)
-    h = hessian_of_objective(model, m, alpha, rel_step=hessian_rel_step)
+    h = hessian_of_objective(model, m, alpha)
     system = np.eye(m.size) - v @ h
     condition = float(np.linalg.cond(system))
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:

@@ -14,6 +14,13 @@ inside the product of block domains.  A quasi-Newton pass is followed by
 damped Newton polishing to push the gradient norm to the requested
 tolerance; the downstream covariance correction needs a tight optimum.
 
+The polish and the linear-response system share one Hessian,
+``H = d^2 L / dm dm'`` from :func:`hessian_of_objective`.  The entropy's
+gradient is ``-natural(m)`` and ``d natural / dm = V^-1``, so the
+objective's Hessian in m is ``H - V^-1``; in z it is ``J' (H - V^-1) J``
+(``J = dm/dz``) plus a gradient term that vanishes at the optimum.  The
+polish minimizes -ELBO, so it uses ``-J' (H - V^-1) J``.
+
 ModelSpec and VbSolution are immutable after construction.  Fits call
 into the same BLAS library as every other stage, and concurrent calls
 from threads of one process have not been shown safe with it; run
@@ -31,6 +38,8 @@ from . import expfam
 from .errors import DomainError, DomainViolation, NonConvergence
 from .expfam import FAMILIES, Family
 from .util import chol_from_logchol, fd_jacobian, tril, tril_diag, unvech, vech_dim
+
+HESSIAN_REL_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -400,6 +409,14 @@ def elbo_grad_mean(model, m, alpha=None):
             - model.layout.natural_vector(m))
 
 
+def hessian_of_objective(model, m, alpha=None):
+    """H = d^2 L / dm dm' by central differences of L's analytic gradient."""
+    alpha = model.resolve_alpha(alpha)
+    hess = fd_jacobian(lambda x: model.grad_log_lik(x) + model.grad_log_prior(x, alpha),
+                       np.asarray(m, dtype=float), rel_step=HESSIAN_REL_STEP)
+    return (hess + hess.T) / 2.0
+
+
 @dataclass(frozen=True)
 class FitOptions:
     tol: float = 1e-8          # max-abs gradient in unconstrained coordinates
@@ -451,28 +468,21 @@ def fit(model, init=None, opts=None, alpha=None):
         except (DomainError, np.linalg.LinAlgError, OverflowError):
             return np.inf, np.zeros_like(z)
 
-    trace = []
-
-    def record(zk):
-        trace.append(-value_grad(zk)[0])
-
-    record(z0)
+    trace = [-value_grad(z0)[0]]
     res = scipy.optimize.minimize(
-        value_grad, z0, jac=True, method="L-BFGS-B", callback=record,
+        value_grad, z0, jac=True, method="L-BFGS-B",
+        callback=lambda intermediate_result: trace.append(-intermediate_result.fun),
         options={"maxiter": opts.max_iter, "ftol": 1e-14, "gtol": opts.tol / 10.0,
                  "maxcor": 30, "maxls": 60})
-    z = res.x
+    z, fz, gz = res.x, res.fun, res.jac
     iterations = int(res.nit)
 
     # Damped Newton polish: quasi-Newton alone rarely reaches 1e-8.
-    fz, gz = value_grad(z)
     for _ in range(opts.polish_iter):
         gnorm = np.max(np.abs(gz))
         if gnorm <= opts.tol:
             break
-        hess = fd_jacobian(lambda zz: value_grad(zz)[1], z)
-        hess = (hess + hess.T) / 2.0
-        step = _newton_direction(hess, gz)
+        step = _newton_direction(_polish_hessian(model, z, alpha), gz)
         accepted = False
         scale = 1.0
         # Near the optimum the objective change drops below float
@@ -511,6 +521,14 @@ def fit(model, init=None, opts=None, alpha=None):
             f"gradient norm {grad_norm:.3g} above tol {opts.tol:g} "
             f"after {iterations} iterations", solution=solution)
     return solution
+
+
+def _polish_hessian(model, z, alpha):
+    """-J' (H - V^-1) J: the Hessian of -ELBO in z, exact at the optimum."""
+    layout = model.layout
+    m, jac = layout.mean_from_unconstrained(z), layout.mean_jacobian(z)
+    curv = hessian_of_objective(model, m, alpha) - np.linalg.inv(layout.suff_stat_cov(m))
+    return -jac.T @ curv @ jac
 
 
 def _newton_direction(hess, grad):

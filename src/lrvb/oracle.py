@@ -425,15 +425,15 @@ def _slope_and_correlation(predicted, actual):
 
 def perturb_and_rerun(model, direction, engine, step=None, sol=None, sys=None,
                       alpha=None, mcmc_config=None, mcmc_adapt=500,
-                      richardson=True, fit_opts=None):
+                      fit_opts=None):
     """Compare predicted sensitivity against an actual rerun.
 
     ``direction`` is a {hyperparameter: coefficient} dict.  ``engine`` is
     one of "vb" (refit at the perturbed prior), "quadrature" (exact
     posterior statistics via integration), or "mcmc" (two coupled chains
     sharing one seed).  Forward differences with step ``step`` (default
-    1% of the dominant hyperparameter magnitude); with ``richardson`` the
-    Vb and Quadrature engines extrapolate a halved step.
+    1% of the dominant hyperparameter magnitude); the Vb and Quadrature
+    engines Richardson-extrapolate with a halved step.
     """
     from . import linear_response, robustness
 
@@ -462,14 +462,9 @@ def perturb_and_rerun(model, direction, engine, step=None, sol=None, sys=None,
     if engine in ("vb", "quadrature"):
         base = means_at(0.0)
         d1 = (means_at(step) - base) / step
-        if richardson:
-            d2 = (means_at(step / 2.0) - base) / (step / 2.0)
-            actual = 2.0 * d2 - d1
-            resid = np.abs(d2 - d1)
-        else:
-            actual = d1
-            resid = np.full_like(d1, np.nan)
-        se = np.maximum(resid, 1e-300)
+        d2 = (means_at(step / 2.0) - base) / (step / 2.0)
+        actual = 2.0 * d2 - d1
+        se = np.maximum(np.abs(d2 - d1), 1e-300)
     elif engine == "mcmc":
         if mcmc_config is None:
             mcmc_config = McmcConfig(chain_length=20_000, burn_in=5_000, seed=0)

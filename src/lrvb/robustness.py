@@ -34,6 +34,7 @@ from .errors import (DimensionMismatch, DomainError, NonDifferentiablePrior,
                      NormalizationFailure, QuadratureFailure, ZeroPriorDensity)
 from .expfam import FAMILIES, Family
 from .oracle import block_quad_bounds, quadrature_expectation
+from .util import fd_jacobian
 
 MIN_PRIOR_DENSITY_LOG = np.log(1e-300)
 CONTAMINATION_REL_TOL = 1e-6
@@ -133,8 +134,7 @@ class WorstCaseResult:
 # ---------------------------------------------------------------------------
 
 
-def prior_direction_gradient(model, m, direction, alpha=None,
-                             rel_step=ALPHA_FD_REL_STEP):
+def prior_direction_gradient(model, m, direction, alpha=None):
     """d/dm of the directional alpha-derivative of the expected log prior.
 
     Uses the model's analytic cross-derivative when available, otherwise
@@ -147,14 +147,14 @@ def prior_direction_gradient(model, m, direction, alpha=None,
                           dtype=float)
     scale = max([abs(alpha[k]) for k in direction] + [1.0])
     size = max(abs(v) for v in direction.values())
-    h = rel_step * scale / size
+    h = ALPHA_FD_REL_STEP * scale / size
     try:
-        gp = model.grad_log_prior(m, alpha.perturbed(direction, h))
-        gm = model.grad_log_prior(m, alpha.perturbed(direction, -h))
+        return fd_jacobian(
+            lambda t: model.grad_log_prior(m, alpha.perturbed(direction, t[0])),
+            np.zeros(1), rel_step=h)[:, 0]
     except DomainError as exc:
         raise NonDifferentiablePrior(
             f"prior gradient failed under perturbation {direction}: {exc}") from exc
-    return (np.asarray(gp) - np.asarray(gm)) / (2.0 * h)
 
 
 def hyperparam_sensitivity(model, sol, sys, direction, alpha=None):

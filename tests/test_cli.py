@@ -72,6 +72,30 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "line 4" in err and "abc" in err
 
+    @pytest.mark.parametrize("case", [
+        "missing_column", "single_site", "nan_outcome", "inf_outcome",
+        "negative_noise_shape", "indefinite_prior_info"])
+    def test_bad_microcredit_input_is_usage_error(self, data_csv, tmp_path,
+                                                  capsys, case):
+        lines = open(data_csv).read().splitlines()
+        extra = []
+        if case == "missing_column":
+            lines[0] = "site,treatment,y"
+        elif case == "single_site":
+            lines = [lines[0]] + [ln for ln in lines[1:] if ln.split(",")[0] == "1"]
+        elif case in ("nan_outcome", "inf_outcome"):
+            site, treat, _ = lines[3].split(",")
+            lines[3] = f"{site},{treat},{case[:3]}"
+        else:
+            extra = ["--set", {"negative_noise_shape": "noise_shape=-1",
+                               "indefinite_prior_info": "prior_info_12=5"}[case]]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run("fit", "--model", "microcredit", "--data", str(bad),
+                   "--out", str(tmp_path / "x.json"), *extra)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # indefinite precision override -> domain failure -> exit 3
         code = run("fit", "--model", "gaussian3d",

@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from lrvb import mfvb, oracle
+from lrvb import linear_response, mfvb, oracle
 from lrvb.errors import DomainError, NonConvergence
 from lrvb.mfvb import FitOptions, Hyperparams
-from lrvb.models import normal_normal_model
+from lrvb.models import gaussian_target_model, normal_normal_model
 from lrvb.util import fd_jacobian
 
 from conftest import NN_DATA
@@ -104,6 +109,63 @@ class TestFit:
     def test_hierarchical_converges_from_prior_init(self, micro_model):
         sol = mfvb.fit(micro_model)
         assert sol.converged and np.isfinite(sol.elbo)
+
+
+def z_gradient(model, z):
+    """Gradient of -ELBO in unconstrained coordinates, as the fit computes it."""
+    layout = model.layout
+    return -layout.mean_jacobian(z).T @ mfvb.elbo_grad_mean(
+        model, layout.mean_from_unconstrained(z))
+
+
+@st.composite
+def gaussian_targets(draw):
+    d = draw(st.integers(1, 6))
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    a = draw(hnp.arrays(np.float64, (d, d), elements=unit))
+    prec = a @ a.T + 0.5 * np.eye(d)
+    nat_loc = draw(hnp.arrays(np.float64, d, elements=unit)) * 2.0
+    shift = draw(st.floats(0.5, 2.0))
+    return nat_loc, (prec + prec.T) / 2.0, shift
+
+
+class TestPolish:
+    @pytest.mark.parametrize("name", ["nig", "micro"])
+    def test_hessian_matches_fd_of_z_gradient(self, name, request):
+        # -J'(H - V^-1)J against the Hessian the polish used to difference
+        model = request.getfixturevalue(f"{name}_model")
+        sol, _ = request.getfixturevalue(f"{name}_fit")
+        z = model.layout.unconstrained_from_mean(sol.mean)
+        hess = mfvb._polish_hessian(model, z, model.hyperparams)
+        ref = fd_jacobian(lambda zz: z_gradient(model, zz), z)
+        ref = (ref + ref.T) / 2.0
+        assert np.max(np.abs(hess - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+    def test_fit_evaluates_no_point_twice(self, micro_model):
+        seen = []
+        lik = micro_model.expected_log_lik
+        model = replace(micro_model,
+                        expected_log_lik=lambda m: seen.append(m.tobytes()) or lik(m))
+        sol = mfvb.fit(model)
+        assert sol.converged
+        # the start point is evaluated for the trace and again by L-BFGS
+        assert seen[1] == seen[0]
+        assert len(set(seen[1:])) == len(seen) - 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(gaussian_targets())
+    def test_random_gaussian_target_recovers_inverse_precision(self, target):
+        nat_loc, prec, shift = target
+        model = gaussian_target_model(nat_loc, prec)
+        m0 = model.default_init(model.hyperparams)
+        mu = m0[0::2] + shift
+        init = np.empty_like(m0)
+        init[0::2], init[1::2] = mu, mu ** 2 + m0[1::2] - m0[0::2] ** 2
+        # two L-BFGS iterations from a shifted start leave the rest to the polish
+        sol = mfvb.fit(model, init=init, opts=FitOptions(max_iter=2))
+        sigma = linear_response.build_system(model, sol).sigma_hat[0::2, 0::2]
+        inv = np.linalg.inv(prec)
+        assert np.max(np.abs(sigma - inv)) <= 1e-6 * max(1.0, np.max(np.abs(inv)))
 
 
 class TestHyperparams:

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lrvb import linear_response
+from lrvb import linear_response, robustness
 from lrvb.expfam import FAMILIES, Family
 from lrvb.mfvb import BlockDef, Layout
 from lrvb.util import (chol_from_logchol, dim_from_vech, fd_jacobian,
@@ -86,6 +88,16 @@ def loop_hessian(model, m, alpha=None, rel_step=linear_response.HESSIAN_REL_STEP
         mm[j] -= step
         hess[:, j] = (grad(mp) - grad(mm)) / (2.0 * step)
     return (hess + hess.T) / 2.0
+
+
+def loop_prior_direction_gradient(model, m, direction, alpha=None):
+    alpha = model.resolve_alpha(alpha)
+    scale = max([abs(alpha[k]) for k in direction] + [1.0])
+    size = max(abs(v) for v in direction.values())
+    h = robustness.ALPHA_FD_REL_STEP * scale / size
+    gp = model.grad_log_prior(m, alpha.perturbed(direction, h))
+    gm = model.grad_log_prior(m, alpha.perturbed(direction, -h))
+    return (np.asarray(gp) - np.asarray(gm)) / (2.0 * h)
 
 
 # --- strategies --------------------------------------------------------------
@@ -219,3 +231,13 @@ class TestFdJacobian:
         assert np.array_equal(
             linear_response.hessian_of_objective(nig_model, sol.mean),
             loop_hessian(nig_model, sol.mean))
+
+    def test_prior_direction_gradient_bit_identical_to_loop(self, micro_model,
+                                                            micro_fit):
+        sol, _ = micro_fit
+        model = replace(micro_model, prior_alpha_grad=None)
+        assert len(model.hyperparams) == 8
+        for name in model.hyperparams:
+            assert np.array_equal(
+                robustness.prior_direction_gradient(model, sol.mean, {name: 1.0}),
+                loop_prior_direction_gradient(model, sol.mean, {name: 1.0}))
