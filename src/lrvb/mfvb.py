@@ -358,6 +358,9 @@ class ModelSpec:
     * ``prior_block_logpdf`` -- per-block marginal prior log density for
       the blocks across which the prior factorizes (required by
       influence-function and contamination queries on that block).
+      ``prior_block_logpdf[name](name, x, alpha)`` maps one block value to
+      a float and an array of n values (shape (n,), or (n, d) for a
+      d-dimensional block) to an (n,) array, as the family's ``log_density``.
     * ``log_lik_values`` / ``log_prior_values`` -- pointwise log
       likelihood and prior over a dict of per-block variable values; used
       by the MCMC and quadrature oracles, never by the fit itself.
@@ -482,7 +485,10 @@ def fit(model, init=None, opts=None, alpha=None):
         gnorm = np.max(np.abs(gz))
         if gnorm <= opts.tol:
             break
-        step = _newton_direction(_polish_hessian(model, z, alpha), gz)
+        try:
+            step = _newton_direction(_polish_hessian(model, z, alpha), gz)
+        except np.linalg.LinAlgError:  # singular covariance: steepest descent
+            step = -gz
         accepted = False
         scale = 1.0
         # Near the optimum the objective change drops below float
@@ -540,7 +546,7 @@ def _newton_direction(hess, grad):
                                       assume_a="sym")
             if np.all(np.isfinite(step)) and step @ (-grad) > 0:
                 return step
-        except scipy.linalg.LinAlgError:
+        except ValueError:  # singular, or curvature that overflowed
             pass
         damping = max(2.0 * damping, 1e-8 * max(np.max(np.abs(hess)), 1.0))
     return -grad  # fall back to steepest descent

@@ -73,7 +73,7 @@ def normal_normal_model(data, noise_var, prior_natural):
     def prior_block_logpdf(block, point, alpha):
         if block not in ("theta", 0):
             raise KeyError(block)
-        return float(_GU.log_density(point, _nat(alpha)))
+        return _GU.log_density(point, _nat(alpha))
 
     def log_lik_values(values):
         th = float(np.asarray(values["theta"]).reshape(-1)[0])
@@ -177,7 +177,7 @@ def normal_invgamma_model(data, prior_loc, prior_obs, prior_shape, prior_rate):
         if block not in ("noise_var", 1):
             raise KeyError(f"prior does not factor across block {block!r}")
         a0, b0 = alpha["prior_shape"], alpha["prior_rate"]
-        return float(_IG.log_density(point, _IG.natural_from_standard(a0, b0)))
+        return _IG.log_density(point, _IG.natural_from_standard(a0, b0))
 
     def log_lik_values(values):
         th = float(np.asarray(values["theta"]).reshape(-1)[0])
@@ -334,7 +334,7 @@ def gaussian_target_model(nat_loc, info):
             def pdf(block, point, alpha):
                 hh, ll = _unpack(alpha)
                 eta = np.array([hh[i], -0.5 * ll[i, i]])
-                return float(_GU.log_density(point, eta))
+                return _GU.log_density(point, eta)
             return pdf
         prior_pdfs = {f"theta_{i+1}": _make(i) for i in range(d)}
 

@@ -453,7 +453,7 @@ def build_microcredit_model(data, priors=None):
             raise KeyError(f"prior does not factor across block {block!r}")
         lam = _check_priors(alpha)
         eta = _GM.natural_from_standard(np.zeros(2), np.linalg.inv(lam))
-        return float(_GM.log_density(np.asarray(point, dtype=float), eta))
+        return _GM.log_density(point, eta)
 
     def sampler_log_posterior(alpha):
         """Vectorized pointwise log posterior over the sampler coordinates.

@@ -141,8 +141,7 @@ def _sampler_box(model, alpha, widen=10.0):
     sol = mfvb.fit(model, alpha=alpha)
     layout = model.layout
     lo, hi = [], []
-    pos = 0
-    for b, d in zip(layout.blocks, layout.value_dims()):
+    for b in layout.blocks:
         fam = FAMILIES[b.family]
         mb = sol.mean[layout.slice_of(b.name)]
         params = fam.standard_from_mean(np.asarray(mb, dtype=float))
@@ -161,7 +160,6 @@ def _sampler_box(model, alpha, widen=10.0):
             hi.append(center + widen * sd)
         else:
             raise DomainError(f"no quadrature box for family {b.family}")
-        pos += d
     return list(zip(lo, hi))
 
 

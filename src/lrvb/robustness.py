@@ -11,9 +11,9 @@ Four measures, all priced through one factorized linear-response solve:
 * worst-case perturbation -- the extremal contaminating density of unit
   p-norm size and the bound it attains.
 
-An influence grid is one batched solve: every point's right-hand side
-becomes one column of a single call through the system's shared LU
-factors.
+Every query takes the density ratio q(x)/p(x) from one array expression
+over all of its points, so an influence grid is one batched right-hand
+side and one batched solve through the system's shared LU factors.
 
 Conventions.  The influence-function column carries the displacement of
 the perturbed block's plain location statistics (Gaussian blocks), with
@@ -170,7 +170,7 @@ def hyperparam_sensitivity(model, sol, sys, direction, alpha=None):
 # ---------------------------------------------------------------------------
 
 
-def _block_setup(model, sys, block, alpha):
+def _block_setup(model, sys, block):
     layout = model.layout
     idx = block if isinstance(block, int) else layout.block_index(block)
     bdef = layout.blocks[idx]
@@ -181,14 +181,16 @@ def _block_setup(model, sys, block, alpha):
     return idx, bdef, sl, mb, fam, eta
 
 
-def _log_ratio(model, fam, eta, bdef, point, alpha):
+def _log_density_ratio(model, bdef, fam, eta, x, alpha):
+    """log q(x) - log p(x) and log p(x) for one block, elementwise over one
+    value or an array of them, with one call of each density."""
     name = bdef.name
-    log_p = model.prior_block_logpdf[name](name, point, alpha)
-    if log_p < MIN_PRIOR_DENSITY_LOG:
-        raise ZeroPriorDensity(
-            f"prior density underflows at {point!r} (log density {log_p:.1f})")
-    log_q = float(fam.log_density(point, eta))
-    return log_q - log_p
+    log_p = model.prior_block_logpdf[name](name, x, alpha)
+    log_q = fam.log_density(x, eta)
+    if np.shape(log_p) != np.shape(log_q):
+        raise DimensionMismatch(f"prior_block_logpdf[{name!r}] returned shape "
+                                f"{np.shape(log_p)}, expected {np.shape(log_q)}")
+    return log_q - log_p, log_p
 
 
 def influence_function(model, sol, sys, block, point, alpha=None):
@@ -206,21 +208,23 @@ def influence_function(model, sol, sys, block, point, alpha=None):
 
 def _influence_rhs(model, sys, block, points, alpha):
     """Stacked influence right-hand sides, one column per grid point."""
-    idx, bdef, sl, mb, fam, eta = _block_setup(model, sys, block, alpha)
+    idx, bdef, sl, mb, fam, eta = _block_setup(model, sys, block)
     layout = model.layout
-    if bdef.family is Family.GAUSSIAN_UNIVARIATE:
-        points = np.asarray(points, dtype=float).reshape(-1, 1)
-    elif bdef.family is Family.GAUSSIAN_MULTIVARIATE:
-        points = np.asarray(points, dtype=float).reshape(-1, bdef.var_dim)
-    else:
+    if bdef.family not in (Family.GAUSSIAN_UNIVARIATE, Family.GAUSSIAN_MULTIVARIATE):
         raise DomainError(
             f"influence points are defined for Gaussian blocks, not {bdef.family}")
+    points = np.asarray(points, dtype=float).reshape(-1, bdef.var_dim)
+    values = points[:, 0] if bdef.family is Family.GAUSSIAN_UNIVARIATE else points
+    log_ratio, log_p = (np.reshape(v, -1) for v in
+                        _log_density_ratio(model, bdef, fam, eta, values, alpha))
+    under = np.flatnonzero(log_p < MIN_PRIOR_DENSITY_LOG)
+    if under.size:
+        i = under[0]
+        raise ZeroPriorDensity(
+            f"prior density underflows at {values[i]!r} (log density {log_p[i]:.1f})")
     loc = layout.location_indices(idx)
     rhs = np.zeros((layout.dim, points.shape[0]))
-    for col, pt in enumerate(points):
-        val = pt[0] if bdef.family is Family.GAUSSIAN_UNIVARIATE else pt
-        ratio = np.exp(_log_ratio(model, fam, eta, bdef, val, alpha))
-        rhs[loc, col] = ratio * (pt - sys.mean[loc])
+    rhs[loc] = (np.exp(log_ratio)[:, None] * (points - sys.mean[loc])).T
     return rhs
 
 
@@ -265,32 +269,50 @@ def _density_bounds(model, idx):
 
 def _density_contamination_rhs(model, sys, idx, pc_logpdf, alpha):
     """E_q[(s(x) - m) p_c(x)/p(x)] over the contaminated block."""
-    _, bdef, sl, mb, fam, eta = _block_setup(model, sys, idx, alpha)
+    _, bdef, sl, mb, fam, eta = _block_setup(model, sys, idx)
     bounds = _density_bounds(model, idx)
-    name = bdef.name
 
-    def qdens(x):
-        return np.exp(fam.log_density(x, eta))
-
-    def ratio(x):
-        return np.exp(pc_logpdf(x) - model.prior_block_logpdf[name](name, x, alpha))
+    def weight(x):
+        # q(x) p_c(x) / p(x)
+        return np.exp(pc_logpdf(x) + _log_density_ratio(model, bdef, fam, eta, x, alpha)[0])
 
     rhs = np.zeros(sys.dim)
-    coords = np.arange(sl.start, sl.stop)
-    for j, c in enumerate(coords):
+    for j in range(mb.size):
         def integrand(x, j=j):
-            return (fam.suff_stats(x)[0, j] - mb[j]) * ratio(x)
-        val, err = quadrature_expectation(qdens, integrand, bounds, tol=1e-9)
+            return fam.suff_stats(x)[0, j] - mb[j]
+        val, err = quadrature_expectation(weight, integrand, bounds, tol=1e-9)
         if err > max(CONTAMINATION_REL_TOL * abs(val), 1e-9):
             raise QuadratureFailure(
                 f"contamination integral error {err:.3g} too large for value {val:.3g}")
-        rhs[c] = val
+        rhs[sl.start + j] = val
     return rhs
 
 
 # ---------------------------------------------------------------------------
 # worst-case perturbations
 # ---------------------------------------------------------------------------
+
+
+def _response_functional(model, sys, block, target, alpha):
+    """a(x), the prior density p(x) and the quadrature bounds of one scalar
+    block (a(x) as in worst_case_perturbation; an array for an array)."""
+    grad_h = resolve_target(model.layout, target)
+    idx, bdef, sl, mb, fam, eta = _block_setup(model, sys, block)
+    if bdef.family is Family.GAUSSIAN_MULTIVARIATE or bdef.family is Family.WISHART:
+        raise DomainError("worst-case perturbations support scalar blocks")
+    row = sys.solve_transpose(grad_h)[sl]
+    name = bdef.name
+
+    def a_values(x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        log_ratio, _ = _log_density_ratio(model, bdef, fam, eta, x, alpha)
+        out = ((fam.suff_stats(x) - mb) @ row) * np.exp(log_ratio)
+        return out if out.size > 1 else float(out[0])
+
+    def prior_dens(x):
+        return np.exp(model.prior_block_logpdf[name](name, x, alpha))
+
+    return a_values, prior_dens, block_quad_bounds(bdef.family)
 
 
 def worst_case_perturbation(model, sol, sys, block, target, p_norm, alpha=None):
@@ -305,28 +327,8 @@ def worst_case_perturbation(model, sol, sys, block, target, p_norm, alpha=None):
     alpha = model.resolve_alpha(alpha)
     if not (1.0 < p_norm < np.inf):
         raise DomainError(f"p_norm must lie in (1, inf), got {p_norm}")
-    grad_h = resolve_target(model.layout, target)
-    idx, bdef, sl, mb, fam, eta = _block_setup(model, sys, block, alpha)
-    if bdef.family is Family.GAUSSIAN_MULTIVARIATE or bdef.family is Family.WISHART:
-        raise DomainError("worst-case perturbations support scalar blocks")
-    row = sys.solve_transpose(grad_h)[sl]
-    name = bdef.name
-
-    def a_values(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        stats = fam.suff_stats(x)
-        log_p = np.array([model.prior_block_logpdf[name](name, xi, alpha) for xi in x])
-        log_q = np.array([float(fam.log_density(xi, eta)) for xi in x])
-        disp = (stats - mb) @ row
-        out = disp * np.exp(log_q - log_p)
-        return out if out.size > 1 else float(out[0])
-
+    a_values, prior_dens, bounds = _response_functional(model, sys, block, target, alpha)
     q_conj = p_norm / (p_norm - 1.0)
-    bounds = block_quad_bounds(bdef.family)
-
-    def prior_dens(x):
-        return np.exp(model.prior_block_logpdf[name](name, x, alpha))
-
     try:
         norm_q, _ = quadrature_expectation(
             prior_dens, lambda x: abs(a_values(x)) ** q_conj, bounds, tol=1e-9)
@@ -353,22 +355,8 @@ def perturbation_derivative(model, sol, sys, block, target, pc_over_p, alpha=Non
     worst-case bound against arbitrary unit-size perturbations.
     """
     alpha = model.resolve_alpha(alpha)
-    grad_h = resolve_target(model.layout, target)
-    idx, bdef, sl, mb, fam, eta = _block_setup(model, sys, block, alpha)
-    row = sys.solve_transpose(grad_h)[sl]
-    name = bdef.name
-    bounds = block_quad_bounds(bdef.family)
-
-    def prior_dens(x):
-        return np.exp(model.prior_block_logpdf[name](name, x, alpha))
-
-    def a_of(x):
-        stats = fam.suff_stats(x)[0]
-        lr = (float(fam.log_density(x, eta))
-              - model.prior_block_logpdf[name](name, x, alpha))
-        return float((stats - mb) @ row) * np.exp(lr)
-
-    val, _ = quadrature_expectation(prior_dens, lambda x: a_of(x) * pc_over_p(x),
+    a_values, prior_dens, bounds = _response_functional(model, sys, block, target, alpha)
+    val, _ = quadrature_expectation(prior_dens, lambda x: a_values(x) * pc_over_p(x),
                                     bounds, tol=1e-8)
     return float(val)
 

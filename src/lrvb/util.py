@@ -134,7 +134,10 @@ def solve_log_minus_digamma(c):
     if not np.isfinite(c) or c <= 0:
         raise DomainError(f"log(a) - digamma(a) = {c} has no positive root")
     # Minka's initializer, then a bracketed Newton cleanup via brentq.
-    a = (3.0 - c + np.sqrt((c - 3.0) ** 2 + 24.0 * c)) / (12.0 * c)
+    if c < 1e8:
+        a = (3.0 - c + np.sqrt((c - 3.0) ** 2 + 24.0 * c)) / (12.0 * c)
+    else:  # Minka's form cancels to 0 for large c; there the root is ~1/c
+        a = 1.0 / c
     lo, hi = a, a
     while np.log(lo) - digamma(lo) < c:
         lo /= 2.0

@@ -1,12 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import tempfile
+import traceback
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from lrvb import cli
-from lrvb.models import save_microcredit_csv, simulate_microcredit
+from lrvb.models import DEFAULT_PRIORS, save_microcredit_csv, simulate_microcredit
 from lrvb.models.microcredit import MicrocreditParams
 
 
@@ -194,6 +201,116 @@ class TestCompare:
         code = run("compare", "--model", "normal-normal", "--engine", "vb",
                    "--direction", "nope=1", "--out", str(tmp_path / "x.json"))
         assert code == 2
+
+
+# --- exit-code fuzzing -------------------------------------------------------
+
+# cell values that parse, fail to parse, or parse to something out of domain
+BAD_CELLS = ["", " ", "abc", "nan", "inf", "-inf", "1e400", "-1e400", "1e308",
+             "-1", "0", "2", "1.5", "-0.0", "1e-320", "0x10", "1_000", '"7"']
+NUMBER_TEXT = st.one_of(
+    st.floats(-100.0, 100.0).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(BAD_CELLS))
+OVERRIDE_KEYS = {
+    "microcredit": list(DEFAULT_PRIORS.names) + ["bogus"],
+    "normal-normal": ["prior_nat_1", "prior_nat_2", "bogus"],
+}
+
+
+def _fuzz_csv_lines():
+    truth = MicrocreditParams(1.0, 0.5, np.array([[1.0, 0.21], [0.21, 0.49]]),
+                              100.0 * (1.0 + 0.1 * np.arange(3)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "base.csv")
+        save_microcredit_csv(simulate_microcredit(truth, 8, seed=5), path)
+        return open(path).read().splitlines()
+
+
+FUZZ_CSV = _fuzz_csv_lines()
+
+
+@st.composite
+def corrupted_csv(draw):
+    """The 3-site fuzz CSV with a few rows corrupted, dropped or repeated."""
+    lines = list(FUZZ_CSV)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["cell", "drop", "repeat", "extra", "short",
+                                       "text"]))
+        cells = lines[i].split(",")
+        if action == "cell":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(NUMBER_TEXT)
+            lines[i] = ",".join(cells)
+        elif action == "drop":
+            del lines[i]
+        elif action == "repeat":
+            lines.insert(i, lines[i])
+        elif action == "extra":
+            lines[i] = lines[i] + "," + draw(NUMBER_TEXT)
+        elif action == "short":
+            lines[i] = ",".join(cells[:-1])
+        else:
+            lines[i] = draw(st.text(max_size=12))
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def overrides(draw, model):
+    pairs = draw(st.lists(st.tuples(st.sampled_from(OVERRIDE_KEYS[model]),
+                                    NUMBER_TEXT), max_size=2))
+    return [arg for key, value in pairs for arg in ("--set", f"{key}={value}")]
+
+
+def check_exit(argv, csv_text=None):
+    """One in-process CLI run exits 0, 2 or 3 with no traceback; an
+    exception that escapes ``main`` fails the test with its traceback.
+
+    Overflow and ill-conditioning warnings are expected on such input and
+    are silenced: the contract under test is the exit code.
+    """
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        # --max-iter keeps a pathological fit from taking the default budget
+        argv = argv + ["--out", os.path.join(tmp, "out.json"), "--max-iter", "200"]
+        if csv_text is not None:
+            argv += ["--data", os.path.join(tmp, "in.csv")]
+            with open(argv[-1], "w", encoding="utf-8") as fh:
+                fh.write(csv_text)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                code = cli.main(argv)
+            except Exception:
+                pytest.fail(f"lrvb {' '.join(argv)} raised:\n{traceback.format_exc()}")
+    event(f"exit {code}")
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(corrupted_csv(), overrides("microcredit"),
+           st.sampled_from(["fit", "sensitivity"]))
+    # found by this test: the inverse-gamma initializer overflowed
+    @example("\n".join(FUZZ_CSV) + "\n",
+             ["--set", "noise_shape=1.1942354774624016e-215"], "fit")
+    def test_microcredit_csv_and_overrides(self, text, sets, command):
+        check_exit([command, "--model", "microcredit", *sets], csv_text=text)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(overrides("normal-normal"),
+           st.sampled_from(["fit", "sensitivity", "influence-grid"]))
+    # found by this test: a non-finite polish Hessian and a singular
+    # variational covariance escaped the fit as ValueError and LinAlgError
+    @example(["--set", "prior_nat_2=-9.480751908109073e+153"], "fit")
+    @example(["--set", "prior_nat_2=-3.181212452095129e+161"], "fit")
+    def test_normal_normal_overrides(self, sets, command):
+        check_exit([command, "--model", "normal-normal", *sets])
 
 
 class TestSchema:

@@ -1,10 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from lrvb import mfvb, oracle
+from lrvb import linear_response, mfvb, oracle
 from lrvb import robustness as rb
 from lrvb.errors import DomainError, ZeroPriorDensity
+from lrvb.expfam import FAMILIES
+from lrvb.models import gaussian_target_model, normal_normal_model
 from lrvb.oracle import quadrature_expectation
 
 
@@ -88,7 +94,7 @@ class TestInfluenceFunction:
         w1, w2 = 0.3, 0.7
         comp1 = lambda x: st.norm.logpdf(x, 0.2, 0.25)
         comp2 = lambda x: st.norm.logpdf(x, 1.5, 0.4)
-        mix = lambda x: np.log(w1 * np.exp(comp1(x)) + w2 * np.exp(comp2(x)))
+        mix = lambda x: np.logaddexp(np.log(w1) + comp1(x), np.log(w2) + comp2(x))
         vals = {}
         for key, pc in [("mix", mix), ("c1", comp1), ("c2", comp2)]:
             spec = rb.ContaminationSpec("theta", ("density", pc))
@@ -111,6 +117,52 @@ class TestInfluenceFunction:
         with pytest.raises(ZeroPriorDensity):
             rb.influence_function(nn_model, sol, sys, "theta", 60.0)
 
+    @pytest.mark.parametrize("name,block", [("nn", "theta"), ("micro", "top")])
+    def test_rhs_matches_per_point_loop(self, request, name, block):
+        # reference: the per-point loop the batched right-hand side replaced
+        model = request.getfixturevalue(f"{name}_model")
+        sol, sys = request.getfixturevalue(f"{name}_fit")
+        alpha = model.hyperparams
+        layout = model.layout
+        bdef = layout.blocks[layout.block_index(block)]
+        fam = FAMILIES[bdef.family]
+        eta = fam.natural_from_mean(sys.mean[layout.slice_of(block)], bdef.var_dim)
+        loc = layout.location_indices(block)
+        rng = np.random.default_rng(5)
+        pts = sys.mean[loc] + rng.normal(size=(50, loc.size))
+        loop = np.zeros((layout.dim, len(pts)))
+        for col, pt in enumerate(pts):
+            val = pt[0] if loc.size == 1 else pt
+            log_p = model.prior_block_logpdf[block](block, val, alpha)
+            ratio = np.exp(float(fam.log_density(val, eta)) - log_p)
+            loop[loc, col] = ratio * (pt - sys.mean[loc])
+        rhs = rb._influence_rhs(model, sys, block, pts, alpha)
+        # same formulas; a scalar power and the batched quadratic form may
+        # round the last bit differently from their array counterparts
+        assert np.allclose(rhs, loop, rtol=1e-14, atol=0.0)
+
+    def test_zero_prior_density_rejected_within_grid(self, nn_fit, nn_model):
+        # one underflowing point among many fails the whole grid and is named
+        sol, sys = nn_fit
+        with pytest.raises(ZeroPriorDensity, match="60.0"):
+            rb.influence_grid(nn_model, sol, sys, "theta", [0.5, 60.0, 1.0])
+
+    def test_dense_grid_calls_prior_once(self, micro_model, micro_fit):
+        sol, sys = micro_fit
+        calls = []
+        hook = micro_model.prior_block_logpdf["top"]
+
+        def counted(block, point, alpha):
+            calls.append(np.shape(point))
+            return hook(block, point, alpha)
+
+        model = dataclasses.replace(micro_model, prior_block_logpdf={"top": counted})
+        axes = [np.linspace(m - 3.0, m + 3.0, 201) for m in sol.mean[:2]]
+        pts = np.column_stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")])
+        grid = rb.influence_grid(model, sol, sys, "top", pts)
+        assert calls == [(201 * 201, 2)]
+        assert grid.shape == (201 * 201, sys.dim)
+
     def test_grid_parallel_matches_serial(self, micro_model, micro_fit, monkeypatch):
         sol, sys = micro_fit
         rng = np.random.default_rng(3)
@@ -127,6 +179,84 @@ class TestInfluenceFunction:
         parts = [rb.influence_grid(micro_model, sol, sys, "top", chunk)
                  for chunk in np.array_split(pts, 4)]
         assert np.array_equal(np.vstack(parts), whole)
+
+
+class TestPriorBlockLogpdf:
+    """The hooks map an array of block values to an array of log densities."""
+
+    @pytest.mark.parametrize("name,block,points", [
+        ("nn", "theta", np.linspace(-4.0, 6.0, 37)),
+        ("nig", "noise_var", np.geomspace(0.05, 40.0, 37)),
+        ("micro", "top", np.column_stack([np.linspace(-3.0, 5.0, 37),
+                                          np.linspace(2.0, -1.5, 37)])),
+    ])
+    def test_array_matches_per_point(self, request, name, block, points):
+        model = request.getfixturevalue(f"{name}_model")
+        hook = model.prior_block_logpdf[block]
+        whole = hook(block, points, model.hyperparams)
+        single = np.array([hook(block, pt, model.hyperparams) for pt in points])
+        assert whole.shape == (len(points),)
+        assert np.allclose(whole, single, rtol=1e-15, atol=0.0)
+
+    def test_diagonal_gaussian_target_array_matches_per_point(self):
+        model = gaussian_target_model(np.array([0.4, -1.0, 0.3]),
+                                      np.diag([0.5, 2.0, 1.5]))
+        points = np.linspace(-5.0, 5.0, 41)
+        for block, hook in model.prior_block_logpdf.items():
+            whole = hook(block, points, model.hyperparams)
+            single = np.array([hook(block, x, model.hyperparams) for x in points])
+            assert whole.shape == points.shape
+            assert np.allclose(whole, single, rtol=1e-15, atol=0.0)
+
+    def test_scalar_point_gives_float(self, nn_model, micro_model):
+        alpha = nn_model.hyperparams
+        assert isinstance(nn_model.prior_block_logpdf["theta"]("theta", 0.3, alpha), float)
+        top = micro_model.prior_block_logpdf["top"]
+        assert isinstance(top("top", np.array([0.3, 0.1]), micro_model.hyperparams), float)
+
+
+@hst.composite
+def influence_cases(draw):
+    """A random normal-normal model, or a diagonal Gaussian target with
+    d = 1-4, with one of its blocks to perturb."""
+    unit = hst.floats(-1.0, 1.0, allow_subnormal=False)
+    if draw(hst.booleans()):
+        n = draw(hst.integers(1, 8))
+        data = np.array([3.0 * draw(unit) for _ in range(n)])
+        noise_var = 0.2 + 2.0 * (1.0 + draw(unit))
+        prior_mean, prior_var = 2.0 * draw(unit), 0.3 + 2.0 * (1.0 + draw(unit))
+        model = normal_normal_model(data, noise_var, ("moment", prior_mean, prior_var))
+        return model, "theta", prior_mean, prior_var
+    d = draw(hst.integers(1, 4))
+    info = np.diag([0.3 + 1.5 * (1.0 + draw(unit)) for _ in range(d)])
+    nat_loc = np.array([2.0 * draw(unit) for _ in range(d)])
+    i = draw(hst.integers(0, d - 1))
+    model = gaussian_target_model(nat_loc, info)
+    return model, f"theta_{i+1}", nat_loc[i] / info[i, i], 1.0 / info[i, i]
+
+
+class TestInfluenceProperty:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(influence_cases())
+    def test_rows_over_density_ratio_are_linear(self, case):
+        # q and p come from scipy.stats, and (I - VH)^-1 from numpy's dense
+        # solve: nothing here shares the density code of lrvb
+        model, block, prior_mean, prior_var = case
+        sol = mfvb.fit(model, opts=mfvb.FitOptions(tol=1e-10))
+        sys = linear_response.build_system(model, sol)
+        loc = model.layout.location_indices(block)[0]
+        fit_mean = sol.mean[loc]
+        fit_sd = np.sqrt(sol.mean[loc + 1] - fit_mean ** 2)
+        pts = fit_mean + fit_sd * np.linspace(-3.0, 3.0, 13)
+        rows = rb.influence_grid(model, sol, sys, block, pts)
+        q_over_p = np.exp(st.norm.logpdf(pts, fit_mean, fit_sd)
+                          - st.norm.logpdf(pts, prior_mean, np.sqrt(prior_var)))
+        unit = np.zeros(sys.dim)
+        unit[loc] = 1.0
+        coef = np.linalg.solve(np.eye(sys.dim) - sys.v @ sys.h, unit)
+        expected = np.outer(pts - fit_mean, coef)
+        err = np.max(np.abs(rows / q_over_p[:, None] - expected))
+        assert err <= 1e-8 * np.max(np.abs(expected))
 
 
 class TestContamination:

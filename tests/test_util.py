@@ -9,9 +9,9 @@ from hypothesis.extra import numpy as hnp
 from lrvb import linear_response, robustness
 from lrvb.expfam import FAMILIES, Family
 from lrvb.mfvb import BlockDef, Layout
-from lrvb.util import (chol_from_logchol, dim_from_vech, fd_jacobian,
-                       logchol_from_chol, tril, tril_diag, unvech, vech,
-                       vech_dim)
+from lrvb.util import (chol_from_logchol, digamma, dim_from_vech, fd_jacobian,
+                       logchol_from_chol, solve_log_minus_digamma, tril,
+                       tril_diag, unvech, vech, vech_dim)
 
 _WI = FAMILIES[Family.WISHART]
 _GM = FAMILIES[Family.GAUSSIAN_MULTIVARIATE]
@@ -241,3 +241,12 @@ class TestFdJacobian:
             assert np.array_equal(
                 robustness.prior_direction_gradient(model, sol.mean, {name: 1.0}),
                 loop_prior_direction_gradient(model, sol.mean, {name: 1.0}))
+
+
+class TestLogMinusDigamma:
+    @pytest.mark.parametrize("c", [1e9, 8e214, 1e300])
+    def test_large_gap_root_near_inverse(self, c):
+        # an inverse-gamma shape near 1e-215 (a fuzzed --set noise_shape)
+        # once overflowed the initializer and ended in brentq's ValueError
+        root = solve_log_minus_digamma(c)
+        assert abs((np.log(root) - digamma(root)) / c - 1.0) < 1e-6
