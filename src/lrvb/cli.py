@@ -11,6 +11,7 @@ docs/output_schema.json.  Exit codes: 0 success, 2 validation error,
 import argparse
 import csv
 import sys
+import warnings
 
 import numpy as np
 
@@ -306,7 +307,12 @@ def make_parser():
                        required=True)
     p_cmp.add_argument("--direction", action="append", metavar="KEY=COEFF",
                        required=True, help="perturbation direction (repeatable)")
-    p_cmp.add_argument("--step", type=float, default=None)
+    p_cmp.add_argument("--step", type=float, default=None,
+                       help="rerun step along the direction (default 1%% of the "
+                            "largest non-zero hyperparameter it moves); the mcmc "
+                            "engine needs an explicit step on the bundled data, "
+                            "e.g. --step 1, because at the default its coupled "
+                            "chains move identically and the run exits 3")
     p_cmp.add_argument("--chain-length", type=int, default=50_000,
                        dest="chain_length")
     p_cmp.add_argument("--burn-in", type=int, default=10_000, dest="burn_in")
@@ -328,17 +334,27 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
+    # warnings pass the caller's filters as they are raised and are held
+    # back until the exit code is known: an error exit prints one line
+    with warnings.catch_warnings(record=True) as caught:
+        code, message = run_command(args)
+    if code == EXIT_OK:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno,
+                                 w.file, w.line)
+    else:
+        print(message, file=sys.stderr)
+    return code
+
+
+def run_command(args):
+    """Exit code and, for a failure, its one-line message."""
     try:
-        return COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return COMMANDS[args.command](args), None
+    except (UsageError, FileNotFoundError) as exc:
+        return EXIT_USAGE, f"error: {exc}"
     except LrvbError as exc:
-        print(f"numerical failure [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_NUMERIC, f"numerical failure [{type(exc).__name__}]: {exc}"
 
 
 if __name__ == "__main__":

@@ -124,7 +124,11 @@ class _GaussianUnivariate:
         return np.array([mu / var, -0.5 / var])
 
     def mean_from_standard(self, mu, var):
-        return np.array([mu, mu ** 2 + var])
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            second = mu ** 2 + var
+        if not np.isfinite(second):
+            raise DomainError(f"second moment of N({mu}, {var}) overflows")
+        return np.array([mu, second])
 
     def standard_from_mean(self, m):
         self.check_mean(np.asarray(m, dtype=float))
@@ -302,7 +306,9 @@ class _GaussianMultivariate:
         mu, sigma = self.standard_from_natural(eta)
         lam = np.linalg.inv(sigma)
         diff = np.atleast_2d(np.asarray(x, dtype=float)) - mu
-        quad = np.einsum("ni,ij,nj->n", diff, lam, diff)
+        # elementwise products and fixed-shape sums: a point's value does not
+        # depend on how many points share the call, unlike einsum or matmul
+        quad = np.sum(diff[:, :, None] * lam * diff[:, None, :], axis=(1, 2))
         _, logdet = np.linalg.slogdet(sigma)
         out = -0.5 * (mu.size * np.log(2.0 * np.pi) + logdet + quad)
         return out if out.size > 1 else float(out[0])

@@ -27,6 +27,7 @@ from threads of one process have not been shown safe with it; run
 independent fits in separate processes.
 """
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
@@ -542,11 +543,14 @@ def _newton_direction(hess, grad):
     damping = 0.0
     for _ in range(12):
         try:
-            step = scipy.linalg.solve(hess + damping * np.eye(n), -grad,
-                                      assume_a="sym")
+            with warnings.catch_warnings():
+                # a system with rcond below machine epsilon is as good as singular
+                warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+                step = scipy.linalg.solve(hess + damping * np.eye(n), -grad,
+                                          assume_a="sym")
             if np.all(np.isfinite(step)) and step @ (-grad) > 0:
                 return step
-        except ValueError:  # singular, or curvature that overflowed
-            pass
+        except (ValueError, scipy.linalg.LinAlgWarning):
+            pass  # singular, ill-conditioned, or curvature that overflowed
         damping = max(2.0 * damping, 1e-8 * max(np.max(np.abs(hess)), 1.0))
     return -grad  # fall back to steepest descent

@@ -23,18 +23,32 @@ The decomposed terms are interpreted as the log prior density of the
 precision variable itself (no change-of-variable factor is added), and
 the pointwise log prior used by the sampling/quadrature oracles applies
 the identical terms, so all engines target the same posterior.
+
+Layout: ``top`` (5 coordinates), then the K site-effect blocks (5 each),
+the K site-noise blocks (2 each) and ``effect_prec`` (4).  Two integer
+arrays built once place every site: row k of ``eff`` (K, 5) and ``noi``
+(K, 2) holds site k's coordinates, so ``m[eff]`` and ``m[noi]`` are
+per-site views and each expected term is one array expression over all
+sites.  The Wishart marginal moments E[log S_jj] and E[1/S_jj] come from
+:func:`lrvb.expfam.wishart_expectations`.
+
+``sampler_log_posterior`` restates the pointwise posterior in sampler
+coordinates rather than calling ``log_lik_values`` / ``log_prior_values``.
+Samplers call it millions of times, and as an independently written
+second form it is checked against the dict-based path by the tests.
 """
 
 import csv
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 import numpy as np
 from scipy.special import gammaln
 
 from ..errors import DomainError
-from ..expfam import FAMILIES, Family
+from ..expfam import FAMILIES, Family, wishart_expectations
 from ..mfvb import BlockDef, Hyperparams, Layout, ModelSpec
-from ..util import digamma, multitrigamma, tril, trigamma, unvech, vech, vech_dup
+from ..util import multitrigamma, tril, trigamma, unvech, vech, vech_dim, vech_dup
 
 _GM = FAMILIES[Family.GAUSSIAN_MULTIVARIATE]
 _IG = FAMILIES[Family.INVERSE_GAMMA]
@@ -160,10 +174,7 @@ def load_microcredit_csv(path):
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}, line {line}: missing or non-numeric "
                                  f"cell ({exc})") from exc
-    sites = np.asarray(sites)
-    labels = np.unique(sites)
-    remap = {lab: i for i, lab in enumerate(labels)}
-    site0 = np.array([remap[s] for s in sites])
+    labels, site0 = np.unique(np.asarray(sites), return_inverse=True)
     return MicrocreditData(site0, np.asarray(treats), np.asarray(ys),
                            n_sites=len(labels))
 
@@ -203,89 +214,84 @@ def build_microcredit_model(data, priors=None):
     k_sites = data.n_sites
     n, st, sy, syt, syy = data.site_stats()
 
-    blocks = [BlockDef("top", Family.GAUSSIAN_MULTIVARIATE, 2, ("mu", "tau"))]
-    blocks += [BlockDef(f"effects_{j+1}", Family.GAUSSIAN_MULTIVARIATE, 2,
+    effects = [BlockDef(f"effects_{j+1}", Family.GAUSSIAN_MULTIVARIATE, 2,
                         (f"mu_site{j+1}", f"tau_site{j+1}")) for j in range(k_sites)]
-    blocks += [BlockDef(f"noise_{j+1}", Family.INVERSE_GAMMA, 1,
-                        (f"sigma2_site{j+1}",)) for j in range(k_sites)]
-    blocks += [BlockDef("effect_prec", Family.WISHART, 2)]
-    layout = Layout(blocks)
+    noises = [BlockDef(f"noise_{j+1}", Family.INVERSE_GAMMA, 1,
+                       (f"sigma2_site{j+1}",)) for j in range(k_sites)]
+    layout = Layout([BlockDef("top", Family.GAUSSIAN_MULTIVARIATE, 2, ("mu", "tau"))]
+                    + effects + noises + [BlockDef("effect_prec", Family.WISHART, 2)])
 
     top = layout.slice_of("top").start
-    eff = [layout.slice_of(f"effects_{j+1}").start for j in range(k_sites)]
-    noi = [layout.slice_of(f"noise_{j+1}").start for j in range(k_sites)]
     wis = layout.slice_of("effect_prec").start
-    # per 2-d Gaussian block: [u1, u2, u1*u1, u2*u1, u2*u2]
+    # row k of eff / noi holds site k's coordinates: blocks 1..K are the
+    # effects [u1, u2, u1*u1, u2*u1, u2*u2], K+1..2K the noises [1/v, log v]
+    eff = layout.offsets[1:k_sites + 1, None] + np.arange(5)
+    noi = layout.offsets[k_sites + 1:2 * k_sites + 1, None] + np.arange(2)
+    site_effects = itemgetter(*map(attrgetter("name"), effects))
+    site_noises = itemgetter(*map(attrgetter("name"), noises))
     KW = 2  # effect-precision matrix dimension
+    # d site_quad / d e; the likelihood gradient is -1/2 E[1/sigma2_k] times it
+    quad_coef = np.column_stack([-2.0 * sy, -2.0 * syt, n, 2.0 * st, st])
 
-    def site_quad(m, j):
-        b = eff[j]
-        return (syy[j] - 2.0 * (sy[j] * m[b] + syt[j] * m[b + 1])
-                + n[j] * m[b + 2] + 2.0 * st[j] * m[b + 3] + st[j] * m[b + 4])
+    def site_quad(e):
+        """sum_i (y_ik - mu_k - T_ik tau_k)^2 for every site k, as a linear
+        function of the (K, 5) site statistics e (means or values)."""
+        return (syy - 2.0 * (sy * e[:, 0] + syt * e[:, 1])
+                + n * e[:, 2] + 2.0 * st * e[:, 3] + st * e[:, 4])
 
     def expected_log_lik(m):
-        total = 0.0
-        for j in range(k_sites):
-            total += (-0.5 * n[j] * LOG_2PI - 0.5 * n[j] * m[noi[j] + 1]
-                      - 0.5 * m[noi[j]] * site_quad(m, j))
-        return total
+        v = m[noi]
+        return float(np.sum(-0.5 * n * LOG_2PI - 0.5 * n * v[:, 1]
+                            - 0.5 * v[:, 0] * site_quad(m[eff])))
 
     def grad_log_lik(m):
         g = np.zeros(layout.dim)
-        for j in range(k_sites):
-            b, v = eff[j], noi[j]
-            ivar = m[v]
-            g[b] += ivar * sy[j]
-            g[b + 1] += ivar * syt[j]
-            g[b + 2] += -0.5 * ivar * n[j]
-            g[b + 3] += -ivar * st[j]
-            g[b + 4] += -0.5 * ivar * st[j]
-            g[v] += -0.5 * site_quad(m, j)
-            g[v + 1] += -0.5 * n[j]
+        g[eff] = -0.5 * m[noi[:, :1]] * quad_coef
+        g[noi] = np.column_stack([-0.5 * site_quad(m[eff]), -0.5 * n])
         return g
+
+    def sum_site_cov(m):
+        """sum_k E[(u_k - u)(u_k - u)'] as one 2x2 matrix."""
+        s = m[eff].sum(axis=0)
+        u = m[top:top + 2]
+        return (unvech(s[2:], 2) - np.outer(s[:2], u) - np.outer(u, s[:2])
+                + k_sites * unvech(m[top + 2:top + 5], 2))
 
     # -- Wishart-block helpers ---------------------------------------------
 
     def _wishart_params(m):
         return _WI.standard_from_mean(np.asarray(m[wis:wis + 4], dtype=float))
 
-    def _forward_jacobian(dof, scale):
+    def _forward_jacobian(dof, scale, p):
         """d(block mean)/d(vech scale, dof); rows match the block layout."""
+        nv = vech_dim(KW)
+        jac = np.zeros((nv + 1, nv + 1))
+        jac[:nv, :nv] = dof * np.eye(nv)
+        jac[:nv, nv] = vech(scale)
+        jac[nv, :nv] = vech_dup(p)
+        jac[nv, nv] = 0.5 * multitrigamma(dof / 2.0, KW)
+        return jac
+
+    def _diag_marginal_grads(dof, p):
+        """Gradients of sum_j E[log S_jj] and sum_j E[1/S_jj], S = X^-1, with
+        respect to (vech scale, dof); p is the scale's inverse."""
+        rows, cols = tril(KW)
+        pjj = np.diag(p)[:, None]
+        dpjj = -(2.0 - (rows == cols)) * p[:, rows] * p[:, cols]
+        d_log = np.append((dpjj / pjj).sum(axis=0),
+                          -0.5 * KW * trigamma((dof - KW + 1.0) / 2.0))
+        d_inv = np.append((-(dof - KW + 1.0) * dpjj / pjj ** 2).sum(axis=0),
+                          np.sum(1.0 / pjj))
+        return d_log, d_inv
+
+    def diag_marginal_mean_grads(m):
+        """Mean-coordinate gradients of sum_j E[log S_jj] and sum_j E[1/S_jj],
+        as the two columns of a (4, 2) array."""
+        dof, scale = _wishart_params(m)
         p = np.linalg.inv(scale)
         p = (p + p.T) / 2.0
-        rows, cols = tril(KW)
-        nv = len(rows)
-        jac = np.zeros((nv + 1, nv + 1))
-        for a in range(nv):
-            jac[a, a] = dof
-        jac[:nv, nv] = vech(scale)
-        for b, (c, d) in enumerate(zip(rows, cols)):
-            jac[nv, b] = (2.0 - (c == d)) * p[c, d]
-        jac[nv, nv] = 0.5 * multitrigamma(dof / 2.0, KW)
-        return jac, p
-
-    def _diag_marginal_grads(dof, scale, p):
-        """Parameter-space gradients of E[log S_jj] and E[1/S_jj], S = X^-1.
-
-        Returns (log_terms, inv_terms, d_log, d_inv): values per diagonal j
-        and gradients with respect to (vech scale, dof).
-        """
-        rows, cols = tril(KW)
-        nv = len(rows)
-        shape_m = (dof - KW + 1.0) / 2.0
-        log_terms = np.log(np.diag(p) / 2.0) - digamma(shape_m)
-        inv_terms = (dof - KW + 1.0) / np.diag(p)
-        d_log = np.zeros((KW, nv + 1))
-        d_inv = np.zeros((KW, nv + 1))
-        for j in range(KW):
-            pj = p[j, :]
-            for b, (c, d) in enumerate(zip(rows, cols)):
-                dpjj = -(2.0 - (c == d)) * pj[c] * pj[d]
-                d_log[j, b] = dpjj / p[j, j]
-                d_inv[j, b] = -(dof - KW + 1.0) * dpjj / p[j, j] ** 2
-            d_log[j, nv] = -0.5 * trigamma(shape_m)
-            d_inv[j, nv] = 1.0 / p[j, j]
-        return log_terms, inv_terms, d_log, d_inv
+        jac = _forward_jacobian(dof, scale, p)
+        return np.linalg.solve(jac.T, np.column_stack(_diag_marginal_grads(dof, p)))
 
     # -- expected log prior -------------------------------------------------
 
@@ -299,23 +305,16 @@ def build_microcredit_model(data, priors=None):
         total = -LOG_2PI + 0.5 * logdet_lam - 0.5 * float(np.sum(lam * u2))
 
         a_mat = unvech(m[wis:wis + 3], 2)  # E[effect precision]
-        u = m[top:top + 2]
         m_logdet = m[wis + 3]
-        for j in range(k_sites):
-            b = eff[j]
-            uk = m[b:b + 2]
-            uk2 = unvech(m[b + 2:b + 5], 2)
-            mk = uk2 - np.outer(uk, u) - np.outer(u, uk) + u2
-            total += -LOG_2PI + 0.5 * m_logdet - 0.5 * float(np.sum(a_mat * mk))
+        total += (k_sites * (-LOG_2PI + 0.5 * m_logdet)
+                  - 0.5 * float(np.sum(a_mat * sum_site_cov(m))))
 
-        for j in range(k_sites):
-            v = noi[j]
-            total += (a_n * np.log(b_n) - gammaln(a_n)
-                      - (a_n + 1.0) * m[v + 1] - b_n * m[v])
+        v = m[noi]
+        total += float(np.sum(a_n * np.log(b_n) - gammaln(a_n)
+                              - (a_n + 1.0) * v[:, 1] - b_n * v[:, 0]))
 
-        dof, scale = _wishart_params(m)
-        _, p = _forward_jacobian(dof, scale)
-        log_terms, inv_terms, _, _ = _diag_marginal_grads(dof, scale, p)
+        w = wishart_expectations(*_wishart_params(m))
+        log_terms, inv_terms = w.log_sigma_diag, w.inv_sigma_diag
         total += (eta_l - 1.0) * (-m_logdet - float(np.sum(log_terms)))
         total += lkj_log_normalizer(eta_l)
         total += float(np.sum(a_s * np.log(b_s) - gammaln(a_s)
@@ -328,43 +327,22 @@ def build_microcredit_model(data, priors=None):
         a_n, b_n = alpha["noise_shape"], alpha["noise_rate"]
         g = np.zeros(layout.dim)
 
-        g[top + 2:top + 5] += vech_dup(-0.5 * lam)
-
         a_mat = unvech(m[wis:wis + 3], 2)
         u = m[top:top + 2]
-        sum_uk = np.zeros(2)
-        sum_mk = np.zeros((2, 2))
-        u2 = unvech(m[top + 2:top + 5], 2)
-        for j in range(k_sites):
-            b = eff[j]
-            uk = m[b:b + 2]
-            uk2 = unvech(m[b + 2:b + 5], 2)
-            mk = uk2 - np.outer(uk, u) - np.outer(u, uk) + u2
-            sum_uk += uk
-            sum_mk += mk
-            g[b:b + 2] += a_mat @ u
-            g[b + 2:b + 5] += vech_dup(-0.5 * a_mat)
-        g[top:top + 2] += a_mat @ sum_uk
-        g[top + 2:top + 5] += vech_dup(-0.5 * k_sites * a_mat)
-        g[wis:wis + 3] += vech_dup(-0.5 * sum_mk)
-        g[wis + 3] += 0.5 * k_sites
+        g[top:top + 2] = a_mat @ m[eff[:, :2]].sum(axis=0)
+        g[top + 2:top + 5] = vech_dup(-0.5 * lam) + vech_dup(-0.5 * k_sites * a_mat)
+        g[eff[:, :2]] = a_mat @ u
+        g[eff[:, 2:]] = vech_dup(-0.5 * a_mat)
+        g[noi] = [-b_n, -(a_n + 1.0)]
 
-        for j in range(k_sites):
-            v = noi[j]
-            g[v] += -b_n
-            g[v + 1] += -(a_n + 1.0)
-
-        g[wis + 3] += -(eta_l - 1.0)
-        dof, scale = _wishart_params(m)
-        jac, p = _forward_jacobian(dof, scale)
-        _, _, d_log, d_inv = _diag_marginal_grads(dof, scale, p)
+        g[wis:wis + 3] = vech_dup(-0.5 * sum_site_cov(m))
+        g[wis + 3] = 0.5 * k_sites - (eta_l - 1.0)
         c_log = -(eta_l - 1.0) - (a_s + 1.0)
-        d_params = c_log * d_log.sum(axis=0) - b_s * d_inv.sum(axis=0)
-        g[wis:wis + 4] += np.linalg.solve(jac.T, d_params)
+        g[wis:wis + 4] += diag_marginal_mean_grads(m) @ [c_log, -b_s]
         return g
 
     def prior_alpha_grad(m, alpha, direction):
-        lam = _check_priors(alpha)
+        _check_priors(alpha)
         out = np.zeros(layout.dim)
         c = direction.get("prior_info_11", 0.0)
         if c:
@@ -378,11 +356,7 @@ def build_microcredit_model(data, priors=None):
         need_wishart = any(direction.get(kk, 0.0) for kk in
                            ("lkj_shape", "scale_shape", "scale_rate"))
         if need_wishart:
-            dof, scale = _wishart_params(m)
-            jac, p = _forward_jacobian(dof, scale)
-            _, _, d_log, d_inv = _diag_marginal_grads(dof, scale, p)
-            grad_log_sum = np.linalg.solve(jac.T, d_log.sum(axis=0))
-            grad_inv_sum = np.linalg.solve(jac.T, d_inv.sum(axis=0))
+            grad_log_sum, grad_inv_sum = diag_marginal_mean_grads(m).T
             c = direction.get("lkj_shape", 0.0)
             if c:
                 out[wis + 3] += -c
@@ -393,28 +367,21 @@ def build_microcredit_model(data, priors=None):
             c = direction.get("scale_rate", 0.0)
             if c:
                 out[wis:wis + 4] += -c * grad_inv_sum
-        c = direction.get("noise_shape", 0.0)
-        if c:
-            for j in range(k_sites):
-                out[noi[j] + 1] += -c
-        c = direction.get("noise_rate", 0.0)
-        if c:
-            for j in range(k_sites):
-                out[noi[j]] += -c
+        out[noi[:, 1]] -= direction.get("noise_shape", 0.0)
+        out[noi[:, 0]] -= direction.get("noise_rate", 0.0)
         return out
 
     # -- pointwise log densities (sampling / quadrature oracles) ------------
 
+    def site_values(values):
+        """Site effects (K, 2) and noise variances (K,) from a values dict."""
+        return (np.stack(site_effects(values)).astype(float),
+                np.stack(site_noises(values)).astype(float).reshape(k_sites, -1)[:, 0])
+
     def log_lik_values(values):
-        total = 0.0
-        for j in range(k_sites):
-            uk = np.asarray(values[f"effects_{j+1}"], dtype=float)
-            v = float(np.asarray(values[f"noise_{j+1}"]).reshape(-1)[0])
-            quad = (syy[j] - 2.0 * (sy[j] * uk[0] + syt[j] * uk[1])
-                    + n[j] * uk[0] ** 2 + 2.0 * st[j] * uk[0] * uk[1]
-                    + st[j] * uk[1] ** 2)
-            total += -0.5 * n[j] * (LOG_2PI + np.log(v)) - 0.5 * quad / v
-        return total
+        uk, v = site_values(values)
+        quad = site_quad(_GM.suff_stats(uk))
+        return float(np.sum(-0.5 * n * (LOG_2PI + np.log(v)) - 0.5 * quad / v))
 
     def log_prior_values(values, alpha):
         lam = _check_priors(alpha)
@@ -425,18 +392,14 @@ def build_microcredit_model(data, priors=None):
         sign, logdet_lam = np.linalg.slogdet(lam)
         total = -LOG_2PI + 0.5 * logdet_lam - 0.5 * float(u @ lam @ u)
         signp, logdet_prec = np.linalg.slogdet(prec)
-        if signp <= 0:
+        uk, v = site_values(values)
+        if signp <= 0 or np.any(v <= 0):
             return -np.inf
-        for j in range(k_sites):
-            uk = np.asarray(values[f"effects_{j+1}"], dtype=float)
-            diff = uk - u
-            total += -LOG_2PI + 0.5 * logdet_prec - 0.5 * float(diff @ prec @ diff)
-        for j in range(k_sites):
-            v = float(np.asarray(values[f"noise_{j+1}"]).reshape(-1)[0])
-            if v <= 0:
-                return -np.inf
-            total += (a_n * np.log(b_n) - gammaln(a_n)
-                      - (a_n + 1.0) * np.log(v) - b_n / v)
+        diff = uk - u
+        total += (k_sites * (-LOG_2PI + 0.5 * logdet_prec)
+                  - 0.5 * float(np.sum((diff @ prec) * diff)))
+        total += float(np.sum(a_n * np.log(b_n) - gammaln(a_n)
+                              - (a_n + 1.0) * np.log(v) - b_n / v))
         cov = np.linalg.inv(prec)
         logdet_cov = -logdet_prec
         diag = np.diag(cov)
@@ -526,10 +489,8 @@ def build_microcredit_model(data, priors=None):
         c0 = b_s / max(a_s - 1.0, 0.5)
         m = np.empty(layout.dim)
         m[top:top + 5] = _GM.mean_from_standard(np.zeros(2), np.linalg.inv(lam))
-        for j in range(k_sites):
-            m[eff[j]:eff[j] + 5] = _GM.mean_from_standard(np.zeros(2), c0 * np.eye(2))
-        for j in range(k_sites):
-            m[noi[j]:noi[j] + 2] = _IG.mean_from_standard(a_n, b_n)
+        m[eff] = _GM.mean_from_standard(np.zeros(2), c0 * np.eye(2))
+        m[noi] = _IG.mean_from_standard(a_n, b_n)
         dof0 = 7.0
         m[wis:wis + 4] = _WI.mean_from_standard(dof0, np.eye(2) / (c0 * dof0))
         return m

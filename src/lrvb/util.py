@@ -143,8 +143,10 @@ def solve_log_minus_digamma(c):
         lo /= 2.0
     while np.log(hi) - digamma(hi) > c:
         hi *= 2.0
+    # the absolute tolerance shrinks with the bracket so that roots far
+    # below 1 (tiny inverse-gamma shapes) keep full relative precision
     return brentq(lambda t: np.log(t) - digamma(t) - c, lo, hi,
-                  xtol=1e-14, rtol=8.9e-16)
+                  xtol=1e-14 * min(lo, 1.0), rtol=8.9e-16)
 
 
 def multigamma_ln(a, k):

@@ -103,6 +103,37 @@ class TestFit:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_overflowing_override_prints_only_the_error(self, tmp_path, capsys):
+        code = run("fit", "--model", "normal-normal",
+                   "--out", str(tmp_path / "x.json"), "--set", "prior_nat_1=1e200")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("numerical failure")
+
+    @pytest.mark.parametrize("failure", [None, cli.UsageError("bad input")])
+    def test_warnings_held_until_exit_code(self, tmp_path, capsys, monkeypatch,
+                                           failure):
+        def command(args):
+            warnings.warn("held back", RuntimeWarning)
+            if failure:
+                raise failure
+            return cli.EXIT_OK
+
+        shown = []
+        monkeypatch.setitem(cli.COMMANDS, "fit", command)
+        monkeypatch.setattr(warnings, "showwarning",
+                            lambda message, category, *rest: shown.append(
+                                (str(message), category)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            code = run("fit", "--model", "normal-normal",
+                       "--out", str(tmp_path / "x.json"))
+        err = capsys.readouterr().err
+        if failure:
+            assert (code, err, shown) == (2, "error: bad input\n", [])
+        else:
+            assert (code, err, shown) == (0, "", [("held back", RuntimeWarning)])
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # indefinite precision override -> domain failure -> exit 3
         code = run("fit", "--model", "gaussian3d",
@@ -266,12 +297,10 @@ def overrides(draw, model):
 
 
 def check_exit(argv, csv_text=None):
-    """One in-process CLI run exits 0, 2 or 3 with no traceback; an
-    exception that escapes ``main`` fails the test with its traceback.
-
-    Overflow and ill-conditioning warnings are expected on such input and
-    are silenced: the contract under test is the exit code.
-    """
+    """One in-process CLI run exits 0, 2 or 3 with no traceback, and a
+    failed run writes exactly one stderr line.  An exception that escapes
+    ``main``, a RuntimeWarning raised as an error included, fails the test
+    with its traceback."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         # --max-iter keeps a pathological fit from taking the default budget
@@ -280,9 +309,7 @@ def check_exit(argv, csv_text=None):
             argv += ["--data", os.path.join(tmp, "in.csv")]
             with open(argv[-1], "w", encoding="utf-8") as fh:
                 fh.write(csv_text)
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             try:
                 code = cli.main(argv)
             except Exception:
@@ -290,6 +317,8 @@ def check_exit(argv, csv_text=None):
     event(f"exit {code}")
     assert code in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    if code:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 class TestExitCodeFuzz:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import digamma
 
 from lrvb import expfam as ef
@@ -169,3 +171,55 @@ class TestInvGammaSqrt:
     def test_shape_domain(self):
         with pytest.raises(DomainError):
             ef.invgamma_sqrt_expectation(0.4, 1.0)
+
+
+class TestGaussianLogDensityChunks:
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_slices_bit_identical_to_whole_call(self, d):
+        # an influence grid may evaluate its points in any grouping; each
+        # point must get the same bits whatever shares its call
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(d, d))
+        eta = ef.FAMILIES[Family.GAUSSIAN_MULTIVARIATE].natural_from_standard(
+            rng.normal(size=d), a @ a.T + np.eye(d))
+        blk = ExpFamBlock.from_natural(Family.GAUSSIAN_MULTIVARIATE, eta)
+        x = rng.normal(size=(1003, d))
+        whole = ef.block_log_density(blk, x)
+        for size in range(1, 40):
+            for off in range(16):
+                part = np.atleast_1d(ef.block_log_density(blk, x[off:off + size]))
+                assert np.array_equal(part, whole[off:off + size]), (size, off)
+
+
+def _round_trip_error(family, params):
+    fam = ef.FAMILIES[family]
+    back = fam.standard_from_mean(fam.mean_from_standard(*params))
+    return max(np.max(np.abs(np.asarray(b) - p)) / np.max(np.abs(p))
+               for b, p in zip(back, params))
+
+
+class TestStandardMeanRoundTrip:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(-8.0, 4.0), st.floats(-3.0, 3.0))
+    @example(-8.0, 0.0)
+    def test_inverse_gamma(self, log10_shape, log10_rate):
+        params = (10.0 ** log10_shape, 10.0 ** log10_rate)
+        err = _round_trip_error(Family.INVERSE_GAMMA, params)
+        assert err <= ef.ROUND_TRIP_TOL, (params, err)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(-6.0, 4.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+           st.floats(-0.99, 0.99))
+    @example(-6.0, 0.0, 0.0, 0.0)
+    @example(4.0, 3.0, -3.0, 0.99)
+    def test_wishart_2x2(self, log10_excess, log_sd1, log_sd2, corr):
+        # dof over (K+1+1e-6, 1e4]; scale = D R D with any diagonal D and
+        # |corr| <= 0.99.  Rounding the entries of E[X] moves log|E[X]| by
+        # about eps * cond(R), and the dof read off that gap magnifies it by
+        # dof, so near-singular R at dof 1e4 loses digits in the mean
+        # coordinates themselves, whatever the solver does.
+        dof = min(3.0 + 10.0 ** log10_excess, 1e4)
+        sd = np.exp([log_sd1, log_sd2])
+        params = (dof, np.outer(sd, sd) * np.array([[1.0, corr], [corr, 1.0]]))
+        err = _round_trip_error(Family.WISHART, params)
+        assert err <= ef.ROUND_TRIP_TOL, (params, err)

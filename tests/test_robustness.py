@@ -23,6 +23,27 @@ class TestHyperparamSensitivity:
             sens = rb.hyperparam_sensitivity(nn_model, sol, sys, {name: 1.0})
             assert np.array_equal(sens, sys.sigma_hat[:, j])
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(hst.lists(hst.floats(-10.0, 10.0), min_size=1, max_size=20),
+           hst.floats(0.1, 10.0), hst.floats(-5.0, 5.0), hst.floats(0.1, 10.0))
+    def test_random_conjugate_data_match_exact_derivative(self, data, noise_var,
+                                                          prior_mean, prior_var):
+        # Gaussian models make linear response exact, so the sensitivity
+        # equals the derivative of the closed-form posterior mean
+        model = normal_normal_model(np.array(data), noise_var,
+                                    ("moment", prior_mean, prior_var))
+        sol = mfvb.fit(model, opts=mfvb.FitOptions(tol=1e-11))
+        sys = linear_response.build_system(model, sol)
+        alpha = model.hyperparams
+        exact = oracle.exact_conjugate_posterior(model).mean
+        h = 1e-4 / (exact[1] - exact[0] ** 2)  # 2e-4 of the posterior precision
+        for name in ("prior_nat_1", "prior_nat_2"):
+            sens = rb.hyperparam_sensitivity(model, sol, sys, {name: 1.0})
+            up, down = (oracle.exact_conjugate_posterior(
+                model, alpha.perturbed({name: 1.0}, t)).mean for t in (h, -h))
+            fd = (up - down) / (2.0 * h)
+            assert np.max(np.abs(sens - fd)) <= 1e-6 * np.max(np.abs(fd)), name
+
     def test_matches_closed_form_posterior_derivative(self, nn_model, nn_fit):
         sol, sys = nn_fit
         # posterior N(0.8, 0.2): d mean / d nat_1 = variance, / d nat_2 = 2 mean var
