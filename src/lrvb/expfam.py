@@ -18,6 +18,15 @@ parameters are stored with doubled off-diagonal coefficients so that
 matrices are half-vectorized rather than fully vectorized to keep the
 sufficient-statistic covariance nonsingular.
 
+Batch axes.  A family's parameter maps (``check_mean``, the standard, mean,
+natural and unconstrained maps, ``log_partition``, ``suff_stat_cov`` and
+``mean_jacobian_unconstrained``) are written once, over leading batch axes:
+a 1-D statistic vector is one block, with scalar standard parameters where
+the family has them, and an (n, stat_dim) array is n blocks, each result
+gaining that leading axis.  A check raises if any block fails it.  The one
+per-block loop is the Wishart dof solve (see ``_Wishart``); the
+underlying-variable helpers take one block.
+
 All functions are pure and :class:`ExpFamBlock` instances are immutable.
 They call into the same BLAS library as every other stage, and concurrent
 calls from threads of one process have not been shown safe with it; run
@@ -93,71 +102,125 @@ class ExpFamBlock:
 # ---------------------------------------------------------------------------
 
 
-class _GaussianUnivariate:
-    """Scalar Gaussian; standard parameters (mu, var)."""
+def _stack(*cols):
+    """Broadcast scalars and arrays, then stack them on a new last axis."""
+    return np.stack(np.broadcast_arrays(*cols), axis=-1)
 
-    family = Family.GAUSSIAN_UNIVARIATE
+
+def _matrix(rows):
+    """(..., r, c) array from nested lists of broadcastable entries."""
+    flat = _stack(*[x for row in rows for x in row])
+    return flat.reshape(flat.shape[:-1] + (len(rows), -1))
+
+
+def _append(v, x):
+    """v with x appended along the last axis, x broadcast over v's batch."""
+    x = np.broadcast_to(np.asarray(x, dtype=float)[..., None], v.shape[:-1] + (1,))
+    return np.concatenate([v, x], axis=-1)
+
+
+def _sym(mat):
+    return (mat + mat.swapaxes(-1, -2)) / 2.0
+
+
+def _matvec(mat, x):
+    # elementwise product and a fixed-axis sum: a block's value does not
+    # depend on how many blocks share the call
+    return np.sum(mat * x[..., None, :], axis=-1)
+
+
+def _outer(x):
+    return x[..., :, None] * x[..., None, :]
+
+
+def _chol_product_jacobian(chol):
+    """d vech(L L') / d z for L = chol_from_logchol(z), over batch axes.
+
+    Entry (a, b) with a = (i, j) and b = (p, q) in tril order is
+    delta_ip L_jq + L_iq delta_jp, times L_pp on the log-diagonal
+    coordinates.
+    """
+    k = chol.shape[-1]
+    i, j = tril(k)
+    a_i, a_j = i[:, None], j[:, None]
+    p, q = i[None, :], j[None, :]
+    jac = (a_i == p) * chol[..., a_j, q] + chol[..., a_i, q] * (a_j == p)
+    return jac * np.where(i == j, chol[..., i, i], 1.0)[..., None, :]
+
+
+class _Family:
+    """What the families share: the dual maps composed from standard
+    parameters, and the layout of the two-statistic scalar families."""
 
     def stat_dim(self, var_dim):
         return 2
 
     def var_dim_from_stat_dim(self, stat_dim):
         if stat_dim != 2:
-            raise DomainError("univariate Gaussian blocks have 2 statistics")
+            raise DomainError(f"{self.family.value} blocks have 2 statistics")
         return 1
 
+    def mean_from_natural(self, eta, var_dim=None):
+        return self.mean_from_standard(*self.standard_from_natural(eta))
+
+    def natural_from_mean(self, m, var_dim=None):
+        return self.natural_from_standard(*self.standard_from_mean(m))
+
+
+class _GaussianUnivariate(_Family):
+    """Scalar Gaussian; standard parameters (mu, var)."""
+
+    family = Family.GAUSSIAN_UNIVARIATE
+
     def check_natural(self, eta, var_dim=1):
-        if eta.shape != (2,) or not np.all(np.isfinite(eta)) or eta[1] >= 0:
+        if (eta.shape[-1:] != (2,) or not np.all(np.isfinite(eta))
+                or np.any(eta[..., 1] >= 0)):
             raise DomainError(f"invalid Gaussian natural parameters {eta}")
 
     def check_mean(self, m, var_dim=1):
-        if m.shape != (2,) or not np.all(np.isfinite(m)) or m[1] - m[0] ** 2 <= 0:
+        if (m.shape[-1:] != (2,) or not np.all(np.isfinite(m))
+                or np.any(m[..., 1] - m[..., 0] * m[..., 0] <= 0)):
             raise DomainError(f"invalid Gaussian mean parameters {m}")
 
     def standard_from_natural(self, eta):
-        var = -0.5 / eta[1]
-        return eta[0] * var, var
+        var = -0.5 / eta[..., 1]
+        return eta[..., 0] * var, var
 
     def natural_from_standard(self, mu, var):
-        if var <= 0:
+        if np.any(np.asarray(var) <= 0):
             raise DomainError(f"variance must be positive, got {var}")
-        return np.array([mu / var, -0.5 / var])
+        return _stack(mu / var, -0.5 / var)
 
     def mean_from_standard(self, mu, var):
         with np.errstate(over="ignore"):  # an overflow is reported below
-            second = mu ** 2 + var
-        if not np.isfinite(second):
+            second = mu * mu + var
+        if not np.all(np.isfinite(second)):
             raise DomainError(f"second moment of N({mu}, {var}) overflows")
-        return np.array([mu, second])
+        return _stack(mu, second)
 
     def standard_from_mean(self, m):
-        self.check_mean(np.asarray(m, dtype=float))
-        return m[0], m[1] - m[0] ** 2
-
-    def mean_from_natural(self, eta, var_dim=1):
-        return self.mean_from_standard(*self.standard_from_natural(eta))
-
-    def natural_from_mean(self, m, var_dim=1):
-        return self.natural_from_standard(*self.standard_from_mean(m))
+        m = np.asarray(m, dtype=float)
+        self.check_mean(m)
+        return m[..., 0][()], m[..., 1] - m[..., 0] * m[..., 0]
 
     def log_partition(self, eta):
-        return -eta[0] ** 2 / (4.0 * eta[1]) + 0.5 * np.log(np.pi / -eta[1])
+        return -np.square(eta[..., 0]) / (4.0 * eta[..., 1]) + 0.5 * np.log(np.pi / -eta[..., 1])
 
     def suff_stat_cov(self, eta):
         mu, var = self.standard_from_natural(eta)
         c12 = 2.0 * mu * var
-        return np.array([[var, c12], [c12, 2.0 * var ** 2 + 4.0 * mu ** 2 * var]])
+        return _matrix([[var, c12], [c12, 2.0 * var * var + 4.0 * mu * mu * var]])
 
     # fit parameterization: z = (mu, log var)
     def unconstrained_from_standard(self, mu, var):
-        return np.array([mu, np.log(var)])
+        return _stack(mu, np.log(var))
 
     def standard_from_unconstrained(self, z):
-        return z[0], np.exp(z[1])
+        return z[..., 0][()], np.exp(z[..., 1])
 
     def mean_jacobian_unconstrained(self, z):
         mu, var = self.standard_from_unconstrained(z)
-        return np.array([[1.0, 0.0], [2.0 * mu, var]])
+        return _matrix([[1.0, 0.0], [2.0 * mu, var]])
 
     # underlying-variable helpers
     def suff_stats(self, x):
@@ -179,7 +242,7 @@ class _GaussianUnivariate:
         return np.atleast_1d(np.asarray(x, dtype=float))
 
 
-class _GaussianMultivariate:
+class _GaussianMultivariate(_Family):
     """d-dimensional Gaussian; standard parameters (mu, Sigma)."""
 
     family = Family.GAUSSIAN_MULTIVARIATE
@@ -193,106 +256,87 @@ class _GaussianMultivariate:
                 return d
         raise DomainError(f"no Gaussian dimension has {stat_dim} statistics")
 
-    def _split(self, v, d):
-        return np.asarray(v[:d], dtype=float), np.asarray(v[d:], dtype=float)
-
     def check_natural(self, eta, var_dim):
-        h, jv = self._split(eta, var_dim)
-        lam = -2.0 * unvech_half(jv, var_dim)
+        lam = -2.0 * unvech_half(eta[..., var_dim:], var_dim)
         if not (np.all(np.isfinite(eta)) and is_pos_def(lam)):
             raise DomainError("Gaussian natural second-moment matrix not negative definite")
 
     def check_mean(self, m, var_dim):
-        mu, m2 = self._split(m, var_dim)
-        sigma = unvech(m2, var_dim) - np.outer(mu, mu)
+        mu = m[..., :var_dim]
+        sigma = unvech(m[..., var_dim:], var_dim) - _outer(mu)
         if not (np.all(np.isfinite(m)) and is_pos_def(sigma)):
             raise DomainError("Gaussian mean parameters imply non-PD covariance")
 
     def standard_from_natural(self, eta):
-        d = self.var_dim_from_stat_dim(eta.size)
-        h, jv = self._split(eta, d)
-        lam = -2.0 * unvech_half(jv, d)
-        sigma = np.linalg.inv(lam)
-        sigma = (sigma + sigma.T) / 2.0
-        return sigma @ h, sigma
+        d = self.var_dim_from_stat_dim(eta.shape[-1])
+        lam = -2.0 * unvech_half(eta[..., d:], d)
+        sigma = _sym(np.linalg.inv(lam))
+        return _matvec(sigma, eta[..., :d]), sigma
 
     def natural_from_standard(self, mu, sigma):
         mu = np.asarray(mu, dtype=float)
         sigma = np.asarray(sigma, dtype=float)
         if not is_pos_def(sigma):
             raise DomainError("covariance must be positive definite")
-        lam = np.linalg.inv(sigma)
-        lam = (lam + lam.T) / 2.0
-        return np.concatenate([lam @ mu, vech_dup(-0.5 * lam)])
+        lam = _sym(np.linalg.inv(sigma))
+        return np.concatenate([_matvec(lam, mu), vech_dup(-0.5 * lam)], axis=-1)
 
     def mean_from_standard(self, mu, sigma):
         mu = np.asarray(mu, dtype=float)
-        return np.concatenate([mu, vech(np.asarray(sigma) + np.outer(mu, mu))])
+        return np.concatenate([mu, vech(np.asarray(sigma) + _outer(mu))], axis=-1)
 
     def standard_from_mean(self, m):
-        d = self.var_dim_from_stat_dim(m.size)
+        m = np.asarray(m, dtype=float)
+        d = self.var_dim_from_stat_dim(m.shape[-1])
         self.check_mean(m, d)
-        mu, m2 = self._split(m, d)
-        return mu, unvech(m2, d) - np.outer(mu, mu)
-
-    def mean_from_natural(self, eta, var_dim=None):
-        return self.mean_from_standard(*self.standard_from_natural(eta))
-
-    def natural_from_mean(self, m, var_dim=None):
-        return self.natural_from_standard(*self.standard_from_mean(np.asarray(m, dtype=float)))
+        mu = m[..., :d]
+        return mu, unvech(m[..., d:], d) - _outer(mu)
 
     def log_partition(self, eta):
+        # A = mu' Lambda mu / 2 + log|Sigma| / 2 + d log(2 pi) / 2, with
+        # Lambda mu = h, the first d natural coordinates
         mu, sigma = self.standard_from_natural(eta)
-        d = mu.size
-        lam = np.linalg.inv(sigma)
-        (sign, logdet) = np.linalg.slogdet(lam)
-        return 0.5 * mu @ lam @ mu - 0.5 * logdet + 0.5 * d * np.log(2.0 * np.pi)
+        d = mu.shape[-1]
+        _, logdet = np.linalg.slogdet(sigma)
+        return (0.5 * np.sum(mu * eta[..., :d], axis=-1) + 0.5 * logdet
+                + 0.5 * d * np.log(2.0 * np.pi))
 
     def suff_stat_cov(self, eta):
-        # Wick's theorem for Gaussian moments up to fourth order.
+        # Wick's theorem for Gaussian moments up to fourth order, over the
+        # pairs (i, j) of tril(d) for x_i x_j; r indexes x_r
         mu, sigma = self.standard_from_natural(eta)
-        d = mu.size
-        pairs = list(zip(*tril(d)))
-        n = d + len(pairs)
-        cov = np.zeros((n, n))
-        cov[:d, :d] = sigma
-        for a, (i, j) in enumerate(pairs):
-            for r in range(d):
-                cov[r, d + a] = cov[d + a, r] = (
-                    mu[j] * sigma[r, i] + mu[i] * sigma[r, j])
-        for a, (i, j) in enumerate(pairs):
-            for b, (k, l) in enumerate(pairs):
-                val = (sigma[i, k] * sigma[j, l] + sigma[i, l] * sigma[j, k]
-                       + mu[i] * mu[k] * sigma[j, l] + mu[i] * mu[l] * sigma[j, k]
-                       + mu[j] * mu[k] * sigma[i, l] + mu[j] * mu[l] * sigma[i, k])
-                cov[d + a, d + b] = val
-        return cov
+        d = mu.shape[-1]
+        i, j = tril(d)
+        r = np.arange(d)[:, None]
+        cross = mu[..., None, j] * sigma[..., r, i] + mu[..., None, i] * sigma[..., r, j]
+        ii, jj, kk, ll = i[:, None], j[:, None], i[None, :], j[None, :]
+        sik, sjl, sil, sjk = (sigma[..., a, b] for a, b in zip((ii, jj, ii, jj), (kk, ll, ll, kk)))
+        ui, uj, uk, ul = (mu[..., a] for a in (ii, jj, kk, ll))
+        quartic = (sik * sjl + sil * sjk + ui * uk * sjl + ui * ul * sjk
+                   + uj * uk * sil + uj * ul * sik)
+        return np.block([[sigma, cross], [cross.swapaxes(-1, -2), quartic]])
 
     # fit parameterization: z = (mu, lower Cholesky of Sigma with log diagonal)
     def unconstrained_from_standard(self, mu, sigma):
         chol = np.linalg.cholesky(np.asarray(sigma, dtype=float))
-        return np.concatenate([np.asarray(mu, dtype=float), logchol_from_chol(chol)])
+        return np.concatenate([np.asarray(mu, dtype=float), logchol_from_chol(chol)], axis=-1)
 
     def standard_from_unconstrained(self, z):
-        d = self.var_dim_from_stat_dim(len(z))  # same coordinate count as stats
-        chol = chol_from_logchol(z[d:])
-        return np.asarray(z[:d], dtype=float), chol @ chol.T
+        d = self.var_dim_from_stat_dim(z.shape[-1])  # same coordinate count as stats
+        chol = chol_from_logchol(z[..., d:])
+        return np.asarray(z[..., :d], dtype=float), chol @ chol.swapaxes(-1, -2)
 
     def mean_jacobian_unconstrained(self, z):
-        mu, sigma = self.standard_from_unconstrained(z)
-        d = mu.size
-        chol = np.linalg.cholesky(sigma)
-        nstat = self.stat_dim(d)
-        jac = np.zeros((nstat, len(z)))
-        for c in range(d):  # d/d mu_c
-            jac[c, c] = 1.0
-            dm2 = np.outer(_unit(d, c), mu) + np.outer(mu, _unit(d, c))
-            jac[d:, c] = vech(dm2)
-        for idx, (i, j) in enumerate(zip(*tril(d)), start=d):
-            dl = np.zeros((d, d))
-            dl[i, j] = chol[i, i] if i == j else 1.0
-            dsigma = dl @ chol.T + chol @ dl.T
-            jac[d:, idx] = vech(dsigma)
+        # m = (mu, vech(L L' + mu mu')); d vech(mu mu')_(i,j) / d mu_c is
+        # delta_ic mu_j + mu_i delta_jc
+        d = self.var_dim_from_stat_dim(z.shape[-1])
+        mu = z[..., :d, None]
+        i, j = tril(d)
+        c = np.arange(d)
+        jac = np.zeros(z.shape + z.shape[-1:])
+        jac[..., c, c] = 1.0
+        jac[..., d:, :d] = (i[:, None] == c) * mu[..., j, :] + mu[..., i, :] * (j[:, None] == c)
+        jac[..., d:, d:] = _chol_product_jacobian(chol_from_logchol(z[..., d:]))
         return jac
 
     # underlying-variable helpers
@@ -324,63 +368,73 @@ class _GaussianMultivariate:
         return np.asarray(x, dtype=float)
 
 
-class _GammaLike:
+class _GammaLike(_Family):
     """Shared machinery for gamma and inverse-gamma blocks.
 
-    Both have statistics (r(x), log x) with r(x) = x (gamma, natural
-    (-rate, shape-1)) or r(x) = 1/x (inverse gamma, natural
-    (-rate, -(shape+1))).  Standard parameters are (shape, rate).
+    Both have statistics (x^s, log x) with s = 1 (gamma) or s = -1 (inverse
+    gamma), natural parameters (-rate, s * shape - 1) and standard
+    parameters (shape, rate).  Every map below is the gamma one with s
+    multiplying the terms that change sign.
     """
-
-    def stat_dim(self, var_dim):
-        return 2
-
-    def var_dim_from_stat_dim(self, stat_dim):
-        if stat_dim != 2:
-            raise DomainError("gamma-type blocks have 2 statistics")
-        return 1
 
     def check_natural(self, eta, var_dim=1):
         try:
             shape, rate = self.standard_from_natural(eta)
         except (IndexError, TypeError) as exc:
             raise DomainError(str(exc)) from exc
-        if not (np.all(np.isfinite(eta)) and shape > 0 and rate > 0):
+        if not (np.all(np.isfinite(eta)) and np.all(shape > 0) and np.all(rate > 0)):
             raise DomainError(f"{self.family.value} natural parameters {eta} out of domain")
 
     def check_mean(self, m, var_dim=1):
-        if m.shape != (2,) or not np.all(np.isfinite(m)) or m[0] <= 0:
+        if m.shape[-1:] != (2,) or not np.all(np.isfinite(m)) or np.any(m[..., 0] <= 0):
             raise DomainError(f"invalid {self.family.value} mean parameters {m}")
-        if self._mean_gap(m) <= 0:
+        if np.any(self._mean_gap(m) <= 0):
             raise DomainError(f"mean parameters {m} violate Jensen's inequality")
 
+    def _mean_gap(self, m):
+        # log E[x^s] - s E[log x] = log(shape) - digamma(shape) > 0
+        return np.log(m[..., 0]) - self.sign * m[..., 1]
+
+    def standard_from_natural(self, eta):
+        return self.sign * (eta[..., 1] + 1.0), -eta[..., 0]
+
     def natural_from_standard(self, shape, rate):
-        if shape <= 0 or rate <= 0:
+        if np.any(np.asarray(shape) <= 0) or np.any(np.asarray(rate) <= 0):
             raise DomainError(f"shape/rate must be positive, got {(shape, rate)}")
-        return self._natural(shape, rate)
+        return _stack(-rate, self.sign * shape - 1.0)
 
     def mean_from_standard(self, shape, rate):
-        raise NotImplementedError
+        return _stack(shape / rate, self.sign * (digamma(shape) - np.log(rate)))
 
     def standard_from_mean(self, m):
-        self.check_mean(np.asarray(m, dtype=float))
+        m = np.asarray(m, dtype=float)
+        self.check_mean(m)
         shape = solve_log_minus_digamma(self._mean_gap(m))
-        return shape, self._rate_from(shape, m)
+        return shape, shape / m[..., 0]
 
-    def mean_from_natural(self, eta, var_dim=1):
-        return self.mean_from_standard(*self.standard_from_natural(eta))
+    def log_partition(self, eta):
+        shape, rate = self.standard_from_natural(eta)
+        return gammaln(shape) - shape * np.log(rate)
 
-    def natural_from_mean(self, m, var_dim=1):
-        return self.natural_from_standard(*self.standard_from_mean(m))
+    def suff_stat_cov(self, eta):
+        shape, rate = self.standard_from_natural(eta)
+        return _matrix([[shape / (rate * rate), self.sign / rate],
+                        [self.sign / rate, trigamma(shape)]])
 
     # fit parameterization: z = (log of the first-statistic mean, log shape);
     # aligning one axis with the mean keeps the coordinates well conditioned
     # when the data concentrate the block (shape >> 1)
     def unconstrained_from_standard(self, shape, rate):
-        return np.array([np.log(shape / rate), np.log(shape)])
+        return _stack(np.log(shape / rate), np.log(shape))
 
     def standard_from_unconstrained(self, z):
-        return np.exp(z[1]), np.exp(z[1] - z[0])
+        return np.exp(z[..., 1]), np.exp(z[..., 1] - z[..., 0])
+
+    def mean_jacobian_unconstrained(self, z):
+        # m = (exp(z1), s (digamma(a) - log a + z1)) with a = exp(z2)
+        shape, rate = self.standard_from_unconstrained(z)
+        return _matrix([[shape / rate, 0.0],
+                        [self.sign, self.sign * (shape * trigamma(shape) - 1.0)]])
 
     def value_from_unconstrained(self, z):
         x = np.exp(z[0])
@@ -392,37 +446,7 @@ class _GammaLike:
 
 class _Gamma(_GammaLike):
     family = Family.GAMMA
-
-    def _natural(self, shape, rate):
-        return np.array([-rate, shape - 1.0])
-
-    def standard_from_natural(self, eta):
-        return eta[1] + 1.0, -eta[0]
-
-    def _mean_gap(self, m):
-        # log E[x] - E[log x] = log(shape) - digamma(shape) > 0
-        return np.log(m[0]) - m[1]
-
-    def _rate_from(self, shape, m):
-        return shape / m[0]
-
-    def mean_from_standard(self, shape, rate):
-        return np.array([shape / rate, digamma(shape) - np.log(rate)])
-
-    def log_partition(self, eta):
-        shape, rate = self.standard_from_natural(eta)
-        return gammaln(shape) - shape * np.log(rate)
-
-    def suff_stat_cov(self, eta):
-        shape, rate = self.standard_from_natural(eta)
-        return np.array([[shape / rate ** 2, 1.0 / rate],
-                         [1.0 / rate, trigamma(shape)]])
-
-    def mean_jacobian_unconstrained(self, z):
-        # m = (exp(z1), digamma(a) - log a + z1) with a = exp(z2)
-        shape, rate = self.standard_from_unconstrained(z)
-        return np.array([[shape / rate, 0.0],
-                         [1.0, shape * trigamma(shape) - 1.0]])
+    sign = 1.0
 
     def suff_stats(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -440,37 +464,7 @@ class _Gamma(_GammaLike):
 
 class _InverseGamma(_GammaLike):
     family = Family.INVERSE_GAMMA
-
-    def _natural(self, shape, rate):
-        return np.array([-rate, -(shape + 1.0)])
-
-    def standard_from_natural(self, eta):
-        return -eta[1] - 1.0, -eta[0]
-
-    def _mean_gap(self, m):
-        # log E[1/x] + E[log x] = log(shape) - digamma(shape) > 0
-        return np.log(m[0]) + m[1]
-
-    def _rate_from(self, shape, m):
-        return shape / m[0]
-
-    def mean_from_standard(self, shape, rate):
-        return np.array([shape / rate, np.log(rate) - digamma(shape)])
-
-    def log_partition(self, eta):
-        shape, rate = self.standard_from_natural(eta)
-        return gammaln(shape) - shape * np.log(rate)
-
-    def suff_stat_cov(self, eta):
-        shape, rate = self.standard_from_natural(eta)
-        return np.array([[shape / rate ** 2, -1.0 / rate],
-                         [-1.0 / rate, trigamma(shape)]])
-
-    def mean_jacobian_unconstrained(self, z):
-        # m = (exp(z1), log a - z1 - digamma(a)) with a = exp(z2)
-        shape, rate = self.standard_from_unconstrained(z)
-        return np.array([[shape / rate, 0.0],
-                         [-1.0, 1.0 - shape * trigamma(shape)]])
+    sign = -1.0
 
     def suff_stats(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -487,13 +481,15 @@ class _InverseGamma(_GammaLike):
         return rate / rng.gamma(shape, 1.0, size=size)
 
 
-class _Wishart:
+class _Wishart(_Family):
     """Wishart over K x K precision matrices; standard parameters (dof, scale).
 
     Density proportional to |X|^((n-K-1)/2) exp(-trace(scale^-1 X)/2).  The
     block domain requires n > K + 1 so every downstream inverse-moment
     formula stays finite.  The mean-to-natural map has no closed form; the
-    degrees of freedom are recovered with a bracketed 1-D solve.
+    degrees of freedom are recovered with a bracketed ``brentq`` per row of
+    a stack: the one per-block loop of the batched maps, kept because no
+    model has more than one Wishart block.
     """
 
     family = Family.WISHART
@@ -504,61 +500,47 @@ class _Wishart:
     def var_dim_from_stat_dim(self, stat_dim):
         return dim_from_vech(stat_dim - 1)
 
-    def _split(self, v, k):
-        return np.asarray(v[:-1], dtype=float), float(v[-1])
-
     def check_natural(self, eta, var_dim):
         dof, scale = self.standard_from_natural(eta)
-        if not (np.all(np.isfinite(eta)) and dof > var_dim + 1 and is_pos_def(scale)):
+        if not (np.all(np.isfinite(eta)) and np.all(dof > var_dim + 1) and is_pos_def(scale)):
             raise DomainError(
                 f"Wishart natural parameters need dof > K+1 and PD scale, got dof={dof}")
 
     def check_mean(self, m, var_dim):
-        mv, logdet = self._split(m, var_dim)
-        mean_mat = unvech(mv, var_dim)
+        mean_mat = unvech(m[..., :-1], var_dim)
         if not (np.all(np.isfinite(m)) and is_pos_def(mean_mat)):
             raise DomainError("Wishart mean matrix not positive definite")
-        sign, ld = np.linalg.slogdet(mean_mat)
-        if logdet - ld >= 0:
+        _, ld = np.linalg.slogdet(mean_mat)
+        if np.any(m[..., -1] - ld >= 0):
             raise DomainError("Wishart log-determinant coordinate violates Jensen's inequality")
 
     def standard_from_natural(self, eta):
-        k = self.var_dim_from_stat_dim(eta.size)
-        bv, e2 = self._split(eta, k)
-        scale_inv = -2.0 * unvech_half(bv, k)
+        k = self.var_dim_from_stat_dim(eta.shape[-1])
+        scale_inv = -2.0 * unvech_half(eta[..., :-1], k)
         if not is_pos_def(scale_inv):
             raise DomainError("Wishart natural matrix parameter not negative definite")
-        scale = np.linalg.inv(scale_inv)
-        scale = (scale + scale.T) / 2.0
-        return 2.0 * e2 + k + 1.0, scale
+        return 2.0 * eta[..., -1] + k + 1.0, _sym(np.linalg.inv(scale_inv))
 
     def natural_from_standard(self, dof, scale):
         scale = np.asarray(scale, dtype=float)
-        k = scale.shape[0]
-        if dof <= k + 1 or not is_pos_def(scale):
+        k = scale.shape[-1]
+        if np.any(np.asarray(dof) <= k + 1) or not is_pos_def(scale):
             raise DomainError(f"Wishart needs dof > K+1 and PD scale, got dof={dof}")
-        scale_inv = np.linalg.inv(scale)
-        scale_inv = (scale_inv + scale_inv.T) / 2.0
-        return np.concatenate([vech_dup(-0.5 * scale_inv), [(dof - k - 1.0) / 2.0]])
+        scale_inv = _sym(np.linalg.inv(scale))
+        return _append(vech_dup(-0.5 * scale_inv), (dof - k - 1.0) / 2.0)
 
     def mean_from_standard(self, dof, scale):
         scale = np.asarray(scale, dtype=float)
-        k = scale.shape[0]
-        sign, logdet_scale = np.linalg.slogdet(scale)
+        k = scale.shape[-1]
+        _, logdet_scale = np.linalg.slogdet(scale)
         logdet = multidigamma(dof / 2.0, k) + logdet_scale + k * np.log(2.0)
-        return np.concatenate([vech(dof * scale), [logdet]])
+        return _append(vech(np.asarray(dof)[..., None, None] * scale), logdet)
 
     def _dof_gap(self, dof, k):
         # E[log|X|] - log|E[X]| = multidigamma(dof/2) - K log(dof/2) < 0
         return multidigamma(dof / 2.0, k) - k * np.log(dof / 2.0)
 
-    def standard_from_mean(self, m):
-        k = self.var_dim_from_stat_dim(m.size)
-        self.check_mean(m, k)
-        mv, logdet = self._split(m, k)
-        mean_mat = unvech(mv, k)
-        _, ld = np.linalg.slogdet(mean_mat)
-        gap = logdet - ld
+    def _solve_dof(self, gap, k):
         lo = k + 1.0
         # _dof_gap increases from _dof_gap(K+1) toward 0, so a root above
         # K+1 exists only when the observed gap exceeds the K+1 value.
@@ -568,70 +550,67 @@ class _Wishart:
         hi = 2.0 * lo
         while self._dof_gap(hi, k) < gap:
             hi *= 2.0
-        dof = brentq(lambda n: self._dof_gap(n, k) - gap, lo, hi,
-                     xtol=1e-13, rtol=8.9e-16)
-        return dof, mean_mat / dof
+        return brentq(lambda n: self._dof_gap(n, k) - gap, lo, hi,
+                      xtol=1e-13, rtol=8.9e-16)
 
-    def mean_from_natural(self, eta, var_dim=None):
-        return self.mean_from_standard(*self.standard_from_natural(eta))
-
-    def natural_from_mean(self, m, var_dim=None):
-        return self.natural_from_standard(*self.standard_from_mean(np.asarray(m, dtype=float)))
+    def standard_from_mean(self, m):
+        m = np.asarray(m, dtype=float)
+        k = self.var_dim_from_stat_dim(m.shape[-1])
+        self.check_mean(m, k)
+        mean_mat = unvech(m[..., :-1], k)
+        _, ld = np.linalg.slogdet(mean_mat)
+        gap = m[..., -1] - ld
+        dof = np.reshape([self._solve_dof(g, k) for g in np.ravel(gap)], np.shape(gap))
+        return dof[()], mean_mat / dof[..., None, None]
 
     def log_partition(self, eta):
         dof, scale = self.standard_from_natural(eta)
-        k = scale.shape[0]
+        k = scale.shape[-1]
         _, logdet_scale = np.linalg.slogdet(scale)
         return (dof / 2.0 * logdet_scale + dof * k / 2.0 * np.log(2.0)
                 + multigamma_ln(dof / 2.0, k))
 
     def suff_stat_cov(self, eta):
+        # over the pairs (i, j) and (r, s) of tril(K):
+        # cov(X_ij, X_rs) = dof (scale_ir scale_js + scale_is scale_jr), and
+        # d E[X_ij] / d eta_logdet = 2 scale_ij since E[X] = dof * scale with
+        # dof = 2 eta_logdet + K + 1
         dof, scale = self.standard_from_natural(eta)
-        k = scale.shape[0]
-        pairs = list(zip(*tril(k)))
-        n = len(pairs) + 1
-        cov = np.zeros((n, n))
-        for a, (i, j) in enumerate(pairs):
-            for b, (r, s) in enumerate(pairs):
-                cov[a, b] = dof * (scale[i, r] * scale[j, s] + scale[i, s] * scale[j, r])
-        for a, (i, j) in enumerate(pairs):
-            # d E[X_ij] / d eta_logdet with E[X] = dof * scale, dof = 2 eta + K + 1
-            cov[a, -1] = cov[-1, a] = 2.0 * scale[i, j]
-        cov[-1, -1] = multitrigamma(dof / 2.0, k)
-        return cov
+        k = scale.shape[-1]
+        i, j = tril(k)
+        ii, jj, rr, ss = i[:, None], j[:, None], i[None, :], j[None, :]
+        quad = np.asarray(dof)[..., None, None] * (
+            scale[..., ii, rr] * scale[..., jj, ss] + scale[..., ii, ss] * scale[..., jj, rr])
+        edge = 2.0 * scale[..., i, j, None]
+        corner = np.asarray(multitrigamma(dof / 2.0, k))[..., None, None]
+        return np.block([[quad, edge], [edge.swapaxes(-1, -2), corner]])
 
     # fit parameterization: z = (Cholesky coords of the MEAN matrix dof*scale,
     # log(dof - K - 1)); keeping the mean matrix as a direct coordinate avoids
     # the long mean-preserving valley between scale and degrees of freedom
     def unconstrained_from_standard(self, dof, scale):
         scale = np.asarray(scale, dtype=float)
-        k = scale.shape[0]
-        chol = np.linalg.cholesky(dof * scale)
-        return np.concatenate([logchol_from_chol(chol), [np.log(dof - k - 1.0)]])
+        k = scale.shape[-1]
+        chol = np.linalg.cholesky(np.asarray(dof)[..., None, None] * scale)
+        return _append(logchol_from_chol(chol), np.log(dof - k - 1.0))
 
     def standard_from_unconstrained(self, z):
-        chol = chol_from_logchol(z[:-1])
-        k = chol.shape[0]
-        dof = np.exp(z[-1]) + k + 1.0
-        return dof, (chol @ chol.T) / dof
+        chol = chol_from_logchol(z[..., :-1])
+        k = chol.shape[-1]
+        dof = np.exp(z[..., -1]) + k + 1.0
+        return dof, (chol @ chol.swapaxes(-1, -2)) / np.asarray(dof)[..., None, None]
 
     def mean_jacobian_unconstrained(self, z):
-        dof, scale = self.standard_from_unconstrained(z)
-        k = scale.shape[0]
-        mean_mat = dof * scale
-        chol = np.linalg.cholesky(mean_mat)
-        mean_inv = np.linalg.inv(mean_mat)
-        nstat = self.stat_dim(k)
-        jac = np.zeros((nstat, len(z)))
-        for idx, (i, j) in enumerate(zip(*tril(k))):
-            dl = np.zeros((k, k))
-            dl[i, j] = chol[i, i] if i == j else 1.0
-            dmean = dl @ chol.T + chol @ dl.T
-            jac[:-1, idx] = vech(dmean)
-            jac[-1, idx] = np.trace(mean_inv @ dmean)
+        # logdet coordinate = multidigamma(dof/2) + log|mean| - K log dof + K log 2,
+        # and log|mean| = 2 sum_p log L_pp moves only with the log-diagonal
+        chol = chol_from_logchol(z[..., :-1])
+        k = chol.shape[-1]
+        dof = np.exp(z[..., -1]) + k + 1.0
         ddof = dof - k - 1.0  # d dof / d z_last
-        # logdet coordinate = multidigamma(dof/2) + log|mean| - K log dof + K log 2
-        jac[-1, -1] = (0.5 * multitrigamma(dof / 2.0, k) - k / dof) * ddof
+        jac = np.zeros(z.shape + z.shape[-1:])
+        jac[..., :-1, :-1] = _chol_product_jacobian(chol)
+        jac[..., -1, tril_diag(k)] = 2.0
+        jac[..., -1, -1] = (0.5 * multitrigamma(dof / 2.0, k) - k / dof) * ddof
         return jac
 
     # underlying-variable helpers
@@ -671,12 +650,6 @@ class _Wishart:
 
     def unconstrained_from_value(self, x):
         return logchol_from_chol(np.linalg.cholesky(np.asarray(x, dtype=float)))
-
-
-def _unit(n, i):
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
 
 
 FAMILIES = {

@@ -35,7 +35,6 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from . import expfam
 from .errors import DomainError, DomainViolation, NonConvergence
 from .expfam import FAMILIES, Family
 from .util import chol_from_logchol, fd_jacobian, tril, tril_diag, unvech, vech_dim
@@ -62,7 +61,17 @@ class BlockDef:
 
 
 class Layout:
-    """Stacked coordinate bookkeeping for an ordered list of blocks."""
+    """Stacked coordinate bookkeeping for an ordered list of blocks.
+
+    Blocks of one family and variable dimension form a group.  ``groups``
+    holds (family, var_dim, idx) per group, idx being the (n_blocks,
+    stat_dim) positions of its blocks in the stacked vector, so each fit and
+    linear-response map is one batched family call per group (see
+    :mod:`lrvb.expfam`) and never loops over blocks.  The exception inside
+    them is the Wishart dof solve, a ``brentq`` per Wishart block; no model
+    has more than one.  The sampler-coordinate methods serve the oracles'
+    per-block dicts and stay per block.
+    """
 
     def __init__(self, blocks):
         self.blocks = tuple(blocks)
@@ -73,6 +82,11 @@ class Layout:
         offsets = np.cumsum([0] + [b.stat_dim for b in self.blocks])
         self.offsets = offsets
         self.dim = int(offsets[-1])
+        rows = {}
+        for b, off in zip(self.blocks, offsets):
+            rows.setdefault((b.family, b.var_dim), []).append(off + np.arange(b.stat_dim))
+        self.groups = tuple((FAMILIES[family], var_dim, np.array(idx))
+                            for (family, var_dim), idx in rows.items())
 
     def __iter__(self):
         return iter(self.blocks)
@@ -105,19 +119,40 @@ class Layout:
 
     def location_indices(self, block=None):
         """Indices of plain location statistics (Gaussian blocks only)."""
-        idx = []
         items = self.blocks if block is None else (
             self.blocks[block if isinstance(block, int) else self._index[block]],)
-        for b in items:
-            off = self.offsets[self._index[b.name]]
-            if b.family is Family.GAUSSIAN_UNIVARIATE:
-                idx.append(off)
-            elif b.family is Family.GAUSSIAN_MULTIVARIATE:
-                idx.extend(off + np.arange(b.var_dim))
-        return np.asarray(idx, dtype=int)
+        gaussian = (Family.GAUSSIAN_UNIVARIATE, Family.GAUSSIAN_MULTIVARIATE)
+        return np.array([self.offsets[self._index[b.name]] + c for b in items
+                         if b.family in gaussian for c in range(b.var_dim)], dtype=int)
 
     def coord_index(self, name):
         return self.coord_names().index(name)
+
+    # --- per-group assembly -----------------------------------------------
+
+    def _scatter(self, parts):
+        """Stacked vector from one (n_blocks, stat_dim) array per group."""
+        out = np.empty(self.dim)
+        for (_, _, idx), part in zip(self.groups, parts):
+            out[idx] = part
+        return out
+
+    def _block_diagonal(self, parts):
+        """Block-diagonal matrix from one (n_blocks, s, s) array per group."""
+        out = np.zeros((self.dim, self.dim))
+        for (_, _, idx), part in zip(self.groups, parts):
+            out[idx[:, :, None], idx[:, None, :]] = part
+        return out
+
+    def _entropy(self, pairs):
+        """Sum of A(eta) - eta . m (unit base measures) from (eta, m) per group."""
+        total = 0.0
+        for (fam, _, _), (eta, m) in zip(self.groups, pairs):
+            # a row-by-column matmul takes each block's eta . m with the
+            # same BLAS dot as a 1-D eta @ m
+            dot = (eta[:, None, :] @ m[:, :, None])[:, 0, 0]
+            total += np.sum(fam.log_partition(eta) - dot)
+        return float(total)
 
     # --- domain checks and dual coordinates -------------------------------
 
@@ -125,78 +160,56 @@ class Layout:
         m = np.asarray(m, dtype=float)
         if m.shape != (self.dim,):
             raise DomainError(f"mean vector has shape {m.shape}, expected ({self.dim},)")
-        for b, mb in zip(self.blocks, self.split(m)):
-            FAMILIES[b.family].check_mean(mb, b.var_dim)
+        for fam, var_dim, idx in self.groups:
+            fam.check_mean(m[idx], var_dim)
 
     def natural_vector(self, m):
         """Per-block natural parameters stacked to match the mean layout."""
-        out = np.empty(self.dim)
-        for i, (b, mb) in enumerate(zip(self.blocks, self.split(m))):
-            out[self.slice_of(i)] = FAMILIES[b.family].natural_from_mean(mb, b.var_dim)
-        return out
+        m = np.asarray(m, dtype=float)
+        return self._scatter(fam.natural_from_mean(m[idx], var_dim)
+                             for fam, var_dim, idx in self.groups)
 
     def entropy(self, m):
-        total = 0.0
-        for b, mb in zip(self.blocks, self.split(m)):
-            blk = expfam.ExpFamBlock.from_mean(b.family, mb)
-            total += expfam.entropy(blk)
-        return total
+        m = np.asarray(m, dtype=float)
+        return self._entropy((fam.natural_from_mean(m[idx], var_dim), m[idx])
+                             for fam, var_dim, idx in self.groups)
 
     def suff_stat_cov(self, m):
         """Block-diagonal covariance of the sufficient statistics at m."""
-        out = np.zeros((self.dim, self.dim))
-        for i, (b, mb) in enumerate(zip(self.blocks, self.split(m))):
-            fam = FAMILIES[b.family]
-            eta = fam.natural_from_mean(mb, b.var_dim)
-            sl = self.slice_of(i)
-            out[sl, sl] = fam.suff_stat_cov(eta)
-        return out
+        m = np.asarray(m, dtype=float)
+        return self._block_diagonal(
+            fam.suff_stat_cov(fam.natural_from_mean(m[idx], var_dim))
+            for fam, var_dim, idx in self.groups)
 
     # --- unconstrained fit coordinates ------------------------------------
     # Every family's unconstrained vector has the same length as its
-    # statistic vector, so z and m share offsets.
+    # statistic vector, so z and m share positions.
 
     def unconstrained_from_mean(self, m):
-        z = np.empty(self.dim)
-        for i, (b, mb) in enumerate(zip(self.blocks, self.split(m))):
-            fam = FAMILIES[b.family]
-            params = fam.standard_from_mean(np.asarray(mb, dtype=float))
-            z[self.slice_of(i)] = fam.unconstrained_from_standard(*params)
-        return z
+        m = np.asarray(m, dtype=float)
+        return self._scatter(fam.unconstrained_from_standard(*fam.standard_from_mean(m[idx]))
+                             for fam, _, idx in self.groups)
 
     def mean_from_unconstrained(self, z):
-        m = np.empty(self.dim)
-        for i, b in enumerate(self.blocks):
-            fam = FAMILIES[b.family]
-            params = fam.standard_from_unconstrained(z[self.slice_of(i)])
-            m[self.slice_of(i)] = fam.mean_from_standard(*params)
-        return m
+        return self._scatter(fam.mean_from_standard(*fam.standard_from_unconstrained(z[idx]))
+                             for fam, _, idx in self.groups)
 
     def natural_from_unconstrained(self, z):
-        eta = np.empty(self.dim)
-        for i, b in enumerate(self.blocks):
-            fam = FAMILIES[b.family]
-            params = fam.standard_from_unconstrained(z[self.slice_of(i)])
-            eta[self.slice_of(i)] = fam.natural_from_standard(*params)
-        return eta
+        return self._scatter(
+            fam.natural_from_standard(*fam.standard_from_unconstrained(z[idx]))
+            for fam, _, idx in self.groups)
 
     def entropy_from_unconstrained(self, z):
-        total = 0.0
-        for i, b in enumerate(self.blocks):
-            fam = FAMILIES[b.family]
-            params = fam.standard_from_unconstrained(z[self.slice_of(i)])
-            eta = fam.natural_from_standard(*params)
-            m = fam.mean_from_standard(*params)
-            total += fam.log_partition(eta) - float(eta @ m)
-        return total
+        def pairs():
+            for fam, _, idx in self.groups:
+                params = fam.standard_from_unconstrained(z[idx])
+                yield fam.natural_from_standard(*params), fam.mean_from_standard(*params)
+        return self._entropy(pairs())
 
     def mean_jacobian(self, z):
         """Block-diagonal d mean / d unconstrained."""
-        jac = np.zeros((self.dim, self.dim))
-        for i, b in enumerate(self.blocks):
-            sl = self.slice_of(i)
-            jac[sl, sl] = FAMILIES[b.family].mean_jacobian_unconstrained(z[sl])
-        return jac
+        return self._block_diagonal(fam.mean_jacobian_unconstrained(z[idx])
+                                    for fam, _, idx in self.groups)
 
     # --- underlying-variable (sampler/oracle) coordinates -----------------
     # The per-block unconstrained value vector also has one coordinate per
@@ -204,17 +217,9 @@ class Layout:
     # scalars, log-Cholesky for matrices.
 
     def value_dims(self):
-        dims = []
-        for b in self.blocks:
-            if b.family is Family.GAUSSIAN_UNIVARIATE:
-                dims.append(1)
-            elif b.family is Family.GAUSSIAN_MULTIVARIATE:
-                dims.append(b.var_dim)
-            elif b.family is Family.WISHART:
-                dims.append(vech_dim(b.var_dim))
-            else:
-                dims.append(1)
-        return dims
+        # scalar blocks have var_dim 1
+        return [vech_dim(b.var_dim) if b.family is Family.WISHART else b.var_dim
+                for b in self.blocks]
 
     def value_dim(self):
         return sum(self.value_dims())

@@ -1,20 +1,24 @@
-"""Small numerical helpers: half-vectorization, 1-D inversions, derivatives."""
+"""Small numerical helpers: half-vectorization, 1-D inversions, derivatives.
+
+The matrix helpers treat leading axes as batch axes, as the family maps in
+:mod:`lrvb.expfam` do.
+"""
 
 import functools
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import polygamma
+from scipy.special import gammaln, psi, zeta
 
 from .errors import DomainError
 
 
 def digamma(x):
-    return polygamma(0, x)
+    return psi(x)
 
 
 def trigamma(x):
-    return polygamma(1, x)
+    # polygamma(1, x) is this value, reached through a Python-level wrapper
+    return zeta(2, x)
 
 
 @functools.lru_cache(maxsize=None)
@@ -42,17 +46,17 @@ def tril_diag(k):
 def vech(mat):
     """Lower triangle of a symmetric matrix in row-major order."""
     mat = np.asarray(mat, dtype=float)
-    rows, cols = tril(mat.shape[0])
-    return mat[rows, cols]
+    rows, cols = tril(mat.shape[-1])
+    return mat[..., rows, cols]
 
 
 def unvech(v, k):
     """Inverse of :func:`vech` for a k x k symmetric matrix."""
     v = np.asarray(v, dtype=float)
-    out = np.zeros((k, k))
+    out = np.zeros(v.shape[:-1] + (k, k))
     rows, cols = tril(k)
-    out[rows, cols] = v
-    out[cols, rows] = v
+    out[..., rows, cols] = v
+    out[..., cols, rows] = v
     return out
 
 
@@ -75,14 +79,14 @@ def vech_dup(mat):
     natural parameters.
     """
     mat = np.asarray(mat, dtype=float)
-    doubled = 2.0 * mat - np.diag(np.diag(mat))
-    return vech(doubled)
+    rows, cols = tril(mat.shape[-1])
+    return vech(mat) * np.where(rows == cols, 1.0, 2.0)
 
 
 def unvech_half(v, k):
     """Inverse of :func:`vech_dup`."""
-    doubled = unvech(v, k)
-    return (doubled + np.diag(np.diag(doubled))) / 2.0
+    rows, cols = tril(k)
+    return unvech(np.asarray(v, dtype=float) * np.where(rows == cols, 1.0, 0.5), k)
 
 
 def chol_from_logchol(z):
@@ -115,56 +119,72 @@ def logchol_from_chol(chol):
 
 
 def is_pos_def(mat, tol=0.0):
+    """Whether every matrix of a stack is finite and positive definite."""
     mat = np.asarray(mat, dtype=float)
     if not np.all(np.isfinite(mat)):
         return False
     try:
-        np.linalg.cholesky(mat - tol * np.eye(mat.shape[0]))
+        np.linalg.cholesky(mat - tol * np.eye(mat.shape[-1]))
         return True
     except np.linalg.LinAlgError:
         return False
 
 
 def solve_log_minus_digamma(c):
-    """Solve log(a) - digamma(a) = c for a > 0.
+    """Solve log(a) - digamma(a) = c for a > 0, elementwise.
 
     The left side decreases monotonically from +inf to 0, so a unique root
-    exists for every c > 0.
+    exists for every c > 0.  An array of gaps is solved in one array
+    iteration (a scalar gap gives a float): Newton in log a on
+    log(log(a) - digamma(a)), nearly linear with slope ~ -1, from Minka's
+    initializer.  Each entry stops after its first step below 1e-9, so its
+    root does not depend on what shares the call.  Above a ~ 500 the
+    difference cancels and the root is only as good as it.
     """
-    if not np.isfinite(c) or c <= 0:
+    c = np.asarray(c, dtype=float)
+    if not np.all(np.isfinite(c) & (c > 0)):
         raise DomainError(f"log(a) - digamma(a) = {c} has no positive root")
-    # Minka's initializer, then a bracketed Newton cleanup via brentq.
-    if c < 1e8:
-        a = (3.0 - c + np.sqrt((c - 3.0) ** 2 + 24.0 * c)) / (12.0 * c)
-    else:  # Minka's form cancels to 0 for large c; there the root is ~1/c
-        a = 1.0 / c
-    lo, hi = a, a
-    while np.log(lo) - digamma(lo) < c:
-        lo /= 2.0
-    while np.log(hi) - digamma(hi) > c:
-        hi *= 2.0
-    # the absolute tolerance shrinks with the bracket so that roots far
-    # below 1 (tiny inverse-gamma shapes) keep full relative precision
-    return brentq(lambda t: np.log(t) - digamma(t) - c, lo, hi,
-                  xtol=1e-14 * min(lo, 1.0), rtol=8.9e-16)
+    gap = c.ravel()
+    # Minka's form cancels to 0 for large c; there the root is ~1/c
+    small = np.minimum(gap, 1e8)
+    minka = (3.0 - small + np.sqrt((small - 3.0) ** 2 + 24.0 * small)) / (12.0 * small)
+    log_a = np.log(np.where(gap < 1e8, minka, 1.0 / gap))
+    live = np.arange(gap.size)
+    for _ in range(50):
+        a = np.exp(log_a[live])
+        h = np.log(a) - digamma(a)
+        # d h / d log a = 1 - a trigamma(a), with the 1/a^2 term of trigamma
+        # taken out so that tiny a does not overflow
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (1.0 - 1.0 / a - a * trigamma(a + 1.0)) / h
+            step = (np.log(gap[live]) - np.log(h)) / slope
+        # past a ~ 1e13 the difference is lost to rounding and the step is
+        # not finite; Minka's initializer is exact to rounding there
+        step[~np.isfinite(step)] = 0.0
+        log_a[live] += step
+        live = live[np.abs(step) > 1e-9]
+        if not live.size:
+            break
+    root = np.exp(log_a).reshape(c.shape)
+    return float(root) if root.ndim == 0 else root
 
 
 def multigamma_ln(a, k):
-    """log of the multivariate gamma function Gamma_k(a)."""
-    from scipy.special import gammaln
+    """log of the multivariate gamma function Gamma_k(a), elementwise in a."""
     i = np.arange(1, k + 1)
-    return k * (k - 1) / 4.0 * np.log(np.pi) + np.sum(gammaln(a + (1 - i) / 2.0))
+    return (k * (k - 1) / 4.0 * np.log(np.pi)
+            + np.sum(gammaln(np.asarray(a)[..., None] + (1 - i) / 2.0), axis=-1))
 
 
 def multidigamma(a, k):
     """Derivative of multigamma_ln with respect to a."""
     i = np.arange(1, k + 1)
-    return np.sum(digamma(a + (1 - i) / 2.0))
+    return np.sum(digamma(np.asarray(a)[..., None] + (1 - i) / 2.0), axis=-1)
 
 
 def multitrigamma(a, k):
     i = np.arange(1, k + 1)
-    return np.sum(trigamma(a + (1 - i) / 2.0))
+    return np.sum(trigamma(np.asarray(a)[..., None] + (1 - i) / 2.0), axis=-1)
 
 
 def fd_jacobian(func, x, rel_step=1e-6):

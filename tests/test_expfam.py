@@ -223,3 +223,91 @@ class TestStandardMeanRoundTrip:
         params = (dof, np.outer(sd, sd) * np.array([[1.0, corr], [corr, 1.0]]))
         err = _round_trip_error(Family.WISHART, params)
         assert err <= ef.ROUND_TRIP_TOL, (params, err)
+
+
+def _random_standard(family, var_dim, n, rng):
+    """Standard parameters of n random valid blocks, stacked."""
+    if family is Family.GAUSSIAN_UNIVARIATE:
+        return rng.normal(scale=3.0, size=n), np.exp(rng.uniform(-3.0, 3.0, n))
+    if family in (Family.GAMMA, Family.INVERSE_GAMMA):
+        return np.exp(rng.uniform(-3.0, 5.0, n)), np.exp(rng.uniform(-3.0, 3.0, n))
+    a = rng.normal(size=(n, var_dim, var_dim))
+    spd = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(var_dim)
+    if family is Family.GAUSSIAN_MULTIVARIATE:
+        return rng.normal(size=(n, var_dim)), spd
+    dof = var_dim + 1.0 + np.exp(rng.uniform(-3.0, 4.0, n))
+    return dof, spd / dof[:, None, None]
+
+
+FAMILY_DIMS = [(Family.GAUSSIAN_UNIVARIATE, 1), (Family.GAUSSIAN_MULTIVARIATE, 1),
+               (Family.GAUSSIAN_MULTIVARIATE, 2), (Family.GAUSSIAN_MULTIVARIATE, 3),
+               (Family.GAMMA, 1), (Family.INVERSE_GAMMA, 1), (Family.WISHART, 2),
+               (Family.WISHART, 3)]
+
+
+class TestBatchedMaps:
+    """Row i of a call on n stacked blocks equals the call on block i alone.
+
+    Every batched map is built from elementwise arithmetic, sums over fixed
+    axes, index arrays and per-matrix LAPACK calls (inv, cholesky, slogdet)
+    or per-matrix matmul, so no block's value depends on what else shares
+    the call: the test asks for bit equality everywhere.
+    """
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.sampled_from(FAMILY_DIMS), st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+    def test_rows_equal_single_block_calls(self, family_dim, n, seed):
+        family, var_dim = family_dim
+        fam = ef.FAMILIES[family]
+        params = _random_standard(family, var_dim, n, np.random.default_rng(seed))
+        mean = fam.mean_from_standard(*params)
+        eta = fam.natural_from_standard(*params)
+        z = fam.unconstrained_from_standard(*params)
+        stacked_maps = {
+            "mean_from_standard": (lambda p: fam.mean_from_standard(*p), params),
+            "natural_from_standard": (lambda p: fam.natural_from_standard(*p), params),
+            "unconstrained_from_standard":
+                (lambda p: fam.unconstrained_from_standard(*p), params),
+            "standard_from_unconstrained": (fam.standard_from_unconstrained, z),
+            "mean_jacobian_unconstrained": (fam.mean_jacobian_unconstrained, z),
+            "standard_from_mean": (fam.standard_from_mean, mean),
+            "natural_from_mean": (lambda m: fam.natural_from_mean(m, var_dim), mean),
+            "log_partition": (fam.log_partition, eta),
+            "suff_stat_cov": (fam.suff_stat_cov, eta),
+        }
+        for name, (func, arg) in stacked_maps.items():
+            whole = func(arg)
+            whole = whole if isinstance(whole, tuple) else (whole,)
+            for i in range(n):
+                row = tuple(p[i] for p in arg) if isinstance(arg, tuple) else arg[i]
+                one = func(row)
+                one = one if isinstance(one, tuple) else (one,)
+                for w, o in zip(whole, one):
+                    assert np.shape(w)[1:] == np.shape(o), (name, i)
+                    assert np.array_equal(w[i], o), (name, i, w[i], o)
+        assert mean.shape == eta.shape == z.shape == (n, fam.stat_dim(var_dim))
+        fam.check_mean(mean, var_dim)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(FAMILY_DIMS), st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+    def test_check_mean_raises_when_any_block_would(self, family_dim, n, seed):
+        family, var_dim = family_dim
+        fam = ef.FAMILIES[family]
+        rng = np.random.default_rng(seed)
+        mean = fam.mean_from_standard(*_random_standard(family, var_dim, n, rng))
+        bad = rng.integers(n)
+        # moving the last statistic this way breaks the second moment, the
+        # Jensen gap or the Wishart log-determinant bound
+        push = {Family.GAUSSIAN_UNIVARIATE: -1.0, Family.GAUSSIAN_MULTIVARIATE: -1.0,
+                Family.INVERSE_GAMMA: -50.0, Family.GAMMA: 50.0, Family.WISHART: 50.0}
+        mean[bad, -1] = np.copysign(abs(mean[bad, -1]), push[family]) + push[family]
+        single = []
+        for i in range(n):
+            try:
+                fam.check_mean(mean[i], var_dim)
+                single.append(False)
+            except DomainError:
+                single.append(True)
+        assert single[bad]
+        with pytest.raises(DomainError):
+            fam.check_mean(mean, var_dim)

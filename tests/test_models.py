@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrvb import mfvb, oracle
 from lrvb.errors import DomainError
@@ -49,6 +51,36 @@ class TestBuild:
             lambda x: np.array([micro_model.expected_log_prior(x, micro_model.hyperparams)]),
             m, rel_step=1e-7)[0]
         assert np.max(np.abs(gp - gp_fd)) / max(1, np.max(np.abs(gp_fd))) < 1e-7
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(1, 30), min_size=2, max_size=6),
+           st.lists(st.floats(-1.0, 1.5), min_size=7, max_size=7),
+           st.floats(-0.9, 0.9), st.integers(0, 2 ** 32 - 1))
+    def test_random_data_gradients_match_finite_differences(self, rows, log10_priors,
+                                                            corr, seed):
+        # random sites, rows and priors inside the domain; the gradient of
+        # the expected log joint at a random interior mean vector.  The gap
+        # is the differences' truncation error, which shrinks as the step
+        # squared: the worst of 300 random cases was 6.8e-7 at the default
+        # step and 6.8e-9 at a tenth of it
+        rng = np.random.default_rng(seed)
+        site = np.repeat(np.arange(len(rows)), rows)
+        data = MicrocreditData(site, rng.integers(0, 2, site.size),
+                               rng.normal(1.0, 3.0, site.size), n_sites=len(rows))
+        info_11, info_22, *shapes = 10.0 ** np.asarray(log10_priors)
+        alpha = DEFAULT_PRIORS.with_updates(
+            prior_info_11=info_11, prior_info_22=info_22,
+            prior_info_12=corr * np.sqrt(info_11 * info_22),
+            **dict(zip(("lkj_shape", "scale_shape", "scale_rate", "noise_shape",
+                        "noise_rate"), shapes)))
+        model = build_microcredit_model(data, alpha)
+        layout = model.layout
+        z0 = layout.unconstrained_from_mean(model.default_init(alpha))
+        m = layout.mean_from_unconstrained(z0 + rng.normal(scale=0.3, size=z0.size))
+        grad = model.grad_log_lik(m) + model.grad_log_prior(m, alpha)
+        fd = fd_jacobian(lambda x: np.array([model.expected_log_lik(x)
+                                             + model.expected_log_prior(x, alpha)]), m)[0]
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
 
     def test_alpha_cross_gradient_matches_fd(self, micro_model, micro_fit):
         sol, _ = micro_fit

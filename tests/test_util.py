@@ -6,18 +6,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from scipy.optimize import brentq
+from scipy.special import polygamma
+
 from lrvb import linear_response, robustness
+from lrvb.errors import DomainError
 from lrvb.expfam import FAMILIES, Family
 from lrvb.mfvb import BlockDef, Layout
 from lrvb.util import (chol_from_logchol, digamma, dim_from_vech, fd_jacobian,
                        logchol_from_chol, solve_log_minus_digamma, tril,
-                       tril_diag, unvech, vech, vech_dim)
+                       tril_diag, trigamma, unvech, vech, vech_dim)
 
 _WI = FAMILIES[Family.WISHART]
 _GM = FAMILIES[Family.GAUSSIAN_MULTIVARIATE]
 
 
 # --- literal copies of the hand-written loops the helpers replaced ----------
+
+def brentq_log_minus_digamma(c):
+    """The bracketed brentq solver that the array iteration replaced."""
+    if not np.isfinite(c) or c <= 0:
+        raise DomainError(f"log(a) - digamma(a) = {c} has no positive root")
+    if c < 1e8:
+        a = (3.0 - c + np.sqrt((c - 3.0) ** 2 + 24.0 * c)) / (12.0 * c)
+    else:
+        a = 1.0 / c
+    lo, hi = a, a
+    while np.log(lo) - digamma(lo) < c:
+        lo /= 2.0
+    while np.log(hi) - digamma(hi) > c:
+        hi *= 2.0
+    return brentq(lambda t: np.log(t) - digamma(t) - c, lo, hi,
+                  xtol=1e-14 * min(lo, 1.0), rtol=8.9e-16)
+
 
 def loop_pack(chol):
     k = chol.shape[0]
@@ -250,3 +271,46 @@ class TestLogMinusDigamma:
         # once overflowed the initializer and ended in brentq's ValueError
         root = solve_log_minus_digamma(c)
         assert abs((np.log(root) - digamma(root)) / c - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("c", [1e-15, 3e-16, 1e-300])
+    def test_tiny_gap_root_near_half_inverse(self, c):
+        # log(a) - digamma(a) ~ 1/(2a) is lost to rounding past a ~ 1e13;
+        # the bracketed solver returned 1.4e14 for c = 1e-15 and raised
+        # for c = 1e-300
+        assert abs(solve_log_minus_digamma(c) * 2.0 * c - 1.0) < 1e-6
+
+    def test_matches_brentq_solver(self):
+        # above a ~ 500 log(a) - digamma(a) cancels, and the two solvers may
+        # settle on different points of its rounding noise; the standard /
+        # mean round trips in test_expfam bound that range
+        shapes = np.logspace(-8.0, np.log10(500.0), 1000)
+        gaps = np.log(shapes) - digamma(shapes)
+        roots = solve_log_minus_digamma(gaps)
+        ref = np.array([brentq_log_minus_digamma(c) for c in gaps])
+        assert np.max(np.abs(roots / ref - 1.0)) <= 1e-12
+
+    def test_one_call_equals_single_calls(self):
+        shapes = np.logspace(-8.0, 4.0, 1000)
+        gaps = np.log(shapes) - digamma(shapes)
+        roots = solve_log_minus_digamma(gaps)
+        singles = [solve_log_minus_digamma(c) for c in gaps]
+        assert all(type(r) is float for r in singles)
+        assert np.array_equal(roots, singles)
+        assert np.array_equal(solve_log_minus_digamma(gaps.reshape(40, 25)),
+                              roots.reshape(40, 25))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_domain_error_for_any_bad_gap(self, bad):
+        with pytest.raises(DomainError):
+            solve_log_minus_digamma(bad)
+        with pytest.raises(DomainError):
+            solve_log_minus_digamma(np.array([1.0, bad, 2.0]))
+
+
+class TestPolygammaHelpers:
+    def test_bit_identical_to_polygamma(self):
+        x = np.logspace(-8.0, 4.0, 4000)
+        assert np.array_equal(digamma(x), polygamma(0, x))
+        assert np.array_equal(trigamma(x), polygamma(1, x))
+        for v in x[::97]:
+            assert digamma(v) == polygamma(0, v) and trigamma(v) == polygamma(1, v)
