@@ -12,6 +12,7 @@ import argparse
 import csv
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,41 +34,50 @@ class UsageError(Exception):
     pass
 
 
-def build_model(args):
-    overrides = parse_overrides(args.set or [])
-    if args.model == "microcredit":
-        if not args.data:
-            raise UsageError("--data is required for the microcredit model")
-        try:
-            priors = DEFAULT_PRIORS.with_updates(**overrides)
-        except KeyError as exc:
-            raise UsageError(exc.args[0]) from exc
-        try:
-            return build_microcredit_model(load_microcredit_csv(args.data), priors)
-        except (ValueError, DomainError) as exc:
-            raise UsageError(str(exc)) from exc
-    if args.model == "normal-normal":
-        # small built-in fixture: 4 observations, unit noise, N(0,1) prior
-        model = normal_normal_model(
-            np.array([1.3, 0.7, 1.2, 0.8]), 1.0, ("moment", 0.0, 1.0))
-        if overrides:
-            return _with_hyper(model, overrides)
-        return model
-    if args.model == "gaussian3d":
-        prec = np.array([[1.0, -0.5, 0.2], [-0.5, 1.5, -0.3], [0.2, -0.3, 2.0]])
-        model = gaussian_target_model(prec @ np.array([0.5, -0.2, 0.1]), prec)
-        if overrides:
-            return _with_hyper(model, overrides)
-        return model
-    raise UsageError(f"unknown model {args.model!r}")
+def _microcredit(args, overrides):
+    if not args.data:
+        raise UsageError("--data is required for the microcredit model")
+    try:
+        priors = DEFAULT_PRIORS.with_updates(**overrides)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from exc
+    try:
+        return build_microcredit_model(load_microcredit_csv(args.data), priors)
+    except (ValueError, DomainError) as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _normal_normal(args, overrides):
+    # small built-in fixture: 4 observations, unit noise, N(0,1) prior
+    return _with_hyper(normal_normal_model(
+        np.array([1.3, 0.7, 1.2, 0.8]), 1.0, ("moment", 0.0, 1.0)), overrides)
+
+
+def _gaussian3d(args, overrides):
+    prec = np.array([[1.0, -0.5, 0.2], [-0.5, 1.5, -0.3], [0.2, -0.3, 2.0]])
+    return _with_hyper(gaussian_target_model(prec @ np.array([0.5, -0.2, 0.1]), prec),
+                       overrides)
 
 
 def _with_hyper(model, overrides):
-    from dataclasses import replace
+    if not overrides:
+        return model
     try:
         return replace(model, hyperparams=model.hyperparams.with_updates(**overrides))
     except KeyError as exc:
         raise UsageError(exc.args[0]) from exc
+
+
+# --model name -> builder(args, hyperparameter overrides)
+MODELS = {
+    "microcredit": _microcredit,
+    "normal-normal": _normal_normal,
+    "gaussian3d": _gaussian3d,
+}
+
+
+def build_model(args):
+    return MODELS[args.model](args, parse_overrides(args.set or []))
 
 
 def parse_overrides(pairs):
@@ -231,28 +241,29 @@ def cmd_compare(args):
     if unknown:
         raise UsageError(f"unknown hyperparameters {sorted(unknown)}; "
                          f"valid keys: {sorted(model.hyperparams.names)}")
+    try:
+        oracle.check_rerun_inputs(direction, args.step)
+        mcmc_config = oracle.McmcConfig(chain_length=args.chain_length,
+                                        burn_in=args.burn_in, seed=args.seed)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
     sol, sys_ = fit_and_system(model, args)
-    mcmc_config = oracle.McmcConfig(chain_length=args.chain_length,
-                                    burn_in=args.burn_in, seed=args.seed)
     res = oracle.perturb_and_rerun(
         model, direction, engine=args.engine, step=args.step, sol=sol, sys=sys_,
         mcmc_config=mcmc_config)
+    rows = [(n, float(p), float(a), float(s))
+            for n, p, a, s in zip(res.names, res.predicted_deltas,
+                                  res.actual_deltas, res.mc_standard_errors)]
     payload = payload_header(args, model)
     payload.update({
         "engine": args.engine,
         "direction": direction,
         "step": float(res.step),
-        "slope": float(res.slope),
-        "correlation": float(res.correlation) if np.isfinite(res.correlation) else None,
-        "entries": [
-            {"quantity": n, "predicted": float(p), "actual": float(a),
-             "mc_standard_error": float(s)}
-            for n, p, a, s in zip(res.names, res.predicted_deltas,
-                                  res.actual_deltas, res.mc_standard_errors)],
+        "slope": res.slope if np.isfinite(res.slope) else None,
+        "correlation": res.correlation if np.isfinite(res.correlation) else None,
+        "entries": [{"quantity": n, "predicted": p, "actual": a, "mc_standard_error": s}
+                    for n, p, a, s in rows],
     })
-    rows = [(n, float(p), float(a), float(s))
-            for n, p, a, s in zip(res.names, res.predicted_deltas,
-                                  res.actual_deltas, res.mc_standard_errors)]
     write_output(payload, rows,
                  ["quantity", "predicted", "actual", "mc_standard_error"], args)
     return EXIT_OK
@@ -268,8 +279,7 @@ def make_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--model", required=True,
-                       choices=["microcredit", "normal-normal", "gaussian3d"])
+        p.add_argument("--model", required=True, choices=list(MODELS))
         p.add_argument("--data", help="input CSV (site,treatment,outcome)")
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--format", choices=["json", "csv"], default="json")

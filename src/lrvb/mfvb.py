@@ -389,9 +389,10 @@ class ModelSpec:
     log_lik_values: Optional[Callable] = None
     log_prior_values: Optional[Callable] = None
     exact_posterior: Optional[Callable] = None
-    # optional factory alpha -> (sampler vector -> log posterior + Jacobian);
-    # a hand-vectorized equivalent of the generic pointwise path for hot
-    # sampling loops.  Must match the generic path exactly.
+    # optional factory alpha -> (sampler vector -> log posterior + Jacobian)
+    # for hot sampling loops; it must equal log_lik_values + log_prior_values
+    # plus the values_from_sampler Jacobian.  Microcredit's hook and dict
+    # hooks share one formula, checked by tests/test_microcredit_reference.py.
     sampler_log_posterior: Optional[Callable] = None
 
     def resolve_alpha(self, alpha):

@@ -32,13 +32,18 @@ per-site views and each expected term is one array expression over all
 sites.  The Wishart marginal moments E[log S_jj] and E[1/S_jj] come from
 :func:`lrvb.expfam.wishart_expectations`.
 
-``sampler_log_posterior`` restates the pointwise posterior in sampler
-coordinates rather than calling ``log_lik_values`` / ``log_prior_values``.
-Samplers call it millions of times, and as an independently written
-second form it is checked against the dict-based path by the tests.
+The pointwise posterior of the sampling and quadrature oracles is
+written once: a site log likelihood of (mu_k, tau_k, log v_k, 1/v_k) and
+a log prior that also takes (mu, tau) and the effect precision's entries
+with its log-determinant.  ``log_lik_values`` / ``log_prior_values`` map
+a values dict into that formula, and ``sampler_log_posterior`` maps a
+sampler vector into it and adds the log-Jacobian, so the two hooks
+cannot drift apart.  Its independent check is the literal per-site loop
+reference in ``tests/test_microcredit_reference.py``.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
@@ -55,6 +60,7 @@ _IG = FAMILIES[Family.INVERSE_GAMMA]
 _WI = FAMILIES[Family.WISHART]
 
 LOG_2PI = np.log(2.0 * np.pi)
+LOG_4 = np.log(4.0)
 
 DEFAULT_PRIORS = Hyperparams({
     "prior_info_11": 0.02,
@@ -231,23 +237,26 @@ def build_microcredit_model(data, priors=None):
     site_noises = itemgetter(*map(attrgetter("name"), noises))
     KW = 2  # effect-precision matrix dimension
     # d site_quad / d e; the likelihood gradient is -1/2 E[1/sigma2_k] times it
-    quad_coef = np.column_stack([-2.0 * sy, -2.0 * syt, n, 2.0 * st, st])
+    st2 = 2.0 * st
+    quad_coef = np.column_stack([-2.0 * sy, -2.0 * syt, n, st2, st])
+    lik_const = -0.5 * np.sum(n) * LOG_2PI
+    pos_noise, pos_chol = 2 + 2 * k_sites, 2 + 3 * k_sites  # sampler log v_1, P
 
-    def site_quad(e):
-        """sum_i (y_ik - mu_k - T_ik tau_k)^2 for every site k, as a linear
-        function of the (K, 5) site statistics e (means or values)."""
-        return (syy - 2.0 * (sy * e[:, 0] + syt * e[:, 1])
-                + n * e[:, 2] + 2.0 * st * e[:, 3] + st * e[:, 4])
+    def site_quad(e1, e2, e11, e12, e22):
+        """sum_i (y_ik - mu_k - T_ik tau_k)^2 for every site k, linear in the
+        site statistics u1, u2, u1^2, u1 u2, u2^2 (expected or pointwise)."""
+        return (syy - 2.0 * (sy * e1 + syt * e2)
+                + n * e11 + st2 * e12 + st * e22)
 
     def expected_log_lik(m):
         v = m[noi]
         return float(np.sum(-0.5 * n * LOG_2PI - 0.5 * n * v[:, 1]
-                            - 0.5 * v[:, 0] * site_quad(m[eff])))
+                            - 0.5 * v[:, 0] * site_quad(*m[eff].T)))
 
     def grad_log_lik(m):
         g = np.zeros(layout.dim)
         g[eff] = -0.5 * m[noi[:, :1]] * quad_coef
-        g[noi] = np.column_stack([-0.5 * site_quad(m[eff]), -0.5 * n])
+        g[noi] = np.column_stack([-0.5 * site_quad(*m[eff].T), -0.5 * n])
         return g
 
     def sum_site_cov(m):
@@ -371,45 +380,64 @@ def build_microcredit_model(data, priors=None):
         out[noi[:, 0]] -= direction.get("noise_rate", 0.0)
         return out
 
-    # -- pointwise log densities (sampling / quadrature oracles) ------------
+    # -- pointwise log posterior (sampling / quadrature oracles) -------------
+    # One formula serves the values-dict hooks and the sampler hook, in the
+    # site effects, log v_k, 1/v_k and the precision P's entries with log|P|.
 
-    def site_values(values):
-        """Site effects (K, 2) and noise variances (K,) from a values dict."""
-        return (np.stack(site_effects(values)).astype(float),
-                np.stack(site_noises(values)).astype(float).reshape(k_sites, -1)[:, 0])
+    def site_log_lik(muk, tauk, logv, inv_v):
+        """Log likelihood of all sites' outcomes."""
+        quad = site_quad(muk, tauk, muk * muk, muk * tauk, tauk * tauk)
+        return lik_const - 0.5 * float(n @ logv) - 0.5 * float(quad @ inv_v)
 
-    def log_lik_values(values):
-        uk, v = site_values(values)
-        quad = site_quad(_GM.suff_stats(uk))
-        return float(np.sum(-0.5 * n * (LOG_2PI + np.log(v)) - 0.5 * quad / v))
-
-    def log_prior_values(values, alpha):
+    def pointwise_log_prior(alpha):
+        """Log prior at (mu, tau), (mu_k, tau_k), log v_k, 1/v_k and a positive
+        definite P; the covariance C = P^-1 enters as C11 = p22/|P|, C22 = p11/|P|."""
         lam = _check_priors(alpha)
         eta_l, a_s, b_s = alpha["lkj_shape"], alpha["scale_shape"], alpha["scale_rate"]
         a_n, b_n = alpha["noise_shape"], alpha["noise_rate"]
-        u = np.asarray(values["top"], dtype=float)
-        prec = np.asarray(values["effect_prec"], dtype=float)
-        sign, logdet_lam = np.linalg.slogdet(lam)
-        total = -LOG_2PI + 0.5 * logdet_lam - 0.5 * float(u @ lam @ u)
-        signp, logdet_prec = np.linalg.slogdet(prec)
-        uk, v = site_values(values)
-        if signp <= 0 or np.any(v <= 0):
-            return -np.inf
-        diff = uk - u
-        total += (k_sites * (-LOG_2PI + 0.5 * logdet_prec)
-                  - 0.5 * float(np.sum((diff @ prec) * diff)))
-        total += float(np.sum(a_n * np.log(b_n) - gammaln(a_n)
-                              - (a_n + 1.0) * np.log(v) - b_n / v))
-        cov = np.linalg.inv(prec)
-        logdet_cov = -logdet_prec
-        diag = np.diag(cov)
-        if np.any(diag <= 0):
-            return -np.inf
-        total += (eta_l - 1.0) * (logdet_cov - float(np.sum(np.log(diag))))
-        total += lkj_log_normalizer(eta_l)
-        total += float(np.sum(a_s * np.log(b_s) - gammaln(a_s)
-                              - (a_s + 1.0) * np.log(diag) - b_s / diag))
-        return total
+        lam11, lam12, lam22 = lam[0, 0], lam[0, 1], lam[1, 1]
+        const = (-LOG_2PI + 0.5 * np.linalg.slogdet(lam)[1]
+                 + k_sites * (a_n * np.log(b_n) - gammaln(a_n) - LOG_2PI)
+                 + lkj_log_normalizer(eta_l)
+                 + 2.0 * (a_s * np.log(b_s) - gammaln(a_s)))
+
+        def log_prior(mu, tau, muk, tauk, logv, inv_v, p11, p12, p22, logdet_p):
+            d1, d2 = muk - mu, tauk - tau
+            det = p11 * p22 - p12 * p12
+            log_c11, log_c22 = math.log(p22 / det), math.log(p11 / det)
+            return (const
+                    - 0.5 * (lam11 * mu * mu + 2.0 * lam12 * mu * tau
+                             + lam22 * tau * tau)
+                    + 0.5 * k_sites * logdet_p
+                    - 0.5 * (p11 * float(d1 @ d1) + 2.0 * p12 * float(d1 @ d2)
+                             + p22 * float(d2 @ d2))
+                    - (a_n + 1.0) * float(logv.sum()) - b_n * float(inv_v.sum())
+                    + (eta_l - 1.0) * (-logdet_p - log_c11 - log_c22)
+                    - (a_s + 1.0) * (log_c11 + log_c22)
+                    - b_s * (det / p22 + det / p11))
+
+        return log_prior
+
+    def pointwise_args(values):
+        """The formula's arguments at a values dict; None outside the support
+        (a noise variance v_k <= 0, or P not positive definite)."""
+        mu, tau = np.asarray(values["top"], dtype=float)
+        (p11, p12), (_, p22) = np.asarray(values["effect_prec"], dtype=float)
+        uk = np.stack(site_effects(values)).astype(float)
+        v = np.stack(site_noises(values)).astype(float).reshape(k_sites, -1)[:, 0]
+        det = p11 * p22 - p12 * p12
+        if det <= 0 or p11 <= 0 or np.any(v <= 0):
+            return None
+        return (mu, tau, uk[:, 0], uk[:, 1], np.log(v), 1.0 / v,
+                p11, p12, p22, math.log(det))
+
+    def log_lik_values(values):
+        args = pointwise_args(values)
+        return -np.inf if args is None else site_log_lik(*args[2:6])
+
+    def log_prior_values(values, alpha):
+        log_prior, args = pointwise_log_prior(alpha), pointwise_args(values)
+        return -np.inf if args is None else log_prior(*args)
 
     def prior_block_logpdf(block, point, alpha):
         if block not in ("top", 0):
@@ -419,66 +447,24 @@ def build_microcredit_model(data, priors=None):
         return _GM.log_density(point, eta)
 
     def sampler_log_posterior(alpha):
-        """Vectorized pointwise log posterior over the sampler coordinates.
-
-        Coordinate order: (mu, tau), site effects (2K), log noise
-        variances (K), then the log-Cholesky coordinates of the effect
-        precision.  Matches the generic pointwise path exactly; exists
-        because samplers evaluate it millions of times.
-        """
-        lam = _check_priors(alpha)
-        eta_l, a_s, b_s = alpha["lkj_shape"], alpha["scale_shape"], alpha["scale_rate"]
-        a_n, b_n = alpha["noise_shape"], alpha["noise_rate"]
-        sign, logdet_lam = np.linalg.slogdet(lam)
-        const = (-LOG_2PI + 0.5 * logdet_lam
-                 + k_sites * (a_n * np.log(b_n) - gammaln(a_n))
-                 - k_sites * LOG_2PI
-                 + lkj_log_normalizer(eta_l)
-                 + 2.0 * (a_s * np.log(b_s) - gammaln(a_s))
-                 - 0.5 * np.sum(n) * LOG_2PI
-                 + 2.0 * np.log(2.0))
-        pos_noise = 2 + 2 * k_sites
-        pos_chol = pos_noise + k_sites
-
-        import math
-
-        lam11, lam12, lam22 = lam[0, 0], lam[0, 1], lam[1, 1]
+        """Log posterior plus log-Jacobian over the sampler coordinates:
+        (mu, tau), site effects (2K), log noise variances (K), then the
+        log-Cholesky coordinates (log l11, l21, log l22) of the precision."""
+        log_prior = pointwise_log_prior(alpha)
 
         def log_post(zv):
-            mu_top, tau_top = zv[0], zv[1]
-            uk = zv[2:pos_noise]
-            muk, tauk = uk[0::2], uk[1::2]
+            muk, tauk = zv[2:pos_noise:2], zv[3:pos_noise:2]
             logv = zv[pos_noise:pos_chol]
             inv_v = np.exp(-logv)
             z1, l21, z3 = zv[pos_chol], zv[pos_chol + 1], zv[pos_chol + 2]
             l11, l22 = math.exp(z1), math.exp(z3)
-            # likelihood
-            quad = (syy - 2.0 * (sy * muk + syt * tauk)
-                    + n * muk * muk + (2.0 * muk + tauk) * (st * tauk))
-            total = -0.5 * float(n @ logv) - 0.5 * float(quad @ inv_v)
-            # top-level prior
-            total -= 0.5 * (lam11 * mu_top * mu_top
-                            + 2.0 * lam12 * mu_top * tau_top
-                            + lam22 * tau_top * tau_top)
-            # site effects around the top level
-            p11, p12, p22 = l11 * l11, l11 * l21, l21 * l21 + l22 * l22
-            logdet_prec = 2.0 * (z1 + z3)
-            d1, d2 = muk - mu_top, tauk - tau_top
-            total += 0.5 * k_sites * logdet_prec - 0.5 * (
-                p11 * float(d1 @ d1) + 2.0 * p12 * float(d1 @ d2)
-                + p22 * float(d2 @ d2))
-            # noise variances
-            total += -(a_n + 1.0) * float(np.sum(logv)) - b_n * float(np.sum(inv_v))
-            # covariance decomposition terms (C = precision inverse)
-            det = p11 * p22 - p12 * p12
-            c11, c22 = p22 / det, p11 / det
-            log_c11, log_c22 = math.log(c11), math.log(c22)
-            total += (eta_l - 1.0) * (-logdet_prec - log_c11 - log_c22)
-            total += (-(a_s + 1.0) * (log_c11 + log_c22)
-                      - b_s * (1.0 / c11 + 1.0 / c22))
-            # log-transform Jacobians: noise logs and log-Cholesky
-            total += float(np.sum(logv)) + 3.0 * z1 + 2.0 * z3
-            return total + const
+            logdet_p = 2.0 * (z1 + z3)
+            return (site_log_lik(muk, tauk, logv, inv_v)
+                    + log_prior(zv[0], zv[1], muk, tauk, logv, inv_v, l11 * l11,
+                                l11 * l21, l21 * l21 + l22 * l22, logdet_p)
+                    # |d values / d zv|: exp on each log v_k, and 4 l11^3 l22^2
+                    # for P = L L' in log-Cholesky coordinates
+                    + float(logv.sum()) + LOG_4 + 3.0 * z1 + 2.0 * z3)
 
         return log_post
 

@@ -8,6 +8,7 @@ actual changes in posterior means against the predicted derivatives.
 All outputs are reproducible under fixed seeds.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,6 +22,25 @@ from .expfam import FAMILIES, Family
 from .util import digamma
 
 QUAD_ABS_TOL = 1e-8
+
+
+def sampler_log_target(model, alpha):
+    """Log posterior plus log-Jacobian over the sampler coordinates: the
+    model's ``sampler_log_posterior(alpha)`` when it has one, else
+    ``log_lik_values`` + ``log_prior_values``, -inf where the latter is not
+    finite."""
+    if model.sampler_log_posterior is not None:
+        return model.sampler_log_posterior(alpha)
+    layout = model.layout
+
+    def log_post(zv):
+        values, logjac = layout.values_from_sampler(np.atleast_1d(zv))
+        lp = model.log_prior_values(values, alpha)
+        if not np.isfinite(lp):
+            return -np.inf
+        return model.log_lik_values(values) + lp + logjac
+
+    return log_post
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +127,7 @@ def quadrature_posterior_mean(model, alpha=None, box=None):
     if layout.value_dim() > 2:
         raise DomainError("quadrature posterior supports at most 2 scalar variables")
 
-    def log_joint_z(zv):
-        values, logjac = layout.values_from_sampler(np.atleast_1d(zv))
-        return (model.log_lik_values(values)
-                + model.log_prior_values(values, alpha) + logjac)
-
+    log_joint_z = sampler_log_target(model, alpha)
     if box is None:
         box = _sampler_box(model, alpha)
     # peak-normalize to keep exponentials in range
@@ -121,19 +137,16 @@ def quadrature_posterior_mean(model, alpha=None, box=None):
     def density(zv):
         return np.exp(log_joint_z(zv) - peak)
 
-    if layout.value_dim() == 1:
-        bounds = box[0]
-    else:
-        bounds = (box[0], box[1])
+    bounds = box[0] if len(box) == 1 else tuple(box)
     z_norm, _ = quadrature_expectation(density, lambda z: 1.0, bounds, tol=1e-6)
-    means = np.empty(layout.dim)
-    for c in range(layout.dim):
-        def stat(zv, c=c):
-            values, _ = layout.values_from_sampler(np.atleast_1d(zv))
-            return layout.suff_stats_of_values(values)[c]
-        num, _ = quadrature_expectation(density, stat, bounds, tol=1e-6)
-        means[c] = num / z_norm
-    return means
+
+    def stat(zv, c):
+        values, _ = layout.values_from_sampler(np.atleast_1d(zv))
+        return layout.suff_stats_of_values(values)[c]
+
+    return np.array([quadrature_expectation(density, lambda z, c=c: stat(z, c),
+                                            bounds, tol=1e-6)[0]
+                     for c in range(layout.dim)]) / z_norm
 
 
 def _sampler_box(model, alpha, widen=10.0):
@@ -152,10 +165,9 @@ def _sampler_box(model, alpha, widen=10.0):
         elif b.family in (Family.GAMMA, Family.INVERSE_GAMMA):
             # sampler coordinate is log x
             shape, rate = params
-            if b.family is Family.GAMMA:
-                center, sd = digamma(shape) - np.log(rate), np.sqrt(max(1.0 / shape, 0.05))
-            else:
-                center, sd = np.log(rate) - digamma(shape), np.sqrt(max(1.0 / shape, 0.05))
+            sign = 1.0 if b.family is Family.GAMMA else -1.0
+            center = sign * (digamma(shape) - np.log(rate))
+            sd = np.sqrt(max(1.0 / shape, 0.05))
             lo.append(center - widen * sd)
             hi.append(center + widen * sd)
         else:
@@ -164,14 +176,8 @@ def _sampler_box(model, alpha, widen=10.0):
 
 
 def _box_grid(box, n):
-    axes = [np.linspace(lo, hi, n) for lo, hi in box]
-    if len(axes) == 1:
-        return [np.array([v]) for v in axes[0]]
-    out = []
-    for a in axes[0]:
-        for b in axes[1]:
-            out.append(np.array([a, b]))
-    return out
+    return [np.array(p) for p in itertools.product(
+        *(np.linspace(lo, hi, n) for lo, hi in box))]
 
 
 def contaminated_posterior_mean(model, block, contaminant, eps, alpha=None):
@@ -202,24 +208,22 @@ def contaminated_posterior_mean(model, block, contaminant, eps, alpha=None):
         return np.exp(model.prior_block_logpdf[name](name, x, alpha))
 
     fam = FAMILIES[Family.GAUSSIAN_UNIVARIATE]
-    bounds = (-np.inf, np.inf)
-    z0, _ = quadrature_expectation(lambda x: lik(x) * prior(x), lambda x: 1.0,
-                                   bounds, tol=1e-6)
-    s0 = [quadrature_expectation(lambda x: lik(x) * prior(x),
-                                 lambda x, c=c: fam.suff_stats(x)[0, c],
-                                 bounds, tol=1e-6)[0] for c in range(2)]
+
+    def mass_and_stats(weight):
+        """Integrals of lik * weight times 1 and times each statistic."""
+        return [quadrature_expectation(lambda x: lik(x) * weight(x), f,
+                                       (-np.inf, np.inf), tol=1e-6)[0]
+                for f in (lambda x: 1.0, lambda x: fam.suff_stats(x)[0, 0],
+                          lambda x: fam.suff_stats(x)[0, 1])]
+
+    z0, *s0 = mass_and_stats(prior)
     kind, payload = contaminant
     if kind == "dirac":
         x0 = float(payload)
         zc = lik(x0)
         sc = [zc * fam.suff_stats(x0)[0, c] for c in range(2)]
     elif kind == "density":
-        pc = lambda x: np.exp(payload(x))
-        zc, _ = quadrature_expectation(lambda x: lik(x) * pc(x), lambda x: 1.0,
-                                       bounds, tol=1e-6)
-        sc = [quadrature_expectation(lambda x: lik(x) * pc(x),
-                                     lambda x, c=c: fam.suff_stats(x)[0, c],
-                                     bounds, tol=1e-6)[0] for c in range(2)]
+        zc, *sc = mass_and_stats(lambda x: np.exp(payload(x)))
     else:
         raise DomainError(f"unknown contaminant kind {kind!r}")
     denom = (1.0 - eps) * z0 + eps * zc
@@ -258,12 +262,9 @@ def contaminated_model(model, block, pc_logpdf, eps):
 
         bounds = block_quad_bounds(bdef.family)
         val, _ = quadrature_expectation(qdens, logterm, bounds, tol=1e-9)
-        gblk = np.empty(mb.size)
-        for c in range(mb.size):
-            num, _ = quadrature_expectation(
-                qdens, lambda x, c=c: (fam.suff_stats(x)[0, c] - mb[c]) * logterm(x),
-                bounds, tol=1e-9)
-            gblk[c] = num
+        gblk = [quadrature_expectation(
+            qdens, lambda x, c=c: (fam.suff_stats(x)[0, c] - mb[c]) * logterm(x),
+            bounds, tol=1e-9)[0] for c in range(mb.size)]
         return val, np.linalg.solve(vblk, gblk)
 
     def expected_log_prior(m, alpha):
@@ -329,7 +330,7 @@ def metropolis_sample(log_target, init, config, adapt_sweeps=500):
     rng = np.random.default_rng(config.seed)
     scales = np.broadcast_to(np.asarray(config.step_scales, dtype=float), (d,)).copy()
 
-    def sweep(x, f, scales, accept_counter=None):
+    def sweep(x, f, scales, accept_counter):
         noise = rng.normal(size=d)
         logu = np.log(rng.random(d))
         for j in range(d):
@@ -338,8 +339,7 @@ def metropolis_sample(log_target, init, config, adapt_sweeps=500):
             fp = float(log_target(prop))
             if fp - f > logu[j]:
                 x, f = prop, fp
-                if accept_counter is not None:
-                    accept_counter[j] += 1
+                accept_counter[j] += 1
         return x, f
 
     # adaptation phase (discarded)
@@ -370,7 +370,7 @@ def metropolis_sample(log_target, init, config, adapt_sweeps=500):
 
 def batch_means_se(series):
     """Batch-means standard error and implied effective sample size."""
-    series = np.atleast_2d(np.asarray(series, dtype=float))
+    series = np.asarray(series, dtype=float)
     if series.ndim == 1:
         series = series[:, None]
     n = series.shape[0]
@@ -412,13 +412,25 @@ class ComparisonResult:
 
 
 def _slope_and_correlation(predicted, actual):
-    denom = float(predicted @ predicted)
-    slope = float(predicted @ actual) / denom if denom > 0 else np.nan
-    if predicted.size < 2 or np.std(predicted) == 0 or np.std(actual) == 0:
-        corr = np.nan
-    else:
-        corr = float(np.corrcoef(predicted, actual)[0, 1])
+    """Through-origin slope and Pearson correlation; NaN if undefined or overflowed."""
+    with np.errstate(all="ignore"):
+        denom = float(predicted @ predicted)
+        slope = float(predicted @ actual) / denom if denom > 0 else np.nan
+        if predicted.size < 2 or np.std(predicted) == 0 or np.std(actual) == 0:
+            corr = np.nan
+        else:
+            corr = float(np.corrcoef(predicted, actual)[0, 1])
     return slope, corr
+
+
+def check_rerun_inputs(direction, step=None):
+    """DomainError unless the direction's coefficients are finite and not
+    all zero, and the step, when given, is finite and non-zero."""
+    coefs = np.array(list(direction.values()), dtype=float)
+    if not (np.all(np.isfinite(coefs)) and np.any(coefs)):
+        raise DomainError("direction coefficients must be finite and not all zero")
+    if step is not None and not (np.isfinite(step) and step != 0):
+        raise DomainError(f"step must be finite and non-zero, got {step}")
 
 
 def perturb_and_rerun(model, direction, engine, step=None, sol=None, sys=None,
@@ -435,6 +447,9 @@ def perturb_and_rerun(model, direction, engine, step=None, sol=None, sys=None,
     """
     from . import linear_response, robustness
 
+    if engine not in ("vb", "quadrature", "mcmc"):
+        raise DomainError(f"unknown engine {engine!r}")
+    check_rerun_inputs(direction, step)
     alpha = model.resolve_alpha(alpha)
     if step is None:
         mags = [abs(alpha[k]) for k in direction if alpha[k] != 0]
@@ -451,42 +466,28 @@ def perturb_and_rerun(model, direction, engine, step=None, sol=None, sys=None,
     def means_at(t):
         a = alpha.perturbed(direction, t)
         if engine == "vb":
-            warm = mfvb.fit(model, init=sol.mean, alpha=a, opts=fit_opts)
-            return warm.mean
-        if engine == "quadrature":
-            return quadrature_posterior_mean(model, alpha=a)
-        raise DomainError(f"unknown engine {engine!r}")
+            return mfvb.fit(model, init=sol.mean, alpha=a, opts=fit_opts).mean
+        return quadrature_posterior_mean(model, alpha=a)
 
-    if engine in ("vb", "quadrature"):
-        base = means_at(0.0)
-        d1 = (means_at(step) - base) / step
-        d2 = (means_at(step / 2.0) - base) / (step / 2.0)
-        actual = 2.0 * d2 - d1
-        se = np.maximum(np.abs(d2 - d1), 1e-300)
-    elif engine == "mcmc":
+    if engine != "mcmc":
+        base, at_step, at_half = means_at(0.0), means_at(step), means_at(step / 2.0)
+        # a subnormal step halves to 0 and a huge one overflows: the
+        # finiteness check below reports either
+        with np.errstate(all="ignore"):
+            d1 = (at_step - base) / step
+            d2 = (at_half - base) / (step / 2.0)
+            actual = 2.0 * d2 - d1
+            se = np.maximum(np.abs(d2 - d1), 1e-300)
+    else:
         if mcmc_config is None:
             mcmc_config = McmcConfig(chain_length=20_000, burn_in=5_000, seed=0)
         layout = model.layout
         z0 = layout.sampler_from_values(layout.representative_values(sol.mean))
-
-        def target(a):
-            if model.sampler_log_posterior is not None:
-                return model.sampler_log_posterior(a)
-
-            def log_post(zv):
-                values, logjac = layout.values_from_sampler(zv)
-                lp = model.log_prior_values(values, a)
-                if not np.isfinite(lp):
-                    return -np.inf
-                return model.log_lik_values(values) + lp + logjac
-            return log_post
-
-        base_run = metropolis_sample(target(alpha), z0, mcmc_config,
-                                     adapt_sweeps=mcmc_adapt)
-        pert_run = metropolis_sample(target(alpha.perturbed(direction, step)),
-                                     z0, mcmc_config, adapt_sweeps=mcmc_adapt)
-        stats_base = layout.suff_stats_of_sampler_matrix(base_run.draws)
-        stats_pert = layout.suff_stats_of_sampler_matrix(pert_run.draws)
+        stats_base, stats_pert = (
+            layout.suff_stats_of_sampler_matrix(metropolis_sample(
+                sampler_log_target(model, a), z0, mcmc_config,
+                adapt_sweeps=mcmc_adapt).draws)
+            for a in (alpha, alpha.perturbed(direction, step)))
         diff = (stats_pert - stats_base) / step
         if not np.any(diff):
             raise DegenerateChain(
@@ -495,8 +496,8 @@ def perturb_and_rerun(model, direction, engine, step=None, sol=None, sys=None,
                 "step (--step on the command line)")
         actual = diff.mean(axis=0)
         se, _ = batch_means_se(diff)
-    else:
-        raise DomainError(f"unknown engine {engine!r}")
+    if not (np.all(np.isfinite(actual)) and np.all(np.isfinite(se))):
+        raise DomainError(f"the rerun mean changes are not finite at step {step:g}")
 
     slope, corr = _slope_and_correlation(predicted, actual)
     return ComparisonResult(names=names, predicted_deltas=predicted,

@@ -233,6 +233,28 @@ class TestCompare:
                    "--direction", "nope=1", "--out", str(tmp_path / "x.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--direction", "prior_nat_1=0"],
+        ["--direction", "prior_nat_1=1", "--step", "0"],
+        ["--direction", "prior_nat_1=1", "--step", "nan"],
+        ["--direction", "prior_nat_1=1", "--step=-inf"],
+        ["--direction", "prior_nat_1=1", "--chain-length", "100", "--burn-in", "100"]])
+    def test_degenerate_rerun_inputs_are_usage_errors(self, tmp_path, capsys, extra):
+        out = tmp_path / "x.json"
+        code = run("compare", "--model", "normal-normal", "--engine", "vb", *extra,
+                   "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_undefined_slope_is_null(self, tmp_path):
+        # a huge coefficient overflows predicted . predicted
+        out = str(tmp_path / "cmp.json")
+        assert run("compare", "--model", "normal-normal", "--engine", "vb",
+                   "--direction", "prior_nat_1=1e300", "--out", out) == 0
+        payload = json.loads(open(out).read())
+        assert payload["slope"] is None and payload["correlation"] is None
+
 
 # --- exit-code fuzzing -------------------------------------------------------
 
@@ -244,6 +266,13 @@ NUMBER_TEXT = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.integers(-10**6, 10**6).map(str),
     st.sampled_from(BAD_CELLS))
+# compare --direction coefficients and --step values: zero, tiny, huge and
+# non-finite included
+COEFFICIENTS = st.one_of(st.just(0.0), st.floats(-10.0, 10.0),
+                         st.floats(allow_nan=True, allow_infinity=True))
+STEPS = st.one_of(st.none(), st.floats(-2.0, 2.0),
+                  st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300,
+                                   -1e300, float("inf"), float("nan")]))
 OVERRIDE_KEYS = {
     "microcredit": list(DEFAULT_PRIORS.names) + ["bogus"],
     "normal-normal": ["prior_nat_1", "prior_nat_2", "bogus"],
@@ -297,10 +326,10 @@ def overrides(draw, model):
 
 
 def check_exit(argv, csv_text=None):
-    """One in-process CLI run exits 0, 2 or 3 with no traceback, and a
-    failed run writes exactly one stderr line.  An exception that escapes
-    ``main``, a RuntimeWarning raised as an error included, fails the test
-    with its traceback."""
+    """One in-process CLI run exits 0, 2 or 3 with no traceback, a
+    successful run writes JSON that parses, and a failed run writes exactly
+    one stderr line.  An exception that escapes ``main``, a RuntimeWarning
+    raised as an error included, fails the test with its traceback."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         # --max-iter keeps a pathological fit from taking the default budget
@@ -314,6 +343,9 @@ def check_exit(argv, csv_text=None):
                 code = cli.main(argv)
             except Exception:
                 pytest.fail(f"lrvb {' '.join(argv)} raised:\n{traceback.format_exc()}")
+        if code == 0:
+            # strict JSON: a bare nan or inf in the output fails to parse
+            json.loads(open(argv[argv.index("--out") + 1], encoding="utf-8").read())
     event(f"exit {code}")
     assert code in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
@@ -340,6 +372,23 @@ class TestExitCodeFuzz:
     @example(["--set", "prior_nat_2=-3.181212452095129e+161"], "fit")
     def test_normal_normal_overrides(self, sets, command):
         check_exit([command, "--model", "normal-normal", *sets])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.dictionaries(st.sampled_from(["prior_nat_1", "prior_nat_2"]),
+                           COEFFICIENTS, min_size=1),
+           STEPS, st.sampled_from([[], ["--chain-length", "100", "--burn-in", "50"]]))
+    # usage errors now; before, a ZeroDivisionError (exit 1), exit 0 with
+    # "slope": nan, and exit 3 as a numerical failure
+    @example({"prior_nat_1": 0.0}, None, [])
+    @example({"prior_nat_1": 1.0}, 0.0, [])
+    @example({"prior_nat_1": 1.0}, 1.0, ["--chain-length", "100", "--burn-in", "100"])
+    def test_normal_normal_compare_vb(self, direction, step, chain):
+        argv = ["compare", "--model", "normal-normal", "--engine", "vb", *chain]
+        for key, coef in direction.items():
+            argv += ["--direction", f"{key}={coef!r}"]
+        if step is not None:
+            argv.append(f"--step={step!r}")
+        check_exit(argv)
 
 
 class TestSchema:

@@ -353,3 +353,19 @@ def test_pointwise_log_densities_match(pair):
                      "log_lik_values")
         assert_close(model.log_prior_values(values, alpha),
                      ref["log_prior_values"](values, alpha), "log_prior_values")
+
+
+def test_sampler_hook_matches_loop_reference(pair):
+    model, ref = pair
+    alpha = model.hyperparams
+    layout = ref["layout"]
+    hook = model.sampler_log_posterior(alpha)
+    z0 = layout.sampler_from_values(
+        layout.representative_values(model.default_init(alpha)))
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        z = z0 + 0.3 * rng.normal(size=z0.size)
+        values, logjac = layout.values_from_sampler(z)
+        expect = (ref["log_lik_values"](values)
+                  + ref["log_prior_values"](values, alpha) + logjac)
+        assert_close(hook(z), expect, "sampler_log_posterior")

@@ -76,13 +76,7 @@ class TestExactConjugatePosterior:
 
 class TestMetropolis:
     def _logpost(self, model):
-        layout = model.layout
-
-        def f(zv):
-            values, lj = layout.values_from_sampler(zv)
-            return (model.log_lik_values(values)
-                    + model.log_prior_values(values, model.hyperparams) + lj)
-        return f
+        return oracle.sampler_log_target(model, model.hyperparams)
 
     def test_standard_normal_target(self):
         cfg = McmcConfig(chain_length=40_000, burn_in=5_000, seed=11)
@@ -123,6 +117,13 @@ class TestMetropolis:
         with pytest.raises(DomainError):
             oracle.metropolis_sample(lambda z: -np.inf, np.zeros(1), cfg)
 
+    def test_batch_means_of_one_series_is_one_column(self):
+        series = np.random.default_rng(4).normal(size=1_000).cumsum()
+        se, ess = oracle.batch_means_se(series)
+        se2, ess2 = oracle.batch_means_se(series[:, None])
+        assert se.shape == ess.shape == (1,)
+        assert np.array_equal(se, se2) and np.array_equal(ess, ess2)
+
 
 class TestPerturbAndRerun:
     def test_quadrature_engine_exact_for_gaussian(self, nn_model):
@@ -155,3 +156,11 @@ class TestPerturbAndRerun:
     def test_unknown_engine(self, nn_model):
         with pytest.raises(DomainError):
             oracle.perturb_and_rerun(nn_model, {"prior_nat_1": 1.0}, engine="exact")
+
+    @pytest.mark.parametrize("direction, step", [
+        ({"prior_nat_1": 0.0}, None), ({"prior_nat_1": 0.0, "prior_nat_2": 0.0}, 1.0),
+        ({"prior_nat_1": np.nan}, None), ({"prior_nat_1": 1.0}, 0.0),
+        ({"prior_nat_1": 1.0}, np.nan), ({"prior_nat_1": 1.0}, -np.inf)])
+    def test_degenerate_direction_or_step_rejected(self, nn_model, direction, step):
+        with pytest.raises(DomainError):
+            oracle.perturb_and_rerun(nn_model, direction, engine="vb", step=step)
