@@ -242,7 +242,7 @@ def cmd_compare(args):
         raise UsageError(f"unknown hyperparameters {sorted(unknown)}; "
                          f"valid keys: {sorted(model.hyperparams.names)}")
     try:
-        oracle.check_rerun_inputs(direction, args.step)
+        oracle.check_rerun_inputs(model, args.engine, direction, args.step)
         mcmc_config = oracle.McmcConfig(chain_length=args.chain_length,
                                         burn_in=args.burn_in, seed=args.seed)
     except DomainError as exc:
@@ -264,6 +264,8 @@ def cmd_compare(args):
         "entries": [{"quantity": n, "predicted": p, "actual": a, "mc_standard_error": s}
                     for n, p, a, s in rows],
     })
+    if res.chains is not None:
+        payload["chains"] = res.chains
     write_output(payload, rows,
                  ["quantity", "predicted", "actual", "mc_standard_error"], args)
     return EXIT_OK

@@ -391,8 +391,10 @@ class ModelSpec:
     exact_posterior: Optional[Callable] = None
     # optional factory alpha -> (sampler vector -> log posterior + Jacobian)
     # for hot sampling loops; it must equal log_lik_values + log_prior_values
-    # plus the values_from_sampler Jacobian.  Microcredit's hook and dict
-    # hooks share one formula, checked by tests/test_microcredit_reference.py.
+    # plus the values_from_sampler Jacobian, and may carry the cached
+    # ``coordinate_moves`` of lrvb.oracle.metropolis_sample.  Microcredit's
+    # hook, its moves and its dict hooks share one formula over cached site
+    # statistics, checked by tests/test_microcredit_reference.py.
     sampler_log_posterior: Optional[Callable] = None
 
     def resolve_alpha(self, alpha):

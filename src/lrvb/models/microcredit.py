@@ -33,13 +33,18 @@ sites.  The Wishart marginal moments E[log S_jj] and E[1/S_jj] come from
 :func:`lrvb.expfam.wishart_expectations`.
 
 The pointwise posterior of the sampling and quadrature oracles is
-written once: a site log likelihood of (mu_k, tau_k, log v_k, 1/v_k) and
-a log prior that also takes (mu, tau) and the effect precision's entries
-with its log-determinant.  ``log_lik_values`` / ``log_prior_values`` map
-a values dict into that formula, and ``sampler_log_posterior`` maps a
-sampler vector into it and adds the log-Jacobian, so the two hooks
-cannot drift apart.  Its independent check is the literal per-site loop
-reference in ``tests/test_microcredit_reference.py``.
+written once, through cached statistics: each site's log likelihood
+term, log v_k and 1/v_k, and the products of its effect deviation from
+(mu, tau); their six sums over the sites; and a log likelihood and log
+prior of those sums, (mu, tau) and the effect precision's entries with
+its log-determinant.  ``log_lik_values`` / ``log_prior_values`` map a
+values dict into that formula, and ``sampler_log_posterior`` maps a
+sampler vector into it and adds the log-Jacobian.  Its
+``coordinate_moves`` keep the statistics between the sampler's
+single-coordinate moves and update only those a move touches, so each
+move costs O(1) away from (mu, tau) instead of O(K).  Its independent
+check is the literal per-site loop reference in
+``tests/test_microcredit_reference.py``.
 """
 
 import csv
@@ -60,7 +65,7 @@ _IG = FAMILIES[Family.INVERSE_GAMMA]
 _WI = FAMILIES[Family.WISHART]
 
 LOG_2PI = np.log(2.0 * np.pi)
-LOG_4 = np.log(4.0)
+LOG_4 = math.log(4.0)
 
 DEFAULT_PRIORS = Hyperparams({
     "prior_info_11": 0.02,
@@ -239,14 +244,19 @@ def build_microcredit_model(data, priors=None):
     # d site_quad / d e; the likelihood gradient is -1/2 E[1/sigma2_k] times it
     st2 = 2.0 * st
     quad_coef = np.column_stack([-2.0 * sy, -2.0 * syt, n, st2, st])
-    lik_const = -0.5 * np.sum(n) * LOG_2PI
+    lik_const = float(-0.5 * np.sum(n) * LOG_2PI)
     pos_noise, pos_chol = 2 + 2 * k_sites, 2 + 3 * k_sites  # sampler log v_1, P
+    # each site's data (sum y^2, sum y, sum y T, n, 2 n_T, n_T): arrays over
+    # the sites, and one row of floats per site for the sampler's site moves
+    site_data = (syy, sy, syt, n, st2, st)
+    data_rows = np.column_stack(site_data).tolist()
 
-    def site_quad(e1, e2, e11, e12, e22):
+    def site_quad(e1, e2, e11, e12, e22, data=site_data):
         """sum_i (y_ik - mu_k - T_ik tau_k)^2 for every site k, linear in the
-        site statistics u1, u2, u1^2, u1 u2, u2^2 (expected or pointwise)."""
-        return (syy - 2.0 * (sy * e1 + syt * e2)
-                + n * e11 + st2 * e12 + st * e22)
+        site statistics u1, u2, u1^2, u1 u2, u2^2 (expected or pointwise);
+        for one site given its row of ``data_rows``."""
+        yy, y, yt, nk, t2, t = data
+        return yy - 2.0 * (y * e1 + yt * e2) + nk * e11 + t2 * e12 + t * e22
 
     def expected_log_lik(m):
         v = m[noi]
@@ -381,37 +391,48 @@ def build_microcredit_model(data, priors=None):
         return out
 
     # -- pointwise log posterior (sampling / quadrature oracles) -------------
-    # One formula serves the values-dict hooks and the sampler hook, in the
-    # site effects, log v_k, 1/v_k and the precision P's entries with log|P|.
+    # One formula serves the values-dict hooks, the sampler's full evaluation
+    # and its single-coordinate moves: per-site statistics, their six sums
+    # over the sites, and a log likelihood and log prior of those sums.  Each
+    # function below takes arrays over all sites, or one site's floats (with
+    # that site's row of ``data_rows`` as data).
 
-    def site_log_lik(muk, tauk, logv, inv_v):
-        """Log likelihood of all sites' outcomes."""
-        quad = site_quad(muk, tauk, muk * muk, muk * tauk, tauk * tauk)
-        return lik_const - 0.5 * float(n @ logv) - 0.5 * float(quad @ inv_v)
+    def site_terms(muk, tauk, logv, inv_v, data=site_data):
+        """Each site's log likelihood less its constant, log v_k and 1/v_k."""
+        quad = site_quad(muk, tauk, muk * muk, muk * tauk, tauk * tauk, data)
+        return -0.5 * data[3] * logv - 0.5 * quad * inv_v, logv, inv_v
+
+    def deviations(mu, tau, muk, tauk):
+        """d1^2, d1 d2, d2^2 of each site's effect deviation d = (mu_k - mu,
+        tau_k - tau)."""
+        d1, d2 = muk - mu, tauk - tau
+        return d1 * d1, d1 * d2, d2 * d2
+
+    def stat_sums(columns):
+        return np.asarray(columns).sum(axis=1).tolist()
 
     def pointwise_log_prior(alpha):
-        """Log prior at (mu, tau), (mu_k, tau_k), log v_k, 1/v_k and a positive
+        """Log prior at (mu, tau), the six site sums and a positive
         definite P; the covariance C = P^-1 enters as C11 = p22/|P|, C22 = p11/|P|."""
         lam = _check_priors(alpha)
         eta_l, a_s, b_s = alpha["lkj_shape"], alpha["scale_shape"], alpha["scale_rate"]
         a_n, b_n = alpha["noise_shape"], alpha["noise_rate"]
-        lam11, lam12, lam22 = lam[0, 0], lam[0, 1], lam[1, 1]
-        const = (-LOG_2PI + 0.5 * np.linalg.slogdet(lam)[1]
-                 + k_sites * (a_n * np.log(b_n) - gammaln(a_n) - LOG_2PI)
-                 + lkj_log_normalizer(eta_l)
-                 + 2.0 * (a_s * np.log(b_s) - gammaln(a_s)))
+        lam11, lam12, lam22 = lam[0, 0].item(), lam[0, 1].item(), lam[1, 1].item()
+        const = float(-LOG_2PI + 0.5 * np.linalg.slogdet(lam)[1]
+                      + k_sites * (a_n * np.log(b_n) - gammaln(a_n) - LOG_2PI)
+                      + lkj_log_normalizer(eta_l)
+                      + 2.0 * (a_s * np.log(b_s) - gammaln(a_s)))
 
-        def log_prior(mu, tau, muk, tauk, logv, inv_v, p11, p12, p22, logdet_p):
-            d1, d2 = muk - mu, tauk - tau
+        def log_prior(mu, tau, sums, p11, p12, p22, logdet_p):
+            _, sum_logv, sum_inv_v, s11, s12, s22 = sums
             det = p11 * p22 - p12 * p12
             log_c11, log_c22 = math.log(p22 / det), math.log(p11 / det)
             return (const
                     - 0.5 * (lam11 * mu * mu + 2.0 * lam12 * mu * tau
                              + lam22 * tau * tau)
                     + 0.5 * k_sites * logdet_p
-                    - 0.5 * (p11 * float(d1 @ d1) + 2.0 * p12 * float(d1 @ d2)
-                             + p22 * float(d2 @ d2))
-                    - (a_n + 1.0) * float(logv.sum()) - b_n * float(inv_v.sum())
+                    - 0.5 * (p11 * s11 + 2.0 * p12 * s12 + p22 * s22)
+                    - (a_n + 1.0) * sum_logv - b_n * sum_inv_v
                     + (eta_l - 1.0) * (-logdet_p - log_c11 - log_c22)
                     - (a_s + 1.0) * (log_c11 + log_c22)
                     - b_s * (det / p22 + det / p11))
@@ -419,8 +440,9 @@ def build_microcredit_model(data, priors=None):
         return log_prior
 
     def pointwise_args(values):
-        """The formula's arguments at a values dict; None outside the support
-        (a noise variance v_k <= 0, or P not positive definite)."""
+        """(mu, tau, the six site sums, p11, p12, p22, log|P|) at a
+        values dict; None outside the support (a noise variance v_k <= 0, or
+        P not positive definite)."""
         mu, tau = np.asarray(values["top"], dtype=float)
         (p11, p12), (_, p22) = np.asarray(values["effect_prec"], dtype=float)
         uk = np.stack(site_effects(values)).astype(float)
@@ -428,12 +450,13 @@ def build_microcredit_model(data, priors=None):
         det = p11 * p22 - p12 * p12
         if det <= 0 or p11 <= 0 or np.any(v <= 0):
             return None
-        return (mu, tau, uk[:, 0], uk[:, 1], np.log(v), 1.0 / v,
-                p11, p12, p22, math.log(det))
+        sums = stat_sums(site_terms(uk[:, 0], uk[:, 1], np.log(v), 1.0 / v)
+                         + deviations(mu, tau, uk[:, 0], uk[:, 1]))
+        return mu, tau, sums, p11, p12, p22, math.log(det)
 
     def log_lik_values(values):
         args = pointwise_args(values)
-        return -np.inf if args is None else site_log_lik(*args[2:6])
+        return -np.inf if args is None else lik_const + args[2][0]
 
     def log_prior_values(values, alpha):
         log_prior, args = pointwise_log_prior(alpha), pointwise_args(values)
@@ -449,23 +472,78 @@ def build_microcredit_model(data, priors=None):
     def sampler_log_posterior(alpha):
         """Log posterior plus log-Jacobian over the sampler coordinates:
         (mu, tau), site effects (2K), log noise variances (K), then the
-        log-Cholesky coordinates (log l11, l21, log l22) of the precision."""
+        log-Cholesky coordinates (log l11, l21, log l22) of the precision.
+        The function carries ``coordinate_moves`` for
+        :func:`lrvb.oracle.metropolis_sample`."""
         log_prior = pointwise_log_prior(alpha)
+        glob = [0, 1, pos_chol, pos_chol + 1, pos_chol + 2]
 
-        def log_post(zv):
-            muk, tauk = zv[2:pos_noise:2], zv[3:pos_noise:2]
-            logv = zv[pos_noise:pos_chol]
-            inv_v = np.exp(-logv)
-            z1, l21, z3 = zv[pos_chol], zv[pos_chol + 1], zv[pos_chol + 2]
+        def from_sums(g, sums):
+            """The log target at g = (mu, tau, log l11, l21, log l22) and the
+            six site sums."""
+            mu, tau, z1, l21, z3 = g
             l11, l22 = math.exp(z1), math.exp(z3)
-            logdet_p = 2.0 * (z1 + z3)
-            return (site_log_lik(muk, tauk, logv, inv_v)
-                    + log_prior(zv[0], zv[1], muk, tauk, logv, inv_v, l11 * l11,
-                                l11 * l21, l21 * l21 + l22 * l22, logdet_p)
+            return (lik_const + sums[0]
+                    + log_prior(mu, tau, sums, l11 * l11, l11 * l21,
+                                l21 * l21 + l22 * l22, 2.0 * (z1 + z3))
                     # |d values / d zv|: exp on each log v_k, and 4 l11^3 l22^2
                     # for P = L L' in log-Cholesky coordinates
-                    + float(logv.sum()) + LOG_4 + 3.0 * z1 + 2.0 * z3)
+                    + sums[1] + LOG_4 + 3.0 * z1 + 2.0 * z3)
 
+        def site_table(zv):
+            """``site_terms`` and ``deviations`` of every site at zv, (6, K)."""
+            muk, tauk, logv = zv[2:pos_noise:2], zv[3:pos_noise:2], zv[pos_noise:pos_chol]
+            return np.array(site_terms(muk, tauk, logv, np.exp(-logv))
+                            + deviations(zv[0], zv[1], muk, tauk))
+
+        def log_post(zv):
+            return from_sums(zv[glob].tolist(), stat_sums(site_table(zv)))
+
+        def coordinate_moves(x):
+            """(log_post(x), propose, accept) for single-coordinate moves from
+            x.  The six site sums and each site's ``site_terms`` are built from
+            scratch here, as in log_post.  A move of site k's effect or log v_k
+            swaps that site's terms and deviations in the sums, a move of
+            (mu, tau) re-sums every site's deviations, and a precision move
+            changes no sum.  They change only on accept()."""
+            table = site_table(x)
+            g, terms, sums = x[glob].tolist(), table[:3].T.tolist(), stat_sums(table)
+            move = None
+
+            def propose(j, xj):
+                nonlocal move
+                g_new, k, terms_k, sums_new = g.copy(), None, None, sums
+                if j < 2:
+                    g_new[j] = xj
+                    sums_new = sums[:3] + stat_sums(deviations(
+                        g_new[0], g_new[1], x[2:pos_noise:2], x[3:pos_noise:2]))
+                elif j >= pos_chol:
+                    g_new[j - pos_chol + 2] = xj
+                else:
+                    # site k's (mu_k, tau_k, log v_k, 1/v_k) before and after
+                    k = (j - 2) // 2 if j < pos_noise else j - pos_noise
+                    old = [x.item(2 * k + 2), x.item(2 * k + 3), *terms[k][1:]]
+                    new = old.copy()
+                    if j < pos_noise:
+                        new[j % 2] = xj
+                    else:
+                        new[2:] = xj, float(np.exp(-xj))
+                    terms_k = site_terms(*new, data_rows[k])
+                    sums_new = [s + (a - b) for s, a, b in zip(
+                        sums, (*terms_k, *deviations(g[0], g[1], *new[:2])),
+                        (*terms[k], *deviations(g[0], g[1], *old[:2])))]
+                move = g_new, k, terms_k, sums_new
+                return from_sums(g_new, sums_new)
+
+            def accept():
+                nonlocal g, sums
+                g, k, terms_k, sums = move
+                if k is not None:
+                    terms[k] = terms_k
+
+            return from_sums(g, sums), propose, accept
+
+        log_post.coordinate_moves = coordinate_moves
         return log_post
 
     def default_init(alpha):

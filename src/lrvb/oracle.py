@@ -124,8 +124,7 @@ def quadrature_posterior_mean(model, alpha=None, box=None):
     """
     alpha = model.resolve_alpha(alpha)
     layout = model.layout
-    if layout.value_dim() > 2:
-        raise DomainError("quadrature posterior supports at most 2 scalar variables")
+    _check_quadrature_supports(model)
 
     log_joint_z = sampler_log_target(model, alpha)
     if box is None:
@@ -147,6 +146,11 @@ def quadrature_posterior_mean(model, alpha=None, box=None):
     return np.array([quadrature_expectation(density, lambda z, c=c: stat(z, c),
                                             bounds, tol=1e-6)[0]
                      for c in range(layout.dim)]) / z_norm
+
+
+def _check_quadrature_supports(model):
+    if model.layout.value_dim() > 2:
+        raise DomainError("quadrature posterior supports at most 2 scalar variables")
 
 
 def _sampler_box(model, alpha, widen=10.0):
@@ -321,6 +325,17 @@ def metropolis_sample(log_target, init, config, adapt_sweeps=500):
     and acceptance random streams are drawn per coordinate on every
     sweep, so two runs with the same seed but different targets stay
     coupled draw-by-draw.
+
+    ``log_target`` maps a point to its log density.  A plain callable is
+    evaluated in full at a copy of the point for every proposal.  A target
+    may also carry cached moves, as an attribute ``coordinate_moves(x)``
+    that returns ``(f, propose, accept)``: f is the log target at x,
+    ``propose(j, xj)`` is the log target at x with coordinate j set to xj,
+    and ``accept()`` commits the last proposal before the sampler writes xj
+    into x.  Each sweep starts from a fresh ``coordinate_moves(x)``, whose
+    statistics are built from scratch, so the rounding of the cached
+    updates cannot accumulate; its values must equal the full evaluation
+    up to that rounding.
     """
     x = np.array(init, dtype=float)
     d = x.size
@@ -329,24 +344,29 @@ def metropolis_sample(log_target, init, config, adapt_sweeps=500):
         raise DomainError("log target not finite at the initial point")
     rng = np.random.default_rng(config.seed)
     scales = np.broadcast_to(np.asarray(config.step_scales, dtype=float), (d,)).copy()
+    cached = getattr(log_target, "coordinate_moves", None)
 
-    def sweep(x, f, scales, accept_counter):
-        noise = rng.normal(size=d)
-        logu = np.log(rng.random(d))
+    def sweep(f, accept_counter):
+        steps = (scales * rng.normal(size=d)).tolist()
+        logu = np.log(rng.random(d)).tolist()
+        if cached is None:
+            propose, accept = _full_moves(log_target, x)
+        else:
+            f, propose, accept = cached(x)
         for j in range(d):
-            prop = x.copy()
-            prop[j] += scales[j] * noise[j]
-            fp = float(log_target(prop))
+            xj = x.item(j) + steps[j]
+            fp = propose(j, xj)
             if fp - f > logu[j]:
-                x, f = prop, fp
+                accept()
+                x[j], f = xj, fp
                 accept_counter[j] += 1
-        return x, f
+        return f
 
     # adaptation phase (discarded)
     window = 50
     acc = np.zeros(d)
     for sweep_idx in range(adapt_sweeps):
-        x, f = sweep(x, f, scales, acc)
+        f = sweep(f, acc)
         if (sweep_idx + 1) % window == 0:
             rate = acc / window
             scales *= np.exp(np.clip(rate - 0.44, -0.5, 0.5))
@@ -356,7 +376,7 @@ def metropolis_sample(log_target, init, config, adapt_sweeps=500):
     draws = np.empty((kept, d))
     acc_total = np.zeros(d)
     for it in range(config.chain_length):
-        x, f = sweep(x, f, scales, acc_total)
+        f = sweep(f, acc_total)
         if it >= config.burn_in:
             draws[it - config.burn_in] = x
     rate = float(np.mean(acc_total) / config.chain_length)
@@ -366,6 +386,17 @@ def metropolis_sample(log_target, init, config, adapt_sweeps=500):
     se, ess = batch_means_se(draws)
     return McmcResult(draws=draws, means=means, standard_errors=se, ess=ess,
                       acceptance_rate=rate, scales=scales)
+
+
+def _full_moves(log_target, x):
+    """(propose, accept) of a plain log target: every proposal is one full
+    evaluation at a copy of x, and accepting needs no bookkeeping."""
+    def propose(j, xj):
+        prop = x.copy()
+        prop[j] = xj
+        return float(log_target(prop))
+
+    return propose, lambda: None
 
 
 def batch_means_se(series):
@@ -401,6 +432,9 @@ class ComparisonResult:
     slope: float
     correlation: float
     step: float
+    # mcmc engine only: {"base" | "perturbed": {"acceptance_rate", "min_ess"}}
+    # of its two chains, min_ess over the sampler coordinates
+    chains: Optional[dict] = None
 
     def restricted(self, names):
         idx = [self.names.index(n) for n in names]
@@ -408,7 +442,7 @@ class ComparisonResult:
         slope, corr = _slope_and_correlation(pred, act)
         return ComparisonResult(tuple(names), pred, act,
                                 self.mc_standard_errors[idx], slope, corr,
-                                self.step)
+                                self.step, self.chains)
 
 
 def _slope_and_correlation(predicted, actual):
@@ -423,9 +457,14 @@ def _slope_and_correlation(predicted, actual):
     return slope, corr
 
 
-def check_rerun_inputs(direction, step=None):
-    """DomainError unless the direction's coefficients are finite and not
-    all zero, and the step, when given, is finite and non-zero."""
+def check_rerun_inputs(model, engine, direction, step=None):
+    """DomainError unless the engine is known and supports the model, the
+    direction's coefficients are finite and not all zero, and the step,
+    when given, is finite and non-zero."""
+    if engine not in ("vb", "quadrature", "mcmc"):
+        raise DomainError(f"unknown engine {engine!r}")
+    if engine == "quadrature":
+        _check_quadrature_supports(model)
     coefs = np.array(list(direction.values()), dtype=float)
     if not (np.all(np.isfinite(coefs)) and np.any(coefs)):
         raise DomainError("direction coefficients must be finite and not all zero")
@@ -447,9 +486,7 @@ def perturb_and_rerun(model, direction, engine, step=None, sol=None, sys=None,
     """
     from . import linear_response, robustness
 
-    if engine not in ("vb", "quadrature", "mcmc"):
-        raise DomainError(f"unknown engine {engine!r}")
-    check_rerun_inputs(direction, step)
+    check_rerun_inputs(model, engine, direction, step)
     alpha = model.resolve_alpha(alpha)
     if step is None:
         mags = [abs(alpha[k]) for k in direction if alpha[k] != 0]
@@ -469,6 +506,7 @@ def perturb_and_rerun(model, direction, engine, step=None, sol=None, sys=None,
             return mfvb.fit(model, init=sol.mean, alpha=a, opts=fit_opts).mean
         return quadrature_posterior_mean(model, alpha=a)
 
+    chains = None
     if engine != "mcmc":
         base, at_step, at_half = means_at(0.0), means_at(step), means_at(step / 2.0)
         # a subnormal step halves to 0 and a huge one overflows: the
@@ -483,11 +521,17 @@ def perturb_and_rerun(model, direction, engine, step=None, sol=None, sys=None,
             mcmc_config = McmcConfig(chain_length=20_000, burn_in=5_000, seed=0)
         layout = model.layout
         z0 = layout.sampler_from_values(layout.representative_values(sol.mean))
-        stats_base, stats_pert = (
-            layout.suff_stats_of_sampler_matrix(metropolis_sample(
-                sampler_log_target(model, a), z0, mcmc_config,
-                adapt_sweeps=mcmc_adapt).draws)
-            for a in (alpha, alpha.perturbed(direction, step)))
+
+        def chain(a):
+            run = metropolis_sample(sampler_log_target(model, a), z0, mcmc_config,
+                                    adapt_sweeps=mcmc_adapt)
+            return (layout.suff_stats_of_sampler_matrix(run.draws),
+                    {"acceptance_rate": run.acceptance_rate,
+                     "min_ess": float(np.min(run.ess))})
+
+        (stats_base, base), (stats_pert, pert) = (
+            chain(a) for a in (alpha, alpha.perturbed(direction, step)))
+        chains = {"base": base, "perturbed": pert}
         diff = (stats_pert - stats_base) / step
         if not np.any(diff):
             raise DegenerateChain(
@@ -502,4 +546,5 @@ def perturb_and_rerun(model, direction, engine, step=None, sol=None, sys=None,
     slope, corr = _slope_and_correlation(predicted, actual)
     return ComparisonResult(names=names, predicted_deltas=predicted,
                             actual_deltas=actual, mc_standard_errors=se,
-                            slope=slope, correlation=corr, step=float(step))
+                            slope=slope, correlation=corr, step=float(step),
+                            chains=chains)

@@ -206,16 +206,42 @@ class TestCompare:
         payload = json.loads(open(out).read())
         assert abs(payload["slope"] - 1.0) < 1e-3
         assert payload["entries"][0]["quantity"] == "theta"
+        assert "chains" not in payload
 
     def test_mcmc_engine(self, tmp_path):
-        out = str(tmp_path / "cmp.json")
-        assert run("compare", "--model", "normal-normal", "--engine", "mcmc",
-                   "--direction", "prior_nat_1=1", "--step", "0.3",
-                   "--chain-length", "8000", "--burn-in", "1000",
-                   "--seed", "3", "--out", out) == 0
-        payload = json.loads(open(out).read())
+        outs = [str(tmp_path / f"cmp{i}.json") for i in range(2)]
+        for out in outs:
+            assert run("compare", "--model", "normal-normal", "--engine", "mcmc",
+                       "--direction", "prior_nat_1=1", "--step", "0.3",
+                       "--chain-length", "8000", "--burn-in", "1000",
+                       "--seed", "3", "--out", out) == 0
+        text = open(outs[0], "rb").read()
+        assert open(outs[1], "rb").read() == text
+        payload = json.loads(text)
         assert payload["correlation"] > 0.9
         assert all(e["mc_standard_error"] > 0 for e in payload["entries"])
+        # each chain's diagnostics: acceptance near the adapted ~44%, and a
+        # minimum ESS between 1 and the 7000 kept draws
+        assert set(payload["chains"]) == {"base", "perturbed"}
+        for chain in payload["chains"].values():
+            assert 0.3 < chain["acceptance_rate"] < 0.6
+            assert 1.0 < chain["min_ess"] <= 7000.0
+
+    def test_quadrature_on_model_it_cannot_integrate_exits_before_fit(
+            self, data_csv, tmp_path, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the model was fitted")
+
+        monkeypatch.setattr(cli.mfvb, "fit", no_fit)
+        out = tmp_path / "cmp.json"
+        code = run("compare", "--model", "microcredit", "--data", data_csv,
+                   "--engine", "quadrature", "--direction", "prior_info_11=1",
+                   "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert "at most 2 scalar variables" in err
+        assert not out.exists()
 
     def test_mcmc_identical_chains_exit_numeric(self, data_csv, tmp_path, capsys):
         # the default step (1% of prior_info_11) is too small for the coupled

@@ -1,15 +1,21 @@
 """The site-vectorised microcredit model against a literal copy of its
 earlier per-site loop implementation, kept here as the reference."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from lrvb import oracle
 from lrvb.expfam import FAMILIES, Family
 from lrvb.mfvb import BlockDef, Layout
 from lrvb.models import build_microcredit_model, simulate_microcredit
-from lrvb.models.microcredit import (DEFAULT_PRIORS, LOG_2PI, MicrocreditParams,
-                                     _check_priors, lkj_log_normalizer)
+from lrvb.models.microcredit import (DEFAULT_PRIORS, LOG_2PI, MicrocreditData,
+                                     MicrocreditParams, _check_priors,
+                                     lkj_log_normalizer)
 from lrvb.util import digamma, multitrigamma, tril, trigamma, unvech, vech, vech_dup
 
 _GM = FAMILIES[Family.GAUSSIAN_MULTIVARIATE]
@@ -369,3 +375,52 @@ def test_sampler_hook_matches_loop_reference(pair):
         expect = (ref["log_lik_values"](values)
                   + ref["log_prior_values"](values, alpha) + logjac)
         assert_close(hook(z), expect, "sampler_log_posterior")
+
+
+POSITIVE = st.floats(0.5, 30.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rows=st.lists(st.integers(1, 30), min_size=2, max_size=6),
+       info=st.tuples(st.floats(0.01, 10.0), st.floats(-0.9, 0.9), st.floats(0.01, 10.0)),
+       shapes=st.tuples(*[POSITIVE] * 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_cached_moves_match_full_evaluation(rows, info, shapes, seed):
+    """After every proposed single-coordinate move, accepted or rejected, the
+    sampler target's cached value equals a full evaluation at the proposal,
+    which equals the generic values-dict path and the loop reference."""
+    rng = np.random.default_rng(seed)
+    k_sites = len(rows)
+    site = np.repeat(np.arange(k_sites), rows)
+    data = MicrocreditData(site, rng.integers(0, 2, site.size),
+                           rng.normal(1.0, 3.0, site.size), n_sites=k_sites)
+    info11, rho, info22 = info
+    alpha = DEFAULT_PRIORS.with_updates(
+        prior_info_11=info11, prior_info_12=rho * np.sqrt(info11 * info22),
+        prior_info_22=info22, **dict(zip(
+            ("lkj_shape", "scale_shape", "scale_rate", "noise_shape", "noise_rate"),
+            shapes)))
+    model, ref = build_microcredit_model(data, alpha), loop_reference(data)
+    layout = model.layout
+    target = model.sampler_log_posterior(alpha)
+    generic = oracle.sampler_log_target(replace(model, sampler_log_posterior=None),
+                                        alpha)
+
+    x = layout.sampler_from_values(layout.representative_values(
+        model.default_init(alpha))) + 0.3 * rng.normal(size=layout.value_dim())
+    f, propose, accept = target.coordinate_moves(x)
+    assert f == target(x)
+    for _ in range(3 * x.size):
+        j = int(rng.integers(x.size))
+        xj = x[j] + 0.5 * rng.normal()
+        prop = x.copy()
+        prop[j] = xj
+        full = target(prop)
+        assert abs(propose(j, xj) - full) <= 1e-12 * abs(full), f"move of {j}"
+        assert abs(generic(prop) - full) <= 1e-9 * max(1.0, abs(full))
+        values, logjac = layout.values_from_sampler(prop)
+        assert_close(full, ref["log_lik_values"](values)
+                     + ref["log_prior_values"](values, alpha) + logjac,
+                     "sampler_log_posterior")
+        if rng.random() < 0.5:
+            accept()
+            x[j] = xj

@@ -1,12 +1,20 @@
+import functools
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats as st
 
-from lrvb import oracle
+from lrvb import mfvb, oracle
 from lrvb.errors import (DegenerateChain, DomainError, NotConjugate,
                          QuadratureFailure)
-from lrvb.models import normal_normal_model
+from lrvb.models import (build_microcredit_model, load_microcredit_csv,
+                         normal_normal_model)
 from lrvb.oracle import McmcConfig
+
+BUNDLED_CSV = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "data", "microcredit_synthetic.csv")
 
 
 class TestQuadratureExpectation:
@@ -125,6 +133,125 @@ class TestMetropolis:
         assert np.array_equal(se, se2) and np.array_equal(ess, ess2)
 
 
+def _recorded(target, log):
+    """The target with every value the sampler reads from it appended to
+    ``log``: ("full", value) per call and per rebuild of its cached moves,
+    and ("move", value) per cached proposal."""
+    @functools.wraps(target)
+    def recorded(z):
+        value = target(z)
+        log.append(("full", value))
+        return value
+
+    moves = getattr(target, "coordinate_moves", None)
+    if moves is not None:
+        def coordinate_moves(x):
+            f, propose, accept = moves(x)
+            log.append(("full", f))
+
+            def recorded_propose(j, xj):
+                value = propose(j, xj)
+                log.append(("move", value))
+                return value
+
+            return f, recorded_propose, accept
+
+        recorded.coordinate_moves = coordinate_moves
+    return recorded
+
+
+def _margins(log, seed, d, sweeps):
+    """fp - f - log u of every proposal in order, replaying the sampler's
+    acceptance rule over the logged values and its seeded uniform stream
+    (a normal and a uniform draw per coordinate per sweep)."""
+    rng = np.random.default_rng(seed)
+    cached = any(kind == "move" for kind, _ in log)
+    values = iter(log)
+    _, f = next(values)
+    margins = []
+    for _ in range(sweeps):
+        rng.normal(size=d)
+        logu = np.log(rng.random(d))
+        if cached:
+            _, f = next(values)  # the rebuilt moves' value at the sweep's start
+        for j in range(d):
+            _, fp = next(values)
+            margins.append(fp - f - logu[j])
+            if fp - f > logu[j]:
+                f = fp
+    return np.array(margins)
+
+
+class TestCachedMoves:
+    """The microcredit sampler target's cached coordinate moves against
+    full evaluations, on the bundled data."""
+
+    @pytest.fixture(scope="class")
+    def bundled(self):
+        model = build_microcredit_model(load_microcredit_csv(BUNDLED_CSV))
+        layout = model.layout
+        sol = mfvb.fit(model)
+        return model, layout.sampler_from_values(layout.representative_values(sol.mean))
+
+    def _targets(self, model):
+        alpha = model.hyperparams
+        cached = model.sampler_log_posterior(alpha)
+        generic = oracle.sampler_log_target(
+            replace(model, sampler_log_posterior=None), alpha)
+        # a re-wrap like the benchmark tracer's, which keeps only __dict__
+        shim = functools.wraps(cached)(lambda z: cached(z))
+        return {"generic": generic, "cached": cached, "shim": shim}
+
+    @pytest.mark.parametrize("seed", [0, 10])
+    def test_short_chains_match_full_evaluations(self, bundled, seed):
+        model, z0 = bundled
+        d, sweeps = z0.size, 400
+        cfg = McmcConfig(chain_length=300, burn_in=0, seed=seed)
+        runs = {}
+        for name, target in self._targets(model).items():
+            log = []
+            draws = oracle.metropolis_sample(_recorded(target, log), z0, cfg,
+                                             adapt_sweeps=100).draws
+            moves = sum(kind == "move" for kind, _ in log)
+            assert moves == (0 if name == "generic" else sweeps * d)
+            runs[name] = draws, log
+        ref_draws, ref_log = runs.pop("generic")
+        ref = _margins(ref_log, seed, d, sweeps)
+        for name, (draws, log) in runs.items():
+            margins = _margins(log, seed, d, sweeps)
+            differ = np.flatnonzero((margins > 0) != (ref > 0))
+            if differ.size == 0:
+                assert np.array_equal(draws, ref_draws), name
+                continue
+            i = differ[0]
+            print(f"seed {seed}, {name}: decision {i} (sweep {i // d}, coordinate "
+                  f"{i % d}) differs at margins {margins[i]:.3g} / {ref[i]:.3g}")
+            assert abs(margins[i]) < 1e-9 and abs(ref[i]) < 1e-9
+            kept = max(i // d - 100, 0)  # draws of the sweeps before it
+            assert np.array_equal(draws[:kept], ref_draws[:kept])
+
+    def test_nonfinite_proposals_rejected_as_in_full_path(self, bundled):
+        # huge steps on mu_1 overflow d^2 and on log v_1 overflow exp(-log v)
+        model, z0 = bundled
+        d = z0.size
+        k_sites = (d - 5) // 3
+        scales = np.full(d, 0.05)
+        scales[2], scales[2 + 2 * k_sites] = 1e200, 1e3
+        cfg = McmcConfig(chain_length=40, burn_in=0, step_scales=scales, seed=1)
+        targets = self._targets(model)
+        runs = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name in ("generic", "cached"):
+                log = []
+                runs[name] = oracle.metropolis_sample(
+                    _recorded(targets[name], log), z0, cfg, adapt_sweeps=0), log
+        huge = [2, 2 + 2 * k_sites]
+        for run, log in runs.values():
+            assert np.all(run.draws[:, huge] == z0[huge])  # never accepted
+            assert sum(np.isneginf(value) for _, value in log) > 10
+        assert np.array_equal(runs["cached"][0].draws, runs["generic"][0].draws)
+
+
 class TestPerturbAndRerun:
     def test_quadrature_engine_exact_for_gaussian(self, nn_model):
         res = oracle.perturb_and_rerun(nn_model, {"prior_nat_1": 1.0},
@@ -143,12 +270,18 @@ class TestPerturbAndRerun:
         assert res.correlation > 0.95
         assert np.all(np.abs(res.actual_deltas - res.predicted_deltas)
                       < 5.0 * res.mc_standard_errors + 1e-3)
+        assert set(res.chains) == {"base", "perturbed"}
+        for chain in res.chains.values():
+            assert 0.3 < chain["acceptance_rate"] < 0.6
+            assert 1.0 < chain["min_ess"] <= 25_000
+        assert res.restricted(["theta"]).chains == res.chains
 
     def test_result_alignment(self, nn_model):
         res = oracle.perturb_and_rerun(nn_model, {"prior_nat_1": 1.0}, engine="vb")
         assert res.names == tuple(nn_model.layout.coord_names())
         assert (res.predicted_deltas.shape == res.actual_deltas.shape
                 == res.mc_standard_errors.shape)
+        assert res.chains is None
         sub = res.restricted(["theta"])
         assert sub.names == ("theta",)
         assert sub.predicted_deltas[0] == res.predicted_deltas[0]
