@@ -5,7 +5,7 @@ and then asks the robustness questions that motivate the library: which
 prior choices move the headline effects, where would added prior mass be
 influential, and do the predicted derivatives match brute-force reruns?
 
-Runs in about a minute; the sampling comparison uses a short chain here
+Runs in about 15 seconds; the sampling comparison uses a short chain here
 (the full-scale version lives in the acceptance suite).
 """
 

@@ -12,7 +12,10 @@ any smooth perturbation direction via ``grad_h' sigma_hat grad_f``.
 
 H is :func:`lrvb.mfvb.hessian_of_objective`, central differences of the
 model's analytic gradient of L in mean coordinates (relative step
-HESSIAN_REL_STEP).  The fit's Newton polish uses the same H:
+HESSIAN_REL_STEP): every column on its own, or, for a model that declares
+``local_groups``, each coordinate outside the groups on its own and one
+position of every group at a time, with the rows outside the groups
+filled in by symmetry.  The fit's Newton polish uses the same H:
 (I - VH) = -V (H - V^-1), and H - V^-1 is the objective's Hessian in m.
 An independent full second-difference Hessian of the scalar objective
 is used by the test suite to validate this path.  The factorization is

@@ -30,7 +30,11 @@ arrays built once place every site: row k of ``eff`` (K, 5) and ``noi``
 (K, 2) holds site k's coordinates, so ``m[eff]`` and ``m[noi]`` are
 per-site views and each expected term is one array expression over all
 sites.  The Wishart marginal moments E[log S_jj] and E[1/S_jj] come from
-:func:`lrvb.expfam.wishart_expectations`.
+:func:`lrvb.expfam.wishart_expectations`.  Site k's blocks ``effects_k``
+and ``noise_k`` couple only with each other and with ``top`` and
+``effect_prec``, so the model declares them as one of its
+``local_groups``: the objective Hessian then costs 2 (9 + 7) = 32
+gradient calls at any number of sites, not two per coordinate.
 
 The pointwise posterior of the sampling and quadrature oracles is
 written once, through cached statistics: each site's log likelihood
@@ -442,13 +446,13 @@ def build_microcredit_model(data, priors=None):
     def pointwise_args(values):
         """(mu, tau, the six site sums, p11, p12, p22, log|P|) at a
         values dict; None outside the support (a noise variance v_k <= 0, or
-        P not positive definite)."""
+        P not positive definite) and where |P| is not finite."""
         mu, tau = np.asarray(values["top"], dtype=float)
         (p11, p12), (_, p22) = np.asarray(values["effect_prec"], dtype=float)
         uk = np.stack(site_effects(values)).astype(float)
         v = np.stack(site_noises(values)).astype(float).reshape(k_sites, -1)[:, 0]
         det = p11 * p22 - p12 * p12
-        if det <= 0 or p11 <= 0 or np.any(v <= 0):
+        if not (0.0 < det < math.inf and p11 > 0) or np.any(v <= 0):
             return None
         sums = stat_sums(site_terms(uk[:, 0], uk[:, 1], np.log(v), 1.0 / v)
                          + deviations(mu, tau, uk[:, 0], uk[:, 1]))
@@ -472,8 +476,9 @@ def build_microcredit_model(data, priors=None):
     def sampler_log_posterior(alpha):
         """Log posterior plus log-Jacobian over the sampler coordinates:
         (mu, tau), site effects (2K), log noise variances (K), then the
-        log-Cholesky coordinates (log l11, l21, log l22) of the precision.
-        The function carries ``coordinate_moves`` for
+        log-Cholesky coordinates (log l11, l21, log l22) of the precision;
+        -inf, without an exception, where the precision leaves the float
+        range.  The function carries ``coordinate_moves`` for
         :func:`lrvb.oracle.metropolis_sample`."""
         log_prior = pointwise_log_prior(alpha)
         glob = [0, 1, pos_chol, pos_chol + 1, pos_chol + 2]
@@ -482,13 +487,19 @@ def build_microcredit_model(data, priors=None):
             """The log target at g = (mu, tau, log l11, l21, log l22) and the
             six site sums."""
             mu, tau, z1, l21, z3 = g
-            l11, l22 = math.exp(z1), math.exp(z3)
-            return (lik_const + sums[0]
-                    + log_prior(mu, tau, sums, l11 * l11, l11 * l21,
-                                l21 * l21 + l22 * l22, 2.0 * (z1 + z3))
-                    # |d values / d zv|: exp on each log v_k, and 4 l11^3 l22^2
-                    # for P = L L' in log-Cholesky coordinates
-                    + sums[1] + LOG_4 + 3.0 * z1 + 2.0 * z3)
+            try:
+                l11, l22 = math.exp(z1), math.exp(z3)
+                value = (lik_const + sums[0]
+                         + log_prior(mu, tau, sums, l11 * l11, l11 * l21,
+                                     l21 * l21 + l22 * l22, 2.0 * (z1 + z3))
+                         # |d values / d zv|: exp on each log v_k, and
+                         # 4 l11^3 l22^2 for P = L L' in log-Cholesky coordinates
+                         + sums[1] + LOG_4 + 3.0 * z1 + 2.0 * z3)
+            except (OverflowError, ValueError, ZeroDivisionError):
+                # P, |P| or C = P^-1 past the float range: exp overflows,
+                # |P| or C_jj rounds to 0 or a product to inf or nan
+                return -math.inf
+            return value if math.isfinite(value) else -math.inf
 
         def site_table(zv):
             """``site_terms`` and ``deviations`` of every site at zv, (6, K)."""
@@ -567,4 +578,5 @@ def build_microcredit_model(data, priors=None):
         prior_alpha_grad=prior_alpha_grad,
         prior_block_logpdf={"top": prior_block_logpdf},
         log_lik_values=log_lik_values, log_prior_values=log_prior_values,
-        sampler_log_posterior=sampler_log_posterior)
+        sampler_log_posterior=sampler_log_posterior,
+        local_groups=tuple((e.name, v.name) for e, v in zip(effects, noises)))

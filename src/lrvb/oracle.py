@@ -27,18 +27,21 @@ QUAD_ABS_TOL = 1e-8
 def sampler_log_target(model, alpha):
     """Log posterior plus log-Jacobian over the sampler coordinates: the
     model's ``sampler_log_posterior(alpha)`` when it has one, else
-    ``log_lik_values`` + ``log_prior_values``, -inf where the latter is not
-    finite."""
+    ``log_lik_values`` + ``log_prior_values``, -inf where the latter or
+    the sum is not finite.  A value that overflows the float range makes
+    the sum -inf without a warning."""
     if model.sampler_log_posterior is not None:
         return model.sampler_log_posterior(alpha)
     layout = model.layout
 
     def log_post(zv):
-        values, logjac = layout.values_from_sampler(np.atleast_1d(zv))
-        lp = model.log_prior_values(values, alpha)
-        if not np.isfinite(lp):
-            return -np.inf
-        return model.log_lik_values(values) + lp + logjac
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, logjac = layout.values_from_sampler(np.atleast_1d(zv))
+            lp = model.log_prior_values(values, alpha)
+            if not np.isfinite(lp):
+                return -np.inf
+            value = model.log_lik_values(values) + lp + logjac
+        return value if np.isfinite(value) else -np.inf
 
     return log_post
 

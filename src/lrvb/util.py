@@ -187,24 +187,28 @@ def multitrigamma(a, k):
     return np.sum(trigamma(np.asarray(a)[..., None] + (1 - i) / 2.0), axis=-1)
 
 
-def fd_jacobian(func, x, rel_step=1e-6):
+def fd_jacobian(func, x, rel_step=1e-6, columns=None):
     """Central-difference Jacobian of a vector-valued func at x.
 
-    Column j steps x[j] by ``rel_step * max(|x[j]|, 1)`` each way, so func
-    is called exactly 2 * x.size times.
+    Column j steps x[j] by ``h_j = rel_step * max(|x[j]|, 1)`` each way.
+    ``columns`` partitions the column indices into sets that are stepped
+    together, by default every column on its own; func is called exactly
+    twice per set.  Column j of the result is its set's difference over
+    2 h_j, which is the j-th Jacobian column only in the rows where no
+    other column of the set is non-zero (Curtis, Powell & Reid 1974).
     """
     x = np.asarray(x, dtype=float)
+    steps = rel_step * np.maximum(np.abs(x), 1.0)
     jac = np.empty((0, x.size))
-    for j in range(x.size):
-        h = rel_step * max(abs(x[j]), 1.0)
+    for i, cols in enumerate(np.arange(x.size)[:, None] if columns is None else columns):
         xp = x.copy()
         xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        col = (np.asarray(func(xp)) - np.asarray(func(xm))) / (2.0 * h)
-        if j == 0:
-            jac = np.empty((col.size, x.size))
-        jac[:, j] = col
+        xp[cols] += steps[cols]
+        xm[cols] -= steps[cols]
+        diff = np.ravel(np.asarray(func(xp)) - np.asarray(func(xm)))
+        if i == 0:
+            jac = np.empty((diff.size, x.size))
+        jac[:, cols] = diff[:, None] / (2.0 * steps[cols])
     return jac
 
 

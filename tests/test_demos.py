@@ -1,0 +1,18 @@
+"""Every demo runs to the end in-process."""
+
+import contextlib
+import io
+import os
+import runpy
+
+import pytest
+
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+
+
+@pytest.mark.parametrize("script", sorted(f for f in os.listdir(DEMOS) if f.endswith(".py")))
+def test_demo_runs(script):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(os.path.join(DEMOS, script), run_name="__main__")
+    assert out.getvalue()

@@ -251,6 +251,33 @@ class TestCachedMoves:
             assert sum(np.isneginf(value) for _, value in log) > 10
         assert np.array_equal(runs["cached"][0].draws, runs["generic"][0].draws)
 
+    def test_precision_overflow_is_minus_inf_without_warning(self, bundled):
+        # log l11 = 800 overflows exp, and steps of 1e3 on log l11 take P
+        # past the float range both ways; no errstate here, so a
+        # RuntimeWarning fails the test
+        model, z0 = bundled
+        d = z0.size
+        pos_chol = d - 3
+        targets = self._targets(model)
+        z = z0.copy()
+        z[pos_chol] = 800.0
+        for name, target in targets.items():
+            assert target(z) == -np.inf, name
+        _, propose, _ = targets["cached"].coordinate_moves(z0)
+        assert propose(pos_chol, 800.0) == -np.inf
+        scales = np.full(d, 0.05)
+        scales[pos_chol] = 1e3
+        cfg = McmcConfig(chain_length=40, burn_in=0, step_scales=scales, seed=2)
+        runs = {}
+        for name in ("generic", "cached"):
+            log = []
+            runs[name] = oracle.metropolis_sample(
+                _recorded(targets[name], log), z0, cfg, adapt_sweeps=0), log
+        for run, log in runs.values():
+            assert np.all(run.draws[:, pos_chol] == z0[pos_chol])  # never accepted
+            assert sum(np.isneginf(value) for _, value in log) >= 30
+        assert np.array_equal(runs["cached"][0].draws, runs["generic"][0].draws)
+
 
 class TestPerturbAndRerun:
     def test_quadrature_engine_exact_for_gaussian(self, nn_model):
