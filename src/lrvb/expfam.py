@@ -27,6 +27,18 @@ gaining that leading axis.  A check raises if any block fails it.  The one
 per-block loop is the Wishart dof solve (see ``_Wishart``); the
 underlying-variable helpers take one block.
 
+Family interface.  Each object in ``FAMILIES`` owns its family's
+conventions, so no other module branches on a ``Family`` member: beside
+the maps above, ``stat_dim``, ``coord_names(block)``, ``has_location``
+(the first var_dim statistics are x), ``scalar`` (x is one float) and, if
+scalar, ``quad_support`` (the range of x); the underlying-variable
+``suff_stats``, ``log_density`` and ``sample``; and the sampler
+coordinates (x for Gaussians, log x for (inverse) gamma, log-Cholesky for
+Wishart): ``value_dim``, ``value_from_unconstrained`` (value and
+log-Jacobian), ``unconstrained_from_value``, ``representative_value``,
+``sampler_suff_stats`` of (n, value_dim) rows and, if scalar,
+``sampler_box`` around mean parameters.
+
 All functions are pure and :class:`ExpFamBlock` instances are immutable.
 They call into the same BLAS library as every other stage, and concurrent
 calls from threads of one process have not been shown safe with it; run
@@ -150,10 +162,19 @@ def _chol_product_jacobian(chol):
 
 class _Family:
     """What the families share: the dual maps composed from standard
-    parameters, and the layout of the two-statistic scalar families."""
+    parameters, and the conventions of the two-statistic scalar families."""
+
+    scalar = True  # one float per value
+    has_location = False
 
     def stat_dim(self, var_dim):
         return 2
+
+    def value_dim(self, var_dim):
+        return var_dim
+
+    def sampler_box(self, m, widen):
+        raise DomainError(f"no quadrature box for family {self.family}")
 
     def var_dim_from_stat_dim(self, stat_dim):
         if stat_dim != 2:
@@ -167,10 +188,34 @@ class _Family:
         return self.natural_from_standard(*self.standard_from_mean(m))
 
 
-class _GaussianUnivariate(_Family):
+class _Gaussian(_Family):
+    """The Gaussian families' statistics (the location, then the second
+    moments, named by the block's labels) and sampler coordinates (x)."""
+
+    has_location = True
+
+    def coord_names(self, block):
+        lab = block.labels
+        return list(lab) + [f"{lab[i]}*{lab[j]}" for i, j in zip(*tril(block.var_dim))]
+
+    def value_from_unconstrained(self, z):
+        return (float(z[0]) if self.scalar else np.asarray(z, dtype=float)), 0.0
+
+    def unconstrained_from_value(self, x):
+        return np.atleast_1d(np.asarray(x, dtype=float))
+
+    def representative_value(self, m, var_dim):
+        return float(m[0]) if self.scalar else np.asarray(m[:var_dim], dtype=float)
+
+    def sampler_suff_stats(self, z, var_dim):
+        return self.suff_stats(z[:, 0] if self.scalar else z)
+
+
+class _GaussianUnivariate(_Gaussian):
     """Scalar Gaussian; standard parameters (mu, var)."""
 
     family = Family.GAUSSIAN_UNIVARIATE
+    quad_support = (-np.inf, np.inf)
 
     def check_natural(self, eta, var_dim=1):
         if (eta.shape[-1:] != (2,) or not np.all(np.isfinite(eta))
@@ -235,17 +280,16 @@ class _GaussianUnivariate(_Family):
         mu, var = self.standard_from_natural(eta)
         return rng.normal(mu, np.sqrt(var), size=size)
 
-    def value_from_unconstrained(self, z):
-        return np.asarray(z, dtype=float), 0.0
-
-    def unconstrained_from_value(self, x):
-        return np.atleast_1d(np.asarray(x, dtype=float))
+    def sampler_box(self, m, widen):
+        mu, var = self.standard_from_mean(np.asarray(m, dtype=float))
+        return (mu - widen * np.sqrt(var), mu + widen * np.sqrt(var))
 
 
-class _GaussianMultivariate(_Family):
+class _GaussianMultivariate(_Gaussian):
     """d-dimensional Gaussian; standard parameters (mu, Sigma)."""
 
     family = Family.GAUSSIAN_MULTIVARIATE
+    scalar = False
 
     def stat_dim(self, var_dim):
         return var_dim + vech_dim(var_dim)
@@ -342,9 +386,8 @@ class _GaussianMultivariate(_Family):
     # underlying-variable helpers
     def suff_stats(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        second = np.einsum("ni,nj->nij", x, x)
         rows, cols = tril(x.shape[1])
-        return np.column_stack([x, second[:, rows, cols]])
+        return np.column_stack([x, x[:, rows] * x[:, cols]])
 
     def log_density(self, x, eta):
         mu, sigma = self.standard_from_natural(eta)
@@ -361,12 +404,6 @@ class _GaussianMultivariate(_Family):
         mu, sigma = self.standard_from_natural(eta)
         return rng.multivariate_normal(mu, sigma, size=size)
 
-    def value_from_unconstrained(self, z):
-        return np.asarray(z, dtype=float), 0.0
-
-    def unconstrained_from_value(self, x):
-        return np.asarray(x, dtype=float)
-
 
 class _GammaLike(_Family):
     """Shared machinery for gamma and inverse-gamma blocks.
@@ -376,6 +413,12 @@ class _GammaLike(_Family):
     parameters (shape, rate).  Every map below is the gamma one with s
     multiplying the terms that change sign.
     """
+
+    quad_support = (0.0, np.inf)
+
+    def coord_names(self, block):
+        lab = block.labels[0]
+        return [lab if self.sign > 0 else f"1/{lab}", f"log({lab})"]
 
     def check_natural(self, eta, var_dim=1):
         try:
@@ -436,21 +479,34 @@ class _GammaLike(_Family):
         return _matrix([[shape / rate, 0.0],
                         [self.sign, self.sign * (shape * trigamma(shape) - 1.0)]])
 
+    def suff_stats(self, x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return np.column_stack([x ** self.sign, np.log(x)])  # x ** -1.0 rounds as 1.0 / x
+
+    # sampler coordinate: log x
     def value_from_unconstrained(self, z):
-        x = np.exp(z[0])
-        return np.array([x]), z[0]  # log-scale Jacobian: dx/dz = x
+        return float(np.exp(z[0])), z[0]  # log-scale Jacobian: dx/dz = x
 
     def unconstrained_from_value(self, x):
         return np.log(np.atleast_1d(np.asarray(x, dtype=float)))
+
+    def representative_value(self, m, var_dim):  # the mean, floored for inverse gamma
+        shape, rate = self.standard_from_mean(np.asarray(m, dtype=float))
+        return shape / rate if self.sign > 0 else rate / max(shape - 1.0, 0.5)
+
+    def sampler_suff_stats(self, z, var_dim):
+        return np.column_stack([np.exp(self.sign * z[:, 0]), z[:, 0]])
+
+    def sampler_box(self, m, widen):
+        shape, rate = self.standard_from_mean(np.asarray(m, dtype=float))
+        center = self.sign * (digamma(shape) - np.log(rate))
+        sd = np.sqrt(max(1.0 / shape, 0.05))
+        return (center - widen * sd, center + widen * sd)
 
 
 class _Gamma(_GammaLike):
     family = Family.GAMMA
     sign = 1.0
-
-    def suff_stats(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.column_stack([x, np.log(x)])
 
     def log_density(self, x, eta):
         shape, rate = self.standard_from_natural(eta)
@@ -465,10 +521,6 @@ class _Gamma(_GammaLike):
 class _InverseGamma(_GammaLike):
     family = Family.INVERSE_GAMMA
     sign = -1.0
-
-    def suff_stats(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.column_stack([1.0 / x, np.log(x)])
 
     def log_density(self, x, eta):
         shape, rate = self.standard_from_natural(eta)
@@ -493,9 +545,17 @@ class _Wishart(_Family):
     """
 
     family = Family.WISHART
+    scalar = False
 
     def stat_dim(self, var_dim):
         return vech_dim(var_dim) + 1
+
+    def value_dim(self, var_dim):
+        return vech_dim(var_dim)
+
+    def coord_names(self, block):
+        return ([f"{block.name}[{i},{j}]" for i, j in zip(*tril(block.var_dim))]
+                + [f"logdet({block.name})"])
 
     def var_dim_from_stat_dim(self, stat_dim):
         return dim_from_vech(stat_dim - 1)
@@ -618,9 +678,7 @@ class _Wishart(_Family):
         x = np.asarray(x, dtype=float)
         if x.ndim == 2:
             x = x[None, :, :]
-        rows, cols = tril(x.shape[1])
-        logdets = np.linalg.slogdet(x)[1]
-        return np.column_stack([x[:, rows, cols], logdets])
+        return np.column_stack([vech(x), np.linalg.slogdet(x)[1]])
 
     def log_density(self, x, eta):
         dof, scale = self.standard_from_natural(eta)
@@ -638,6 +696,7 @@ class _Wishart(_Family):
         draws = sp_wishart.rvs(df=dof, scale=scale, size=size, random_state=rng)
         return draws if size > 1 else draws[None, :, :]
 
+    # sampler coordinates: log-Cholesky coordinates of X
     def value_from_unconstrained(self, z):
         chol = chol_from_logchol(z)
         k = chol.shape[0]
@@ -650,6 +709,14 @@ class _Wishart(_Family):
 
     def unconstrained_from_value(self, x):
         return logchol_from_chol(np.linalg.cholesky(np.asarray(x, dtype=float)))
+
+    def representative_value(self, m, var_dim):
+        return unvech(m[:-1], var_dim)  # E[X]
+
+    def sampler_suff_stats(self, z, var_dim):
+        chol = chol_from_logchol(z)
+        return np.column_stack([vech(np.einsum("nij,nkj->nik", chol, chol)),
+                                (2.0 * z[:, tril_diag(var_dim)]).sum(axis=1)])
 
 
 FAMILIES = {

@@ -34,6 +34,7 @@ independent fits in separate processes.
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
@@ -42,7 +43,7 @@ import scipy.optimize
 
 from .errors import DomainError, DomainViolation, NonConvergence
 from .expfam import FAMILIES, Family
-from .util import chol_from_logchol, fd_jacobian, tril, tril_diag, unvech, vech_dim
+from .util import fd_jacobian
 
 HESSIAN_REL_STEP = 1e-5
 
@@ -74,8 +75,9 @@ class Layout:
     linear-response map is one batched family call per group (see
     :mod:`lrvb.expfam`) and never loops over blocks.  The exception inside
     them is the Wishart dof solve, a ``brentq`` per Wishart block; no model
-    has more than one.  The sampler-coordinate methods serve the oracles'
-    per-block dicts and stay per block.
+    has more than one.  Names, location statistics and sampler coordinates
+    follow each block's family (see :mod:`lrvb.expfam`) and are looked up
+    in per-block tables built once.
     """
 
     def __init__(self, blocks):
@@ -92,6 +94,10 @@ class Layout:
             rows.setdefault((b.family, b.var_dim), []).append(off + np.arange(b.stat_dim))
         self.groups = tuple((FAMILIES[family], var_dim, np.array(idx))
                             for (family, var_dim), idx in rows.items())
+        fams = [FAMILIES[b.family] for b in self.blocks]
+        self._locations = [list(range(off, off + b.var_dim)) if fam.has_location else []
+                           for b, fam, off in zip(self.blocks, fams, offsets.tolist())]
+        self._value_dims = [fam.value_dim(b.var_dim) for b, fam in zip(self.blocks, fams)]
 
     def __iter__(self):
         return iter(self.blocks)
@@ -106,32 +112,30 @@ class Layout:
     def split(self, m):
         return [np.asarray(m)[self.slice_of(i)] for i in range(len(self.blocks))]
 
+    # built on first use: a block with too few labels fits, but has no names
+    @cached_property
+    def _names(self):
+        return [n for b in self.blocks for n in FAMILIES[b.family].coord_names(b)]
+
+    @cached_property
+    def _coord_index(self):  # reversed, so the first of repeated names wins
+        return {n: i for i, n in reversed(list(enumerate(self._names)))}
+
     def coord_names(self):
-        names = []
-        for b in self.blocks:
-            lab = b.labels
-            if b.family in (Family.GAUSSIAN_UNIVARIATE, Family.GAUSSIAN_MULTIVARIATE):
-                names.extend(lab)
-                names.extend(f"{lab[i]}*{lab[j]}" for i, j in zip(*tril(b.var_dim)))
-            elif b.family is Family.GAMMA:
-                names.extend([lab[0], f"log({lab[0]})"])
-            elif b.family is Family.INVERSE_GAMMA:
-                names.extend([f"1/{lab[0]}", f"log({lab[0]})"])
-            else:  # Wishart
-                names.extend(f"{b.name}[{i},{j}]" for i, j in zip(*tril(b.var_dim)))
-                names.append(f"logdet({b.name})")
-        return names
+        return list(self._names)
 
     def location_indices(self, block=None):
-        """Indices of plain location statistics (Gaussian blocks only)."""
-        items = self.blocks if block is None else (
-            self.blocks[block if isinstance(block, int) else self._index[block]],)
-        gaussian = (Family.GAUSSIAN_UNIVARIATE, Family.GAUSSIAN_MULTIVARIATE)
-        return np.array([self.offsets[self._index[b.name]] + c for b in items
-                         if b.family in gaussian for c in range(b.var_dim)], dtype=int)
+        """Indices of plain location statistics (families with ``has_location``)."""
+        if block is None:
+            return np.array([c for loc in self._locations for c in loc], dtype=int)
+        return np.array(self._locations[block if isinstance(block, int)
+                                        else self._index[block]], dtype=int)
 
     def coord_index(self, name):
-        return self.coord_names().index(name)
+        """Position of the first coordinate with this name."""
+        if name not in self._coord_index:
+            raise ValueError(f"no coordinate named {name!r}")
+        return self._coord_index[name]
 
     def hessian_columns(self, local_groups):
         """Column sets for the objective Hessian's differences, and each
@@ -239,96 +243,43 @@ class Layout:
         return self._block_diagonal(fam.mean_jacobian_unconstrained(z[idx])
                                     for fam, _, idx in self.groups)
 
-    # --- underlying-variable (sampler/oracle) coordinates -----------------
-    # The per-block unconstrained value vector also has one coordinate per
-    # scalar degree of freedom: identity for Gaussians, log for positive
-    # scalars, log-Cholesky for matrices.
-
-    def value_dims(self):
-        # scalar blocks have var_dim 1
-        return [vech_dim(b.var_dim) if b.family is Family.WISHART else b.var_dim
-                for b in self.blocks]
+    # --- underlying-variable (sampler/oracle) coordinates, per family -----
 
     def value_dim(self):
-        return sum(self.value_dims())
+        return sum(self._value_dims)
 
     def values_from_sampler(self, zv):
         """Map an unconstrained sampler vector to per-block variable values.
 
         Returns (values dict, total log-Jacobian of the transform).
         """
-        values = {}
-        logjac = 0.0
-        pos = 0
-        for b, d in zip(self.blocks, self.value_dims()):
-            x, lj = FAMILIES[b.family].value_from_unconstrained(zv[pos:pos + d])
-            if b.family is Family.GAUSSIAN_UNIVARIATE or (
-                    b.family in (Family.GAMMA, Family.INVERSE_GAMMA)):
-                x = float(np.asarray(x).reshape(-1)[0])
-            values[b.name] = x
+        values, logjac, pos = {}, 0.0, 0
+        for b, d in zip(self.blocks, self._value_dims):
+            values[b.name], lj = FAMILIES[b.family].value_from_unconstrained(zv[pos:pos + d])
             logjac += lj
             pos += d
         return values, logjac
 
     def sampler_from_values(self, values):
-        parts = []
-        for b in self.blocks:
-            parts.append(np.atleast_1d(
-                FAMILIES[b.family].unconstrained_from_value(values[b.name])))
-        return np.concatenate(parts)
+        return np.concatenate([FAMILIES[b.family].unconstrained_from_value(values[b.name])
+                               for b in self.blocks])
 
     def suff_stats_of_values(self, values):
         """Stacked sufficient statistics of one draw, in mean layout."""
-        out = np.empty(self.dim)
-        for i, b in enumerate(self.blocks):
-            stats = FAMILIES[b.family].suff_stats(values[b.name])
-            out[self.slice_of(i)] = stats[0]
-        return out
+        return np.concatenate([FAMILIES[b.family].suff_stats(values[b.name])[0]
+                               for b in self.blocks])
 
     def representative_values(self, m):
         """Central per-block variable values, e.g. to seed a sampler."""
-        values = {}
-        for b, mb in zip(self.blocks, self.split(m)):
-            fam = FAMILIES[b.family]
-            if b.family is Family.GAUSSIAN_UNIVARIATE:
-                values[b.name] = float(mb[0])
-            elif b.family is Family.GAUSSIAN_MULTIVARIATE:
-                values[b.name] = np.asarray(mb[:b.var_dim], dtype=float)
-            elif b.family in (Family.GAMMA, Family.INVERSE_GAMMA):
-                shape, rate = fam.standard_from_mean(np.asarray(mb, dtype=float))
-                if b.family is Family.GAMMA:
-                    values[b.name] = shape / rate
-                else:
-                    values[b.name] = rate / max(shape - 1.0, 0.5)
-            else:
-                values[b.name] = unvech(mb[:-1], b.var_dim)  # E[X]
-        return values
+        return {b.name: FAMILIES[b.family].representative_value(mb, b.var_dim)
+                for b, mb in zip(self.blocks, self.split(m))}
 
     def suff_stats_of_sampler_matrix(self, zmat):
         """Vectorized sufficient statistics for rows of sampler draws."""
-        zmat = np.asarray(zmat, dtype=float)
-        n = zmat.shape[0]
-        out = np.empty((n, self.dim))
-        pos = 0
-        for i, (b, d) in enumerate(zip(self.blocks, self.value_dims())):
-            sl = self.slice_of(i)
-            z = zmat[:, pos:pos + d]
-            if b.family is Family.GAUSSIAN_UNIVARIATE:
-                out[:, sl] = np.column_stack([z[:, 0], z[:, 0] ** 2])
-            elif b.family is Family.GAUSSIAN_MULTIVARIATE:
-                rows, cols = tril(b.var_dim)
-                out[:, sl] = np.column_stack([z, z[:, rows] * z[:, cols]])
-            elif b.family in (Family.GAMMA, Family.INVERSE_GAMMA):
-                first = np.exp(z[:, 0]) if b.family is Family.GAMMA else np.exp(-z[:, 0])
-                out[:, sl] = np.column_stack([first, z[:, 0]])
-            else:  # Wishart: log-Cholesky coordinates
-                chol = chol_from_logchol(z)
-                logdet = (2.0 * z[:, tril_diag(b.var_dim)]).sum(axis=1)
-                mats = np.einsum("nij,nkj->nik", chol, chol)
-                rows, cols = tril(b.var_dim)
-                out[:, sl] = np.column_stack([mats[:, rows, cols], logdet])
-            pos += d
-        return out
+        cols = np.split(np.asarray(zmat, dtype=float), np.cumsum(self._value_dims)[:-1],
+                        axis=1)
+        return np.concatenate([FAMILIES[b.family].sampler_suff_stats(z, b.var_dim)
+                               for b, z in zip(self.blocks, cols)], axis=1)
 
 
 class Hyperparams(Mapping):

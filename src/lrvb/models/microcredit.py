@@ -194,6 +194,14 @@ def load_microcredit_csv(path):
                            n_sites=len(labels))
 
 
+def _exp_quiet(x):
+    """float(np.exp(x)); inf past the float range, without a warning."""
+    if x < 700.0:
+        return float(np.exp(x))
+    with np.errstate(over="ignore"):
+        return float(np.exp(x))
+
+
 def lkj_log_normalizer(shape):
     """log c for the 2x2 correlation density c |R|^(shape-1).
 
@@ -417,7 +425,7 @@ def build_microcredit_model(data, priors=None):
 
     def pointwise_log_prior(alpha):
         """Log prior at (mu, tau), the six site sums and a positive
-        definite P; the covariance C = P^-1 enters as C11 = p22/|P|, C22 = p11/|P|."""
+        definite P, |P| and log|P|; the covariance C = P^-1 enters as C11 = p22/|P|, C22 = p11/|P|."""
         lam = _check_priors(alpha)
         eta_l, a_s, b_s = alpha["lkj_shape"], alpha["scale_shape"], alpha["scale_rate"]
         a_n, b_n = alpha["noise_shape"], alpha["noise_rate"]
@@ -427,9 +435,8 @@ def build_microcredit_model(data, priors=None):
                       + lkj_log_normalizer(eta_l)
                       + 2.0 * (a_s * np.log(b_s) - gammaln(a_s)))
 
-        def log_prior(mu, tau, sums, p11, p12, p22, logdet_p):
+        def log_prior(mu, tau, sums, p11, p12, p22, det, logdet_p):
             _, sum_logv, sum_inv_v, s11, s12, s22 = sums
-            det = p11 * p22 - p12 * p12
             log_c11, log_c22 = math.log(p22 / det), math.log(p11 / det)
             return (const
                     - 0.5 * (lam11 * mu * mu + 2.0 * lam12 * mu * tau
@@ -444,7 +451,7 @@ def build_microcredit_model(data, priors=None):
         return log_prior
 
     def pointwise_args(values):
-        """(mu, tau, the six site sums, p11, p12, p22, log|P|) at a
+        """(mu, tau, the six site sums, p11, p12, p22, |P|, log|P|) at a
         values dict; None outside the support (a noise variance v_k <= 0, or
         P not positive definite) and where |P| is not finite."""
         mu, tau = np.asarray(values["top"], dtype=float)
@@ -456,7 +463,7 @@ def build_microcredit_model(data, priors=None):
             return None
         sums = stat_sums(site_terms(uk[:, 0], uk[:, 1], np.log(v), 1.0 / v)
                          + deviations(mu, tau, uk[:, 0], uk[:, 1]))
-        return mu, tau, sums, p11, p12, p22, math.log(det)
+        return mu, tau, sums, p11, p12, p22, det, math.log(det)
 
     def log_lik_values(values):
         args = pointwise_args(values)
@@ -485,13 +492,13 @@ def build_microcredit_model(data, priors=None):
 
         def from_sums(g, sums):
             """The log target at g = (mu, tau, log l11, l21, log l22) and the
-            six site sums."""
+            six site sums; |P| = (l11 l22)^2, which cannot cancel."""
             mu, tau, z1, l21, z3 = g
             try:
                 l11, l22 = math.exp(z1), math.exp(z3)
                 value = (lik_const + sums[0]
-                         + log_prior(mu, tau, sums, l11 * l11, l11 * l21,
-                                     l21 * l21 + l22 * l22, 2.0 * (z1 + z3))
+                         + log_prior(mu, tau, sums, l11 * l11, l11 * l21, l21 * l21 + l22 * l22,
+                                     (l11 * l22) ** 2, 2.0 * (z1 + z3))
                          # |d values / d zv|: exp on each log v_k, and
                          # 4 l11^3 l22^2 for P = L L' in log-Cholesky coordinates
                          + sums[1] + LOG_4 + 3.0 * z1 + 2.0 * z3)
@@ -502,13 +509,16 @@ def build_microcredit_model(data, priors=None):
             return value if math.isfinite(value) else -math.inf
 
         def site_table(zv):
-            """``site_terms`` and ``deviations`` of every site at zv, (6, K)."""
+            """``site_terms`` and ``deviations`` of every site at zv, (6, K),
+            and their six sums; past the float range inf or nan, quietly."""
             muk, tauk, logv = zv[2:pos_noise:2], zv[3:pos_noise:2], zv[pos_noise:pos_chol]
-            return np.array(site_terms(muk, tauk, logv, np.exp(-logv))
-                            + deviations(zv[0], zv[1], muk, tauk))
+            with np.errstate(over="ignore", invalid="ignore"):
+                table = np.array(site_terms(muk, tauk, logv, np.exp(-logv))
+                                 + deviations(zv[0], zv[1], muk, tauk))
+                return table, stat_sums(table)
 
         def log_post(zv):
-            return from_sums(zv[glob].tolist(), stat_sums(site_table(zv)))
+            return from_sums(zv[glob].tolist(), site_table(zv)[1])
 
         def coordinate_moves(x):
             """(log_post(x), propose, accept) for single-coordinate moves from
@@ -517,8 +527,8 @@ def build_microcredit_model(data, priors=None):
             swaps that site's terms and deviations in the sums, a move of
             (mu, tau) re-sums every site's deviations, and a precision move
             changes no sum.  They change only on accept()."""
-            table = site_table(x)
-            g, terms, sums = x[glob].tolist(), table[:3].T.tolist(), stat_sums(table)
+            table, sums = site_table(x)
+            g, terms = x[glob].tolist(), table[:3].T.tolist()
             move = None
 
             def propose(j, xj):
@@ -538,7 +548,7 @@ def build_microcredit_model(data, priors=None):
                     if j < pos_noise:
                         new[j % 2] = xj
                     else:
-                        new[2:] = xj, float(np.exp(-xj))
+                        new[2:] = xj, _exp_quiet(-xj)
                     terms_k = site_terms(*new, data_rows[k])
                     sums_new = [s + (a - b) for s, a, b in zip(
                         sums, (*terms_k, *deviations(g[0], g[1], *new[:2])),

@@ -18,8 +18,7 @@ import scipy.integrate
 from . import mfvb
 from .errors import (DegenerateChain, DomainError, NotConjugate,
                      QuadratureFailure)
-from .expfam import FAMILIES, Family
-from .util import digamma
+from .expfam import FAMILIES
 
 QUAD_ABS_TOL = 1e-8
 
@@ -76,23 +75,6 @@ def quadrature_expectation(density, integrand, bounds, tol=QUAD_ABS_TOL):
     return float(value), float(err)
 
 
-def block_quad_bounds(family, center=None, spread=None, widen=12.0):
-    """Integration box for one block's underlying variable."""
-    if family in (Family.GAMMA, Family.INVERSE_GAMMA):
-        return (0.0, np.inf)
-    if family is Family.GAUSSIAN_UNIVARIATE:
-        if center is None:
-            return (-np.inf, np.inf)
-        return (center - widen * spread, center + widen * spread)
-    if family is Family.GAUSSIAN_MULTIVARIATE:
-        if center is None:
-            raise DomainError("2-D Gaussian quadrature needs a finite box")
-        lo = center - widen * spread
-        hi = center + widen * spread
-        return ((lo[0], hi[0]), (lo[1], hi[1]))
-    raise DomainError(f"no quadrature support for family {family}")
-
-
 # ---------------------------------------------------------------------------
 # exact conjugate posteriors
 # ---------------------------------------------------------------------------
@@ -124,6 +106,8 @@ def quadrature_posterior_mean(model, alpha=None, box=None):
 
     Integrates the unnormalized joint over the underlying variables and
     normalizes; independent of both the fit and the conjugate formulas.
+    ``box`` holds one (lo, hi) sampler-coordinate range per block; by
+    default it is placed around a fit of the model at alpha.
     """
     alpha = model.resolve_alpha(alpha)
     layout = model.layout
@@ -131,7 +115,7 @@ def quadrature_posterior_mean(model, alpha=None, box=None):
 
     log_joint_z = sampler_log_target(model, alpha)
     if box is None:
-        box = _sampler_box(model, alpha)
+        box = _sampler_box(layout, mfvb.fit(model, alpha=alpha).mean)
     # peak-normalize to keep exponentials in range
     grid = _box_grid(box, 41)
     peak = max(log_joint_z(z) for z in grid)
@@ -156,30 +140,11 @@ def _check_quadrature_supports(model):
         raise DomainError("quadrature posterior supports at most 2 scalar variables")
 
 
-def _sampler_box(model, alpha, widen=10.0):
-    """Finite integration box from a quick fit of the model."""
-    sol = mfvb.fit(model, alpha=alpha)
-    layout = model.layout
-    lo, hi = [], []
-    for b in layout.blocks:
-        fam = FAMILIES[b.family]
-        mb = sol.mean[layout.slice_of(b.name)]
-        params = fam.standard_from_mean(np.asarray(mb, dtype=float))
-        if b.family is Family.GAUSSIAN_UNIVARIATE:
-            mu, var = params
-            lo.append(mu - widen * np.sqrt(var))
-            hi.append(mu + widen * np.sqrt(var))
-        elif b.family in (Family.GAMMA, Family.INVERSE_GAMMA):
-            # sampler coordinate is log x
-            shape, rate = params
-            sign = 1.0 if b.family is Family.GAMMA else -1.0
-            center = sign * (digamma(shape) - np.log(rate))
-            sd = np.sqrt(max(1.0 / shape, 0.05))
-            lo.append(center - widen * sd)
-            hi.append(center + widen * sd)
-        else:
-            raise DomainError(f"no quadrature box for family {b.family}")
-    return list(zip(lo, hi))
+def _sampler_box(layout, mean, widen=10.0):
+    """Finite integration box around fitted means: one (lo, hi) range of
+    each (scalar) block's sampler coordinate."""
+    return [FAMILIES[b.family].sampler_box(mb, widen)
+            for b, mb in zip(layout.blocks, layout.split(mean))]
 
 
 def _box_grid(box, n):
@@ -192,8 +157,8 @@ def contaminated_posterior_mean(model, block, contaminant, eps, alpha=None):
     contaminating distribution at weight eps.
 
     ``contaminant`` is either ("dirac", point) or ("density", logpdf).
-    Only single-Gaussian-block models (value dim 1) are supported; the
-    mixture prior makes the one-dimensional integrals explicit:
+    Only single-scalar-block models are supported; the mixture prior makes
+    the one-dimensional integrals explicit:
 
         E_eps[s] = [(1-eps) Z0 E0[s] + eps Zc Ec[s]] / [(1-eps) Z0 + eps Zc]
 
@@ -202,8 +167,9 @@ def contaminated_posterior_mean(model, block, contaminant, eps, alpha=None):
     """
     alpha = model.resolve_alpha(alpha)
     layout = model.layout
-    if len(layout.blocks) != 1 or layout.blocks[0].family is not Family.GAUSSIAN_UNIVARIATE:
-        raise DomainError("contaminated posterior oracle supports one scalar Gaussian block")
+    fam = FAMILIES[layout.blocks[0].family] if len(layout.blocks) == 1 else None
+    if fam is None or not fam.scalar:
+        raise DomainError("contaminated posterior oracle supports one scalar block")
     name = layout.blocks[0].name
     if block not in (name, 0):
         raise DomainError(f"unknown block {block!r}")
@@ -214,12 +180,10 @@ def contaminated_posterior_mean(model, block, contaminant, eps, alpha=None):
     def prior(x):
         return np.exp(model.prior_block_logpdf[name](name, x, alpha))
 
-    fam = FAMILIES[Family.GAUSSIAN_UNIVARIATE]
-
     def mass_and_stats(weight):
         """Integrals of lik * weight times 1 and times each statistic."""
         return [quadrature_expectation(lambda x: lik(x) * weight(x), f,
-                                       (-np.inf, np.inf), tol=1e-6)[0]
+                                       fam.quad_support, tol=1e-6)[0]
                 for f in (lambda x: 1.0, lambda x: fam.suff_stats(x)[0, 0],
                           lambda x: fam.suff_stats(x)[0, 1])]
 
@@ -242,16 +206,16 @@ def contaminated_model(model, block, pc_logpdf, eps):
 
     The contamination correction E_q[log(1 - eps + eps p_c/p)] and its
     mean gradient are evaluated by quadrature over the block's underlying
-    variable (supported for scalar Gaussian and positive-scalar blocks).
+    variable (supported for scalar blocks).
     """
     from dataclasses import replace
 
     layout = model.layout
     idx = block if isinstance(block, int) else layout.block_index(block)
     bdef = layout.blocks[idx]
-    if bdef.family is Family.GAUSSIAN_MULTIVARIATE or bdef.family is Family.WISHART:
-        raise DomainError("contaminated refits support scalar blocks only")
     fam = FAMILIES[bdef.family]
+    if not fam.scalar:
+        raise DomainError("contaminated refits support scalar blocks only")
     sl = layout.slice_of(idx)
     name = bdef.name
 
@@ -267,7 +231,7 @@ def contaminated_model(model, block, pc_logpdf, eps):
             ratio = np.exp(pc_logpdf(x) - model.prior_block_logpdf[name](name, x, alpha))
             return np.log1p(eps * (ratio - 1.0))
 
-        bounds = block_quad_bounds(bdef.family)
+        bounds = fam.quad_support
         val, _ = quadrature_expectation(qdens, logterm, bounds, tol=1e-9)
         gblk = [quadrature_expectation(
             qdens, lambda x, c=c: (fam.suff_stats(x)[0, c] - mb[c]) * logterm(x),
@@ -502,12 +466,14 @@ def perturb_and_rerun(model, direction, engine, step=None, sol=None, sys=None,
     predicted = robustness.hyperparam_sensitivity(model, sol, sys, direction,
                                                   alpha=alpha)
     names = tuple(model.layout.coord_names())
+    # the quadrature engine integrates every rerun over one box around sol
+    box = _sampler_box(model.layout, sol.mean) if engine == "quadrature" else None
 
     def means_at(t):
         a = alpha.perturbed(direction, t)
         if engine == "vb":
             return mfvb.fit(model, init=sol.mean, alpha=a, opts=fit_opts).mean
-        return quadrature_posterior_mean(model, alpha=a)
+        return quadrature_posterior_mean(model, alpha=a, box=box)
 
     chains = None
     if engine != "mcmc":

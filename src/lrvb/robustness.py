@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, DomainError, NonDifferentiablePrior,
                      NormalizationFailure, QuadratureFailure, ZeroPriorDensity)
-from .expfam import FAMILIES, Family
-from .oracle import block_quad_bounds, quadrature_expectation
+from .expfam import FAMILIES
+from .oracle import quadrature_expectation
 from .util import fd_jacobian
 
 MIN_PRIOR_DENSITY_LOG = np.log(1e-300)
@@ -210,11 +210,10 @@ def _influence_rhs(model, sys, block, points, alpha):
     """Stacked influence right-hand sides, one column per grid point."""
     idx, bdef, sl, mb, fam, eta = _block_setup(model, sys, block)
     layout = model.layout
-    if bdef.family not in (Family.GAUSSIAN_UNIVARIATE, Family.GAUSSIAN_MULTIVARIATE):
-        raise DomainError(
-            f"influence points are defined for Gaussian blocks, not {bdef.family}")
+    if not fam.has_location:
+        raise DomainError(f"block {bdef.name!r} has no location statistics")
     points = np.asarray(points, dtype=float).reshape(-1, bdef.var_dim)
-    values = points[:, 0] if bdef.family is Family.GAUSSIAN_UNIVARIATE else points
+    values = points[:, 0] if fam.scalar else points
     log_ratio, log_p = (np.reshape(v, -1) for v in
                         _log_density_ratio(model, bdef, fam, eta, values, alpha))
     under = np.flatnonzero(log_p < MIN_PRIOR_DENSITY_LOG)
@@ -260,11 +259,11 @@ def contamination_sensitivity(model, sol, sys, spec, target, alpha=None):
 
 
 def _density_bounds(model, idx):
-    bdef = model.layout.blocks[idx]
-    if bdef.family in (Family.GAUSSIAN_MULTIVARIATE, Family.WISHART):
+    fam = FAMILIES[model.layout.blocks[idx].family]
+    if not fam.scalar:
         raise DomainError("density contamination supports scalar blocks; "
                           "use weighted point masses for matrix blocks")
-    return block_quad_bounds(bdef.family)
+    return fam.quad_support
 
 
 def _density_contamination_rhs(model, sys, idx, pc_logpdf, alpha):
@@ -298,7 +297,7 @@ def _response_functional(model, sys, block, target, alpha):
     block (a(x) as in worst_case_perturbation; an array for an array)."""
     grad_h = resolve_target(model.layout, target)
     idx, bdef, sl, mb, fam, eta = _block_setup(model, sys, block)
-    if bdef.family is Family.GAUSSIAN_MULTIVARIATE or bdef.family is Family.WISHART:
+    if not fam.scalar:
         raise DomainError("worst-case perturbations support scalar blocks")
     row = sys.solve_transpose(grad_h)[sl]
     name = bdef.name
@@ -312,7 +311,7 @@ def _response_functional(model, sys, block, target, alpha):
     def prior_dens(x):
         return np.exp(model.prior_block_logpdf[name](name, x, alpha))
 
-    return a_values, prior_dens, block_quad_bounds(bdef.family)
+    return a_values, prior_dens, fam.quad_support
 
 
 def worst_case_perturbation(model, sol, sys, block, target, p_norm, alpha=None):
@@ -382,12 +381,14 @@ def resolve_target(layout, target):
 def make_report(queries, model, sol, sys, alpha=None):
     """Evaluate queries into a report with per-posterior-sd normalization.
 
-    Per-query failures become error entries instead of aborting the
-    batch; a zero-variance target is reported as an error, not a division
-    by zero.
+    Each distinct hyperparameter direction is priced once for all of its
+    queries.  Per-query failures become error entries instead of aborting
+    the batch; a zero-variance target is reported as an error, not a
+    division by zero.
     """
     alpha = model.resolve_alpha(alpha)
     entries = []
+    priced = {}  # hyperparameter direction -> sensitivity of every mean
     for query in queries:
         try:
             grad_h = resolve_target(model.layout, query.target)
@@ -395,8 +396,10 @@ def make_report(queries, model, sol, sys, alpha=None):
                 value = contamination_sensitivity(model, sol, sys,
                                                   query.direction, grad_h, alpha)
             else:
-                full = hyperparam_sensitivity(model, sol, sys, query.direction, alpha)
-                value = float(grad_h @ full)
+                key = tuple(query.direction.items())
+                if key not in priced:
+                    priced[key] = hyperparam_sensitivity(model, sol, sys, query.direction, alpha)
+                value = float(grad_h @ priced[key])
             variance = float(grad_h @ sys.sigma_hat @ grad_h)
             if variance <= 0:
                 raise DomainError(

@@ -208,6 +208,21 @@ class TestCompare:
         assert payload["entries"][0]["quantity"] == "theta"
         assert "chains" not in payload
 
+    def test_quadrature_engine_fits_once(self, tmp_path, monkeypatch):
+        # the three reruns integrate over one box placed around the
+        # command's own fit
+        fit, fits = cli.mfvb.fit, []
+
+        def counted(*args, **kwargs):
+            fits.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(cli.mfvb, "fit", counted)
+        assert run("compare", "--model", "normal-normal", "--engine", "quadrature",
+                   "--direction", "prior_nat_1=1", "--out",
+                   str(tmp_path / "cmp.json")) == 0
+        assert len(fits) == 1
+
     def test_mcmc_engine(self, tmp_path):
         outs = [str(tmp_path / f"cmp{i}.json") for i in range(2)]
         for out in outs:

@@ -240,16 +240,45 @@ class TestCachedMoves:
         cfg = McmcConfig(chain_length=40, burn_in=0, step_scales=scales, seed=1)
         targets = self._targets(model)
         runs = {}
-        with np.errstate(over="ignore", invalid="ignore"):
-            for name in ("generic", "cached"):
-                log = []
-                runs[name] = oracle.metropolis_sample(
-                    _recorded(targets[name], log), z0, cfg, adapt_sweeps=0), log
+        for name in ("generic", "cached"):
+            log = []
+            runs[name] = oracle.metropolis_sample(
+                _recorded(targets[name], log), z0, cfg, adapt_sweeps=0), log
         huge = [2, 2 + 2 * k_sites]
         for run, log in runs.values():
             assert np.all(run.draws[:, huge] == z0[huge])  # never accepted
             assert sum(np.isneginf(value) for _, value in log) > 10
         assert np.array_equal(runs["cached"][0].draws, runs["generic"][0].draws)
+
+    def test_extreme_site_coordinates_are_minus_inf_without_warning(self, bundled):
+        # log v_1 = -800 overflows exp(-log v) and mu_1 = 1e200 its squares;
+        # no errstate here, so a RuntimeWarning fails the test
+        model, z0 = bundled
+        k_sites = (z0.size - 5) // 3
+        target = self._targets(model)["cached"]
+        _, propose, _ = target.coordinate_moves(z0)
+        for j, xj in ((2 + 2 * k_sites, -800.0), (2, 1e200)):
+            z = z0.copy()
+            z[j] = xj
+            assert target(z) == -np.inf, j
+            assert propose(j, xj) == -np.inf, j
+
+    def test_precision_determinant_does_not_cancel(self, bundled):
+        # with l21 fixed, the log target falls without bound as log l22 goes
+        # to -inf, where |P| formed as p11 p22 - p12^2 would cancel
+        model, z0 = bundled
+        pos = z0.size - 1  # log l22
+        target = self._targets(model)["cached"]
+        _, propose, _ = target.coordinate_moves(z0)
+        values = []
+        for xj in (-40.0, -400.0, -12_904.66):
+            z = z0.copy()
+            z[pos] = xj
+            values.append(target(z))
+            assert propose(pos, xj) == values[-1]
+        assert values[0] < target(z0)
+        for before, after in zip(values, values[1:]):
+            assert after == -np.inf or after < before
 
     def test_precision_overflow_is_minus_inf_without_warning(self, bundled):
         # log l11 = 800 overflows exp, and steps of 1e3 on log l11 take P

@@ -433,6 +433,30 @@ class TestReports:
                           expect / np.sqrt(sys.sigma_hat[0, 0]), rtol=1e-12)
         assert entry.error is None
 
+    def test_each_direction_priced_once(self, micro_model, micro_fit):
+        # a report over several quantities runs the prior_alpha_grad hook
+        # once per direction, and each entry is its direction priced alone
+        sol, sys = micro_fit
+        hook, calls = micro_model.prior_alpha_grad, []
+
+        def counted(m, alpha, direction):
+            calls.append(tuple(direction))
+            return hook(m, alpha, direction)
+
+        model = dataclasses.replace(micro_model, prior_alpha_grad=counted)
+        names = model.layout.coord_names()
+        quantities = [names[i] for i in model.layout.location_indices()[:6]]
+        directions = model.hyperparams.names
+        queries = [rb.SensitivityQuery(quantity=q, target=q, direction={h: 1.0},
+                                       direction_label=h)
+                   for q in quantities for h in directions]
+        report = rb.make_report(queries, model, sol, sys)
+        assert calls == [(h,) for h in directions]
+        for query, entry in zip(queries, report.entries):
+            full = rb.hyperparam_sensitivity(micro_model, sol, sys, query.direction)
+            assert entry.error is None
+            assert entry.value == float(full[names.index(query.quantity)])
+
     def test_zero_variance_quantity_tagged(self, nn_model, nn_fit):
         sol, sys = nn_fit
         # a target direction in the null space of the covariance
