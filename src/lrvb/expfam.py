@@ -19,25 +19,33 @@ matrices are half-vectorized rather than fully vectorized to keep the
 sufficient-statistic covariance nonsingular.
 
 Batch axes.  A family's parameter maps (``check_mean``, the standard, mean,
-natural and unconstrained maps, ``log_partition``, ``suff_stat_cov`` and
-``mean_jacobian_unconstrained``) are written once, over leading batch axes:
-a 1-D statistic vector is one block, with scalar standard parameters where
-the family has them, and an (n, stat_dim) array is n blocks, each result
-gaining that leading axis.  A check raises if any block fails it.  The one
-per-block loop is the Wishart dof solve (see ``_Wishart``); the
-underlying-variable helpers take one block.
+natural and unconstrained maps, ``log_partition``, ``suff_stat_cov``,
+``mean_jacobian_unconstrained`` and ``entropy_unconstrained``) are written
+once, over leading batch axes: a 1-D statistic vector is one block, with
+scalar standard parameters where the family has them, and an (n, stat_dim)
+array is n blocks, each result gaining that leading axis.  A check raises
+if any block fails it.  The one per-block loop is the Wishart dof solve
+(see ``_Wishart``); the underlying-variable helpers take one block.
 
 Family interface.  Each object in ``FAMILIES`` owns its family's
 conventions, so no other module branches on a ``Family`` member: beside
-the maps above, ``stat_dim``, ``coord_names(block)``, ``has_location``
-(the first var_dim statistics are x), ``scalar`` (x is one float) and, if
-scalar, ``quad_support`` (the range of x); the underlying-variable
+the maps above (``entropy_unconstrained`` among them, see Entropy below),
+``stat_dim``, ``coord_names(block)``, ``has_location`` (the first var_dim
+statistics are x), ``scalar`` (x is one float) and, if scalar,
+``quad_support`` (the range of x); the underlying-variable
 ``suff_stats``, ``log_density`` and ``sample``; and the sampler
 coordinates (x for Gaussians, log x for (inverse) gamma, log-Cholesky for
 Wishart): ``value_dim``, ``value_from_unconstrained`` (value and
 log-Jacobian), ``unconstrained_from_value``, ``representative_value``,
 ``sampler_suff_stats`` of (n, value_dim) rows and, if scalar,
 ``sampler_box`` around mean parameters.
+
+Entropy.  ``entropy_unconstrained(z)`` is each family's closed-form
+entropy of its fit coordinates z, the value the fit's objective sums.  It
+never forms A(eta) - eta @ m, whose terms cancel catastrophically for a
+concentrated block (a Gaussian with mu' Sigma^-1 mu >> 1, say); that
+difference is :func:`entropy`, kept as the reference implementation the
+closed forms are tested against.
 
 All functions are pure and :class:`ExpFamBlock` instances are immutable.
 They call into the same BLAS library as every other stage, and concurrent
@@ -51,7 +59,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln
-from scipy.stats import wishart as sp_wishart
 
 from .errors import DomainError
 from .util import (chol_from_logchol, digamma, dim_from_vech, is_pos_def,
@@ -60,6 +67,7 @@ from .util import (chol_from_logchol, digamma, dim_from_vech, is_pos_def,
                    trigamma, unvech, unvech_half, vech, vech_dim, vech_dup)
 
 ROUND_TRIP_TOL = 1e-10
+_LOG_2PI_E = np.log(2.0 * np.pi * np.e)
 
 
 class Family(enum.Enum):
@@ -267,6 +275,10 @@ class _GaussianUnivariate(_Gaussian):
         mu, var = self.standard_from_unconstrained(z)
         return _matrix([[1.0, 0.0], [2.0 * mu, var]])
 
+    def entropy_unconstrained(self, z):
+        # log |2 pi e var| / 2 with log var = z1
+        return 0.5 * (_LOG_2PI_E + z[..., 1])
+
     # underlying-variable helpers
     def suff_stats(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -383,6 +395,12 @@ class _GaussianMultivariate(_Gaussian):
         jac[..., d:, d:] = _chol_product_jacobian(chol_from_logchol(z[..., d:]))
         return jac
 
+    def entropy_unconstrained(self, z):
+        # log |2 pi e Sigma| / 2, and log |Sigma| / 2 is the sum of the
+        # log-Cholesky diagonal
+        d = self.var_dim_from_stat_dim(z.shape[-1])
+        return 0.5 * d * _LOG_2PI_E + np.sum(z[..., d + tril_diag(d)], axis=-1)
+
     # underlying-variable helpers
     def suff_stats(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -478,6 +496,13 @@ class _GammaLike(_Family):
         shape, rate = self.standard_from_unconstrained(z)
         return _matrix([[shape / rate, 0.0],
                         [self.sign, self.sign * (shape * trigamma(shape) - 1.0)]])
+
+    def entropy_unconstrained(self, z):
+        # a - s log b + lgamma(a) + (s - a) digamma(a) with shape a = exp(z2)
+        # and log rate log b = z2 - z1
+        shape = np.exp(z[..., 1])
+        return (shape - self.sign * (z[..., 1] - z[..., 0]) + gammaln(shape)
+                + (self.sign - shape) * digamma(shape))
 
     def suff_stats(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -673,6 +698,17 @@ class _Wishart(_Family):
         jac[..., -1, -1] = (0.5 * multitrigamma(dof / 2.0, k) - k / dof) * ddof
         return jac
 
+    def entropy_unconstrained(self, z):
+        # (K+1)/2 log|V| + K(K+1)/2 log 2 + lgamma_K(n/2)
+        # - (n-K-1)/2 digamma_K(n/2) + nK/2, with V = mean / n
+        k = self.var_dim_from_stat_dim(z.shape[-1])
+        excess = np.exp(z[..., -1])  # n - K - 1
+        dof = excess + k + 1.0
+        logdet_scale = 2.0 * np.sum(z[..., tril_diag(k)], axis=-1) - k * np.log(dof)
+        return ((k + 1.0) / 2.0 * logdet_scale + k * (k + 1.0) / 2.0 * np.log(2.0)
+                + multigamma_ln(dof / 2.0, k) - excess / 2.0 * multidigamma(dof / 2.0, k)
+                + dof * k / 2.0)
+
     # underlying-variable helpers
     def suff_stats(self, x):
         x = np.asarray(x, dtype=float)
@@ -692,6 +728,7 @@ class _Wishart(_Family):
                 - multigamma_ln(dof / 2.0, k))
 
     def sample(self, eta, size, rng):
+        from scipy.stats import wishart as sp_wishart  # ~0.5 s to import
         dof, scale = self.standard_from_natural(eta)
         draws = sp_wishart.rvs(df=dof, scale=scale, size=size, random_state=rng)
         return draws if size > 1 else draws[None, :, :]
@@ -763,7 +800,9 @@ def entropy(block):
     """Differential entropy, A(eta) - eta @ m.
 
     The negative of the expected log density; valid for every family here
-    because all five have unit base measure.
+    because all five have unit base measure.  This is the reference the
+    families' closed-form ``entropy_unconstrained`` is tested against; the
+    difference loses digits when the block is concentrated.
     """
     fam = FAMILIES[block.family]
     fam.check_natural(block.natural, block.var_dim)

@@ -58,8 +58,10 @@ class BlockDef:
     labels: tuple = ()
 
     def __post_init__(self):
-        if not self.labels:
-            object.__setattr__(self, "labels", (self.name,))
+        if not self.labels:  # one per dimension of x, as the Wishart's name[i,j]
+            labels = ((self.name,) if self.var_dim == 1
+                      else tuple(f"{self.name}[{i}]" for i in range(self.var_dim)))
+            object.__setattr__(self, "labels", labels)
 
     @property
     def stat_dim(self):
@@ -75,9 +77,11 @@ class Layout:
     linear-response map is one batched family call per group (see
     :mod:`lrvb.expfam`) and never loops over blocks.  The exception inside
     them is the Wishart dof solve, a ``brentq`` per Wishart block; no model
-    has more than one.  Names, location statistics and sampler coordinates
-    follow each block's family (see :mod:`lrvb.expfam`) and are looked up
-    in per-block tables built once.
+    has more than one.  The entropy is the sum of each family's closed form
+    in fit coordinates (``entropy_unconstrained``); at a mean vector it goes
+    through ``unconstrained_from_mean``.  Names, location statistics and
+    sampler coordinates follow each block's family (see :mod:`lrvb.expfam`)
+    and are looked up in per-block tables built once.
     """
 
     def __init__(self, blocks):
@@ -176,16 +180,6 @@ class Layout:
             out[idx[:, :, None], idx[:, None, :]] = part
         return out
 
-    def _entropy(self, pairs):
-        """Sum of A(eta) - eta . m (unit base measures) from (eta, m) per group."""
-        total = 0.0
-        for (fam, _, _), (eta, m) in zip(self.groups, pairs):
-            # a row-by-column matmul takes each block's eta . m with the
-            # same BLAS dot as a 1-D eta @ m
-            dot = (eta[:, None, :] @ m[:, :, None])[:, 0, 0]
-            total += np.sum(fam.log_partition(eta) - dot)
-        return float(total)
-
     # --- domain checks and dual coordinates -------------------------------
 
     def check_mean(self, m):
@@ -202,9 +196,7 @@ class Layout:
                              for fam, var_dim, idx in self.groups)
 
     def entropy(self, m):
-        m = np.asarray(m, dtype=float)
-        return self._entropy((fam.natural_from_mean(m[idx], var_dim), m[idx])
-                             for fam, var_dim, idx in self.groups)
+        return self.entropy_from_unconstrained(self.unconstrained_from_mean(m))
 
     def suff_stat_cov(self, m):
         """Block-diagonal covariance of the sufficient statistics at m."""
@@ -232,11 +224,8 @@ class Layout:
             for fam, _, idx in self.groups)
 
     def entropy_from_unconstrained(self, z):
-        def pairs():
-            for fam, _, idx in self.groups:
-                params = fam.standard_from_unconstrained(z[idx])
-                yield fam.natural_from_standard(*params), fam.mean_from_standard(*params)
-        return self._entropy(pairs())
+        return float(sum(np.sum(fam.entropy_unconstrained(z[idx]))
+                         for fam, _, idx in self.groups))
 
     def mean_jacobian(self, z):
         """Block-diagonal d mean / d unconstrained."""
@@ -496,6 +485,8 @@ def fit(model, init=None, opts=None, alpha=None):
                  "maxcor": 30, "maxls": 60})
     z, fz, gz = res.x, res.fun, res.jac
     iterations = int(res.nit)
+    # kept for the error messages: the first sign of a stalled fit
+    quasi_newton = f"; L-BFGS-B stopped after {res.nit} iterations: {res.message}"
 
     # Damped Newton polish: quasi-Newton alone rarely reaches 1e-8.
     for _ in range(opts.polish_iter):
@@ -529,10 +520,10 @@ def fit(model, init=None, opts=None, alpha=None):
             if gnorm <= 1e3 * opts.tol:
                 break  # stuck at rounding floor near the optimum
             raise DomainViolation(
-                f"backtracking failed at gradient norm {gnorm:.3g}")
+                f"backtracking failed at gradient norm {gnorm:.3g}{quasi_newton}")
 
     if not np.isfinite(fz):
-        raise DomainViolation("objective is not finite at the final iterate")
+        raise DomainViolation(f"objective is not finite at the final iterate{quasi_newton}")
     grad_norm = float(np.max(np.abs(gz)))
     converged = grad_norm <= opts.tol
     mean = layout.mean_from_unconstrained(z)
@@ -542,7 +533,7 @@ def fit(model, init=None, opts=None, alpha=None):
     if not converged:
         raise NonConvergence(
             f"gradient norm {grad_norm:.3g} above tol {opts.tol:g} "
-            f"after {iterations} iterations", solution=solution)
+            f"after {iterations} iterations{quasi_newton}", solution=solution)
     return solution
 
 

@@ -1,10 +1,13 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from lrvb import linear_response, mfvb
 from lrvb.models import (build_microcredit_model, gaussian_target_model,
-                         normal_invgamma_model, normal_normal_model,
-                         simulate_microcredit)
+                         load_microcredit_csv, normal_invgamma_model,
+                         normal_normal_model, simulate_microcredit)
 from lrvb.models.microcredit import MicrocreditParams
 
 # spec'd conjugate fixture: prior N(0,1), four unit-variance obs, xbar = 1
@@ -16,6 +19,22 @@ TRUTH = MicrocreditParams(
     mu=1.0, tau=0.5,
     effect_cov=np.array([[1.0, 0.21], [0.21, 0.49]]),
     noise_vars=100.0 * (1.0 + 0.1 * np.arange(7)))
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def sites_model(tmp_path, n_sites):
+    """The microcredit model on the benchmark's seeded study of n_sites."""
+    # workloads imports its sibling modules by name
+    sys.path.insert(0, PERFBENCH)
+    try:
+        from workloads import write_sites_csv
+    finally:
+        sys.path.remove(PERFBENCH)
+    path = tmp_path / f"sites_{n_sites}.csv"
+    write_sites_csv(path, 1, n_sites=n_sites)
+    return build_microcredit_model(load_microcredit_csv(path))
 
 
 @pytest.fixture(scope="session")

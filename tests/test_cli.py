@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import traceback
 import warnings
@@ -29,6 +31,17 @@ def data_csv(tmp_path_factory):
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is about half of the package's import time, and only
+    # Wishart sampling needs it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, lrvb, lrvb.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestFit:

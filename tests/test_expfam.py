@@ -274,6 +274,7 @@ class TestBatchedMaps:
             "natural_from_mean": (lambda m: fam.natural_from_mean(m, var_dim), mean),
             "log_partition": (fam.log_partition, eta),
             "suff_stat_cov": (fam.suff_stat_cov, eta),
+            "entropy_unconstrained": (fam.entropy_unconstrained, z),
         }
         for name, (func, arg) in stacked_maps.items():
             whole = func(arg)
@@ -311,3 +312,19 @@ class TestBatchedMaps:
         assert single[bad]
         with pytest.raises(DomainError):
             fam.check_mean(mean, var_dim)
+
+
+class TestClosedFormEntropy:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(FAMILY_DIMS), st.integers(0, 2 ** 32 - 1))
+    def test_matches_log_partition_minus_eta_dot_mean(self, family_dim, seed):
+        # the reference A(eta) - eta.m rounds like |A| + |eta.m|
+        family, var_dim = family_dim
+        fam = ef.FAMILIES[family]
+        params = _random_standard(family, var_dim, 5, np.random.default_rng(seed))
+        closed = fam.entropy_unconstrained(fam.unconstrained_from_standard(*params))
+        for i in range(5):
+            blk = ExpFamBlock.from_standard(family, *(p[i] for p in params))
+            scale = max(1.0, abs(fam.log_partition(blk.natural))
+                        + abs(float(blk.natural @ blk.mean)))
+            assert abs(closed[i] - ef.entropy(blk)) <= 1e-10 * scale, (params, i)

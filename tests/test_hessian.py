@@ -2,7 +2,6 @@
 no groups declared, whose every column is differenced on its own."""
 
 import os
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -16,22 +15,11 @@ from lrvb.mfvb import BlockDef, Hyperparams, Layout, ModelSpec
 from lrvb.models import build_microcredit_model, load_microcredit_csv
 from lrvb.models.microcredit import DEFAULT_PRIORS, MicrocreditData
 
+from conftest import sites_model
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUNDLED_CSV = os.path.join(ROOT, "data", "microcredit_synthetic.csv")
 REL_TOL = 1e-10
-
-
-def sites_model(tmp_path, n_sites):
-    """The microcredit model on the benchmark's seeded study of n_sites."""
-    # workloads imports its sibling modules by name
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    try:
-        from workloads import write_sites_csv
-    finally:
-        sys.path.remove(os.path.join(ROOT, "perfbench"))
-    path = tmp_path / f"sites_{n_sites}.csv"
-    write_sites_csv(path, 1, n_sites=n_sites)
-    return build_microcredit_model(load_microcredit_csv(path))
 
 
 def dense(model):
