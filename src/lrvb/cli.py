@@ -87,9 +87,12 @@ def parse_overrides(pairs):
             raise UsageError(f"override {pair!r} is not of the form key=value")
         key, _, value = pair.partition("=")
         try:
-            out[key.strip()] = float(value)
+            number = float(value)
         except ValueError as exc:
             raise UsageError(f"override value {value!r} is not a number") from exc
+        if not np.isfinite(number):
+            raise UsageError(f"override value {value!r} is not finite")
+        out[key.strip()] = number
     return out
 
 
@@ -271,8 +274,31 @@ def cmd_compare(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, like every other failure
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _checked(convert, ok, what):
+    """argparse type: text that ``convert`` turns into a value passing ``ok``."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return parse
+
+
+COUNT = _checked(int, lambda v: v >= 0, "a non-negative integer")
+POSITIVE_INT = _checked(int, lambda v: v > 0, "a positive integer")
+POSITIVE_FLOAT = _checked(float, lambda v: 0.0 < v < np.inf, "a positive finite number")
+
+
 def make_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lrvb",
         description="Fit mean-field variational approximations and compute "
                     "local prior-robustness measures.",
@@ -288,9 +314,9 @@ def make_parser():
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="hyperparameter override (repeatable)")
-        p.add_argument("--tol", type=float, default=1e-8,
+        p.add_argument("--tol", type=POSITIVE_FLOAT, default=1e-8,
                        help="fit gradient tolerance")
-        p.add_argument("--max-iter", type=int, default=10_000, dest="max_iter")
+        p.add_argument("--max-iter", type=COUNT, default=10_000, dest="max_iter")
 
     p_fit = sub.add_parser("fit", help="fit the model and write a summary")
     common(p_fit)
@@ -309,8 +335,8 @@ def make_parser():
                         help="perturbed block (default: first factorized block)")
     p_grid.add_argument("--target", default=None,
                         help="tracked quantity (default: first location coordinate)")
-    p_grid.add_argument("--grid-points", type=int, default=41, dest="grid_points")
-    p_grid.add_argument("--grid-sds", type=float, default=3.0, dest="grid_sds",
+    p_grid.add_argument("--grid-points", type=POSITIVE_INT, default=41, dest="grid_points")
+    p_grid.add_argument("--grid-sds", type=POSITIVE_FLOAT, default=3.0, dest="grid_sds",
                         help="half-width of the lattice in posterior sds")
 
     p_cmp = sub.add_parser("compare", help="predicted vs rerun mean changes")
@@ -344,8 +370,11 @@ def main(argv=None):
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return int(exc.code) if exc.code else EXIT_OK
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     # warnings pass the caller's filters as they are raised and are held
     # back until the exit code is known: an error exit prints one line
     with warnings.catch_warnings(record=True) as caught:
@@ -363,10 +392,15 @@ def run_command(args):
     """Exit code and, for a failure, its one-line message."""
     try:
         return COMMANDS[args.command](args), None
-    except (UsageError, FileNotFoundError) as exc:
-        return EXIT_USAGE, f"error: {exc}"
+    except (UsageError, OSError) as exc:  # OSError: unreadable input, unwritable --out
+        return EXIT_USAGE, f"error: {_one_line(exc)}"
     except LrvbError as exc:
-        return EXIT_NUMERIC, f"numerical failure [{type(exc).__name__}]: {exc}"
+        return EXIT_NUMERIC, f"numerical failure [{type(exc).__name__}]: {_one_line(exc)}"
+
+
+def _one_line(exc):
+    # messages may embed a multi-line numpy array repr
+    return " ".join(str(exc).split())
 
 
 if __name__ == "__main__":

@@ -24,8 +24,8 @@ natural and unconstrained maps, ``log_partition``, ``suff_stat_cov``,
 once, over leading batch axes: a 1-D statistic vector is one block, with
 scalar standard parameters where the family has them, and an (n, stat_dim)
 array is n blocks, each result gaining that leading axis.  A check raises
-if any block fails it.  The one per-block loop is the Wishart dof solve
-(see ``_Wishart``); the underlying-variable helpers take one block.
+if any block fails it.  No map loops over blocks; the underlying-variable
+helpers take one block.
 
 Family interface.  Each object in ``FAMILIES`` owns its family's
 conventions, so no other module branches on a ``Family`` member: beside
@@ -57,7 +57,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from .errors import DomainError
@@ -564,9 +563,9 @@ class _Wishart(_Family):
     Density proportional to |X|^((n-K-1)/2) exp(-trace(scale^-1 X)/2).  The
     block domain requires n > K + 1 so every downstream inverse-moment
     formula stays finite.  The mean-to-natural map has no closed form; the
-    degrees of freedom are recovered with a bracketed ``brentq`` per row of
-    a stack: the one per-block loop of the batched maps, kept because no
-    model has more than one Wishart block.
+    degrees of freedom of a whole stack come from one batched Newton solve,
+    :func:`lrvb.util.solve_log_minus_digamma` with k = K, the solver of the
+    gamma shape.
     """
 
     family = Family.WISHART
@@ -621,32 +620,22 @@ class _Wishart(_Family):
         logdet = multidigamma(dof / 2.0, k) + logdet_scale + k * np.log(2.0)
         return _append(vech(np.asarray(dof)[..., None, None] * scale), logdet)
 
-    def _dof_gap(self, dof, k):
-        # E[log|X|] - log|E[X]| = multidigamma(dof/2) - K log(dof/2) < 0
-        return multidigamma(dof / 2.0, k) - k * np.log(dof / 2.0)
-
-    def _solve_dof(self, gap, k):
-        lo = k + 1.0
-        # _dof_gap increases from _dof_gap(K+1) toward 0, so a root above
-        # K+1 exists only when the observed gap exceeds the K+1 value.
-        if self._dof_gap(lo, k) >= gap:
-            raise DomainError(
-                f"mean parameters imply degrees of freedom <= K+1 (gap {gap:.6g})")
-        hi = 2.0 * lo
-        while self._dof_gap(hi, k) < gap:
-            hi *= 2.0
-        return brentq(lambda n: self._dof_gap(n, k) - gap, lo, hi,
-                      xtol=1e-13, rtol=8.9e-16)
-
     def standard_from_mean(self, m):
         m = np.asarray(m, dtype=float)
         k = self.var_dim_from_stat_dim(m.shape[-1])
         self.check_mean(m, k)
         mean_mat = unvech(m[..., :-1], k)
         _, ld = np.linalg.slogdet(mean_mat)
+        # E[log|X|] - log|E[X]| = multidigamma(dof/2) - K log(dof/2) < 0
+        # increases toward 0 with dof, so dof > K+1 needs a gap above its
+        # value at dof = K+1
         gap = m[..., -1] - ld
-        dof = np.reshape([self._solve_dof(g, k) for g in np.ravel(gap)], np.shape(gap))
-        return dof[()], mean_mat / dof[..., None, None]
+        half = (k + 1.0) / 2.0
+        if np.any(gap <= multidigamma(half, k) - k * np.log(half)):
+            raise DomainError(
+                f"mean parameters imply degrees of freedom <= K+1 (gap {np.min(gap):.6g})")
+        dof = 2.0 * solve_log_minus_digamma(-gap, k)
+        return dof, mean_mat / np.asarray(dof)[..., None, None]
 
     def log_partition(self, eta):
         dof, scale = self.standard_from_natural(eta)

@@ -75,10 +75,9 @@ class Layout:
     holds (family, var_dim, idx) per group, idx being the (n_blocks,
     stat_dim) positions of its blocks in the stacked vector, so each fit and
     linear-response map is one batched family call per group (see
-    :mod:`lrvb.expfam`) and never loops over blocks.  The exception inside
-    them is the Wishart dof solve, a ``brentq`` per Wishart block; no model
-    has more than one.  The entropy is the sum of each family's closed form
-    in fit coordinates (``entropy_unconstrained``); at a mean vector it goes
+    :mod:`lrvb.expfam`) and never loops over blocks, the Wishart dof solve
+    included.  The entropy is the sum of each family's closed form in fit
+    coordinates (``entropy_unconstrained``); at a mean vector it goes
     through ``unconstrained_from_mean``.  Names, location statistics and
     sampler coordinates follow each block's family (see :mod:`lrvb.expfam`)
     and are looked up in per-block tables built once.
@@ -495,7 +494,9 @@ def fit(model, init=None, opts=None, alpha=None):
             break
         try:
             step = _newton_direction(_polish_hessian(model, z, alpha), gz)
-        except np.linalg.LinAlgError:  # singular covariance: steepest descent
+        except (DomainError, np.linalg.LinAlgError):
+            # a singular covariance, or a difference step of the Hessian
+            # that left the domain: steepest descent
             step = -gz
         accepted = False
         scale = 1.0

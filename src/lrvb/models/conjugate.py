@@ -322,11 +322,9 @@ def gaussian_target_model(nat_loc, info):
     def default_init(alpha):
         h, lam = _unpack(alpha)
         cov = np.linalg.inv(lam)
-        mu = cov @ h
-        m = np.empty(2 * d)
-        m[loc_idx] = mu
-        m[sq_idx] = mu ** 2 + np.diag(cov)
-        return m
+        # rows (E[theta_i], E[theta_i^2]) in layout order; an overflowing
+        # second moment is a DomainError
+        return _GU.mean_from_standard(cov @ h, np.diag(cov)).ravel()
 
     prior_pdfs = {}
     if np.allclose(info, np.diag(np.diag(info))):

@@ -62,7 +62,8 @@ from scipy.special import gammaln
 from ..errors import DomainError
 from ..expfam import FAMILIES, Family, wishart_expectations
 from ..mfvb import BlockDef, Hyperparams, Layout, ModelSpec
-from ..util import multitrigamma, tril, trigamma, unvech, vech, vech_dim, vech_dup
+from ..util import (is_pos_def, multitrigamma, tril, trigamma, unvech, vech, vech_dim,
+                    vech_dup)
 
 _GM = FAMILIES[Family.GAUSSIAN_MULTIVARIATE]
 _IG = FAMILIES[Family.INVERSE_GAMMA]
@@ -217,12 +218,10 @@ def lkj_log_normalizer(shape):
 def _check_priors(alpha):
     lam = np.array([[alpha["prior_info_11"], alpha["prior_info_12"]],
                     [alpha["prior_info_12"], alpha["prior_info_22"]]])
-    try:
-        np.linalg.cholesky(lam)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("prior information matrix must be positive definite") from exc
+    if not is_pos_def(lam):  # a NaN entry passes the Cholesky factorization
+        raise DomainError("prior information matrix must be positive definite")
     for key in ("lkj_shape", "scale_shape", "scale_rate", "noise_shape", "noise_rate"):
-        if alpha[key] <= 0:
+        if not alpha[key] > 0:
             raise DomainError(f"{key} must be positive, got {alpha[key]}")
     return lam
 

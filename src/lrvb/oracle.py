@@ -271,6 +271,8 @@ class McmcConfig:
             raise DomainError("need chain_length > burn_in >= 0")
         if np.any(np.asarray(self.step_scales) <= 0):
             raise DomainError("step scales must be positive")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -130,42 +130,52 @@ def is_pos_def(mat, tol=0.0):
         return False
 
 
-def solve_log_minus_digamma(c):
-    """Solve log(a) - digamma(a) = c for a > 0, elementwise.
+def solve_log_minus_digamma(c, k=1):
+    """Solve k log(a) - multidigamma(a, k) = c for a > (k-1)/2, elementwise.
 
-    The left side decreases monotonically from +inf to 0, so a unique root
-    exists for every c > 0.  An array of gaps is solved in one array
-    iteration (a scalar gap gives a float): Newton in log a on
-    log(log(a) - digamma(a)), nearly linear with slope ~ -1, from Minka's
-    initializer.  Each entry stops after its first step below 1e-9, so its
-    root does not depend on what shares the call.  Above a ~ 500 the
-    difference cancels and the root is only as good as it.
+    For k = 1 this is log(a) - digamma(a) = c, the gamma shape; for k = K
+    it gives a = dof/2 of a K x K Wishart.  The left side decreases
+    monotonically from +inf at a = (k-1)/2 to 0, so a unique root exists
+    for every c > 0.  An array of gaps is solved in one array iteration (a
+    scalar gap gives a float): Newton in u = log(a - (k-1)/2) on the log of
+    the left side, nearly linear with slope ~ -1, from Minka's initializer
+    for the gap rescaled by 2/(k(k+1)) (the left side is ~ k(k+1)/(4a) for
+    large a).  Each step evaluates digamma and trigamma once over the
+    stacked (..., k) arguments.  Each entry stops after its first step
+    below 1e-9, so its root does not depend on what shares the call.
+    Above a ~ 500 the difference cancels and the root is only as good as it.
     """
     c = np.asarray(c, dtype=float)
     if not np.all(np.isfinite(c) & (c > 0)):
-        raise DomainError(f"log(a) - digamma(a) = {c} has no positive root")
+        raise DomainError(f"{k} log(a) - multidigamma(a, {k}) = {c} has no root")
     gap = c.ravel()
+    # a_i = a - (i-1)/2 = x + shifts[i-1] with x = exp(u), so a_k is x exactly
+    shifts = np.arange(k - 1, -1, -1) / 2.0
+    scaled = gap * (2.0 / (k * (k + 1)))
     # Minka's form cancels to 0 for large c; there the root is ~1/c
-    small = np.minimum(gap, 1e8)
+    small = np.minimum(scaled, 1e8)
     minka = (3.0 - small + np.sqrt((small - 3.0) ** 2 + 24.0 * small)) / (12.0 * small)
-    log_a = np.log(np.where(gap < 1e8, minka, 1.0 / gap))
+    log_x = np.log(np.where(scaled < 1e8, minka, 1.0 / scaled))
     live = np.arange(gap.size)
     for _ in range(50):
-        a = np.exp(log_a[live])
-        h = np.log(a) - digamma(a)
-        # d h / d log a = 1 - a trigamma(a), with the 1/a^2 term of trigamma
-        # taken out so that tiny a does not overflow
+        x = np.exp(log_x[live])
+        a = x + shifts[0]
+        args = x[:, None] + shifts
+        h = k * np.log(a) - digamma(args).sum(-1)
+        # d h / d u = x (k/a - sum_i trigamma(a_i)), with the 1/a_i^2 term
+        # of each trigamma taken out so that tiny x does not overflow
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (1.0 - 1.0 / a - a * trigamma(a + 1.0)) / h
+            slope = (k * (x / a) - (x[:, None] / args / args).sum(-1)
+                     - x * trigamma(args + 1.0).sum(-1)) / h
             step = (np.log(gap[live]) - np.log(h)) / slope
         # past a ~ 1e13 the difference is lost to rounding and the step is
         # not finite; Minka's initializer is exact to rounding there
         step[~np.isfinite(step)] = 0.0
-        log_a[live] += step
+        log_x[live] += step
         live = live[np.abs(step) > 1e-9]
         if not live.size:
             break
-    root = np.exp(log_a).reshape(c.shape)
+    root = (np.exp(log_x) + shifts[0]).reshape(c.shape)
     return float(root) if root.ndim == 0 else root
 
 

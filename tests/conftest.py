@@ -20,8 +20,9 @@ TRUTH = MicrocreditParams(
     effect_cov=np.array([[1.0, 0.21], [0.21, 0.49]]),
     noise_vars=100.0 * (1.0 + 0.1 * np.arange(7)))
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+BUNDLED_CSV = os.path.join(ROOT, "data", "microcredit_synthetic.csv")
 
 
 def sites_model(tmp_path, n_sites):

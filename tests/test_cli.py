@@ -18,6 +18,8 @@ from lrvb import cli
 from lrvb.models import DEFAULT_PRIORS, save_microcredit_csv, simulate_microcredit
 from lrvb.models.microcredit import MicrocreditParams
 
+from conftest import BUNDLED_CSV
+
 
 @pytest.fixture(scope="module")
 def data_csv(tmp_path_factory):
@@ -122,6 +124,47 @@ class TestFit:
         assert code == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("numerical failure")
+
+    @pytest.mark.parametrize("argv", [
+        # each of these once left a traceback (exit 1) or exited 3
+        ["influence-grid", "--model", "normal-normal", "--grid-points", "0"],
+        ["influence-grid", "--model", "normal-normal", "--grid-points", "-3"],
+        ["influence-grid", "--model", "normal-normal", "--grid-sds", "nan"],
+        ["influence-grid", "--model", "normal-normal", "--grid-sds", "inf"],
+        ["compare", "--model", "normal-normal", "--engine", "mcmc", "--seed", "-1",
+         "--direction", "prior_nat_1=1", "--chain-length", "100", "--burn-in", "50"],
+        ["fit", "--model", "normal-normal", "--tol", "nan"],
+        ["fit", "--model", "normal-normal", "--tol", "-1"],
+        ["fit", "--model", "normal-normal", "--max-iter", "-5"],
+        ["fit", "--model", "microcredit", "--data", BUNDLED_CSV,
+         "--set", "prior_info_11=nan"],
+        ["fit", "--model", "normal-normal", "--set", "prior_nat_1=nan"],
+        ["fit", "--model", "gaussian3d", "--set", "info_11=nan"],
+        ["fit", "--model", "normal-normal", "--max-iter", "abc"],
+    ])
+    def test_bad_option_is_one_usage_line(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out", str(tmp_path / "x.json")) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+    def test_out_directory_is_one_usage_line(self, tmp_path, capsys):
+        assert run("fit", "--model", "normal-normal", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+    def test_array_in_a_failure_message_prints_on_one_line(self, tmp_path, capsys):
+        code = run("fit", "--model", "gaussian3d", "--out", str(tmp_path / "x.json"),
+                   "--set", "info_11=-5")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "[DomainError]" in err, err
+
+    def test_no_quasi_newton_iterations_is_non_convergence(self, tmp_path, capsys):
+        # the polish once let the Hessian's DomainError out of the fit
+        code = run("fit", "--model", "microcredit", "--data", BUNDLED_CSV,
+                   "--out", str(tmp_path / "x.json"), "--max-iter", "0")
+        assert code == 3
+        assert "[NonConvergence]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("failure", [None, cli.UsageError("bad input")])
     def test_warnings_held_until_exit_code(self, tmp_path, capsys, monkeypatch,
@@ -330,6 +373,16 @@ STEPS = st.one_of(st.none(), st.floats(-2.0, 2.0),
 OVERRIDE_KEYS = {
     "microcredit": list(DEFAULT_PRIORS.names) + ["bogus"],
     "normal-normal": ["prior_nat_1", "prior_nat_2", "bogus"],
+    "gaussian3d": ["nat_loc_1", "nat_loc_2", "nat_loc_3", "info_11", "info_21",
+                   "info_22", "info_31", "info_32", "info_33", "bogus"],
+}
+# numeric options as text: in and out of range, non-finite and not numbers
+OPTION_TEXT = {
+    "--grid-points": st.one_of(st.integers(-5, 60).map(str), st.sampled_from(BAD_CELLS)),
+    "--grid-sds": NUMBER_TEXT,
+    "--tol": NUMBER_TEXT,
+    "--max-iter": st.one_of(st.integers(-10, 200).map(str), st.sampled_from(BAD_CELLS)),
+    "--seed": NUMBER_TEXT,
 }
 
 
@@ -373,6 +426,21 @@ def corrupted_csv(draw):
 
 
 @st.composite
+def numeric_options(draw):
+    """A normal-normal command line with some numeric options as text."""
+    command = draw(st.sampled_from(["fit", "influence-grid", "compare"]))
+    names = ["--tol", "--max-iter"] + {"influence-grid": ["--grid-points", "--grid-sds"],
+                                       "compare": ["--seed"]}.get(command, [])
+    options = draw(st.fixed_dictionaries({}, optional={n: OPTION_TEXT[n] for n in names}))
+    argv = [command, "--model", "normal-normal"]
+    if command == "compare":
+        argv += ["--engine", "mcmc", "--direction", "prior_nat_1=1", "--step", "0.1",
+                 "--chain-length", "100", "--burn-in", "50"]
+    # --name=value, so that a value such as -inf is not read as an option
+    return argv + [f"{name}={value}" for name, value in options.items()]
+
+
+@st.composite
 def overrides(draw, model):
     pairs = draw(st.lists(st.tuples(st.sampled_from(OVERRIDE_KEYS[model]),
                                     NUMBER_TEXT), max_size=2))
@@ -386,8 +454,10 @@ def check_exit(argv, csv_text=None):
     raised as an error included, fails the test with its traceback."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        # --max-iter keeps a pathological fit from taking the default budget
-        argv = argv + ["--out", os.path.join(tmp, "out.json"), "--max-iter", "200"]
+        # --max-iter keeps a pathological fit from taking the default budget;
+        # it goes first, so that an option of argv overrides it
+        argv = (argv[:1] + ["--out", os.path.join(tmp, "out.json"), "--max-iter", "200"]
+                + argv[1:])
         if csv_text is not None:
             argv += ["--data", os.path.join(tmp, "in.csv")]
             with open(argv[-1], "w", encoding="utf-8") as fh:
@@ -414,6 +484,8 @@ class TestExitCodeFuzz:
     # found by this test: the inverse-gamma initializer overflowed
     @example("\n".join(FUZZ_CSV) + "\n",
              ["--set", "noise_shape=1.1942354774624016e-215"], "fit")
+    # a NaN information matrix passed the prior check and exited 3
+    @example("\n".join(FUZZ_CSV) + "\n", ["--set", "prior_info_11=nan"], "fit")
     def test_microcredit_csv_and_overrides(self, text, sets, command):
         check_exit([command, "--model", "microcredit", *sets], csv_text=text)
 
@@ -424,8 +496,32 @@ class TestExitCodeFuzz:
     # variational covariance escaped the fit as ValueError and LinAlgError
     @example(["--set", "prior_nat_2=-9.480751908109073e+153"], "fit")
     @example(["--set", "prior_nat_2=-3.181212452095129e+161"], "fit")
+    @example(["--set", "prior_nat_1=nan"], "fit")  # exited 3
     def test_normal_normal_overrides(self, sets, command):
         check_exit([command, "--model", "normal-normal", *sets])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(overrides("gaussian3d"), st.sampled_from(["fit", "sensitivity"]))
+    @example(["--set", "info_11=nan"], "fit")  # exited 3 with a three-line message
+    # found by this test: the initial second moment overflowed with a warning
+    @example(["--set", "nat_loc_1=1e308"], "fit")
+    def test_gaussian3d_overrides(self, sets, command):
+        check_exit([command, "--model", "gaussian3d", *sets])
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(numeric_options())
+    # each exited 1 with a traceback, or 3
+    @example(["influence-grid", "--model", "normal-normal", "--grid-points=0"])
+    @example(["influence-grid", "--model", "normal-normal", "--grid-points=-3"])
+    @example(["influence-grid", "--model", "normal-normal", "--grid-sds=nan"])
+    @example(["influence-grid", "--model", "normal-normal", "--grid-sds=inf"])
+    @example(["compare", "--model", "normal-normal", "--engine", "mcmc", "--direction",
+              "prior_nat_1=1", "--chain-length", "100", "--burn-in", "50", "--seed=-1"])
+    @example(["fit", "--model", "normal-normal", "--tol=nan"])
+    @example(["fit", "--model", "normal-normal", "--tol=-1"])
+    @example(["fit", "--model", "normal-normal", "--max-iter=-5"])
+    def test_numeric_options(self, argv):
+        check_exit(argv)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.dictionaries(st.sampled_from(["prior_nat_1", "prior_nat_2"]),

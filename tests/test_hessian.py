@@ -1,7 +1,6 @@
 """The objective Hessian from grouped columns against the same model with
 no groups declared, whose every column is differenced on its own."""
 
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -15,10 +14,8 @@ from lrvb.mfvb import BlockDef, Hyperparams, Layout, ModelSpec
 from lrvb.models import build_microcredit_model, load_microcredit_csv
 from lrvb.models.microcredit import DEFAULT_PRIORS, MicrocreditData
 
-from conftest import sites_model
+from conftest import BUNDLED_CSV, sites_model
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BUNDLED_CSV = os.path.join(ROOT, "data", "microcredit_synthetic.csv")
 REL_TOL = 1e-10
 
 

@@ -10,10 +10,11 @@ from lrvb import linear_response, mfvb, oracle
 from lrvb.errors import DomainError, NonConvergence
 from lrvb.expfam import Family
 from lrvb.mfvb import BlockDef, FitOptions, Hyperparams, Layout
-from lrvb.models import gaussian_target_model, normal_normal_model
+from lrvb.models import (build_microcredit_model, gaussian_target_model,
+                         load_microcredit_csv, normal_normal_model)
 from lrvb.util import fd_jacobian, tril_diag
 
-from conftest import NN_DATA, sites_model
+from conftest import BUNDLED_CSV, NN_DATA, sites_model
 
 
 class TestElbo:
@@ -118,6 +119,14 @@ class TestFit:
         # the quasi-Newton stage's own outcome is kept in the message
         assert ("L-BFGS-B stopped after 3 iterations: "
                 "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT") in str(info.value)
+
+    def test_polish_steps_past_a_hessian_outside_the_domain(self):
+        # with no quasi-Newton stage the polish starts far from the optimum,
+        # where the Hessian's difference steps cross the Wishart boundary; a
+        # DomainError from the Hessian once escaped the fit
+        model = build_microcredit_model(load_microcredit_csv(BUNDLED_CSV))
+        with pytest.raises(NonConvergence):
+            mfvb.fit(model, opts=FitOptions(max_iter=0, polish_iter=20))
 
     def test_hierarchical_converges_from_prior_init(self, micro_model):
         sol = mfvb.fit(micro_model)

@@ -1,5 +1,4 @@
 import functools
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +12,7 @@ from lrvb.models import (build_microcredit_model, load_microcredit_csv,
                          normal_normal_model)
 from lrvb.oracle import McmcConfig
 
-BUNDLED_CSV = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                           "data", "microcredit_synthetic.csv")
+from conftest import BUNDLED_CSV
 
 
 class TestQuadratureExpectation:

@@ -14,8 +14,8 @@ from lrvb.errors import DomainError
 from lrvb.expfam import FAMILIES, Family
 from lrvb.mfvb import BlockDef, Layout
 from lrvb.util import (chol_from_logchol, digamma, dim_from_vech, fd_jacobian,
-                       logchol_from_chol, solve_log_minus_digamma, tril,
-                       tril_diag, trigamma, unvech, vech, vech_dim)
+                       logchol_from_chol, multidigamma, solve_log_minus_digamma,
+                       tril, tril_diag, trigamma, unvech, vech, vech_dim)
 
 _WI = FAMILIES[Family.WISHART]
 _GM = FAMILIES[Family.GAUSSIAN_MULTIVARIATE]
@@ -38,6 +38,27 @@ def brentq_log_minus_digamma(c):
         hi *= 2.0
     return brentq(lambda t: np.log(t) - digamma(t) - c, lo, hi,
                   xtol=1e-14 * min(lo, 1.0), rtol=8.9e-16)
+
+
+def brentq_dof_gap(dof, k):
+    """The Wishart's ``_dof_gap`` before the Newton solve replaced it."""
+    # E[log|X|] - log|E[X]| = multidigamma(dof/2) - K log(dof/2) < 0
+    return multidigamma(dof / 2.0, k) - k * np.log(dof / 2.0)
+
+
+def brentq_solve_dof(gap, k):
+    """The Wishart's ``_solve_dof``: a bracketed brentq per block."""
+    lo = k + 1.0
+    # _dof_gap increases from _dof_gap(K+1) toward 0, so a root above
+    # K+1 exists only when the observed gap exceeds the K+1 value.
+    if brentq_dof_gap(lo, k) >= gap:
+        raise DomainError(
+            f"mean parameters imply degrees of freedom <= K+1 (gap {gap:.6g})")
+    hi = 2.0 * lo
+    while brentq_dof_gap(hi, k) < gap:
+        hi *= 2.0
+    return brentq(lambda n: brentq_dof_gap(n, k) - gap, lo, hi,
+                  xtol=1e-13, rtol=8.9e-16)
 
 
 def loop_pack(chol):
@@ -305,6 +326,47 @@ class TestLogMinusDigamma:
             solve_log_minus_digamma(bad)
         with pytest.raises(DomainError):
             solve_log_minus_digamma(np.array([1.0, bad, 2.0]))
+
+
+class TestWishartDofSolve:
+    """The k = K Newton solve against the brentq it replaced."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("lo, hi, tol", [(1e-6, 100.0, 1e-13), (100.0, 1e3, 2e-12)])
+    def test_matches_brentq_reference(self, k, lo, hi, tol):
+        # past dof - K - 1 ~ 100 the gap starts to cancel, as it does for
+        # the gamma shape past ~ 500
+        dof = k + 1.0 + np.logspace(np.log10(lo), np.log10(hi), 500)
+        gaps = brentq_dof_gap(dof, k)
+        ref = np.array([brentq_solve_dof(g, k) for g in gaps])
+        roots = 2.0 * solve_log_minus_digamma(-gaps, k)
+        assert np.max(np.abs(roots / ref - 1.0)) <= tol
+
+    def test_one_call_equals_single_calls(self):
+        dof = 3.0 + np.logspace(-6.0, 4.0, 400)
+        gaps = -brentq_dof_gap(dof, 2)
+        roots = solve_log_minus_digamma(gaps, 2)
+        singles = [solve_log_minus_digamma(c, 2) for c in gaps]
+        assert all(type(r) is float for r in singles)
+        assert np.array_equal(roots, singles)
+        assert np.array_equal(solve_log_minus_digamma(gaps.reshape(20, 20), 2),
+                              roots.reshape(20, 20))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("below", [0.0, 1e-12, 0.5, 50.0])
+    def test_gap_at_or_below_the_boundary_raises(self, k, below):
+        mean = np.eye(k) + 0.3
+        gap = brentq_dof_gap(k + 1.0, k) - below
+        m = np.append(vech(mean), np.linalg.slogdet(mean)[1] + gap)
+        with pytest.raises(DomainError, match=r"degrees of freedom <= K\+1"):
+            _WI.standard_from_mean(m)
+        with pytest.raises(DomainError, match=r"degrees of freedom <= K\+1"):
+            _WI.standard_from_mean(np.stack([_WI.mean_from_standard(k + 5.0, mean), m]))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_domain_error_for_any_bad_gap(self, bad):
+        with pytest.raises(DomainError):
+            solve_log_minus_digamma(np.array([1.0, bad]), 3)
 
 
 class TestPolygammaHelpers:
