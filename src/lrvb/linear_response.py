@@ -15,8 +15,8 @@ model's analytic gradient of L in mean coordinates (relative step
 HESSIAN_REL_STEP): every column on its own, or, for a model that declares
 ``local_groups``, each coordinate outside the groups on its own and one
 position of every group at a time, with the rows outside the groups
-filled in by symmetry.  The fit's Newton polish uses the same H:
-(I - VH) = -V (H - V^-1), and H - V^-1 is the objective's Hessian in m.
+filled in by symmetry.  The fit's Newton polish solves the same system: its
+step in m is (I - VH)^-1 V g, as H - V^-1 = -V^-1 (I - VH) is the Hessian in m.
 An independent full second-difference Hessian of the scalar objective
 is used by the test suite to validate this path.  The factorization is
 a dense LU: target model sizes are O(10^2) coordinates.

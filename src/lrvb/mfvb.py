@@ -22,9 +22,9 @@ themselves and the blocks outside every group.  Those columns are
 differenced a position of every group at a time, so a hierarchical model
 pays the same number of gradient calls at any number of groups.  The
 entropy's gradient is ``-natural(m)`` and ``d natural / dm = V^-1``, so the
-objective's Hessian in m is ``H - V^-1``; in z it is ``J' (H - V^-1) J``
-(``J = dm/dz``) plus a gradient term that vanishes at the optimum.  The
-polish minimizes -ELBO, so it uses ``-J' (H - V^-1) J``.
+objective's Hessian in m is ``H - V^-1 = -V^-1 (I - VH)``: the polish's
+Newton step solves the linear-response system ``(I - VH) dm = V g`` (g the
+objective's gradient in m) and maps dm to z through ``J = dm/dz``.
 
 ModelSpec and VbSolution are immutable after construction.  Fits call
 into the same BLAS library as every other stage, and concurrent calls
@@ -230,6 +230,13 @@ class Layout:
         """Block-diagonal d mean / d unconstrained."""
         return self._block_diagonal(fam.mean_jacobian_unconstrained(z[idx])
                                     for fam, _, idx in self.groups)
+
+    def mean_jacobian_solve(self, z, rhs, trans=False):
+        """J^-1 rhs (J^-T rhs with ``trans``), J = mean_jacobian(z), batched per group."""
+        jacs = (fam.mean_jacobian_unconstrained(z[idx]) for fam, _, idx in self.groups)
+        return self._scatter(np.linalg.solve(np.swapaxes(jac, 1, 2) if trans else jac,
+                                             rhs[idx][..., None])[..., 0]
+                             for jac, (_, _, idx) in zip(jacs, self.groups))
 
     # --- underlying-variable (sampler/oracle) coordinates, per family -----
 
@@ -493,10 +500,9 @@ def fit(model, init=None, opts=None, alpha=None):
         if gnorm <= opts.tol:
             break
         try:
-            step = _newton_direction(_polish_hessian(model, z, alpha), gz)
+            step = _newton_step(model, z, gz, alpha)
         except (DomainError, np.linalg.LinAlgError):
-            # a singular covariance, or a difference step of the Hessian
-            # that left the domain: steepest descent
+            # a singular J, or a Hessian step that left the domain: steepest descent
             step = -gz
         accepted = False
         scale = 1.0
@@ -538,27 +544,24 @@ def fit(model, init=None, opts=None, alpha=None):
     return solution
 
 
-def _polish_hessian(model, z, alpha):
-    """-J' (H - V^-1) J: the Hessian of -ELBO in z, exact at the optimum."""
+def _newton_step(model, z, grad, alpha):
+    """Newton step J^-1 dm on -ELBO, (I - VH) dm = V g with J' g = -grad, damped in m
+    by lam V (Levenberg-Marquardt on V^-1 - H + lam I); else steepest descent."""
     layout = model.layout
-    m, jac = layout.mean_from_unconstrained(z), layout.mean_jacobian(z)
-    curv = hessian_of_objective(model, m, alpha) - np.linalg.inv(layout.suff_stat_cov(m))
-    return -jac.T @ curv @ jac
-
-
-def _newton_direction(hess, grad):
-    n = hess.shape[0]
+    m = layout.mean_from_unconstrained(z)
+    g = layout.mean_jacobian_solve(z, -grad, trans=True)
+    v, h = layout.suff_stat_cov(m), hessian_of_objective(model, m, alpha)
+    system, vg = np.eye(m.size) - v @ h, v @ g
     damping = 0.0
     for _ in range(12):
         try:
             with warnings.catch_warnings():
                 # a system with rcond below machine epsilon is as good as singular
                 warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-                step = scipy.linalg.solve(hess + damping * np.eye(n), -grad,
-                                          assume_a="sym")
-            if np.all(np.isfinite(step)) and step @ (-grad) > 0:
-                return step
+                dm = scipy.linalg.solve(system + damping * v, vg)
+            if np.all(np.isfinite(dm)) and dm @ g > 0:
+                return layout.mean_jacobian_solve(z, dm)  # J is regular: J' solved above
         except (ValueError, scipy.linalg.LinAlgWarning):
             pass  # singular, ill-conditioned, or curvature that overflowed
-        damping = max(2.0 * damping, 1e-8 * max(np.max(np.abs(hess)), 1.0))
+        damping = max(2.0 * damping, 1e-8 * max(np.max(np.abs(h)), 1.0))
     return -grad  # fall back to steepest descent

@@ -21,6 +21,7 @@ from .errors import (DegenerateChain, DomainError, NotConjugate,
 from .expfam import FAMILIES
 
 QUAD_ABS_TOL = 1e-8
+MIN_BATCHES = 10  # batch means of a chain; one draw per batch at the least
 
 
 def sampler_log_target(model, alpha):
@@ -51,28 +52,34 @@ def sampler_log_target(model, alpha):
 
 
 def quadrature_expectation(density, integrand, bounds, tol=QUAD_ABS_TOL):
-    """Integral of density * integrand over a 1-D or 2-D box.
+    """Integral of density * integrand, a scalar or a vector, over a 1-D or 2-D box.
 
     ``bounds`` is (lo, hi) or ((lo1, hi1), (lo2, hi2)); infinities allowed.
-    Returns (value, error_bound); raises QuadratureFailure when the error
-    estimate exceeds ``tol`` (absolute).
+    Returns (value, error_bound), the largest error estimate of any entry and
+    integral, inner or outer; raises QuadratureFailure above ``tol`` (absolute).
     """
     bounds = np.asarray(bounds, dtype=float)
+    errors = []
+
+    def integrate(f, lo, hi, epsrel):
+        value, err = scipy.integrate.quad_vec(f, lo, hi, epsabs=tol / 10.0, epsrel=epsrel,
+                                              norm="max", limit=200)
+        errors.append(err)
+        return value
+
     if bounds.shape == (2,):
-        value, err = scipy.integrate.quad(
-            lambda x: density(x) * integrand(x), bounds[0], bounds[1],
-            limit=200, epsabs=tol / 10.0, epsrel=1e-11)
+        value = integrate(lambda x: density(x) * integrand(x), *bounds, 1e-11)
     elif bounds.shape == (2, 2):
-        value, err = scipy.integrate.dblquad(
-            lambda y, x: density(np.array([x, y])) * integrand(np.array([x, y])),
-            bounds[0, 0], bounds[0, 1], bounds[1, 0], bounds[1, 1],
-            epsabs=tol / 10.0, epsrel=1e-10)
+        value = integrate(lambda x: integrate(
+            lambda y: density(np.array([x, y])) * integrand(np.array([x, y])),
+            *bounds[1], 1e-10), *bounds[0], 1e-10)
     else:
         raise DomainError(f"bounds must describe a 1-D or 2-D box, got {bounds.shape}")
-    if not np.isfinite(value) or err > tol:
+    err = max(errors)
+    if not np.all(np.isfinite(value)) or err > tol:
         raise QuadratureFailure(
-            f"quadrature error bound {err:.3g} above {tol:g} (value {value:.6g})")
-    return float(value), float(err)
+            f"quadrature error bound {err:.3g} above {tol:g} (value {value})")
+    return (float(value) if np.ndim(value) == 0 else value), float(err)
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +130,13 @@ def quadrature_posterior_mean(model, alpha=None, box=None):
     def density(zv):
         return np.exp(log_joint_z(zv) - peak)
 
-    bounds = box[0] if len(box) == 1 else tuple(box)
-    z_norm, _ = quadrature_expectation(density, lambda z: 1.0, bounds, tol=1e-6)
-
-    def stat(zv, c):
+    def one_and_stats(zv):
         values, _ = layout.values_from_sampler(np.atleast_1d(zv))
-        return layout.suff_stats_of_values(values)[c]
+        return np.append(1.0, layout.suff_stats_of_values(values))
 
-    return np.array([quadrature_expectation(density, lambda z, c=c: stat(z, c),
-                                            bounds, tol=1e-6)[0]
-                     for c in range(layout.dim)]) / z_norm
+    bounds = box[0] if len(box) == 1 else tuple(box)
+    moments, _ = quadrature_expectation(density, one_and_stats, bounds, tol=1e-6)
+    return moments[1:] / moments[0]
 
 
 def _check_quadrature_supports(model):
@@ -182,23 +186,21 @@ def contaminated_posterior_mean(model, block, contaminant, eps, alpha=None):
 
     def mass_and_stats(weight):
         """Integrals of lik * weight times 1 and times each statistic."""
-        return [quadrature_expectation(lambda x: lik(x) * weight(x), f,
-                                       fam.quad_support, tol=1e-6)[0]
-                for f in (lambda x: 1.0, lambda x: fam.suff_stats(x)[0, 0],
-                          lambda x: fam.suff_stats(x)[0, 1])]
+        return quadrature_expectation(lambda x: lik(x) * weight(x),
+                                      lambda x: np.append(1.0, fam.suff_stats(x)),
+                                      fam.quad_support, tol=1e-6)[0]
 
-    z0, *s0 = mass_and_stats(prior)
+    base = mass_and_stats(prior)
     kind, payload = contaminant
     if kind == "dirac":
         x0 = float(payload)
-        zc = lik(x0)
-        sc = [zc * fam.suff_stats(x0)[0, c] for c in range(2)]
+        cont = lik(x0) * np.append(1.0, fam.suff_stats(x0))
     elif kind == "density":
-        zc, *sc = mass_and_stats(lambda x: np.exp(payload(x)))
+        cont = mass_and_stats(lambda x: np.exp(payload(x)))
     else:
         raise DomainError(f"unknown contaminant kind {kind!r}")
-    denom = (1.0 - eps) * z0 + eps * zc
-    return np.array([((1.0 - eps) * s0[c] + eps * sc[c]) / denom for c in range(2)])
+    mixed = (1.0 - eps) * base + eps * cont
+    return mixed[1:] / mixed[0]
 
 
 def contaminated_model(model, block, pc_logpdf, eps):
@@ -231,12 +233,11 @@ def contaminated_model(model, block, pc_logpdf, eps):
             ratio = np.exp(pc_logpdf(x) - model.prior_block_logpdf[name](name, x, alpha))
             return np.log1p(eps * (ratio - 1.0))
 
-        bounds = fam.quad_support
-        val, _ = quadrature_expectation(qdens, logterm, bounds, tol=1e-9)
-        gblk = [quadrature_expectation(
-            qdens, lambda x, c=c: (fam.suff_stats(x)[0, c] - mb[c]) * logterm(x),
-            bounds, tol=1e-9)[0] for c in range(mb.size)]
-        return val, np.linalg.solve(vblk, gblk)
+        # the correction, then its covariance with each statistic
+        moments, _ = quadrature_expectation(
+            qdens, lambda x: logterm(x) * np.append(1.0, fam.suff_stats(x) - mb),
+            fam.quad_support, tol=1e-9)
+        return moments[0], np.linalg.solve(vblk, moments[1:])
 
     def expected_log_prior(m, alpha):
         val, _ = correction_and_grad(m, alpha)
@@ -267,8 +268,10 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.chain_length > self.burn_in >= 0):
-            raise DomainError("need chain_length > burn_in >= 0")
+        if not (self.burn_in >= 0 and self.chain_length - self.burn_in >= MIN_BATCHES):
+            raise DomainError(f"need burn_in >= 0 and at least {MIN_BATCHES} draws "
+                              f"after it, got chain_length {self.chain_length} and "
+                              f"burn_in {self.burn_in}")
         if np.any(np.asarray(self.step_scales) <= 0):
             raise DomainError("step scales must be positive")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
@@ -374,7 +377,7 @@ def batch_means_se(series):
     if series.ndim == 1:
         series = series[:, None]
     n = series.shape[0]
-    nb = max(10, int(np.sqrt(n)))
+    nb = max(MIN_BATCHES, int(np.sqrt(n)))
     size = n // nb
     trimmed = series[:nb * size].reshape(nb, size, -1)
     bm = trimmed.mean(axis=1)

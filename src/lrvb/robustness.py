@@ -138,15 +138,21 @@ def prior_direction_gradient(model, m, direction, alpha=None):
     """d/dm of the directional alpha-derivative of the expected log prior.
 
     Uses the model's analytic cross-derivative when available, otherwise
-    central finite differences of the prior gradient over alpha.
+    central finite differences of the prior gradient over alpha.  An
+    unknown hyperparameter name raises the KeyError of
+    :meth:`Hyperparams.with_updates`; a coefficient that is not finite
+    raises DomainError.
     """
     alpha = model.resolve_alpha(alpha)
+    alpha.with_updates(**direction)
+    if not all(np.isfinite(v) for v in direction.values()):
+        raise DomainError(f"direction coefficients must be finite, got {direction}")
     m = np.asarray(m, dtype=float)
     if model.prior_alpha_grad is not None:
         return np.asarray(model.prior_alpha_grad(m, alpha, dict(direction)),
                           dtype=float)
     scale = max([abs(alpha[k]) for k in direction] + [1.0])
-    size = max(abs(v) for v in direction.values())
+    size = max((abs(v) for v in direction.values()), default=0.0) or 1.0  # zero moves nothing
     h = ALPHA_FD_REL_STEP * scale / size
     try:
         return fd_jacobian(
@@ -213,10 +219,14 @@ def _influence_rhs(model, sys, block, points, alpha):
     if not fam.has_location:
         raise DomainError(f"block {bdef.name!r} has no location statistics")
     points = np.asarray(points, dtype=float).reshape(-1, bdef.var_dim)
+    if not np.all(np.isfinite(points)):
+        raise DomainError(f"influence point {points[~np.isfinite(points)][0]} is not finite")
     values = points[:, 0] if fam.scalar else points
-    log_ratio, log_p = (np.reshape(v, -1) for v in
-                        _log_density_ratio(model, bdef, fam, eta, values, alpha))
-    under = np.flatnonzero(log_p < MIN_PRIOR_DENSITY_LOG)
+    # a far point's densities overflow to -inf or nan: zero prior density below
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_ratio, log_p = (np.reshape(v, -1) for v in
+                            _log_density_ratio(model, bdef, fam, eta, values, alpha))
+    under = np.flatnonzero(~(log_p >= MIN_PRIOR_DENSITY_LOG))
     if under.size:
         i = under[0]
         raise ZeroPriorDensity(
@@ -275,15 +285,12 @@ def _density_contamination_rhs(model, sys, idx, pc_logpdf, alpha):
         # q(x) p_c(x) / p(x)
         return np.exp(pc_logpdf(x) + _log_density_ratio(model, bdef, fam, eta, x, alpha)[0])
 
+    val, err = quadrature_expectation(weight, lambda x: fam.suff_stats(x)[0] - mb, bounds,
+                                      tol=1e-9)
+    if err > max(CONTAMINATION_REL_TOL * np.min(np.abs(val)), 1e-9):
+        raise QuadratureFailure(f"contamination integral error {err:.3g} too large for {val}")
     rhs = np.zeros(sys.dim)
-    for j in range(mb.size):
-        def integrand(x, j=j):
-            return fam.suff_stats(x)[0, j] - mb[j]
-        val, err = quadrature_expectation(weight, integrand, bounds, tol=1e-9)
-        if err > max(CONTAMINATION_REL_TOL * abs(val), 1e-9):
-            raise QuadratureFailure(
-                f"contamination integral error {err:.3g} too large for value {val:.3g}")
-        rhs[sl.start + j] = val
+    rhs[sl] = val
     return rhs
 
 

@@ -133,6 +133,8 @@ class TestFit:
         ["influence-grid", "--model", "normal-normal", "--grid-sds", "inf"],
         ["compare", "--model", "normal-normal", "--engine", "mcmc", "--seed", "-1",
          "--direction", "prior_nat_1=1", "--chain-length", "100", "--burn-in", "50"],
+        ["compare", "--model", "normal-normal", "--engine", "mcmc", "--direction",
+         "prior_nat_1=1", "--step", "1", "--chain-length", "5", "--burn-in", "0"],
         ["fit", "--model", "normal-normal", "--tol", "nan"],
         ["fit", "--model", "normal-normal", "--tol", "-1"],
         ["fit", "--model", "normal-normal", "--max-iter", "-5"],

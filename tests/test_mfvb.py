@@ -43,7 +43,8 @@ class TestElbo:
         # L-BFGS-B's ftol test and the polish's flat-step floor both scale
         # with |objective|.  Both fits stop with max|grad_z| <= tol, so to
         # first order their z differ by H_z^-1 (g1 - g2) and their means by
-        # at most |J H_z^-1| 2 tol entrywise (4e-9 and 1.4e-8 here).
+        # at most |J H_z^-1| 2 tol entrywise (4e-9 and 1.4e-8 here).  With
+        # H_z = J' (V^-1 - H) J, J H_z^-1 is sigma_hat J^-T.
         base_prior = nn_model.expected_log_prior
         shifted = replace(
             nn_model,
@@ -55,8 +56,8 @@ class TestElbo:
         s2 = mfvb.fit(shifted)
         assert s1.converged and s2.converged
         z = nn_model.layout.unconstrained_from_mean(s1.mean)
-        hess = mfvb._polish_hessian(nn_model, z, nn_model.hyperparams)
-        sens = np.abs(nn_model.layout.mean_jacobian(z) @ np.linalg.inv(hess))
+        sigma = linear_response.build_system(nn_model, s1).sigma_hat
+        sens = np.abs(np.linalg.solve(nn_model.layout.mean_jacobian(z), sigma).T)
         assert np.all(np.abs(s2.mean - s1.mean) <= sens @ np.full(z.size, 2.0 * tol))
         # the mean gap moves the objective only at second order (~1e-17)
         assert abs(s2.elbo - s1.elbo - shift) <= 1e-12 * max(1.0, abs(s2.elbo))
@@ -195,15 +196,37 @@ def gaussian_targets(draw):
 
 class TestPolish:
     @pytest.mark.parametrize("name", ["nig", "micro"])
-    def test_hessian_matches_fd_of_z_gradient(self, name, request):
-        # -J'(H - V^-1)J against the Hessian the polish used to difference
+    def test_step_matches_newton_step_of_fd_z_hessian(self, name, request):
+        # the (I - VH) solve mapped through J against a Newton step on the
+        # Hessian of -ELBO differenced in z, for several gradients
         model = request.getfixturevalue(f"{name}_model")
         sol, _ = request.getfixturevalue(f"{name}_fit")
         z = model.layout.unconstrained_from_mean(sol.mean)
-        hess = mfvb._polish_hessian(model, z, model.hyperparams)
         ref = fd_jacobian(lambda zz: z_gradient(model, zz), z)
         ref = (ref + ref.T) / 2.0
-        assert np.max(np.abs(hess - ref)) <= 1e-5 * np.max(np.abs(ref))
+        rng = np.random.default_rng(0)
+        for grad in [z_gradient(model, z + 1e-3)] + list(rng.normal(size=(4, z.size))):
+            step = mfvb._newton_step(model, z, grad, model.hyperparams)
+            newton = np.linalg.solve(ref, -grad)
+            assert np.max(np.abs(step - newton)) <= 1e-5 * np.max(np.abs(newton))
+
+    def test_damped_step_descends(self, nig_model, nig_fit, monkeypatch):
+        # V = H = I makes (I - VH) zero, so only the damped system
+        # (I - VH + lam V) dm = V g solves, and its step is J^-1 g / lam
+        sol, _ = nig_fit
+        layout = nig_model.layout
+        eye = np.eye(layout.dim)
+        monkeypatch.setattr(Layout, "suff_stat_cov", lambda self, m: eye)
+        monkeypatch.setattr(mfvb, "hessian_of_objective", lambda model, m, alpha: eye)
+        z = layout.unconstrained_from_mean(sol.mean)
+        grad = np.random.default_rng(1).normal(size=z.size)
+        step = mfvb._newton_step(nig_model, z, grad, nig_model.hyperparams)
+        assert step @ grad < 0
+        direction = np.linalg.solve(layout.mean_jacobian(z),
+                                    np.linalg.solve(layout.mean_jacobian(z).T, -grad))
+        assert not np.allclose(step, -grad)
+        assert np.allclose(step / np.linalg.norm(step),
+                           direction / np.linalg.norm(direction), rtol=0, atol=1e-12)
 
     def test_fit_evaluates_no_point_twice(self, micro_model):
         seen = []

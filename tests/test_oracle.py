@@ -38,6 +38,18 @@ class TestQuadratureExpectation:
                                                ((-8, 8), (-4, 6)), tol=1e-6)
         assert abs(val - 1.0) < 1e-6
 
+    def test_vector_integrand(self):
+        # the entries integrated together equal each integrated alone
+        dens = lambda x: st.norm.pdf(x, 2.0, 2.0)
+        val, err = oracle.quadrature_expectation(
+            dens, lambda x: np.array([1.0, x, x ** 2]), (-np.inf, np.inf))
+        assert np.allclose(val, [1.0, 2.0, 8.0], rtol=0, atol=1e-9) and err <= 1e-8
+        # N(0, 1) x N(1, 0.5^2), without scipy.stats' per-call overhead
+        dens2 = lambda x: np.exp(-0.5 * x[0] ** 2 - 2.0 * (x[1] - 1.0) ** 2) / np.pi
+        val, err = oracle.quadrature_expectation(
+            dens2, lambda x: np.array([1.0, x[0], x[1]]), ((-8, 8), (-4, 6)), tol=1e-6)
+        assert np.allclose(val, [1.0, 0.0, 1.0], rtol=0, atol=1e-6) and err <= 1e-6
+
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_failure_raises(self):
         # wildly oscillatory integrand starves the error target
@@ -116,7 +128,19 @@ class TestMetropolis:
         with pytest.raises(DomainError):
             McmcConfig(chain_length=10, burn_in=20, seed=0)
         with pytest.raises(DomainError):
-            McmcConfig(chain_length=10, burn_in=2, step_scales=-1.0, seed=0)
+            McmcConfig(chain_length=20, burn_in=2, step_scales=-1.0, seed=0)
+        # batch means need one draw per batch: fewer than 10 once failed
+        # to reshape after the whole chain had run
+        for length, burn_in in ((5, 0), (9, 0), (15, 6), (10, -1)):
+            with pytest.raises(DomainError, match="at least 10 draws"):
+                McmcConfig(chain_length=length, burn_in=burn_in, seed=0)
+
+    def test_shortest_chain_has_standard_errors(self):
+        res = oracle.metropolis_sample(lambda z: -0.5 * float(z @ z), np.zeros(1),
+                                       McmcConfig(chain_length=12, burn_in=2, seed=0),
+                                       adapt_sweeps=0)
+        assert res.draws.shape == (10, 1)
+        assert np.all(np.isfinite(res.standard_errors))
 
     def test_nonfinite_init_rejected(self):
         cfg = McmcConfig(chain_length=100, burn_in=10, seed=0)

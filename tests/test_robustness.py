@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,33 @@ class TestHyperparamSensitivity:
         assert abs(sens[i_tau] - fd) / abs(fd) < 0.02
 
 
+class TestDirectionValidation:
+    # the prior_alpha_grad hook priced an unknown name as zero and a NaN
+    # coefficient as NaN; the finite-difference path raised a bare KeyError,
+    # and a ZeroDivisionError for a zero direction
+    @pytest.mark.parametrize("hook", [True, False])
+    def test_unknown_name_nonfinite_and_zero_coefficients(self, micro_model, micro_fit, hook):
+        sol, sys = micro_fit
+        model = (micro_model if hook
+                 else dataclasses.replace(micro_model, prior_alpha_grad=None))
+        with pytest.raises(KeyError, match="valid keys"):
+            rb.hyperparam_sensitivity(model, sol, sys, {"prior_info_1": 1.0})
+        for coef in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="finite"):
+                rb.hyperparam_sensitivity(model, sol, sys, {"lkj_shape": coef})
+        for direction in ({"lkj_shape": 0.0}, {}):
+            assert not np.any(rb.hyperparam_sensitivity(model, sol, sys, direction))
+
+    def test_report_tags_unknown_name(self, micro_model, micro_fit):
+        # the typo was reported as value 0.0 with no error
+        sol, sys = micro_fit
+        q = rb.SensitivityQuery(quantity="mu", target="mu",
+                                direction={"prior_info_1": 1.0})
+        entry = rb.make_report([q], micro_model, sol, sys).entries[0]
+        assert entry.value is None and entry.normalized is None
+        assert entry.error.startswith("KeyError") and "valid keys" in entry.error
+
+
 class TestInfluenceFunction:
     def test_zero_at_fitted_mean(self, nn_model, nn_fit):
         sol, sys = nn_fit
@@ -137,6 +165,25 @@ class TestInfluenceFunction:
         sol, sys = nn_fit
         with pytest.raises(ZeroPriorDensity):
             rb.influence_function(nn_model, sol, sys, "theta", 60.0)
+
+    @pytest.mark.parametrize("name,block", [("nn", "theta"), ("micro", "top")])
+    def test_nonfinite_and_far_points(self, request, name, block):
+        # a NaN point reached lu_solve and escaped as a ValueError; a far one
+        # overflowed with RuntimeWarnings before its zero density was reported
+        model = request.getfixturevalue(f"{name}_model")
+        sol, sys = request.getfixturevalue(f"{name}_fit")
+        centre = sys.mean[model.layout.location_indices(block)]
+        for coord, error in ((np.nan, DomainError), (np.inf, DomainError),
+                             (-np.inf, DomainError), (1e200, ZeroPriorDensity),
+                             (-1e200, ZeroPriorDensity)):
+            point = centre.copy()
+            point[-1] = coord
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(error):
+                    rb.influence_function(model, sol, sys, block, point)
+                with pytest.raises(error):
+                    rb.influence_grid(model, sol, sys, block, np.vstack([centre, point]))
 
     @pytest.mark.parametrize("name,block", [("nn", "theta"), ("micro", "top")])
     def test_rhs_matches_per_point_loop(self, request, name, block):
