@@ -407,14 +407,23 @@ class _GaussianMultivariate(_Gaussian):
         return np.column_stack([x, x[:, rows] * x[:, cols]])
 
     def log_density(self, x, eta):
-        mu, sigma = self.standard_from_natural(eta)
-        lam = np.linalg.inv(sigma)
-        diff = np.atleast_2d(np.asarray(x, dtype=float)) - mu
+        # Lambda straight from eta, and log|Lambda| from its Cholesky factor,
+        # which also rejects an eta outside the domain
+        eta = np.asarray(eta, dtype=float)
+        d = self.var_dim_from_stat_dim(eta.shape[-1])
+        lam = -2.0 * unvech_half(eta[d:], d)
+        try:
+            chol = np.linalg.cholesky(lam)
+        except np.linalg.LinAlgError:
+            chol = None
+        if chol is None or not np.all(np.isfinite(eta)):  # a NaN passes cholesky
+            raise DomainError("Gaussian natural second-moment matrix not negative definite")
+        diff = np.atleast_2d(np.asarray(x, dtype=float)) - np.linalg.solve(lam, eta[:d])
         # elementwise products and fixed-shape sums: a point's value does not
         # depend on how many points share the call, unlike einsum or matmul
         quad = np.sum(diff[:, :, None] * lam * diff[:, None, :], axis=(1, 2))
-        _, logdet = np.linalg.slogdet(sigma)
-        out = -0.5 * (mu.size * np.log(2.0 * np.pi) + logdet + quad)
+        logdet_lam = 2.0 * np.sum(np.log(np.diagonal(chol)))
+        out = -0.5 * (d * np.log(2.0 * np.pi) - logdet_lam + quad)
         return out if out.size > 1 else float(out[0])
 
     def sample(self, eta, size, rng):

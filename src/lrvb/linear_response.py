@@ -29,6 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NonConvergence, SingularSystem
+from .expfam import FAMILIES
 from .mfvb import HESSIAN_REL_STEP, hessian_of_objective  # noqa: F401
 
 CONDITION_LIMIT = 1e12
@@ -37,7 +38,13 @@ SYMMETRY_WARN = 1e-6
 
 @dataclass(frozen=True)
 class LrvbSystem:
-    """V, H, the corrected covariance, and a reusable factorized solve."""
+    """V, H, the corrected covariance, and a reusable factorized solve.
+
+    What influence queries reuse per system -- response columns and a
+    block's fitted natural parameters -- is computed on first use and kept
+    in ``_memo``, keyed by content (never by alpha), read-only, and outside
+    equality and repr.
+    """
 
     mean: np.ndarray
     v: np.ndarray
@@ -45,6 +52,7 @@ class LrvbSystem:
     sigma_hat: np.ndarray
     condition: float
     _lu: tuple = field(repr=False, default=None)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def dim(self):
@@ -62,6 +70,30 @@ class LrvbSystem:
     def solve_transpose(self, lhs):
         """Return (I - VH)^-T lhs, i.e. row-vector solves lhs' (I - VH)^-1."""
         return scipy.linalg.lu_solve(self._lu, np.asarray(lhs, dtype=float), trans=1)
+
+    def response_columns(self, idx):
+        """(I - VH)^-1 restricted to the columns ``idx``, shape (dim, len(idx)):
+        one solve against their unit columns on first use."""
+        key = ("columns",) + tuple(int(i) for i in idx)
+        if key not in self._memo:
+            unit = np.zeros((self.dim, len(key) - 1))
+            unit[key[1:], np.arange(unit.shape[1])] = 1.0
+            self._memo[key] = _read_only(self.solve_identity_minus_vh(unit))
+        return self._memo[key]
+
+    def fitted_natural(self, sl, family, var_dim):
+        """Natural parameters of the fitted block at ``sl`` of the means."""
+        key = ("natural", sl.start, sl.stop, family, var_dim)
+        if key not in self._memo:
+            self._memo[key] = _read_only(
+                FAMILIES[family].natural_from_mean(self.mean[sl], var_dim))
+        return self._memo[key]
+
+
+def _read_only(arr):
+    arr = np.asarray(arr, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 def build_system(model, sol, alpha=None):

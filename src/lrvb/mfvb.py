@@ -301,19 +301,23 @@ class Hyperparams(Mapping):
     def as_vector(self):
         return np.array(list(self._entries.values()))
 
-    def with_updates(self, **updates):
-        unknown = set(updates) - set(self._entries)
+    def check_names(self, names):
+        """KeyError listing the valid keys unless every name is one of them."""
+        unknown = set(names) - set(self._entries)
         if unknown:
             raise KeyError(f"unknown hyperparameters {sorted(unknown)}; "
                            f"valid keys: {sorted(self._entries)}")
+
+    def with_updates(self, **updates):
+        self.check_names(updates)
         merged = dict(self._entries)
         merged.update(updates)
         return Hyperparams(merged)
 
     def perturbed(self, direction, t):
         """Shift by t along a {name: coefficient} direction."""
-        updates = {k: self._entries[k] + t * v for k, v in direction.items()}
-        return self.with_updates(**updates)
+        self.check_names(direction)
+        return self.with_updates(**{k: self._entries[k] + t * v for k, v in direction.items()})
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v:g}" for k, v in self._entries.items())

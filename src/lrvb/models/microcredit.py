@@ -475,9 +475,9 @@ def build_microcredit_model(data, priors=None):
     def prior_block_logpdf(block, point, alpha):
         if block not in ("top", 0):
             raise KeyError(f"prior does not factor across block {block!r}")
+        # N(0, Lambda^-1) in natural coordinates (0, vech_dup(-Lambda / 2))
         lam = _check_priors(alpha)
-        eta = _GM.natural_from_standard(np.zeros(2), np.linalg.inv(lam))
-        return _GM.log_density(point, eta)
+        return _GM.log_density(point, np.concatenate([np.zeros(2), vech_dup(-0.5 * lam)]))
 
     def sampler_log_posterior(alpha):
         """Log posterior plus log-Jacobian over the sampler coordinates:

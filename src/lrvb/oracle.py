@@ -460,6 +460,7 @@ def perturb_and_rerun(model, direction, engine, step=None, sol=None, sys=None,
 
     check_rerun_inputs(model, engine, direction, step)
     alpha = model.resolve_alpha(alpha)
+    alpha.check_names(direction)
     if step is None:
         mags = [abs(alpha[k]) for k in direction if alpha[k] != 0]
         scale = max(mags) if mags else 1.0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma
@@ -7,7 +8,7 @@ from scipy.special import digamma
 from lrvb import expfam as ef
 from lrvb.errors import DomainError
 from lrvb.expfam import ExpFamBlock, Family
-from lrvb.util import fd_jacobian, vech
+from lrvb.util import fd_jacobian, vech, vech_dup
 
 
 def random_natural(family, rng):
@@ -189,6 +190,32 @@ class TestGaussianLogDensityChunks:
             for off in range(16):
                 part = np.atleast_1d(ef.block_log_density(blk, x[off:off + size]))
                 assert np.array_equal(part, whole[off:off + size]), (size, off)
+
+
+class TestGaussianLogDensity:
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_matches_scipy(self, d):
+        rng = np.random.default_rng(10 + d)
+        a = rng.normal(size=(d, d))
+        mu, sigma = rng.normal(size=d), a @ a.T + 0.5 * np.eye(d)
+        eta = ef.FAMILIES[Family.GAUSSIAN_MULTIVARIATE].natural_from_standard(mu, sigma)
+        x = mu + 3.0 * rng.normal(size=(200, d))
+        ours = ef.FAMILIES[Family.GAUSSIAN_MULTIVARIATE].log_density(x, eta)
+        ref = scipy.stats.multivariate_normal(mu, sigma).logpdf(x)
+        assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("lam", [[[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, 1.0]],
+                                     [[1.0, np.nan], [np.nan, 1.0]]])
+    def test_precision_outside_domain_raises(self, lam):
+        # Lambda = [[1, 2], [2, 1]] gave a finite -1.354
+        eta = np.concatenate([np.zeros(2), vech_dup(-0.5 * np.array(lam))])
+        with pytest.raises(DomainError, match="not negative definite"):
+            ef.FAMILIES[Family.GAUSSIAN_MULTIVARIATE].log_density(np.zeros(2), eta)
+
+    def test_nonfinite_location_raises(self):
+        eta = np.array([np.inf, 0.0, -0.5, 0.0, -0.5])
+        with pytest.raises(DomainError):
+            ef.FAMILIES[Family.GAUSSIAN_MULTIVARIATE].log_density(np.zeros(2), eta)
 
 
 def _round_trip_error(family, params):

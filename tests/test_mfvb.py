@@ -268,3 +268,9 @@ class TestHyperparams:
     def test_unknown_key(self):
         with pytest.raises(KeyError):
             Hyperparams({"a": 1.0}).with_updates(zzz=2.0)
+
+    def test_perturbed_unknown_key_lists_valid_keys(self):
+        # was a bare KeyError: 'nope' from the entry lookup
+        with pytest.raises(KeyError, match=r"unknown hyperparameters \['nope'\]; "
+                                           r"valid keys: \['a', 'b'\]"):
+            Hyperparams({"a": 1.0, "b": 2.0}).perturbed({"a": 1.0, "nope": 1.0}, 0.1)

@@ -364,6 +364,12 @@ class TestPerturbAndRerun:
         assert sub.names == ("theta",)
         assert sub.predicted_deltas[0] == res.predicted_deltas[0]
 
+    def test_unknown_name_lists_valid_keys(self, nn_model):
+        # without a step, the default-step computation raised a bare KeyError
+        for step in (None, 0.1):
+            with pytest.raises(KeyError, match="valid keys"):
+                oracle.perturb_and_rerun(nn_model, {"nope": 1.0}, "vb", step=step)
+
     def test_unknown_engine(self, nn_model):
         with pytest.raises(DomainError):
             oracle.perturb_and_rerun(nn_model, {"prior_nat_1": 1.0}, engine="exact")

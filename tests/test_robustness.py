@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -186,28 +187,59 @@ class TestInfluenceFunction:
                     rb.influence_grid(model, sol, sys, block, np.vstack([centre, point]))
 
     @pytest.mark.parametrize("name,block", [("nn", "theta"), ("micro", "top")])
-    def test_rhs_matches_per_point_loop(self, request, name, block):
-        # reference: the per-point loop the batched right-hand side replaced
+    def test_grid_matches_dense_rhs_solve(self, request, name, block):
+        # reference: the dense right-hand side, one column per point, that
+        # the memoized response columns replaced
         model = request.getfixturevalue(f"{name}_model")
         sol, sys = request.getfixturevalue(f"{name}_fit")
-        alpha = model.hyperparams
-        layout = model.layout
-        bdef = layout.blocks[layout.block_index(block)]
-        fam = FAMILIES[bdef.family]
-        eta = fam.natural_from_mean(sys.mean[layout.slice_of(block)], bdef.var_dim)
-        loc = layout.location_indices(block)
-        rng = np.random.default_rng(5)
-        pts = sys.mean[loc] + rng.normal(size=(50, loc.size))
-        loop = np.zeros((layout.dim, len(pts)))
-        for col, pt in enumerate(pts):
-            val = pt[0] if loc.size == 1 else pt
-            log_p = model.prior_block_logpdf[block](block, val, alpha)
-            ratio = np.exp(float(fam.log_density(val, eta)) - log_p)
-            loop[loc, col] = ratio * (pt - sys.mean[loc])
-        rhs = rb._influence_rhs(model, sys, block, pts, alpha)
-        # same formulas; a scalar power and the batched quadratic form may
-        # round the last bit differently from their array counterparts
-        assert np.allclose(rhs, loop, rtol=1e-14, atol=0.0)
+        loc = model.layout.location_indices(block)
+        pts = sys.mean[loc] + np.random.default_rng(5).normal(size=(50, loc.size))
+        rows = rb.influence_grid(model, sol, sys, block, pts)
+        expected = _dense_rhs_rows(model, sys, block, pts, model.hyperparams)
+        assert np.max(np.abs(rows - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_memo_per_system_and_never_alpha(self, micro_model, micro_fit, monkeypatch):
+        sol, _ = micro_fit
+        sys = linear_response.build_system(micro_model, sol)
+        before = repr(sys)
+        solves, priors = [], []
+        solve = linear_response.LrvbSystem.solve_identity_minus_vh
+
+        def counted_solve(self, rhs):
+            solves.append(np.shape(rhs))
+            return solve(self, rhs)
+
+        monkeypatch.setattr(linear_response.LrvbSystem, "solve_identity_minus_vh",
+                            counted_solve)
+        hook = micro_model.prior_block_logpdf["top"]
+        model = dataclasses.replace(micro_model, prior_block_logpdf={
+            "top": lambda *args: priors.append(1) or hook(*args)})
+        point = sol.mean[:2] + np.array([0.7, -0.4])
+        first = rb.influence_function(model, sol, sys, "top", point)
+        second = rb.influence_function(model, sol, sys, "top", point)
+        assert solves == [(sys.dim, 2)] and len(priors) == 2
+        assert first.tobytes() == second.tobytes()
+        assert repr(sys) == before
+        # the prior is priced at every query's own alpha
+        alpha = micro_model.hyperparams.perturbed({"prior_info_11": 1.0}, 0.5)
+        shifted = rb.influence_function(model, sol, sys, "top", point, alpha)
+        assert len(solves) == 1 and len(priors) == 3
+        ref = _dense_rhs_rows(micro_model, sys, "top", point[None], alpha)[0]
+        assert np.max(np.abs(shifted - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert not np.array_equal(shifted, first)
+        # a system from another fit fills its own memo
+        sol2 = mfvb.fit(micro_model, init=sol.mean, alpha=alpha)
+        sys2 = linear_response.build_system(micro_model, sol2, alpha=alpha)
+        other = rb.influence_function(model, sol2, sys2, "top", point, alpha)
+        assert len(solves) == 2
+        ref = _dense_rhs_rows(micro_model, sys2, "top", point[None], alpha)[0]
+        assert np.max(np.abs(other - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_memo_outside_equality_and_repr(self):
+        fields = dataclasses.fields(linear_response.LrvbSystem)
+        names = ("mean", "v", "h", "sigma_hat", "condition", "_lu")
+        assert tuple(f.name for f in fields if f.compare) == names
+        assert tuple(f.name for f in fields if f.repr) == names[:-1]
 
     def test_zero_prior_density_rejected_within_grid(self, nn_fit, nn_model):
         # one underflowing point among many fails the whole grid and is named
@@ -247,6 +279,23 @@ class TestInfluenceFunction:
         parts = [rb.influence_grid(micro_model, sol, sys, "top", chunk)
                  for chunk in np.array_split(pts, 4)]
         assert np.array_equal(np.vstack(parts), whole)
+
+
+def _dense_rhs_rows(model, sys, block, points, alpha):
+    """Influence rows from a dense right-hand side with one column per
+    point, solved against a fresh LU of I - VH."""
+    layout = model.layout
+    bdef = layout.blocks[layout.block_index(block)]
+    fam = FAMILIES[bdef.family]
+    eta = fam.natural_from_mean(sys.mean[layout.slice_of(block)], bdef.var_dim)
+    loc = layout.location_indices(block)
+    rhs = np.zeros((layout.dim, len(points)))
+    for col, pt in enumerate(points):
+        val = pt[0] if loc.size == 1 else pt
+        log_p = model.prior_block_logpdf[block](block, val, alpha)
+        rhs[loc, col] = np.exp(float(fam.log_density(val, eta)) - log_p) * (pt - sys.mean[loc])
+    lu = scipy.linalg.lu_factor(np.eye(layout.dim) - sys.v @ sys.h)
+    return scipy.linalg.lu_solve(lu, rhs).T
 
 
 class TestPriorBlockLogpdf:
