@@ -378,9 +378,10 @@ class ModelSpec:
     # optional factory alpha -> (sampler vector -> log posterior + Jacobian)
     # for hot sampling loops; it must equal log_lik_values + log_prior_values
     # plus the values_from_sampler Jacobian, and may carry the cached
-    # ``coordinate_moves`` of lrvb.oracle.metropolis_sample.  Microcredit's
-    # hook, its moves and its dict hooks share one formula over cached site
-    # statistics, checked by tests/test_microcredit_reference.py.
+    # ``coordinate_moves`` of lrvb.oracle.metropolis_sample, made once per
+    # chain.  Microcredit's hook, its moves and its dict hooks share one
+    # formula over per-site statistics, checked by
+    # tests/test_microcredit_reference.py.
     sampler_log_posterior: Optional[Callable] = None
     local_groups: tuple = ()
     # (column sets, coordinate groups) of Layout.hessian_columns

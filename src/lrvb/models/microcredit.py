@@ -37,24 +37,32 @@ and ``noise_k`` couple only with each other and with ``top`` and
 gradient calls at any number of sites, not two per coordinate.
 
 The pointwise posterior of the sampling and quadrature oracles is
-written once, through cached statistics: each site's log likelihood
-term, log v_k and 1/v_k, and the products of its effect deviation from
-(mu, tau); their six sums over the sites; and a log likelihood and log
-prior of those sums, (mu, tau) and the effect precision's entries with
-its log-determinant.  ``log_lik_values`` / ``log_prior_values`` map a
-values dict into that formula, and ``sampler_log_posterior`` maps a
-sampler vector into it and adds the log-Jacobian.  Its
-``coordinate_moves`` keep the statistics between the sampler's
-single-coordinate moves and update only those a move touches, so each
-move costs O(1) away from (mu, tau) instead of O(K).  Its independent
-check is the literal per-site loop reference in
-``tests/test_microcredit_reference.py``.
+written once, through per-site statistics: each site's row of six, its
+log likelihood term, log v_k and 1/v_k, and the products of its effect
+deviation from (mu, tau); the rows' six sums over the sites; and a log
+likelihood and log prior of those sums, (mu, tau) and the effect
+precision's entries with its log-determinant.  ``log_lik_values`` /
+``log_prior_values`` map a values dict into that formula, and
+``sampler_log_posterior`` maps a sampler vector into it and adds the
+log-Jacobian.  Given the globals the target is linear in the six sums
+(Roberts & Sahu, JRSS-B 1997), so its ``coordinate_moves`` keep every
+site's row for a whole chain and price a move of site k's effect or
+log v_k as f + c.(r_k' - r_k), with c = (1, -a_n, -b_n, -p11/2, -p12,
+-p22/2) re-priced only when a precision move is accepted: O(1) per
+site move.  A move of (mu, tau) re-evaluates every site's deviations,
+O(K).  The rows are evaluated from the sampler's values, never
+accumulated, and each sweep re-sums them.  Its independent check is the
+literal per-site loop reference in ``tests/test_microcredit_reference.py``.
+
+The prior hooks share two one-entry memos: the Wishart (dof, scale) of
+the last effect_prec means, keyed on their bytes, and the Lambda of the
+last alpha that passed validation.
 """
 
 import csv
 import math
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, mul, sub
 
 import numpy as np
 from scipy.special import gammaln
@@ -203,6 +211,14 @@ def _exp_quiet(x):
         return float(np.exp(x))
 
 
+def _fsum_quiet(values):
+    """math.fsum(values); nan where it raises for inf - inf or overflow."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
 def lkj_log_normalizer(shape):
     """log c for the 2x2 correlation density c |R|^(shape-1).
 
@@ -232,7 +248,21 @@ def build_microcredit_model(data, priors=None):
         raise DomainError("need at least 2 sites to identify the effect covariance")
     priors = DEFAULT_PRIORS if priors is None else (
         priors if isinstance(priors, Hyperparams) else Hyperparams(priors))
-    _check_priors(priors)
+    checked = None  # (alpha's items, Lambda) of the last alpha that passed
+
+    def check_priors(alpha):
+        """_check_priors(alpha), with a read-only Lambda, run once per alpha:
+        only an alpha that passes is kept, so an invalid one raises on every
+        call, and one with a NaN never passes."""
+        nonlocal checked
+        key = tuple(alpha.items())
+        if checked is None or checked[0] != key:
+            lam = _check_priors(alpha)
+            lam.flags.writeable = False
+            checked = key, lam
+        return checked[1]
+
+    check_priors(priors)
     k_sites = data.n_sites
     n, st, sy, syt, syy = data.site_stats()
 
@@ -289,8 +319,20 @@ def build_microcredit_model(data, priors=None):
 
     # -- Wishart-block helpers ---------------------------------------------
 
+    wishart = None  # (effect_prec means' bytes, (dof, scale)) of the last solve
+
     def _wishart_params(m):
-        return _WI.standard_from_mean(np.asarray(m[wis:wis + 4], dtype=float))
+        """The Wishart (dof, scale) of the four effect_prec means, solved once
+        per distinct means: the last solve is kept, keyed on their exact
+        bytes; a failing solve keeps nothing."""
+        nonlocal wishart
+        block = np.array(m[wis:wis + 4], dtype=float)
+        key = block.tobytes()
+        if wishart is None or wishart[0] != key:
+            dof, scale = _WI.standard_from_mean(block)
+            scale.flags.writeable = False
+            wishart = key, (dof, scale)
+        return wishart[1]
 
     def _forward_jacobian(dof, scale, p):
         """d(block mean)/d(vech scale, dof); rows match the block layout."""
@@ -326,7 +368,7 @@ def build_microcredit_model(data, priors=None):
     # -- expected log prior -------------------------------------------------
 
     def expected_log_prior(m, alpha):
-        lam = _check_priors(alpha)
+        lam = check_priors(alpha)
         eta_l, a_s, b_s = alpha["lkj_shape"], alpha["scale_shape"], alpha["scale_rate"]
         a_n, b_n = alpha["noise_shape"], alpha["noise_rate"]
 
@@ -352,7 +394,7 @@ def build_microcredit_model(data, priors=None):
         return total
 
     def grad_log_prior(m, alpha):
-        lam = _check_priors(alpha)
+        lam = check_priors(alpha)
         eta_l, a_s, b_s = alpha["lkj_shape"], alpha["scale_shape"], alpha["scale_rate"]
         a_n, b_n = alpha["noise_shape"], alpha["noise_rate"]
         g = np.zeros(layout.dim)
@@ -372,7 +414,7 @@ def build_microcredit_model(data, priors=None):
         return g
 
     def prior_alpha_grad(m, alpha, direction):
-        _check_priors(alpha)
+        check_priors(alpha)
         out = np.zeros(layout.dim)
         c = direction.get("prior_info_11", 0.0)
         if c:
@@ -420,12 +462,15 @@ def build_microcredit_model(data, priors=None):
         return d1 * d1, d1 * d2, d2 * d2
 
     def stat_sums(columns):
-        return np.asarray(columns).sum(axis=1).tolist()
+        """Each column's sum over the sites, exactly rounded, so it does not
+        depend on the order of the sites; nan where the column holds both
+        infinities or sums past the float range."""
+        return [_fsum_quiet(column) for column in columns]
 
     def pointwise_log_prior(alpha):
         """Log prior at (mu, tau), the six site sums and a positive
         definite P, |P| and log|P|; the covariance C = P^-1 enters as C11 = p22/|P|, C22 = p11/|P|."""
-        lam = _check_priors(alpha)
+        lam = check_priors(alpha)
         eta_l, a_s, b_s = alpha["lkj_shape"], alpha["scale_shape"], alpha["scale_rate"]
         a_n, b_n = alpha["noise_shape"], alpha["noise_rate"]
         lam11, lam12, lam22 = lam[0, 0].item(), lam[0, 1].item(), lam[1, 1].item()
@@ -476,7 +521,7 @@ def build_microcredit_model(data, priors=None):
         if block not in ("top", 0):
             raise KeyError(f"prior does not factor across block {block!r}")
         # N(0, Lambda^-1) in natural coordinates (0, vech_dup(-Lambda / 2))
-        lam = _check_priors(alpha)
+        lam = check_priors(alpha)
         return _GM.log_density(point, np.concatenate([np.zeros(2), vech_dup(-0.5 * lam)]))
 
     def sampler_log_posterior(alpha):
@@ -487,6 +532,7 @@ def build_microcredit_model(data, priors=None):
         range.  The function carries ``coordinate_moves`` for
         :func:`lrvb.oracle.metropolis_sample`."""
         log_prior = pointwise_log_prior(alpha)
+        a_n, b_n = alpha["noise_shape"], alpha["noise_rate"]
         glob = [0, 1, pos_chol, pos_chol + 1, pos_chol + 2]
 
         def from_sums(g, sums):
@@ -507,67 +553,100 @@ def build_microcredit_model(data, priors=None):
                 return -math.inf
             return value if math.isfinite(value) else -math.inf
 
-        def site_table(zv):
-            """``site_terms`` and ``deviations`` of every site at zv, (6, K),
-            and their six sums; past the float range inf or nan, quietly."""
+        def row_coefficients(g):
+            """c with f + c.(r' - r) the log target after one site's row moves
+            from r to r' at the globals g: the derivative of from_sums in the
+            six sums, (1, -a_n, -b_n, -p11/2, -p12, -p22/2)."""
+            l11, l21, l22 = _exp_quiet(g[2]), g[3], _exp_quiet(g[4])
+            return (1.0, -a_n, -b_n, -0.5 * l11 * l11, -l11 * l21,
+                    -0.5 * (l21 * l21 + l22 * l22))
+
+        def site_rows(zv):
+            """Each site's row at zv, ``site_terms`` then ``deviations`` (K
+            lists of six); past the float range inf or nan, quietly."""
             muk, tauk, logv = zv[2:pos_noise:2], zv[3:pos_noise:2], zv[pos_noise:pos_chol]
             with np.errstate(over="ignore", invalid="ignore"):
-                table = np.array(site_terms(muk, tauk, logv, np.exp(-logv))
-                                 + deviations(zv[0], zv[1], muk, tauk))
-                return table, stat_sums(table)
+                return np.array(site_terms(muk, tauk, logv, np.exp(-logv))
+                                + deviations(zv[0], zv[1], muk, tauk)).T.tolist()
 
         def log_post(zv):
-            return from_sums(zv[glob].tolist(), site_table(zv)[1])
+            return from_sums(zv[glob].tolist(), stat_sums(zip(*site_rows(zv))))
 
         def coordinate_moves(x):
-            """(log_post(x), propose, accept) for single-coordinate moves from
-            x.  The six site sums and each site's ``site_terms`` are built from
-            scratch here, as in log_post.  A move of site k's effect or log v_k
-            swaps that site's terms and deviations in the sums, a move of
-            (mu, tau) re-sums every site's deviations, and a precision move
-            changes no sum.  They change only on accept()."""
-            table, sums = site_table(x)
-            g, terms = x[glob].tolist(), table[:3].T.tolist()
-            move = None
+            """(resum, propose, accept) for single-coordinate moves of x, made
+            once per chain.  Each site's row is kept and evaluated from x's
+            values, never accumulated.  ``resum()`` re-sums the six sums from
+            the rows and returns the log target at x.  A move of site k's
+            effect or log v_k is priced linearly, f + c.(r_k' - r_k); c depends
+            only on the precision and alpha and is re-priced when a precision
+            move is accepted.  A move of (mu, tau) re-evaluates every site's
+            deviations and a precision move keeps the sums; both go through
+            from_sums.  The rows change only on accept()."""
+            g, rows = x[glob].tolist(), site_rows(x)
+            c, f, sums, move = row_coefficients(g), None, None, None
+
+            def resum():
+                nonlocal f, sums
+                sums = stat_sums(zip(*rows))
+                f = from_sums(g, sums)
+                return f
+
+            resum()
 
             def propose(j, xj):
                 nonlocal move
-                g_new, k, terms_k, sums_new = g.copy(), None, None, sums
                 if j < 2:
+                    g_new = g.copy()
                     g_new[j] = xj
-                    sums_new = sums[:3] + stat_sums(deviations(
-                        g_new[0], g_new[1], x[2:pos_noise:2], x[3:pos_noise:2]))
-                elif j >= pos_chol:
+                    devs = [d.tolist() for d in deviations(
+                        g_new[0], g_new[1], x[2:pos_noise:2], x[3:pos_noise:2])]
+                    sums_new = sums[:3] + stat_sums(devs)
+                    value = from_sums(g_new, sums_new)
+                    move = value, None, (g_new, sums_new), devs
+                    return value
+                if j >= pos_chol:
+                    g_new = g.copy()
                     g_new[j - pos_chol + 2] = xj
+                    value = from_sums(g_new, sums)
+                    move = value, None, (g_new, sums), None
+                    return value
+                k = (j - 2) // 2 if j < pos_noise else j - pos_noise
+                old, muk, tauk = rows[k], x.item(2 * k + 2), x.item(2 * k + 3)
+                if j < pos_noise:
+                    muk, tauk = (xj, tauk) if j % 2 == 0 else (muk, xj)
+                    new = [site_terms(muk, tauk, *old[1:3], data_rows[k])[0], *old[1:3],
+                           *deviations(g[0], g[1], muk, tauk)]
                 else:
-                    # site k's (mu_k, tau_k, log v_k, 1/v_k) before and after
-                    k = (j - 2) // 2 if j < pos_noise else j - pos_noise
-                    old = [x.item(2 * k + 2), x.item(2 * k + 3), *terms[k][1:]]
-                    new = old.copy()
-                    if j < pos_noise:
-                        new[j % 2] = xj
-                    else:
-                        new[2:] = xj, _exp_quiet(-xj)
-                    terms_k = site_terms(*new, data_rows[k])
-                    sums_new = [s + (a - b) for s, a, b in zip(
-                        sums, (*terms_k, *deviations(g[0], g[1], *new[:2])),
-                        (*terms[k], *deviations(g[0], g[1], *old[:2])))]
-                move = g_new, k, terms_k, sums_new
-                return from_sums(g_new, sums_new)
+                    inv_v = _exp_quiet(-xj)
+                    new = [site_terms(muk, tauk, xj, inv_v, data_rows[k])[0], xj, inv_v,
+                           *old[3:]]
+                value = f + sum(map(mul, c, map(sub, new, old)))
+                if not math.isfinite(value):  # a row past the float range
+                    value = -math.inf
+                move = value, k, new, None
+                return value
 
             def accept():
-                nonlocal g, sums
-                g, k, terms_k, sums = move
+                nonlocal f, g, c, sums
+                f, k, new, devs = move
                 if k is not None:
-                    terms[k] = terms_k
+                    sums = [s + (a - b) for s, a, b in zip(sums, new, rows[k])]
+                    rows[k] = new
+                    return
+                g, sums = new
+                if devs is None:
+                    c = row_coefficients(g)
+                else:
+                    for row, d in zip(rows, zip(*devs)):
+                        row[3:] = d
 
-            return from_sums(g, sums), propose, accept
+            return resum, propose, accept
 
         log_post.coordinate_moves = coordinate_moves
         return log_post
 
     def default_init(alpha):
-        lam = _check_priors(alpha)
+        lam = check_priors(alpha)
         a_s, b_s = alpha["scale_shape"], alpha["scale_rate"]
         a_n, b_n = alpha["noise_shape"], alpha["noise_rate"]
         c0 = b_s / max(a_s - 1.0, 0.5)

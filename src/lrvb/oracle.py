@@ -301,13 +301,14 @@ def metropolis_sample(log_target, init, config, adapt_sweeps=500):
     ``log_target`` maps a point to its log density.  A plain callable is
     evaluated in full at a copy of the point for every proposal.  A target
     may also carry cached moves, as an attribute ``coordinate_moves(x)``
-    that returns ``(f, propose, accept)``: f is the log target at x,
-    ``propose(j, xj)`` is the log target at x with coordinate j set to xj,
+    called once per chain with the array the sampler updates in place.  It
+    returns ``(resum, propose, accept)``: ``resum()`` is the log target at
+    the current x, recomputed from statistics kept per piece of the target
+    and evaluated from x's values, and the sampler calls it at the start of
+    every sweep, so the rounding of the cached updates cannot accumulate;
+    ``propose(j, xj)`` is the log target at x with coordinate j set to xj;
     and ``accept()`` commits the last proposal before the sampler writes xj
-    into x.  Each sweep starts from a fresh ``coordinate_moves(x)``, whose
-    statistics are built from scratch, so the rounding of the cached
-    updates cannot accumulate; its values must equal the full evaluation
-    up to that rounding.
+    into x.  Its values must equal the full evaluation up to that rounding.
     """
     x = np.array(init, dtype=float)
     d = x.size
@@ -317,14 +318,14 @@ def metropolis_sample(log_target, init, config, adapt_sweeps=500):
     rng = np.random.default_rng(config.seed)
     scales = np.broadcast_to(np.asarray(config.step_scales, dtype=float), (d,)).copy()
     cached = getattr(log_target, "coordinate_moves", None)
+    resum, propose, accept = (_full_moves(log_target, x) if cached is None
+                              else cached(x))
 
     def sweep(f, accept_counter):
         steps = (scales * rng.normal(size=d)).tolist()
         logu = np.log(rng.random(d)).tolist()
-        if cached is None:
-            propose, accept = _full_moves(log_target, x)
-        else:
-            f, propose, accept = cached(x)
+        if resum is not None:
+            f = resum()
         for j in range(d):
             xj = x.item(j) + steps[j]
             fp = propose(j, xj)
@@ -361,14 +362,15 @@ def metropolis_sample(log_target, init, config, adapt_sweeps=500):
 
 
 def _full_moves(log_target, x):
-    """(propose, accept) of a plain log target: every proposal is one full
-    evaluation at a copy of x, and accepting needs no bookkeeping."""
+    """(None, propose, accept) of a plain log target: the sampler carries f
+    between sweeps, every proposal is one full evaluation at a copy of x,
+    and accepting needs no bookkeeping."""
     def propose(j, xj):
         prop = x.copy()
         prop[j] = xj
         return float(log_target(prop))
 
-    return propose, lambda: None
+    return None, propose, lambda: None
 
 
 def batch_means_se(series):

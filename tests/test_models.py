@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from lrvb import mfvb, oracle
 from lrvb.errors import DomainError
+from lrvb.expfam import FAMILIES, Family
 from lrvb.mfvb import Hyperparams
 from lrvb.models import (build_microcredit_model, load_microcredit_csv,
                          save_microcredit_csv, simulate_microcredit)
+from lrvb.models import microcredit
 from lrvb.models.microcredit import (DEFAULT_PRIORS, MicrocreditData,
                                      MicrocreditParams)
-from lrvb.util import fd_jacobian
+from lrvb.util import fd_jacobian, is_pos_def
 
-from conftest import TRUTH
+from conftest import BUNDLED_CSV, TRUTH
 
 
 class TestBuild:
@@ -128,6 +130,88 @@ class TestBuild:
         for _ in range(25):
             z = z0 + 0.3 * rng.normal(size=z0.size)
             assert abs(fast(z) - generic(z)) < 1e-9 * max(1.0, abs(generic(z)))
+
+
+class TestPriorMemos:
+    """The model solves the Wishart (dof, scale) once per distinct
+    effect-precision means and validates alpha once per alpha."""
+
+    @pytest.fixture(scope="class")
+    def bundled(self):
+        """The bundled study and its fitted means."""
+        data = load_microcredit_csv(BUNDLED_CSV)
+        return data, mfvb.fit(build_microcredit_model(data)).mean
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        wishart = FAMILIES[Family.WISHART]
+        calls = []
+        solve = wishart.standard_from_mean
+
+        def counted(m):
+            calls.append(np.array(m))
+            return solve(m)
+
+        monkeypatch.setattr(wishart, "standard_from_mean", counted)
+        return calls
+
+    def test_one_wishart_solve_per_point(self, bundled, solves):
+        data, m = bundled
+        model = build_microcredit_model(data)
+        alpha = model.hyperparams
+        wis = model.layout.slice_of("effect_prec")
+        for point in (m, m + 1e-3 * (np.arange(m.size) == wis.start)):
+            solves.clear()
+            value = model.expected_log_prior(point, alpha)
+            grad = model.grad_log_prior(point, alpha)
+            model.prior_alpha_grad(point, alpha, {"scale_rate": 1.0})
+            assert len(solves) == 1
+            fresh = build_microcredit_model(data)
+            assert value == fresh.expected_log_prior(point, alpha)
+            assert np.array_equal(grad, fresh.grad_log_prior(point, alpha))
+        solves.clear()
+        mfvb.hessian_of_objective(model, m, alpha)
+        assert 8 <= len(solves) <= 10
+
+    def test_failing_wishart_solve_is_not_kept(self, bundled, solves):
+        data, m = bundled
+        model = build_microcredit_model(data)
+        alpha = model.hyperparams
+        bad = m.copy()
+        bad[model.layout.slice_of("effect_prec").stop - 1] -= 10.0  # dof <= K+1
+        for _ in range(2):
+            with pytest.raises(DomainError, match="degrees of freedom"):
+                model.expected_log_prior(bad, alpha)
+        assert len(solves) == 2
+        assert np.isfinite(model.expected_log_prior(m, alpha))
+
+    def test_alpha_validated_once(self, bundled, monkeypatch):
+        data, m = bundled
+        model = build_microcredit_model(data)
+        checks = []
+        monkeypatch.setattr(microcredit, "is_pos_def",
+                            lambda a: checks.append(a) or is_pos_def(a))
+        for alpha in (model.hyperparams, DEFAULT_PRIORS.with_updates(lkj_shape=3.0)):
+            for _ in range(3):
+                model.expected_log_prior(m, alpha)
+                model.grad_log_prior(m, alpha)
+                model.prior_block_logpdf["top"]("top", np.zeros(2), alpha)
+        assert len(checks) == 1  # the second alpha; the defaults were checked at build
+
+    @pytest.mark.parametrize("update", [{"prior_info_11": -1.0},
+                                        {"prior_info_12": np.nan},
+                                        {"noise_rate": 0.0}])
+    def test_invalid_alpha_raises_on_every_call(self, bundled, update):
+        data, m = bundled
+        model = build_microcredit_model(data)
+        bad = DEFAULT_PRIORS.with_updates(**update)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                model.expected_log_prior(m, bad)
+        model.grad_log_prior(m, model.hyperparams)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                model.prior_block_logpdf["top"]("top", np.zeros(2), bad)
 
 
 class TestSimulate:

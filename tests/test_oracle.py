@@ -155,10 +155,11 @@ class TestMetropolis:
         assert np.array_equal(se, se2) and np.array_equal(ess, ess2)
 
 
-def _recorded(target, log):
+def _recorded(target, log, starts=None):
     """The target with every value the sampler reads from it appended to
-    ``log``: ("full", value) per call and per rebuild of its cached moves,
-    and ("move", value) per cached proposal."""
+    ``log``: ("full", value) per call and per re-sum of its cached moves at
+    a sweep's start, and ("move", value) per cached proposal.  With
+    ``starts``, each re-sum also appends (x, value) there, x copied."""
     @functools.wraps(target)
     def recorded(z):
         value = target(z)
@@ -168,15 +169,21 @@ def _recorded(target, log):
     moves = getattr(target, "coordinate_moves", None)
     if moves is not None:
         def coordinate_moves(x):
-            f, propose, accept = moves(x)
-            log.append(("full", f))
+            resum, propose, accept = moves(x)
+
+            def recorded_resum():
+                value = resum()
+                log.append(("full", value))
+                if starts is not None:
+                    starts.append((x.copy(), value))
+                return value
 
             def recorded_propose(j, xj):
                 value = propose(j, xj)
                 log.append(("move", value))
                 return value
 
-            return f, recorded_propose, accept
+            return recorded_resum, recorded_propose, accept
 
         recorded.coordinate_moves = coordinate_moves
     return recorded
@@ -195,7 +202,7 @@ def _margins(log, seed, d, sweeps):
         rng.normal(size=d)
         logu = np.log(rng.random(d))
         if cached:
-            _, f = next(values)  # the rebuilt moves' value at the sweep's start
+            _, f = next(values)  # the re-summed value at the sweep's start
         for j in range(d):
             _, fp = next(values)
             margins.append(fp - f - logu[j])
@@ -251,6 +258,50 @@ class TestCachedMoves:
             assert abs(margins[i]) < 1e-9 and abs(ref[i]) < 1e-9
             kept = max(i // d - 100, 0)  # draws of the sweeps before it
             assert np.array_equal(draws[:kept], ref_draws[:kept])
+
+    def test_site_moves_add(self, bundled):
+        # the target is a sum of per-site rows given the globals: moving site
+        # 2's effect and then site 5's log noise variance changes it by the
+        # sum of the two single moves, priced linearly
+        model, z0 = bundled
+        k_sites = (z0.size - 5) // 3
+        target = model.sampler_log_posterior(model.hyperparams)
+        f0 = target(z0)
+        moves = ((2 + 2 * 1, 0.3), (2 + 2 * k_sites + 4, -0.2))
+        singles = []
+        for j, step in moves:
+            z = z0.copy()
+            _, propose, _ = target.coordinate_moves(z)
+            z[j] += step
+            value, full = propose(j, z[j]), target(z)
+            assert abs(value - full) <= 1e-12 * abs(full), j
+            singles.append(value - f0)
+        x = z0.copy()
+        resum, propose, accept = target.coordinate_moves(x)
+        assert resum() == f0
+        for j, step in moves:
+            value = propose(j, x[j] + step)
+            accept()
+            x[j] += step
+        full = target(x)
+        assert abs(value - full) <= 1e-12 * abs(full)
+        assert abs((value - f0) - sum(singles)) <= 1e-12 * abs(f0)
+        assert abs(resum() - full) <= 1e-12 * abs(full)
+
+    def test_sweep_starts_match_full_evaluations(self, bundled):
+        # the moves are made once per chain; each sweep re-sums the kept site
+        # rows, which must give the full evaluation at the sweep's start
+        model, z0 = bundled
+        target = model.sampler_log_posterior(model.hyperparams)
+        log, starts = [], []
+        oracle.metropolis_sample(_recorded(target, log, starts), z0,
+                                 McmcConfig(chain_length=1_000, burn_in=0, seed=3),
+                                 adapt_sweeps=100)
+        assert len(starts) == 1_100
+        assert len({x.tobytes() for x, _ in starts}) > 1_000  # the chain moves
+        for x, f in starts:
+            full = target(x)
+            assert abs(f - full) <= 1e-12 * abs(full)
 
     def test_nonfinite_proposals_rejected_as_in_full_path(self, bundled):
         # huge steps on mu_1 overflow d^2 and on log v_1 overflow exp(-log v)
