@@ -255,12 +255,12 @@ def build_microcredit_model(data, priors=None):
         only an alpha that passes is kept, so an invalid one raises on every
         call, and one with a NaN never passes."""
         nonlocal checked
-        key = tuple(alpha.items())
-        if checked is None or checked[0] != key:
+        key, memo = tuple(alpha.items()), checked
+        if memo is None or memo[0] != key:
             lam = _check_priors(alpha)
             lam.flags.writeable = False
-            checked = key, lam
-        return checked[1]
+            memo = checked = key, lam
+        return memo[1]
 
     check_priors(priors)
     k_sites = data.n_sites
@@ -326,13 +326,13 @@ def build_microcredit_model(data, priors=None):
         per distinct means: the last solve is kept, keyed on their exact
         bytes; a failing solve keeps nothing."""
         nonlocal wishart
-        block = np.array(m[wis:wis + 4], dtype=float)
+        block, memo = np.array(m[wis:wis + 4], dtype=float), wishart
         key = block.tobytes()
-        if wishart is None or wishart[0] != key:
+        if memo is None or memo[0] != key:
             dof, scale = _WI.standard_from_mean(block)
             scale.flags.writeable = False
-            wishart = key, (dof, scale)
-        return wishart[1]
+            memo = wishart = key, (dof, scale)
+        return memo[1]
 
     def _forward_jacobian(dof, scale, p):
         """d(block mean)/d(vech scale, dof); rows match the block layout."""
