@@ -336,6 +336,11 @@ class TestCachedMoves:
             z[j] = xj
             assert target(z) == -np.inf, j
             assert propose(j, xj) == -np.inf, j
+        # mu_1 = mu_2 = 1e154: each site's d1^2 is finite, their sum is not
+        z = z0.copy()
+        z[[2, 4]] = 1e154
+        for name, full in self._targets(model).items():
+            assert full(z) == -np.inf, name
 
     def test_precision_determinant_does_not_cancel(self, bundled):
         # with l21 fixed, the log target falls without bound as log l22 goes
