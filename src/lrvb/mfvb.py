@@ -345,9 +345,18 @@ class ModelSpec:
       ``prior_block_logpdf[name](name, x, alpha)`` maps one block value to
       a float and an array of n values (shape (n,), or (n, d) for a
       d-dimensional block) to an (n,) array, as the family's ``log_density``.
-    * ``log_lik_values`` / ``log_prior_values`` -- pointwise log
-      likelihood and prior over a dict of per-block variable values; used
-      by the MCMC and quadrature oracles, never by the fit itself.
+    * A pointwise posterior for the MCMC and quadrature oracles, never
+      used by the fit.  A model supplies the dict hooks
+      ``log_lik_values`` / ``log_prior_values`` (pointwise log likelihood
+      and prior over a dict of per-block variable values) or the sampler
+      hook ``sampler_log_posterior(alpha)``, a factory of the log posterior
+      plus log-Jacobian over the sampler vector that may carry the cached
+      ``coordinate_moves`` of :func:`lrvb.oracle.metropolis_sample`.
+      :func:`lrvb.oracle.sampler_log_target` picks the sampler hook when
+      there is one, else builds the target from the dict hooks, and raises
+      DomainError for a model with neither.  The conjugate models supply
+      the dict hooks, which the contaminated-posterior oracle also reads;
+      microcredit supplies only the sampler hook.
     * ``exact_posterior(alpha)`` -- closed-form posterior expected
       statistics in the mean layout and the log evidence (or None), for
       conjugate models; read by :func:`lrvb.oracle.exact_conjugate_posterior`.
@@ -375,13 +384,6 @@ class ModelSpec:
     log_lik_values: Optional[Callable] = None
     log_prior_values: Optional[Callable] = None
     exact_posterior: Optional[Callable] = None
-    # optional factory alpha -> (sampler vector -> log posterior + Jacobian)
-    # for hot sampling loops; it must equal log_lik_values + log_prior_values
-    # plus the values_from_sampler Jacobian, and may carry the cached
-    # ``coordinate_moves`` of lrvb.oracle.metropolis_sample, made once per
-    # chain.  Microcredit's hook, its moves and its dict hooks share one
-    # formula over per-site statistics, checked by
-    # tests/test_microcredit_reference.py.
     sampler_log_posterior: Optional[Callable] = None
     local_groups: tuple = ()
     # (column sets, coordinate groups) of Layout.hessian_columns

@@ -21,8 +21,8 @@ the (numerically inverted) parameter map's Jacobian.
 
 The decomposed terms are interpreted as the log prior density of the
 precision variable itself (no change-of-variable factor is added), and
-the pointwise log prior used by the sampling/quadrature oracles applies
-the identical terms, so all engines target the same posterior.
+the sampler's pointwise log prior applies the identical terms, so the
+fit and the Metropolis oracle target the same posterior.
 
 Layout: ``top`` (5 coordinates), then the K site-effect blocks (5 each),
 the K site-noise blocks (2 each) and ``effect_prec`` (4).  Two integer
@@ -36,23 +36,24 @@ and ``noise_k`` couple only with each other and with ``top`` and
 ``local_groups``: the objective Hessian then costs 2 (9 + 7) = 32
 gradient calls at any number of sites, not two per coordinate.
 
-The pointwise posterior of the sampling and quadrature oracles is
-written once, through per-site statistics: each site's row of six, its
-log likelihood term, log v_k and 1/v_k, and the products of its effect
-deviation from (mu, tau); the rows' six sums over the sites; and a log
-likelihood and log prior of those sums, (mu, tau) and the effect
-precision's entries with its log-determinant.  ``log_lik_values`` /
-``log_prior_values`` map a values dict into that formula, and
-``sampler_log_posterior`` maps a sampler vector into it and adds the
-log-Jacobian.  Given the globals the target is linear in the six sums
-(Roberts & Sahu, JRSS-B 1997), so its ``coordinate_moves`` keep every
-site's row for a whole chain and price a move of site k's effect or
-log v_k as f + c.(r_k' - r_k), with c = (1, -a_n, -b_n, -p11/2, -p12,
--p22/2) re-priced only when a precision move is accepted: O(1) per
-site move.  A move of (mu, tau) re-evaluates every site's deviations,
-O(K).  The rows are evaluated from the sampler's values, never
-accumulated, and each sweep re-sums them.  Its independent check is the
-literal per-site loop reference in ``tests/test_microcredit_reference.py``.
+The model's one pointwise posterior is ``sampler_log_posterior``, the
+Metropolis oracle's target over the sampler coordinates (the model has
+no values-dict hooks).  It is written through per-site statistics: each
+site's row of six, its log likelihood term, log v_k and 1/v_k, and the
+products of its effect deviation from (mu, tau); the rows' six sums over
+the sites; and a log likelihood and log prior of those sums, (mu, tau)
+and the log-Cholesky coordinates of the effect precision, plus the
+log-Jacobian.  The log-Cholesky coordinates give |P| = (l11 l22)^2 and
+log|P| without cancellation.  Given the globals the target is linear
+in the six sums (Roberts & Sahu, JRSS-B 1997), so its
+``coordinate_moves`` keep every site's row for a whole chain and price
+a move of site k's effect or log v_k as f + c.(r_k' - r_k), with
+c = (1, -a_n, -b_n, -p11/2, -p12, -p22/2) re-priced only when a
+precision move is accepted: O(1) per site move.  A move of (mu, tau)
+re-evaluates every site's deviations, O(K).  The rows are evaluated from
+the sampler's values, never accumulated, and each sweep re-sums them.
+Its independent check is the literal per-site loop reference in
+``tests/test_microcredit_reference.py``.
 
 The prior hooks share two one-entry memos: the Wishart (dof, scale) of
 the last effect_prec means, keyed on their bytes, and the Lambda of the
@@ -62,7 +63,7 @@ last alpha that passed validation.
 import csv
 import math
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter, mul, sub
+from operator import mul, sub
 
 import numpy as np
 from scipy.special import gammaln
@@ -279,8 +280,6 @@ def build_microcredit_model(data, priors=None):
     # effects [u1, u2, u1*u1, u2*u1, u2*u2], K+1..2K the noises [1/v, log v]
     eff = layout.offsets[1:k_sites + 1, None] + np.arange(5)
     noi = layout.offsets[k_sites + 1:2 * k_sites + 1, None] + np.arange(2)
-    site_effects = itemgetter(*map(attrgetter("name"), effects))
-    site_noises = itemgetter(*map(attrgetter("name"), noises))
     KW = 2  # effect-precision matrix dimension
     # d site_quad / d e; the likelihood gradient is -1/2 E[1/sigma2_k] times it
     st2 = 2.0 * st
@@ -443,12 +442,12 @@ def build_microcredit_model(data, priors=None):
         out[noi[:, 0]] -= direction.get("noise_rate", 0.0)
         return out
 
-    # -- pointwise log posterior (sampling / quadrature oracles) -------------
-    # One formula serves the values-dict hooks, the sampler's full evaluation
-    # and its single-coordinate moves: per-site statistics, their six sums
-    # over the sites, and a log likelihood and log prior of those sums.  Each
-    # function below takes arrays over all sites, or one site's floats (with
-    # that site's row of ``data_rows`` as data).
+    # -- pointwise log posterior (Metropolis oracle) --------------------------
+    # One formula serves the sampler's full evaluation and its
+    # single-coordinate moves: per-site statistics, their six sums over the
+    # sites, and a log likelihood and log prior of those sums.  Each function
+    # below takes arrays over all sites, or one site's floats (with that
+    # site's row of ``data_rows`` as data).
 
     def site_terms(muk, tauk, logv, inv_v, data=site_data):
         """Each site's log likelihood less its constant, log v_k and 1/v_k."""
@@ -467,56 +466,6 @@ def build_microcredit_model(data, priors=None):
         infinities or sums past the float range."""
         return [_fsum_quiet(column) for column in columns]
 
-    def pointwise_log_prior(alpha):
-        """Log prior at (mu, tau), the six site sums and a positive
-        definite P, |P| and log|P|; the covariance C = P^-1 enters as C11 = p22/|P|, C22 = p11/|P|."""
-        lam = check_priors(alpha)
-        eta_l, a_s, b_s = alpha["lkj_shape"], alpha["scale_shape"], alpha["scale_rate"]
-        a_n, b_n = alpha["noise_shape"], alpha["noise_rate"]
-        lam11, lam12, lam22 = lam[0, 0].item(), lam[0, 1].item(), lam[1, 1].item()
-        const = float(-LOG_2PI + 0.5 * np.linalg.slogdet(lam)[1]
-                      + k_sites * (a_n * np.log(b_n) - gammaln(a_n) - LOG_2PI)
-                      + lkj_log_normalizer(eta_l)
-                      + 2.0 * (a_s * np.log(b_s) - gammaln(a_s)))
-
-        def log_prior(mu, tau, sums, p11, p12, p22, det, logdet_p):
-            _, sum_logv, sum_inv_v, s11, s12, s22 = sums
-            log_c11, log_c22 = math.log(p22 / det), math.log(p11 / det)
-            return (const
-                    - 0.5 * (lam11 * mu * mu + 2.0 * lam12 * mu * tau
-                             + lam22 * tau * tau)
-                    + 0.5 * k_sites * logdet_p
-                    - 0.5 * (p11 * s11 + 2.0 * p12 * s12 + p22 * s22)
-                    - (a_n + 1.0) * sum_logv - b_n * sum_inv_v
-                    + (eta_l - 1.0) * (-logdet_p - log_c11 - log_c22)
-                    - (a_s + 1.0) * (log_c11 + log_c22)
-                    - b_s * (det / p22 + det / p11))
-
-        return log_prior
-
-    def pointwise_args(values):
-        """(mu, tau, the six site sums, p11, p12, p22, |P|, log|P|) at a
-        values dict; None outside the support (a noise variance v_k <= 0, or
-        P not positive definite) and where |P| is not finite."""
-        mu, tau = np.asarray(values["top"], dtype=float)
-        (p11, p12), (_, p22) = np.asarray(values["effect_prec"], dtype=float)
-        uk = np.stack(site_effects(values)).astype(float)
-        v = np.stack(site_noises(values)).astype(float).reshape(k_sites, -1)[:, 0]
-        det = p11 * p22 - p12 * p12
-        if not (0.0 < det < math.inf and p11 > 0) or np.any(v <= 0):
-            return None
-        sums = stat_sums(site_terms(uk[:, 0], uk[:, 1], np.log(v), 1.0 / v)
-                         + deviations(mu, tau, uk[:, 0], uk[:, 1]))
-        return mu, tau, sums, p11, p12, p22, det, math.log(det)
-
-    def log_lik_values(values):
-        args = pointwise_args(values)
-        return -np.inf if args is None else lik_const + args[2][0]
-
-    def log_prior_values(values, alpha):
-        log_prior, args = pointwise_log_prior(alpha), pointwise_args(values)
-        return -np.inf if args is None else log_prior(*args)
-
     def prior_block_logpdf(block, point, alpha):
         if block not in ("top", 0):
             raise KeyError(f"prior does not factor across block {block!r}")
@@ -531,22 +480,40 @@ def build_microcredit_model(data, priors=None):
         -inf, without an exception, where the precision leaves the float
         range.  The function carries ``coordinate_moves`` for
         :func:`lrvb.oracle.metropolis_sample`."""
-        log_prior = pointwise_log_prior(alpha)
+        lam = check_priors(alpha)
+        eta_l, a_s, b_s = alpha["lkj_shape"], alpha["scale_shape"], alpha["scale_rate"]
         a_n, b_n = alpha["noise_shape"], alpha["noise_rate"]
+        lam11, lam12, lam22 = lam[0, 0].item(), lam[0, 1].item(), lam[1, 1].item()
+        const = float(-LOG_2PI + 0.5 * np.linalg.slogdet(lam)[1]
+                      + k_sites * (a_n * np.log(b_n) - gammaln(a_n) - LOG_2PI)
+                      + lkj_log_normalizer(eta_l)
+                      + 2.0 * (a_s * np.log(b_s) - gammaln(a_s)))
         glob = [0, 1, pos_chol, pos_chol + 1, pos_chol + 2]
 
         def from_sums(g, sums):
             """The log target at g = (mu, tau, log l11, l21, log l22) and the
-            six site sums; |P| = (l11 l22)^2, which cannot cancel."""
+            six site sums.  P = L L' has |P| = (l11 l22)^2, which cannot
+            cancel, and C = P^-1 enters as C11 = p22/|P|, C22 = p11/|P|."""
             mu, tau, z1, l21, z3 = g
+            sum_lik, sum_logv, sum_inv_v, s11, s12, s22 = sums
             try:
                 l11, l22 = math.exp(z1), math.exp(z3)
-                value = (lik_const + sums[0]
-                         + log_prior(mu, tau, sums, l11 * l11, l11 * l21, l21 * l21 + l22 * l22,
-                                     (l11 * l22) ** 2, 2.0 * (z1 + z3))
+                p11, p12, p22 = l11 * l11, l11 * l21, l21 * l21 + l22 * l22
+                det, logdet_p = (l11 * l22) ** 2, 2.0 * (z1 + z3)
+                log_c11, log_c22 = math.log(p22 / det), math.log(p11 / det)
+                log_prior = (const
+                             - 0.5 * (lam11 * mu * mu + 2.0 * lam12 * mu * tau
+                                      + lam22 * tau * tau)
+                             + 0.5 * k_sites * logdet_p
+                             - 0.5 * (p11 * s11 + 2.0 * p12 * s12 + p22 * s22)
+                             - (a_n + 1.0) * sum_logv - b_n * sum_inv_v
+                             + (eta_l - 1.0) * (-logdet_p - log_c11 - log_c22)
+                             - (a_s + 1.0) * (log_c11 + log_c22)
+                             - b_s * (det / p22 + det / p11))
+                value = (lik_const + sum_lik + log_prior
                          # |d values / d zv|: exp on each log v_k, and
                          # 4 l11^3 l22^2 for P = L L' in log-Cholesky coordinates
-                         + sums[1] + LOG_4 + 3.0 * z1 + 2.0 * z3)
+                         + sum_logv + LOG_4 + 3.0 * z1 + 2.0 * z3)
             except (OverflowError, ValueError, ZeroDivisionError):
                 # P, |P| or C = P^-1 past the float range: exp overflows,
                 # |P| or C_jj rounds to 0 or a product to inf or nan
@@ -665,6 +632,5 @@ def build_microcredit_model(data, priors=None):
         default_init=default_init, data=data,
         prior_alpha_grad=prior_alpha_grad,
         prior_block_logpdf={"top": prior_block_logpdf},
-        log_lik_values=log_lik_values, log_prior_values=log_prior_values,
         sampler_log_posterior=sampler_log_posterior,
         local_groups=tuple((e.name, v.name) for e, v in zip(effects, noises)))

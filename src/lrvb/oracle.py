@@ -25,13 +25,16 @@ MIN_BATCHES = 10  # batch means of a chain; one draw per batch at the least
 
 
 def sampler_log_target(model, alpha):
-    """Log posterior plus log-Jacobian over the sampler coordinates: the
-    model's ``sampler_log_posterior(alpha)`` when it has one, else
-    ``log_lik_values`` + ``log_prior_values``, -inf where the latter or
-    the sum is not finite.  A value that overflows the float range makes
-    the sum -inf without a warning."""
+    """Log posterior plus log-Jacobian over the sampler coordinates, from
+    the model's one pointwise posterior: its ``sampler_log_posterior(alpha)``
+    when it has one, else ``log_lik_values`` + ``log_prior_values`` at
+    ``values_from_sampler`` plus that map's log-Jacobian, -inf where the
+    prior or the sum is not finite.  A value that overflows the float range
+    makes the sum -inf without a warning.  DomainError for a model with
+    neither."""
     if model.sampler_log_posterior is not None:
         return model.sampler_log_posterior(alpha)
+    _check_pointwise_posterior(model)
     layout = model.layout
 
     def log_post(zv):
@@ -44,6 +47,13 @@ def sampler_log_target(model, alpha):
         return value if np.isfinite(value) else -np.inf
 
     return log_post
+
+
+def _check_pointwise_posterior(model):
+    if model.sampler_log_posterior is None and (model.log_lik_values is None
+                                                or model.log_prior_values is None):
+        raise DomainError(f"model {model.name!r} has no pointwise posterior "
+                          "for the sampling and quadrature oracles")
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +187,9 @@ def contaminated_posterior_mean(model, block, contaminant, eps, alpha=None):
     name = layout.blocks[0].name
     if block not in (name, 0):
         raise DomainError(f"unknown block {block!r}")
+    if model.log_lik_values is None or name not in model.prior_block_logpdf:
+        raise DomainError(f"model {model.name!r} has no pointwise likelihood and "
+                          f"prior of block {name!r}")
 
     def lik(x):
         return np.exp(model.log_lik_values({name: x}))
@@ -208,7 +221,10 @@ def contaminated_model(model, block, pc_logpdf, eps):
 
     The contamination correction E_q[log(1 - eps + eps p_c/p)] and its
     mean gradient are evaluated by quadrature over the block's underlying
-    variable (supported for scalar blocks).
+    variable (supported for scalar blocks), with the log taken as
+    logaddexp(log(1 - eps), log eps + log p_c - log p), so a contaminant
+    with heavier tails than p does not overflow.  The model keeps only
+    the fit's hooks: it has no pointwise posterior and no per-block prior.
     """
     from dataclasses import replace
 
@@ -220,6 +236,8 @@ def contaminated_model(model, block, pc_logpdf, eps):
         raise DomainError("contaminated refits support scalar blocks only")
     sl = layout.slice_of(idx)
     name = bdef.name
+    with np.errstate(divide="ignore"):  # -inf at eps = 1 and eps = 0
+        log_keep, log_eps = np.log1p(-eps), np.log(eps)
 
     def correction_and_grad(m, alpha):
         mb = np.asarray(m[sl], dtype=float)
@@ -230,8 +248,8 @@ def contaminated_model(model, block, pc_logpdf, eps):
             return np.exp(fam.log_density(x, eta))
 
         def logterm(x):
-            ratio = np.exp(pc_logpdf(x) - model.prior_block_logpdf[name](name, x, alpha))
-            return np.log1p(eps * (ratio - 1.0))
+            log_ratio = pc_logpdf(x) - model.prior_block_logpdf[name](name, x, alpha)
+            return np.logaddexp(log_keep, log_eps + log_ratio)
 
         # the correction, then its covariance with each statistic
         moments, _ = quadrature_expectation(
@@ -252,7 +270,8 @@ def contaminated_model(model, block, pc_logpdf, eps):
     return replace(model, name=model.name + "+contaminated",
                    expected_log_prior=expected_log_prior,
                    grad_log_prior=grad_log_prior,
-                   prior_alpha_grad=None, exact_posterior=None)
+                   prior_alpha_grad=None, exact_posterior=None,
+                   log_prior_values=None, prior_block_logpdf={})
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +287,17 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(isinstance(n, (int, np.integer)) for n in (self.chain_length,
+                                                              self.burn_in)):
+            raise DomainError(f"chain_length and burn_in must be integers, got "
+                              f"{self.chain_length!r} and {self.burn_in!r}")
         if not (self.burn_in >= 0 and self.chain_length - self.burn_in >= MIN_BATCHES):
             raise DomainError(f"need burn_in >= 0 and at least {MIN_BATCHES} draws "
                               f"after it, got chain_length {self.chain_length} and "
                               f"burn_in {self.burn_in}")
-        if np.any(np.asarray(self.step_scales) <= 0):
-            raise DomainError("step scales must be positive")
+        scales = np.asarray(self.step_scales, dtype=float)
+        if not np.all(np.isfinite(scales) & (scales > 0)):
+            raise DomainError("step scales must be finite and positive")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -432,13 +456,16 @@ def _slope_and_correlation(predicted, actual):
 
 
 def check_rerun_inputs(model, engine, direction, step=None):
-    """DomainError unless the engine is known and supports the model, the
+    """DomainError unless the engine is known and supports the model (the
+    sampling and quadrature engines need a pointwise posterior), the
     direction's coefficients are finite and not all zero, and the step,
     when given, is finite and non-zero."""
     if engine not in ("vb", "quadrature", "mcmc"):
         raise DomainError(f"unknown engine {engine!r}")
     if engine == "quadrature":
         _check_quadrature_supports(model)
+    if engine != "vb":
+        _check_pointwise_posterior(model)
     coefs = np.array(list(direction.values()), dtype=float)
     if not (np.all(np.isfinite(coefs)) and np.any(coefs)):
         raise DomainError("direction coefficients must be finite and not all zero")

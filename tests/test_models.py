@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +15,7 @@ from lrvb.models.microcredit import (DEFAULT_PRIORS, MicrocreditData,
 from lrvb.util import fd_jacobian, is_pos_def
 
 from conftest import BUNDLED_CSV, TRUTH
+from test_microcredit_reference import loop_reference
 
 
 class TestBuild:
@@ -99,8 +98,10 @@ class TestBuild:
 
     def test_expected_log_prior_matches_monte_carlo(self, micro_model, micro_fit):
         # exercises every closed-form moment in the objective, including
-        # the decomposed covariance terms
+        # the decomposed covariance terms, against the per-site loop
+        # reference's pointwise log prior
         sol, _ = micro_fit
+        log_prior_values = loop_reference(micro_model.data)["log_prior_values"]
         layout = micro_model.layout
         rng = np.random.default_rng(17)
         n = 40_000
@@ -113,23 +114,10 @@ class TestBuild:
         for i in range(n):
             values = {nm: (arr[i] if arr.ndim > 1 else float(arr[i]))
                       for nm, arr in draws.items()}
-            vals[i] = micro_model.log_prior_values(values, micro_model.hyperparams)
+            vals[i] = log_prior_values(values, micro_model.hyperparams)
         se = vals.std() / np.sqrt(n)
         expect = micro_model.expected_log_prior(sol.mean, micro_model.hyperparams)
         assert abs(vals.mean() - expect) < 3.0 * se
-
-    def test_sampler_log_posterior_matches_generic(self, micro_model):
-        layout = micro_model.layout
-        alpha = micro_model.hyperparams
-        fast = oracle.sampler_log_target(micro_model, alpha)
-        generic = oracle.sampler_log_target(
-            replace(micro_model, sampler_log_posterior=None), alpha)
-        z0 = layout.sampler_from_values(
-            layout.representative_values(micro_model.default_init(alpha)))
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            z = z0 + 0.3 * rng.normal(size=z0.size)
-            assert abs(fast(z) - generic(z)) < 1e-9 * max(1.0, abs(generic(z)))
 
 
 class TestPriorMemos:

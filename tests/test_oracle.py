@@ -1,5 +1,4 @@
 import functools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,6 +91,39 @@ class TestExactConjugatePosterior:
             oracle.exact_conjugate_posterior(cont)
 
 
+class TestContaminatedModel:
+    """The refit oracle's model, whose theta prior is 0.9 N(0, 1) + 0.1 N(1, 2^2):
+    the contaminant's tails are heavier than the prior's."""
+
+    @pytest.fixture(scope="class")
+    def cont(self, nn_model):
+        pc = lambda x: st.norm.logpdf(x, 1.0, 2.0)
+        exact = oracle.contaminated_posterior_mean(nn_model, "theta", ("density", pc), 0.1)
+        return oracle.contaminated_model(nn_model, "theta", pc, 0.1), exact
+
+    def test_has_no_pointwise_posterior(self, cont):
+        # the base model's dict hooks would sample the uncontaminated posterior
+        model, _ = cont
+        assert model.log_prior_values is None and model.prior_block_logpdf == {}
+        with pytest.raises(DomainError, match="no pointwise posterior"):
+            oracle.quadrature_posterior_mean(model, box=[(-3.0, 5.0)])
+        with pytest.raises(DomainError, match="no pointwise posterior"):
+            oracle.sampler_log_target(model, model.hyperparams)
+        for engine in ("quadrature", "mcmc"):
+            with pytest.raises(DomainError, match="no pointwise posterior"):
+                oracle.check_rerun_inputs(model, engine, {"prior_nat_1": 1.0})
+        oracle.check_rerun_inputs(model, "vb", {"prior_nat_1": 1.0})
+        with pytest.raises(DomainError, match="no pointwise likelihood and prior"):
+            oracle.contaminated_posterior_mean(model, "theta", ("dirac", 0.5), 0.1)
+
+    def test_refit_matches_exact_posterior(self, cont, nn_fit):
+        # exp(log p_c - log p) overflows in the tails, where the correction's
+        # log is taken by logaddexp
+        model, exact = cont
+        sol = mfvb.fit(model, init=nn_fit[0].mean)
+        assert np.max(np.abs(sol.mean - exact)) < 1e-3
+
+
 class TestMetropolis:
     def _logpost(self, model):
         return oracle.sampler_log_target(model, model.hyperparams)
@@ -134,6 +166,15 @@ class TestMetropolis:
         for length, burn_in in ((5, 0), (9, 0), (15, 6), (10, -1)):
             with pytest.raises(DomainError, match="at least 10 draws"):
                 McmcConfig(chain_length=length, burn_in=burn_in, seed=0)
+        # lengths that are not integers, and scales that are not finite,
+        # once failed only inside the sampler
+        for length, burn_in in ((100.5, 0), (100, 0.5), (np.inf, 0)):
+            with pytest.raises(DomainError, match="must be integers"):
+                McmcConfig(chain_length=length, burn_in=burn_in, seed=0)
+        for scales in (np.nan, np.inf, [1.0, np.nan]):
+            with pytest.raises(DomainError, match="finite and positive"):
+                McmcConfig(chain_length=20, burn_in=2, step_scales=scales, seed=0)
+        McmcConfig(chain_length=np.int64(20), burn_in=np.int32(2), seed=0)
 
     def test_shortest_chain_has_standard_errors(self):
         res = oracle.metropolis_sample(lambda z: -0.5 * float(z @ z), np.zeros(1),
@@ -225,11 +266,12 @@ class TestCachedMoves:
     def _targets(self, model):
         alpha = model.hyperparams
         cached = model.sampler_log_posterior(alpha)
-        generic = oracle.sampler_log_target(
-            replace(model, sampler_log_posterior=None), alpha)
+        # a plain callable over the hook: no coordinate_moves, so the
+        # sampler evaluates it in full at every proposal
+        full = lambda z: cached(z)
         # a re-wrap like the benchmark tracer's, which keeps only __dict__
         shim = functools.wraps(cached)(lambda z: cached(z))
-        return {"generic": generic, "cached": cached, "shim": shim}
+        return {"full": full, "cached": cached, "shim": shim}
 
     @pytest.mark.parametrize("seed", [0, 10])
     def test_short_chains_match_full_evaluations(self, bundled, seed):
@@ -242,9 +284,9 @@ class TestCachedMoves:
             draws = oracle.metropolis_sample(_recorded(target, log), z0, cfg,
                                              adapt_sweeps=100).draws
             moves = sum(kind == "move" for kind, _ in log)
-            assert moves == (0 if name == "generic" else sweeps * d)
+            assert moves == (0 if name == "full" else sweeps * d)
             runs[name] = draws, log
-        ref_draws, ref_log = runs.pop("generic")
+        ref_draws, ref_log = runs.pop("full")
         ref = _margins(ref_log, seed, d, sweeps)
         for name, (draws, log) in runs.items():
             margins = _margins(log, seed, d, sweeps)
@@ -314,7 +356,7 @@ class TestCachedMoves:
         cfg = McmcConfig(chain_length=40, burn_in=0, step_scales=scales, seed=1)
         targets = self._targets(model)
         runs = {}
-        for name in ("generic", "cached"):
+        for name in ("full", "cached"):
             log = []
             runs[name] = oracle.metropolis_sample(
                 _recorded(targets[name], log), z0, cfg, adapt_sweeps=0), log
@@ -322,7 +364,7 @@ class TestCachedMoves:
         for run, log in runs.values():
             assert np.all(run.draws[:, huge] == z0[huge])  # never accepted
             assert sum(np.isneginf(value) for _, value in log) > 10
-        assert np.array_equal(runs["cached"][0].draws, runs["generic"][0].draws)
+        assert np.array_equal(runs["cached"][0].draws, runs["full"][0].draws)
 
     def test_extreme_site_coordinates_are_minus_inf_without_warning(self, bundled):
         # log v_1 = -800 overflows exp(-log v) and mu_1 = 1e200 its squares;
@@ -377,14 +419,14 @@ class TestCachedMoves:
         scales[pos_chol] = 1e3
         cfg = McmcConfig(chain_length=40, burn_in=0, step_scales=scales, seed=2)
         runs = {}
-        for name in ("generic", "cached"):
+        for name in ("full", "cached"):
             log = []
             runs[name] = oracle.metropolis_sample(
                 _recorded(targets[name], log), z0, cfg, adapt_sweeps=0), log
         for run, log in runs.values():
             assert np.all(run.draws[:, pos_chol] == z0[pos_chol])  # never accepted
             assert sum(np.isneginf(value) for _, value in log) >= 30
-        assert np.array_equal(runs["cached"][0].draws, runs["generic"][0].draws)
+        assert np.array_equal(runs["cached"][0].draws, runs["full"][0].draws)
 
 
 class TestPerturbAndRerun:
