@@ -356,6 +356,31 @@ def test_sampler_hook_matches_loop_reference(pair):
         assert_close(hook(z), expect, "sampler_log_posterior")
 
 
+def test_sampler_hook_prior_matches_loop_reference(pair):
+    """The hook's likelihood and log-Jacobian do not depend on the
+    hyperparameters, so moving one of them moves the hook by the prior's
+    change alone: each prior term against the loop reference's."""
+    model, ref = pair
+    alpha = model.hyperparams
+    layout = ref["layout"]
+    z0 = layout.sampler_from_values(
+        layout.representative_values(model.default_init(alpha)))
+    rng = np.random.default_rng(5)
+    zs = [z0 + 0.3 * rng.normal(size=z0.size) for _ in range(3)]
+    hook = model.sampler_log_posterior(alpha)
+    for name in DEFAULT_PRIORS.names:
+        moved = alpha.with_updates(**{name: 0.01 if name == "prior_info_12"
+                                      else 1.5 * alpha[name]})
+        moved_hook = model.sampler_log_posterior(moved)
+        for z in zs:
+            values, _ = layout.values_from_sampler(z)
+            expect = (ref["log_prior_values"](values, moved)
+                      - ref["log_prior_values"](values, alpha))
+            # the difference of two totals carries their rounding error
+            tol = REL_TOL * max(abs(hook(z)), abs(expect))
+            assert abs(moved_hook(z) - hook(z) - expect) <= tol, name
+
+
 POSITIVE = st.floats(0.5, 30.0)
 
 

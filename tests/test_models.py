@@ -96,6 +96,22 @@ class TestBuild:
                   - micro_model.grad_log_prior(sol.mean, alpha.perturbed(d, -h))) / (2 * h)
             assert np.max(np.abs(analytic - fd)) < 1e-5 * max(1, np.max(np.abs(fd)))
 
+    def test_sampler_hook_is_the_only_pointwise_posterior(self, micro_model):
+        # the sampling oracles read the hook itself; the quadrature oracle
+        # does not take this model
+        alpha = micro_model.hyperparams
+        assert micro_model.log_lik_values is None
+        assert micro_model.log_prior_values is None
+        target = oracle.sampler_log_target(micro_model, alpha)
+        assert hasattr(target, "coordinate_moves")
+        layout = micro_model.layout
+        z = layout.sampler_from_values(
+            layout.representative_values(micro_model.default_init(alpha)))
+        assert target(z) == micro_model.sampler_log_posterior(alpha)(z)
+        oracle.check_rerun_inputs(micro_model, "mcmc", {"prior_info_11": 1.0})
+        with pytest.raises(DomainError):
+            oracle.check_rerun_inputs(micro_model, "quadrature", {"prior_info_11": 1.0})
+
     def test_expected_log_prior_matches_monte_carlo(self, micro_model, micro_fit):
         # exercises every closed-form moment in the objective, including
         # the decomposed covariance terms, against the per-site loop
