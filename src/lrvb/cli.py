@@ -37,12 +37,10 @@ class UsageError(Exception):
 def _microcredit(args, overrides):
     if not args.data:
         raise UsageError("--data is required for the microcredit model")
+    _check_names(DEFAULT_PRIORS, overrides)
     try:
-        priors = DEFAULT_PRIORS.with_updates(**overrides)
-    except KeyError as exc:
-        raise UsageError(exc.args[0]) from exc
-    try:
-        return build_microcredit_model(load_microcredit_csv(args.data), priors)
+        return build_microcredit_model(load_microcredit_csv(args.data),
+                                       DEFAULT_PRIORS.with_updates(**overrides))
     except (ValueError, DomainError) as exc:
         raise UsageError(str(exc)) from exc
 
@@ -60,10 +58,15 @@ def _gaussian3d(args, overrides):
 
 
 def _with_hyper(model, overrides):
-    if not overrides:
-        return model
+    _check_names(model.hyperparams, overrides)
+    return (replace(model, hyperparams=model.hyperparams.with_updates(**overrides))
+            if overrides else model)
+
+
+def _check_names(hyperparams, names):
+    """Hyperparams.check_names, its KeyError as a UsageError."""
     try:
-        return replace(model, hyperparams=model.hyperparams.with_updates(**overrides))
+        hyperparams.check_names(names)
     except KeyError as exc:
         raise UsageError(exc.args[0]) from exc
 
@@ -150,10 +153,7 @@ def cmd_fit(args):
 def cmd_sensitivity(args):
     model = build_model(args)
     hyper_names = list(args.hyperparams) if args.hyperparams else list(model.hyperparams.names)
-    unknown = set(hyper_names) - set(model.hyperparams.names)
-    if unknown:
-        raise UsageError(f"unknown hyperparameters {sorted(unknown)}; "
-                         f"valid keys: {sorted(model.hyperparams.names)}")
+    _check_names(model.hyperparams, hyper_names)
     sol, sys_ = fit_and_system(model, args)
     names = model.layout.coord_names()
     quantities = list(args.quantities) if args.quantities else [
@@ -186,12 +186,16 @@ def cmd_sensitivity(args):
 
 def cmd_influence_grid(args):
     model = build_model(args)
-    sol, sys_ = fit_and_system(model, args)
     layout = model.layout
     block = args.block or _default_influence_block(model)
     if block not in [b.name for b in layout.blocks]:
         raise UsageError(f"unknown block {block!r}; "
                          f"blocks: {[b.name for b in layout.blocks]}")
+    try:
+        robustness.factorized_block(model, block)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
+    sol, sys_ = fit_and_system(model, args)
     names = layout.coord_names()
     target = args.target or names[layout.location_indices()[0]]
     if target not in names:
@@ -240,10 +244,7 @@ def cmd_compare(args):
     direction = parse_overrides(args.direction)
     if not direction:
         raise UsageError("--direction needs at least one name=coefficient pair")
-    unknown = set(direction) - set(model.hyperparams.names)
-    if unknown:
-        raise UsageError(f"unknown hyperparameters {sorted(unknown)}; "
-                         f"valid keys: {sorted(model.hyperparams.names)}")
+    _check_names(model.hyperparams, direction)
     try:
         oracle.check_rerun_inputs(model, args.engine, direction, args.step)
         mcmc_config = oracle.McmcConfig(chain_length=args.chain_length,

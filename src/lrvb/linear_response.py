@@ -10,16 +10,17 @@ covariance
 which also prices the response of any smooth function of the means to
 any smooth perturbation direction via ``grad_h' sigma_hat grad_f``.
 
-H is :func:`lrvb.mfvb.hessian_of_objective`, central differences of the
-model's analytic gradient of L in mean coordinates (relative step
+H is :func:`hessian_of_objective`, central differences of the model's
+analytic gradient of L in mean coordinates (relative step
 HESSIAN_REL_STEP): every column on its own, or, for a model that declares
 ``local_groups``, each coordinate outside the groups on its own and one
 position of every group at a time, with the rows outside the groups
-filled in by symmetry.  The fit's Newton polish solves the same system: its
-step in m is (I - VH)^-1 V g, as H - V^-1 = -V^-1 (I - VH) is the Hessian in m.
+filled in by symmetry.  :func:`identity_minus_vh` assembles (I - VH) for
+:func:`build_system` and for the fit's Newton polish, whose step in m is
+(I - VH)^-1 V g, as H - V^-1 = -V^-1 (I - VH) is the Hessian in m.
 An independent full second-difference Hessian of the scalar objective
 is used by the test suite to validate this path.  The factorization is
-a dense LU: target model sizes are O(10^2) coordinates.
+a dense LU.
 """
 
 import warnings
@@ -30,8 +31,9 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, NonConvergence, SingularSystem
 from .expfam import FAMILIES
-from .mfvb import HESSIAN_REL_STEP, hessian_of_objective  # noqa: F401
+from .util import fd_jacobian
 
+HESSIAN_REL_STEP = 1e-5
 CONDITION_LIMIT = 1e12
 SYMMETRY_WARN = 1e-6
 
@@ -96,14 +98,40 @@ def _read_only(arr):
     return arr
 
 
+def hessian_of_objective(model, m, alpha=None):
+    """H = d^2 L / dm dm' by central differences of L's analytic gradient.
+
+    Each coordinate outside the model's ``local_groups`` is differenced on
+    its own.  The p-th coordinate of every group is stepped at once, and
+    each group's rows of that difference are read as its own column; the
+    rows outside every group come from the single columns by symmetry,
+    and the other groups' rows are zero.  That is two gradient calls per
+    single coordinate plus two per position of the largest group, at any
+    number of groups (Powell & Toint 1979).  A model that declares no
+    groups has every column differenced on its own.
+    """
+    alpha = model.resolve_alpha(alpha)
+    columns, owner = model._hessian_columns
+    hess = fd_jacobian(lambda x: model.grad_log_lik(x) + model.grad_log_prior(x, alpha),
+                       np.asarray(m, dtype=float), rel_step=HESSIAN_REL_STEP,
+                       columns=columns)
+    own = (owner[None, :] < 0) | (owner[:, None] == owner[None, :])
+    hess = np.where(own, hess, np.where(owner[:, None] < 0, hess.T, 0.0))
+    return (hess + hess.T) / 2.0
+
+
+def identity_minus_vh(model, m, alpha=None):
+    """(V, H, I - VH) at the mean vector m."""
+    v, h = model.layout.suff_stat_cov(m), hessian_of_objective(model, m, alpha)
+    return v, h, np.eye(m.size) - v @ h
+
+
 def build_system(model, sol, alpha=None):
     """Assemble the linear-response system at a converged solution."""
     if not sol.converged:
         raise NonConvergence("linear-response system requires a converged solution")
     m = np.asarray(sol.mean, dtype=float)
-    v = model.layout.suff_stat_cov(m)
-    h = hessian_of_objective(model, m, alpha)
-    system = np.eye(m.size) - v @ h
+    v, h, system = identity_minus_vh(model, m, alpha)
     condition = float(np.linalg.cond(system))
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise SingularSystem(

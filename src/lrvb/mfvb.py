@@ -14,17 +14,7 @@ inside the product of block domains.  A quasi-Newton pass is followed by
 damped Newton polishing to push the gradient norm to the requested
 tolerance; the downstream covariance correction needs a tight optimum.
 
-The polish and the linear-response system share one Hessian,
-``H = d^2 L / dm dm'`` from :func:`hessian_of_objective`: central
-differences of L's analytic gradient, one column at a time except where
-the model declares ``local_groups`` of blocks that couple only with
-themselves and the blocks outside every group.  Those columns are
-differenced a position of every group at a time, so a hierarchical model
-pays the same number of gradient calls at any number of groups.  The
-entropy's gradient is ``-natural(m)`` and ``d natural / dm = V^-1``, so the
-objective's Hessian in m is ``H - V^-1 = -V^-1 (I - VH)``: the polish's
-Newton step solves the linear-response system ``(I - VH) dm = V g`` (g the
-objective's gradient in m) and maps dm to z through ``J = dm/dz``.
+The polish's Newton step is the linear-response solve of :mod:`lrvb.linear_response`.
 
 ModelSpec and VbSolution are immutable after construction.  Fits call
 into the same BLAS library as every other stage, and concurrent calls
@@ -43,9 +33,7 @@ import scipy.optimize
 
 from .errors import DomainError, DomainViolation, NonConvergence
 from .expfam import FAMILIES, Family
-from .util import fd_jacobian
-
-HESSIAN_REL_STEP = 1e-5
+from .linear_response import identity_minus_vh
 
 
 @dataclass(frozen=True)
@@ -363,11 +351,12 @@ class ModelSpec:
     * ``local_groups`` -- groups of block names, such as one site's blocks
       of a hierarchical model.  A group promises that its coordinates
       couple in ``H = d^2 L / dm dm'`` only with themselves and with the
-      blocks outside every group, so :func:`hessian_of_objective` steps the
-      same coordinate of every group at once (see
-      :meth:`Layout.hessian_columns`).  Construction raises ValueError
-      when a group names an unknown block or a block is named twice.  A
-      wrong promise gives a wrong H; nothing checks it at run time.
+      blocks outside every group, so
+      :func:`lrvb.linear_response.hessian_of_objective` steps the same
+      coordinate of every group at once (see :meth:`Layout.hessian_columns`).
+      Construction raises ValueError when a group names an unknown block or
+      a block is named twice.  A wrong promise gives a wrong H; nothing
+      checks it at run time.
     """
 
     name: str
@@ -415,28 +404,6 @@ def elbo_grad_mean(model, m, alpha=None):
     m = np.asarray(m, dtype=float)
     return (model.grad_log_lik(m) + model.grad_log_prior(m, alpha)
             - model.layout.natural_vector(m))
-
-
-def hessian_of_objective(model, m, alpha=None):
-    """H = d^2 L / dm dm' by central differences of L's analytic gradient.
-
-    Each coordinate outside the model's ``local_groups`` is differenced on
-    its own.  The p-th coordinate of every group is stepped at once, and
-    each group's rows of that difference are read as its own column; the
-    rows outside every group come from the single columns by symmetry,
-    and the other groups' rows are zero.  That is two gradient calls per
-    single coordinate plus two per position of the largest group, at any
-    number of groups (Powell & Toint 1979).  A model that declares no
-    groups has every column differenced on its own.
-    """
-    alpha = model.resolve_alpha(alpha)
-    columns, owner = model._hessian_columns
-    hess = fd_jacobian(lambda x: model.grad_log_lik(x) + model.grad_log_prior(x, alpha),
-                       np.asarray(m, dtype=float), rel_step=HESSIAN_REL_STEP,
-                       columns=columns)
-    own = (owner[None, :] < 0) | (owner[:, None] == owner[None, :])
-    hess = np.where(own, hess, np.where(owner[:, None] < 0, hess.T, 0.0))
-    return (hess + hess.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -557,8 +524,8 @@ def _newton_step(model, z, grad, alpha):
     layout = model.layout
     m = layout.mean_from_unconstrained(z)
     g = layout.mean_jacobian_solve(z, -grad, trans=True)
-    v, h = layout.suff_stat_cov(m), hessian_of_objective(model, m, alpha)
-    system, vg = np.eye(m.size) - v @ h, v @ g
+    v, h, system = identity_minus_vh(model, m, alpha)
+    vg = v @ g
     damping = 0.0
     for _ in range(12):
         try:

@@ -55,9 +55,9 @@ the sampler's values, never accumulated, and each sweep re-sums them.
 Its independent check is the literal per-site loop reference in
 ``tests/test_microcredit_reference.py``.
 
-The prior hooks share two one-entry memos: the Wishart (dof, scale) of
-the last effect_prec means, keyed on their bytes, and the Lambda of the
-last alpha that passed validation.
+The prior hooks share two one-entry memos: the Wishart terms (moments
+and their gradients) of the last effect_prec means, keyed on their bytes,
+and the Lambda of the last alpha that passed validation.
 """
 
 import csv
@@ -316,53 +316,45 @@ def build_microcredit_model(data, priors=None):
         return (unvech(s[2:], 2) - np.outer(s[:2], u) - np.outer(u, s[:2])
                 + k_sites * unvech(m[top + 2:top + 5], 2))
 
-    # -- Wishart-block helpers ---------------------------------------------
+    # -- Wishart-block terms -----------------------------------------------
 
-    wishart = None  # (effect_prec means' bytes, (dof, scale)) of the last solve
+    wishart = None  # (effect_prec means' bytes, terms) of the last point
 
-    def _wishart_params(m):
-        """The Wishart (dof, scale) of the four effect_prec means, solved once
-        per distinct means: the last solve is kept, keyed on their exact
-        bytes; a failing solve keeps nothing."""
+    def wishart_terms(m):
+        """At the four effect_prec means: E[log S_jj] and E[1/S_jj] (S = X^-1)
+        from :func:`wishart_expectations`, and the mean-coordinate gradients
+        of their sums over j as the two columns of a (4, 2) array.  Derived
+        once per distinct means: the last terms are kept, keyed on their
+        exact bytes; a failing derivation keeps nothing."""
         nonlocal wishart
         block, memo = np.array(m[wis:wis + 4], dtype=float), wishart
         key = block.tobytes()
         if memo is None or memo[0] != key:
             dof, scale = _WI.standard_from_mean(block)
-            scale.flags.writeable = False
-            memo = wishart = key, (dof, scale)
+            w = wishart_expectations(dof, scale)
+            p = np.linalg.inv(scale)
+            p = (p + p.T) / 2.0
+            # d(block mean)/d(vech scale, dof); rows match the block layout
+            nv = vech_dim(KW)
+            jac = np.zeros((nv + 1, nv + 1))
+            jac[:nv, :nv] = dof * np.eye(nv)
+            jac[:nv, nv] = vech(scale)
+            jac[nv, :nv] = vech_dup(p)
+            jac[nv, nv] = 0.5 * multitrigamma(dof / 2.0, KW)
+            # the sums' gradients in (vech scale, dof)
+            rows, cols = tril(KW)
+            pjj = np.diag(p)[:, None]
+            dpjj = -(2.0 - (rows == cols)) * p[:, rows] * p[:, cols]
+            d_log = np.append((dpjj / pjj).sum(axis=0),
+                              -0.5 * KW * trigamma((dof - KW + 1.0) / 2.0))
+            d_inv = np.append((-(dof - KW + 1.0) * dpjj / pjj ** 2).sum(axis=0),
+                              np.sum(1.0 / pjj))
+            terms = (w.log_sigma_diag, w.inv_sigma_diag,
+                     np.linalg.solve(jac.T, np.column_stack([d_log, d_inv])))
+            for arr in terms:  # shared by every later call at these means
+                arr.flags.writeable = False
+            memo = wishart = key, terms
         return memo[1]
-
-    def _forward_jacobian(dof, scale, p):
-        """d(block mean)/d(vech scale, dof); rows match the block layout."""
-        nv = vech_dim(KW)
-        jac = np.zeros((nv + 1, nv + 1))
-        jac[:nv, :nv] = dof * np.eye(nv)
-        jac[:nv, nv] = vech(scale)
-        jac[nv, :nv] = vech_dup(p)
-        jac[nv, nv] = 0.5 * multitrigamma(dof / 2.0, KW)
-        return jac
-
-    def _diag_marginal_grads(dof, p):
-        """Gradients of sum_j E[log S_jj] and sum_j E[1/S_jj], S = X^-1, with
-        respect to (vech scale, dof); p is the scale's inverse."""
-        rows, cols = tril(KW)
-        pjj = np.diag(p)[:, None]
-        dpjj = -(2.0 - (rows == cols)) * p[:, rows] * p[:, cols]
-        d_log = np.append((dpjj / pjj).sum(axis=0),
-                          -0.5 * KW * trigamma((dof - KW + 1.0) / 2.0))
-        d_inv = np.append((-(dof - KW + 1.0) * dpjj / pjj ** 2).sum(axis=0),
-                          np.sum(1.0 / pjj))
-        return d_log, d_inv
-
-    def diag_marginal_mean_grads(m):
-        """Mean-coordinate gradients of sum_j E[log S_jj] and sum_j E[1/S_jj],
-        as the two columns of a (4, 2) array."""
-        dof, scale = _wishart_params(m)
-        p = np.linalg.inv(scale)
-        p = (p + p.T) / 2.0
-        jac = _forward_jacobian(dof, scale, p)
-        return np.linalg.solve(jac.T, np.column_stack(_diag_marginal_grads(dof, p)))
 
     # -- expected log prior -------------------------------------------------
 
@@ -384,8 +376,7 @@ def build_microcredit_model(data, priors=None):
         total += float(np.sum(a_n * np.log(b_n) - gammaln(a_n)
                               - (a_n + 1.0) * v[:, 1] - b_n * v[:, 0]))
 
-        w = wishart_expectations(*_wishart_params(m))
-        log_terms, inv_terms = w.log_sigma_diag, w.inv_sigma_diag
+        log_terms, inv_terms, _ = wishart_terms(m)
         total += (eta_l - 1.0) * (-m_logdet - float(np.sum(log_terms)))
         total += lkj_log_normalizer(eta_l)
         total += float(np.sum(a_s * np.log(b_s) - gammaln(a_s)
@@ -409,7 +400,7 @@ def build_microcredit_model(data, priors=None):
         g[wis:wis + 3] = vech_dup(-0.5 * sum_site_cov(m))
         g[wis + 3] = 0.5 * k_sites - (eta_l - 1.0)
         c_log = -(eta_l - 1.0) - (a_s + 1.0)
-        g[wis:wis + 4] += diag_marginal_mean_grads(m) @ [c_log, -b_s]
+        g[wis:wis + 4] += wishart_terms(m)[2] @ [c_log, -b_s]
         return g
 
     def prior_alpha_grad(m, alpha, direction):
@@ -427,7 +418,7 @@ def build_microcredit_model(data, priors=None):
         need_wishart = any(direction.get(kk, 0.0) for kk in
                            ("lkj_shape", "scale_shape", "scale_rate"))
         if need_wishart:
-            grad_log_sum, grad_inv_sum = diag_marginal_mean_grads(m).T
+            grad_log_sum, grad_inv_sum = wishart_terms(m)[2].T
             c = direction.get("lkj_shape", 0.0)
             if c:
                 out[wis + 3] += -c

@@ -65,13 +65,7 @@ class ContaminationSpec:
     contaminant: tuple
 
     def validated(self, model):
-        layout = model.layout
-        idx = self.block if isinstance(self.block, int) else layout.block_index(self.block)
-        name = layout.blocks[idx].name
-        if name not in model.prior_block_logpdf:
-            raise DomainError(
-                f"prior does not factor across block {name!r}; "
-                f"factorized blocks: {sorted(model.prior_block_logpdf)}")
+        idx = factorized_block(model, self.block)
         kind, payload = self.contaminant
         if kind not in ("dirac", "density"):
             raise DomainError(f"unknown contaminant kind {kind!r}")
@@ -180,9 +174,22 @@ def hyperparam_sensitivity(model, sol, sys, direction, alpha=None):
 # ---------------------------------------------------------------------------
 
 
-def _block_setup(model, sys, block):
+def factorized_block(model, block):
+    """Index of a block (name or index) across which the prior factors, as
+    every query on one block needs; else DomainError."""
     layout = model.layout
     idx = block if isinstance(block, int) else layout.block_index(block)
+    name = layout.blocks[idx].name
+    if name not in model.prior_block_logpdf:
+        raise DomainError(
+            f"prior does not factor across block {name!r}; "
+            f"factorized blocks: {sorted(model.prior_block_logpdf)}")
+    return idx
+
+
+def _block_setup(model, sys, block):
+    layout = model.layout
+    idx = factorized_block(model, block)
     bdef = layout.blocks[idx]
     sl = layout.slice_of(idx)
     eta = sys.fitted_natural(sl, bdef.family, bdef.var_dim)
@@ -211,7 +218,7 @@ def influence_function(model, sol, sys, block, point, alpha=None):
     point.
     """
     alpha = model.resolve_alpha(alpha)
-    return _influence_rows(model, sys, block, point, alpha)[0]
+    return _influence_rows(model, sys, block, point, alpha, one_point=True)[0]
 
 
 def influence_grid(model, sol, sys, block, points, alpha=None):
@@ -226,11 +233,15 @@ def influence_grid(model, sol, sys, block, points, alpha=None):
     return _influence_rows(model, sys, block, points, alpha)
 
 
-def _influence_rows(model, sys, block, points, alpha):
+def _influence_rows(model, sys, block, points, alpha, one_point=False):
     idx, bdef, _, _, fam, eta = _block_setup(model, sys, block)
     if not fam.has_location:
         raise DomainError(f"block {bdef.name!r} has no location statistics")
-    points = np.asarray(points, dtype=float).reshape(-1, bdef.var_dim)
+    points = np.asarray(points, dtype=float)
+    if points.size % bdef.var_dim or (one_point and points.size != bdef.var_dim):
+        raise DimensionMismatch(f"block {bdef.name!r} takes points of {bdef.var_dim} "
+                                f"entries, got an array of shape {points.shape}")
+    points = points.reshape(-1, bdef.var_dim)
     if not np.all(np.isfinite(points)):
         raise DomainError(f"influence point {points[~np.isfinite(points)][0]} is not finite")
     values = points[:, 0] if fam.scalar else points

@@ -118,13 +118,13 @@ def logchol_from_chol(chol):
     return z
 
 
-def is_pos_def(mat, tol=0.0):
+def is_pos_def(mat):
     """Whether every matrix of a stack is finite and positive definite."""
     mat = np.asarray(mat, dtype=float)
     if not np.all(np.isfinite(mat)):
         return False
     try:
-        np.linalg.cholesky(mat - tol * np.eye(mat.shape[-1]))
+        np.linalg.cholesky(mat)
         return True
     except np.linalg.LinAlgError:
         return False

@@ -210,6 +210,13 @@ class TestSensitivity:
         assert entry["error"] is None
         assert payload["model_hash"] and payload["solution_hash"]
 
+    def test_unknown_hyperparameter_names_valid_keys(self, tmp_path, capsys):
+        code = run("sensitivity", "--model", "normal-normal",
+                   "--out", str(tmp_path / "x.json"), "--hyperparams", "nope")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'nope'" in err and "valid keys" in err
+
     def test_unknown_quantity(self, tmp_path):
         code = run("sensitivity", "--model", "normal-normal",
                    "--out", str(tmp_path / "x.json"), "--quantities", "nope")
@@ -236,6 +243,19 @@ class TestInfluenceGrid:
         rows = list(csv.reader(open(out)))
         assert rows[0] == ["mu", "tau", "dE[tau]/deps"]
         assert len(rows) == 1 + 25
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "microcredit", "--data", BUNDLED_CSV, "--block", "effects_1"],
+        ["--model", "gaussian3d", "--block", "theta_1"],
+    ], ids=["microcredit", "gaussian3d"])
+    def test_block_without_factorized_prior_is_one_usage_line(self, tmp_path, capsys,
+                                                              argv):
+        out = tmp_path / "g.json"
+        assert run("influence-grid", *argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: prior does not factor across block")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_large_two_dim_grid_reruns_byte_identical(self, data_csv, tmp_path,
                                                       monkeypatch):

@@ -210,6 +210,18 @@ class TestPolish:
             newton = np.linalg.solve(ref, -grad)
             assert np.max(np.abs(step - newton)) <= 1e-5 * np.max(np.abs(newton))
 
+    def test_polish_uses_the_linear_response_hessian(self, monkeypatch):
+        # one definition of H: the bundled fit takes one polish step, and it
+        # differences the Hessian that build_system uses
+        assert not hasattr(mfvb, "hessian_of_objective")
+        model = build_microcredit_model(load_microcredit_csv(BUNDLED_CSV))
+        calls = []
+        hessian = linear_response.hessian_of_objective
+        monkeypatch.setattr(linear_response, "hessian_of_objective",
+                            lambda *args: calls.append(args) or hessian(*args))
+        assert mfvb.fit(model).converged
+        assert len(calls) == 1
+
     def test_damped_step_descends(self, nig_model, nig_fit, monkeypatch):
         # V = H = I makes (I - VH) zero, so only the damped system
         # (I - VH + lam V) dm = V g solves, and its step is J^-1 g / lam
@@ -217,7 +229,8 @@ class TestPolish:
         layout = nig_model.layout
         eye = np.eye(layout.dim)
         monkeypatch.setattr(Layout, "suff_stat_cov", lambda self, m: eye)
-        monkeypatch.setattr(mfvb, "hessian_of_objective", lambda model, m, alpha: eye)
+        monkeypatch.setattr(linear_response, "hessian_of_objective",
+                            lambda model, m, alpha: eye)
         z = layout.unconstrained_from_mean(sol.mean)
         grad = np.random.default_rng(1).normal(size=z.size)
         step = mfvb._newton_step(nig_model, z, grad, nig_model.hyperparams)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrvb import mfvb, oracle
+from lrvb import linear_response, mfvb, oracle
 from lrvb.errors import DomainError
 from lrvb.expfam import FAMILIES, Family
 from lrvb.mfvb import Hyperparams
@@ -174,8 +174,21 @@ class TestPriorMemos:
             assert value == fresh.expected_log_prior(point, alpha)
             assert np.array_equal(grad, fresh.grad_log_prior(point, alpha))
         solves.clear()
-        mfvb.hessian_of_objective(model, m, alpha)
+        linear_response.hessian_of_objective(model, m, alpha)
         assert 8 <= len(solves) <= 10
+
+    def test_one_jacobian_build_per_point_of_h(self, bundled, monkeypatch):
+        # H's 32 gradient calls move the effect_prec means in 8 of them, so
+        # the mean-coordinate Jacobian is built at those points and at the
+        # fitted means (twice, as the memo keeps one point)
+        data, m = bundled
+        model = build_microcredit_model(data)
+        builds = []
+        multitrigamma = microcredit.multitrigamma
+        monkeypatch.setattr(microcredit, "multitrigamma",
+                            lambda *args: builds.append(args) or multitrigamma(*args))
+        linear_response.hessian_of_objective(model, m)
+        assert 9 <= len(builds) <= 10
 
     def test_failing_wishart_solve_is_not_kept(self, bundled, solves):
         data, m = bundled

@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 
 from lrvb import linear_response, mfvb, oracle
 from lrvb import robustness as rb
-from lrvb.errors import DomainError, ZeroPriorDensity
+from lrvb.errors import DimensionMismatch, DomainError, ZeroPriorDensity
 from lrvb.expfam import FAMILIES
 from lrvb.models import gaussian_target_model, normal_normal_model
 from lrvb.oracle import quadrature_expectation
@@ -296,6 +296,39 @@ def _dense_rhs_rows(model, sys, block, points, alpha):
         rhs[loc, col] = np.exp(float(fam.log_density(val, eta)) - log_p) * (pt - sys.mean[loc])
     lu = scipy.linalg.lu_factor(np.eye(layout.dim) - sys.v @ sys.h)
     return scipy.linalg.lu_solve(lu, rhs).T
+
+
+class TestQueryInputs:
+    """Every query kind checks its block and point before pricing anything."""
+
+    @pytest.mark.parametrize("query", [
+        lambda m, sol, sys: rb.influence_function(m, sol, sys, "theta", 1.0),
+        lambda m, sol, sys: rb.influence_grid(m, sol, sys, "theta", [1.0, 2.0]),
+        lambda m, sol, sys: rb.worst_case_perturbation(m, sol, sys, "theta", "theta", 2.0),
+        lambda m, sol, sys: rb.perturbation_derivative(m, sol, sys, "theta", "theta",
+                                                       lambda x: 1.0),
+    ], ids=["influence_function", "influence_grid", "worst_case", "perturbation"])
+    def test_non_factorized_block(self, nig_model, nig_fit, query):
+        # the normal-inverse-gamma prior couples theta with the noise variance
+        sol, sys = nig_fit
+        with pytest.raises(DomainError, match="prior does not factor across block 'theta'; "
+                           r"factorized blocks: \['noise_var'\]"):
+            query(nig_model, sol, sys)
+
+    def test_point_with_extra_entries(self, nn_model, nn_fit):
+        sol, sys = nn_fit
+        with pytest.raises(DimensionMismatch, match="points of 1 entries"):
+            rb.influence_function(nn_model, sol, sys, "theta", [1.0, 2.0])
+
+    def test_point_with_missing_entries(self, micro_model, micro_fit):
+        sol, sys = micro_fit
+        with pytest.raises(DimensionMismatch, match="points of 2 entries"):
+            rb.influence_function(micro_model, sol, sys, "top", [1.0])
+
+    def test_grid_not_made_of_whole_points(self, micro_model, micro_fit):
+        sol, sys = micro_fit
+        with pytest.raises(DimensionMismatch, match="points of 2 entries"):
+            rb.influence_grid(micro_model, sol, sys, "top", [1.0, 2.0, 3.0])
 
 
 class TestPriorBlockLogpdf:
