@@ -299,7 +299,8 @@ def _dense_rhs_rows(model, sys, block, points, alpha):
 
 
 class TestQueryInputs:
-    """Every query kind checks its block and point before pricing anything."""
+    """Queries check their block, and influence queries their points, before
+    pricing anything."""
 
     @pytest.mark.parametrize("query", [
         lambda m, sol, sys: rb.influence_function(m, sol, sys, "theta", 1.0),
