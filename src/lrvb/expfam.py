@@ -31,8 +31,11 @@ Family interface.  Each object in ``FAMILIES`` owns its family's
 conventions, so no other module branches on a ``Family`` member: beside
 the maps above (``entropy_unconstrained`` among them, see Entropy below),
 ``stat_dim``, ``coord_names(block)``, ``has_location`` (the first var_dim
-statistics are x), ``scalar`` (x is one float) and, if scalar,
-``quad_support`` (the range of x); the underlying-variable
+statistics are x), ``scalar`` (x is one float), ``quad_support()`` (the
+(lo, hi) range of x that every density query of :mod:`lrvb.robustness`
+and :mod:`lrvb.oracle` integrates over; the multivariate Gaussian and
+the Wishart have none and raise DomainError, so no other module tests
+``scalar`` to refuse a block); the underlying-variable
 ``suff_stats``, ``log_density`` and ``sample``; and the sampler
 coordinates (x for Gaussians, log x for (inverse) gamma, log-Cholesky for
 Wishart): ``value_dim``, ``value_from_unconstrained`` (value and
@@ -180,6 +183,10 @@ class _Family:
     def value_dim(self, var_dim):
         return var_dim
 
+    def quad_support(self):
+        raise DomainError(f"no quadrature support for family {self.family.value}; "
+                          "density queries support scalar blocks")
+
     def sampler_box(self, m, widen):
         raise DomainError(f"no quadrature box for family {self.family}")
 
@@ -222,7 +229,9 @@ class _GaussianUnivariate(_Gaussian):
     """Scalar Gaussian; standard parameters (mu, var)."""
 
     family = Family.GAUSSIAN_UNIVARIATE
-    quad_support = (-np.inf, np.inf)
+
+    def quad_support(self):
+        return (-np.inf, np.inf)
 
     def check_natural(self, eta, var_dim=1):
         if (eta.shape[-1:] != (2,) or not np.all(np.isfinite(eta))
@@ -440,7 +449,8 @@ class _GammaLike(_Family):
     multiplying the terms that change sign.
     """
 
-    quad_support = (0.0, np.inf)
+    def quad_support(self):
+        return (0.0, np.inf)
 
     def coord_names(self, block):
         lab = block.labels[0]

@@ -132,9 +132,12 @@ class Layout:
         """Column sets for the objective Hessian's differences, and each
         coordinate's local group (-1 outside every group).
 
-        ``local_groups`` holds groups of block names.  Coordinates outside
-        every group are stepped one at a time; the p-th coordinate of every
-        group, in layout order, is stepped together with the others.
+        ``local_groups`` holds groups of block names.  The p-th coordinate
+        of every group, in layout order, is stepped together with the
+        others; the coordinates outside every group come after those sets,
+        each stepped alone, so a one-entry memo keyed on a global block
+        (the microcredit Wishart terms) holds the base point until that
+        block's own columns.
         """
         owner = np.full(self.dim, -1)
         for k, group in enumerate(local_groups):
@@ -147,8 +150,8 @@ class Layout:
                 owner[self.slice_of(name)] = k
         members = [np.flatnonzero(owner == k) for k in range(len(local_groups))]
         width = max((g.size for g in members), default=0)
-        columns = ([[j] for j in np.flatnonzero(owner < 0)]
-                   + [np.array([g[p] for g in members if p < g.size]) for p in range(width)])
+        columns = ([np.array([g[p] for g in members if p < g.size]) for p in range(width)]
+                   + [[j] for j in np.flatnonzero(owner < 0)])
         return columns, owner
 
     # --- per-group assembly -----------------------------------------------
@@ -330,7 +333,7 @@ class ModelSpec:
     * ``prior_block_logpdf`` -- per-block marginal prior log density for
       the blocks across which the prior factorizes (required by
       influence-function and contamination queries on that block).
-      ``prior_block_logpdf[name](name, x, alpha)`` maps one block value to
+      ``prior_block_logpdf[name](x, alpha)`` maps one block value to
       a float and an array of n values (shape (n,), or (n, d) for a
       d-dimensional block) to an (n,) array, as the family's ``log_density``.
     * A pointwise posterior for the MCMC and quadrature oracles, never

@@ -70,9 +70,7 @@ def normal_normal_model(data, noise_var, prior_natural):
         out[1] = direction.get("prior_nat_2", 0.0)
         return out
 
-    def prior_block_logpdf(block, point, alpha):
-        if block not in ("theta", 0):
-            raise KeyError(block)
+    def prior_block_logpdf(point, alpha):
         return _GU.log_density(point, _nat(alpha))
 
     def log_lik_values(values):
@@ -173,9 +171,7 @@ def normal_invgamma_model(data, prior_loc, prior_obs, prior_shape, prior_rate):
             out += d * np.array([0.0, 0.0, -1.0, 0.0])
         return out
 
-    def prior_block_logpdf(block, point, alpha):
-        if block not in ("noise_var", 1):
-            raise KeyError(f"prior does not factor across block {block!r}")
+    def prior_block_logpdf(point, alpha):
         a0, b0 = alpha["prior_shape"], alpha["prior_rate"]
         return _IG.log_density(point, _IG.natural_from_standard(a0, b0))
 
@@ -329,7 +325,7 @@ def gaussian_target_model(nat_loc, info):
     prior_pdfs = {}
     if np.allclose(info, np.diag(np.diag(info))):
         def _make(i):
-            def pdf(block, point, alpha):
+            def pdf(point, alpha):
                 hh, ll = _unpack(alpha)
                 eta = np.array([hh[i], -0.5 * ll[i, i]])
                 return _GU.log_density(point, eta)

@@ -457,9 +457,7 @@ def build_microcredit_model(data, priors=None):
         infinities or sums past the float range."""
         return [_fsum_quiet(column) for column in columns]
 
-    def prior_block_logpdf(block, point, alpha):
-        if block not in ("top", 0):
-            raise KeyError(f"prior does not factor across block {block!r}")
+    def prior_block_logpdf(point, alpha):
         # N(0, Lambda^-1) in natural coordinates (0, vech_dup(-Lambda / 2))
         lam = check_priors(alpha)
         return _GM.log_density(point, np.concatenate([np.zeros(2), vech_dup(-0.5 * lam)]))

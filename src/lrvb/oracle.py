@@ -171,8 +171,9 @@ def contaminated_posterior_mean(model, block, contaminant, eps, alpha=None):
     contaminating distribution at weight eps.
 
     ``contaminant`` is either ("dirac", point) or ("density", logpdf).
-    Only single-scalar-block models are supported; the mixture prior makes
-    the one-dimensional integrals explicit:
+    Only single-block models whose family has a ``quad_support()`` are
+    supported; the mixture prior makes the one-dimensional integrals
+    explicit:
 
         E_eps[s] = [(1-eps) Z0 E0[s] + eps Zc Ec[s]] / [(1-eps) Z0 + eps Zc]
 
@@ -181,9 +182,10 @@ def contaminated_posterior_mean(model, block, contaminant, eps, alpha=None):
     """
     alpha = model.resolve_alpha(alpha)
     layout = model.layout
-    fam = FAMILIES[layout.blocks[0].family] if len(layout.blocks) == 1 else None
-    if fam is None or not fam.scalar:
-        raise DomainError("contaminated posterior oracle supports one scalar block")
+    if len(layout.blocks) != 1:
+        raise DomainError("contaminated posterior oracle supports one block")
+    fam = FAMILIES[layout.blocks[0].family]
+    bounds = fam.quad_support()
     name = layout.blocks[0].name
     if block not in (name, 0):
         raise DomainError(f"unknown block {block!r}")
@@ -195,13 +197,13 @@ def contaminated_posterior_mean(model, block, contaminant, eps, alpha=None):
         return np.exp(model.log_lik_values({name: x}))
 
     def prior(x):
-        return np.exp(model.prior_block_logpdf[name](name, x, alpha))
+        return np.exp(model.prior_block_logpdf[name](x, alpha))
 
     def mass_and_stats(weight):
         """Integrals of lik * weight times 1 and times each statistic."""
         return quadrature_expectation(lambda x: lik(x) * weight(x),
                                       lambda x: np.append(1.0, fam.suff_stats(x)),
-                                      fam.quad_support, tol=1e-6)[0]
+                                      bounds, tol=1e-6)[0]
 
     base = mass_and_stats(prior)
     kind, payload = contaminant
@@ -221,7 +223,8 @@ def contaminated_model(model, block, pc_logpdf, eps):
 
     The contamination correction E_q[log(1 - eps + eps p_c/p)] and its
     mean gradient are evaluated by quadrature over the block's underlying
-    variable (supported for scalar blocks), with the log taken as
+    variable (over the family's ``quad_support()``, which a family
+    without one refuses when the model is built), with the log taken as
     logaddexp(log(1 - eps), log eps + log p_c - log p), so a contaminant
     with heavier tails than p does not overflow.  The model keeps only
     the fit's hooks: it has no pointwise posterior and no per-block prior.
@@ -232,8 +235,7 @@ def contaminated_model(model, block, pc_logpdf, eps):
     idx = block if isinstance(block, int) else layout.block_index(block)
     bdef = layout.blocks[idx]
     fam = FAMILIES[bdef.family]
-    if not fam.scalar:
-        raise DomainError("contaminated refits support scalar blocks only")
+    bounds = fam.quad_support()
     sl = layout.slice_of(idx)
     name = bdef.name
     with np.errstate(divide="ignore"):  # -inf at eps = 1 and eps = 0
@@ -248,13 +250,13 @@ def contaminated_model(model, block, pc_logpdf, eps):
             return np.exp(fam.log_density(x, eta))
 
         def logterm(x):
-            log_ratio = pc_logpdf(x) - model.prior_block_logpdf[name](name, x, alpha)
+            log_ratio = pc_logpdf(x) - model.prior_block_logpdf[name](x, alpha)
             return np.logaddexp(log_keep, log_eps + log_ratio)
 
         # the correction, then its covariance with each statistic
         moments, _ = quadrature_expectation(
             qdens, lambda x: logterm(x) * np.append(1.0, fam.suff_stats(x) - mb),
-            fam.quad_support, tol=1e-9)
+            bounds, tol=1e-9)
         return moments[0], np.linalg.solve(vblk, moments[1:])
 
     def expected_log_prior(m, alpha):

@@ -23,9 +23,13 @@ Conventions.  The influence-function column carries the displacement of
 the perturbed block's plain location statistics (Gaussian blocks), with
 the block's higher-order moment coordinates zeroed, so the influence of
 a point mass at the fitted mean is identically zero; Dirac contamination
-delegates to the same construction.  Density contaminations and the
-worst-case machinery integrate the full statistic displacement, which is
-the exact fixed-point derivative.
+delegates to the same construction.  Density contamination, the worst
+case and perturbation derivatives share one response functional,
+a(x) = row (s(x) - m) q(x)/p(x) with row the target gradient pushed
+through (I - VH)^-1 on the block: it integrates the full statistic
+displacement, which is the exact fixed-point derivative, over the
+family's ``quad_support()``.  The influence function keeps the
+location-only convention.
 """
 
 import hashlib
@@ -57,8 +61,8 @@ class ContaminationSpec:
     ``contaminant`` is ("dirac", point) or ("density", logpdf callable).
     The derivative is taken at eps = 0.  Requires the prior and the
     variational distribution to factor across the chosen block, and for
-    density contaminants that the density integrates to one (checked by
-    quadrature to 1e-4).
+    density contaminants a family with a ``quad_support()`` and a density
+    that integrates to one over it (checked by quadrature to 1e-4).
     """
 
     block: Union[str, int]
@@ -70,7 +74,7 @@ class ContaminationSpec:
         if kind not in ("dirac", "density"):
             raise DomainError(f"unknown contaminant kind {kind!r}")
         if kind == "density":
-            bounds = _density_bounds(model, idx)
+            bounds = FAMILIES[model.layout.blocks[idx].family].quad_support()
             total, _ = quadrature_expectation(
                 lambda x: np.exp(payload(x)), lambda x: 1.0, bounds, tol=1e-4)
             if abs(total - 1.0) > 1e-4:
@@ -200,7 +204,7 @@ def _log_density_ratio(model, bdef, fam, eta, x, alpha):
     """log q(x) - log p(x) and log p(x) for one block, elementwise over one
     value or an array of them, with one call of each density."""
     name = bdef.name
-    log_p = model.prior_block_logpdf[name](name, x, alpha)
+    log_p = model.prior_block_logpdf[name](x, alpha)
     log_q = fam.log_density(x, eta)
     if np.shape(log_p) != np.shape(log_q):
         raise DimensionMismatch(f"prior_block_logpdf[{name!r}] returned shape "
@@ -273,8 +277,8 @@ def contamination_sensitivity(model, sol, sys, spec, target, alpha=None):
 
     ``target`` is the gradient of the quantity with respect to the means
     (or a mean-coordinate name).  Dirac contaminants reduce to the
-    influence function; density contaminants integrate the full statistic
-    displacement against the density ratio.
+    influence function; density contaminants integrate the response
+    functional a(x) of :func:`worst_case_perturbation` against p_c.
     """
     alpha = model.resolve_alpha(alpha)
     grad_h = resolve_target(model.layout, target)
@@ -283,33 +287,10 @@ def contamination_sensitivity(model, sol, sys, spec, target, alpha=None):
     if kind == "dirac":
         vec = influence_function(model, sol, sys, idx, payload, alpha)
         return float(grad_h @ vec)
-    rhs = _density_contamination_rhs(model, sys, idx, payload, alpha)
-    return float(grad_h @ sys.solve_identity_minus_vh(rhs))
-
-
-def _density_bounds(model, idx):
-    fam = FAMILIES[model.layout.blocks[idx].family]
-    if not fam.scalar:
-        raise DomainError("density contamination supports scalar blocks; "
-                          "use weighted point masses for matrix blocks")
-    return fam.quad_support
-
-
-def _density_contamination_rhs(model, sys, idx, pc_logpdf, alpha):
-    """E_q[(s(x) - m) p_c(x)/p(x)] over the contaminated block."""
-    _, bdef, sl, mb, fam, eta = _block_setup(model, sys, idx)
-    bounds = _density_bounds(model, idx)
-
-    def weight(x):
-        # q(x) p_c(x) / p(x)
-        return np.exp(pc_logpdf(x) + _log_density_ratio(model, bdef, fam, eta, x, alpha)[0])
-
+    a_values, _, bounds = _response_functional(model, sys, idx, grad_h, alpha)
     # raises QuadratureFailure where the error estimate exceeds 1e-9
-    val, _ = quadrature_expectation(weight, lambda x: fam.suff_stats(x)[0] - mb, bounds,
-                                    tol=1e-9)
-    rhs = np.zeros(sys.dim)
-    rhs[sl] = val
-    return rhs
+    val, _ = quadrature_expectation(lambda x: np.exp(payload(x)), a_values, bounds, tol=1e-9)
+    return float(val)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +299,13 @@ def _density_contamination_rhs(model, sys, idx, pc_logpdf, alpha):
 
 
 def _response_functional(model, sys, block, target, alpha):
-    """a(x), the prior density p(x) and the quadrature bounds of one scalar
-    block (a(x) as in worst_case_perturbation; an array for an array)."""
+    """a(x), the prior density p(x) and the family's quadrature support of
+    one block (a(x) as in worst_case_perturbation; an array for an array)."""
     grad_h = resolve_target(model.layout, target)
     idx, bdef, sl, mb, fam, eta = _block_setup(model, sys, block)
-    if not fam.scalar:
-        raise DomainError("worst-case perturbations support scalar blocks")
+    bounds = fam.quad_support()
     row = sys.solve_transpose(grad_h)[sl]
-    name = bdef.name
+    prior_logpdf = model.prior_block_logpdf[bdef.name]
 
     def a_values(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -334,9 +314,9 @@ def _response_functional(model, sys, block, target, alpha):
         return out if out.size > 1 else float(out[0])
 
     def prior_dens(x):
-        return np.exp(model.prior_block_logpdf[name](name, x, alpha))
+        return np.exp(prior_logpdf(x, alpha))
 
-    return a_values, prior_dens, fam.quad_support
+    return a_values, prior_dens, bounds
 
 
 def worst_case_perturbation(model, sol, sys, block, target, p_norm, alpha=None):

@@ -176,7 +176,7 @@ def test_criterion_7_worst_case_dominance(conjugate):
     alpha = model.hyperparams
 
     def prior_dens(x):
-        return np.exp(model.prior_block_logpdf["theta"]("theta", x, alpha))
+        return np.exp(model.prior_block_logpdf["theta"](x, alpha))
 
     sd = np.sqrt(sol.mean[1] - sol.mean[0] ** 2)
     min_margin = np.inf

@@ -355,3 +355,16 @@ class TestClosedFormEntropy:
             scale = max(1.0, abs(fam.log_partition(blk.natural))
                         + abs(float(blk.natural @ blk.mean)))
             assert abs(closed[i] - ef.entropy(blk)) <= 1e-10 * scale, (params, i)
+
+
+class TestQuadSupport:
+    def test_scalar_families_give_the_range_of_x(self):
+        assert ef.FAMILIES[Family.GAUSSIAN_UNIVARIATE].quad_support() == (-np.inf, np.inf)
+        for family in (Family.GAMMA, Family.INVERSE_GAMMA):
+            assert ef.FAMILIES[family].quad_support() == (0.0, np.inf)
+
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN_MULTIVARIATE, Family.WISHART])
+    def test_matrix_families_have_none(self, family):
+        with pytest.raises(DomainError, match=f"no quadrature support for family "
+                           f"{family.value}"):
+            ef.FAMILIES[family].quad_support()

@@ -2,7 +2,13 @@
 ``Family`` member: every per-family convention is a method or attribute
 of the family object in ``lrvb.expfam.FAMILIES``.  Declarations such as
 ``BlockDef("theta", Family.GAUSSIAN_UNIVARIATE)`` name a member without
-comparing it and stay allowed."""
+comparing it and stay allowed.
+
+Nor does any other module refuse a block by testing a family's
+``scalar``: an ``if`` on ``.scalar`` whose branches raise.  A family
+without a quadrature support refuses in its own ``quad_support()``.
+Shaping a value by ``scalar``, as in ``points[:, 0] if fam.scalar else
+points``, stays allowed."""
 
 import ast
 import pathlib
@@ -34,6 +40,17 @@ def family_comparisons(source):
             and any(_names_member(x) for x in (node.left, *node.comparators))]
 
 
+def scalar_rejections(source):
+    """Line numbers of ``if`` statements that test a ``.scalar`` attribute
+    and raise in one of their branches."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.If)
+            and any(isinstance(x, ast.Attribute) and x.attr == "scalar"
+                    for x in ast.walk(node.test))
+            and any(isinstance(x, ast.Raise)
+                    for stmt in node.body + node.orelse for x in ast.walk(stmt))]
+
+
 def test_checker_flags_family_ladders():
     source = "\n".join([
         "if b.family is Family.GAMMA: pass",
@@ -58,3 +75,27 @@ def test_modules_found():
 def test_no_family_comparisons(path):
     lines = family_comparisons(path.read_text(encoding="utf-8"))
     assert not lines, f"{path.name} compares against a Family member at lines {lines}"
+
+
+def test_checker_flags_scalar_rejections():
+    source = "\n".join([
+        "if not fam.scalar: raise DomainError('scalar blocks only')",
+        "if fam is None or not fam.scalar:",
+        "    raise DomainError('one scalar block')",
+        "if FAMILIES[b.family].scalar:",
+        "    pass",
+        "else:",
+        "    raise DomainError('scalar blocks only')",
+        "values = points[:, 0] if fam.scalar else points",
+        "if fam.scalar:",
+        "    values = points[:, 0]",
+        "if not fam.has_location: raise DomainError('no location')",
+    ])
+    assert scalar_rejections(source) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_scalar_rejections(path):
+    lines = scalar_rejections(path.read_text(encoding="utf-8"))
+    assert not lines, (f"{path.name} refuses a block by testing .scalar at lines {lines}; "
+                       "the family's quad_support() refuses it")

@@ -73,7 +73,7 @@ class TestDeclaration:
     def test_column_sets(self):
         # b is global and stepped alone; a and c share their positions
         columns, owner = toy_layout().hessian_columns((("a",), ("c",)))
-        assert [list(c) for c in columns] == [[2], [3], [0, 4], [1, 5]]
+        assert [list(c) for c in columns] == [[0, 4], [1, 5], [2], [3]]
         assert owner.tolist() == [0, 0, -1, -1, 1, 1]
         columns, owner = toy_layout().hessian_columns(())
         assert [list(c) for c in columns] == [[j] for j in range(6)]

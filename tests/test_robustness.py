@@ -252,9 +252,9 @@ class TestInfluenceFunction:
         calls = []
         hook = micro_model.prior_block_logpdf["top"]
 
-        def counted(block, point, alpha):
+        def counted(point, alpha):
             calls.append(np.shape(point))
-            return hook(block, point, alpha)
+            return hook(point, alpha)
 
         model = dataclasses.replace(micro_model, prior_block_logpdf={"top": counted})
         axes = [np.linspace(m - 3.0, m + 3.0, 201) for m in sol.mean[:2]]
@@ -292,7 +292,7 @@ def _dense_rhs_rows(model, sys, block, points, alpha):
     rhs = np.zeros((layout.dim, len(points)))
     for col, pt in enumerate(points):
         val = pt[0] if loc.size == 1 else pt
-        log_p = model.prior_block_logpdf[block](block, val, alpha)
+        log_p = model.prior_block_logpdf[block](val, alpha)
         rhs[loc, col] = np.exp(float(fam.log_density(val, eta)) - log_p) * (pt - sys.mean[loc])
     lu = scipy.linalg.lu_factor(np.eye(layout.dim) - sys.v @ sys.h)
     return scipy.linalg.lu_solve(lu, rhs).T
@@ -331,6 +331,25 @@ class TestQueryInputs:
         with pytest.raises(DimensionMismatch, match="points of 2 entries"):
             rb.influence_grid(micro_model, sol, sys, "top", [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("query", [
+        lambda m, sol, sys: rb.contamination_sensitivity(
+            m, sol, sys, rb.ContaminationSpec("top", ("density", _top_density)), "mu"),
+        lambda m, sol, sys: rb.worst_case_perturbation(m, sol, sys, "top", "mu", 2.0),
+        lambda m, sol, sys: rb.perturbation_derivative(m, sol, sys, "top", "mu",
+                                                       lambda x: 1.0),
+        lambda m, sol, sys: oracle.contaminated_model(m, "top", _top_density, 0.1),
+    ], ids=["density_contamination", "worst_case", "perturbation", "contaminated_model"])
+    def test_block_without_quadrature_support(self, micro_model, micro_fit, query):
+        # the family refuses the 2-D top block before any quadrature runs
+        sol, sys = micro_fit
+        with pytest.raises(DomainError, match="no quadrature support for family "
+                           "gaussian_multivariate"):
+            query(micro_model, sol, sys)
+
+
+def _top_density(x):
+    return st.multivariate_normal.logpdf(x, np.zeros(2), np.eye(2))
+
 
 class TestPriorBlockLogpdf:
     """The hooks map an array of block values to an array of log densities."""
@@ -344,8 +363,8 @@ class TestPriorBlockLogpdf:
     def test_array_matches_per_point(self, request, name, block, points):
         model = request.getfixturevalue(f"{name}_model")
         hook = model.prior_block_logpdf[block]
-        whole = hook(block, points, model.hyperparams)
-        single = np.array([hook(block, pt, model.hyperparams) for pt in points])
+        whole = hook(points, model.hyperparams)
+        single = np.array([hook(pt, model.hyperparams) for pt in points])
         assert whole.shape == (len(points),)
         assert np.allclose(whole, single, rtol=1e-15, atol=0.0)
 
@@ -353,17 +372,17 @@ class TestPriorBlockLogpdf:
         model = gaussian_target_model(np.array([0.4, -1.0, 0.3]),
                                       np.diag([0.5, 2.0, 1.5]))
         points = np.linspace(-5.0, 5.0, 41)
-        for block, hook in model.prior_block_logpdf.items():
-            whole = hook(block, points, model.hyperparams)
-            single = np.array([hook(block, x, model.hyperparams) for x in points])
+        for hook in model.prior_block_logpdf.values():
+            whole = hook(points, model.hyperparams)
+            single = np.array([hook(x, model.hyperparams) for x in points])
             assert whole.shape == points.shape
             assert np.allclose(whole, single, rtol=1e-15, atol=0.0)
 
     def test_scalar_point_gives_float(self, nn_model, micro_model):
         alpha = nn_model.hyperparams
-        assert isinstance(nn_model.prior_block_logpdf["theta"]("theta", 0.3, alpha), float)
+        assert isinstance(nn_model.prior_block_logpdf["theta"](0.3, alpha), float)
         top = micro_model.prior_block_logpdf["top"]
-        assert isinstance(top("top", np.array([0.3, 0.1]), micro_model.hyperparams), float)
+        assert isinstance(top(np.array([0.3, 0.1]), micro_model.hyperparams), float)
 
 
 @hst.composite
@@ -473,6 +492,28 @@ class TestContamination:
             else:
                 assert abs(val) < 1e-6 * max(scale, 1.0)
 
+    @pytest.mark.parametrize("name, block, contaminants, targets", [
+        ("nn", "theta", [lambda x: st.norm.logpdf(x, 1.3, 0.2),
+                         lambda x: st.norm.logpdf(x, -1.0, 2.0),
+                         lambda x: st.t.logpdf(x, 3.0, loc=0.5)], ["theta"]),
+        ("nig", "noise_var", [lambda v: st.invgamma.logpdf(v, 4.0, scale=5.0)], None),
+    ], ids=["nn-theta", "nig-noise_var"])
+    def test_density_matches_solved_right_hand_side(self, request, name, block,
+                                                    contaminants, targets):
+        # the response functional priced against p_c equals the solve of
+        # (I - VH) against E_q[(s(x) - m) p_c(x)/p(x)] on the block
+        model = request.getfixturevalue(f"{name}_model")
+        sol, sys = request.getfixturevalue(f"{name}_fit")
+        alpha = model.hyperparams
+        for pc in contaminants:
+            spec = rb.ContaminationSpec(block, ("density", pc))
+            response = sys.solve_identity_minus_vh(
+                _density_contamination_rhs(model, sys, block, pc, alpha))
+            for target in targets or model.layout.coord_names():
+                value = rb.contamination_sensitivity(model, sol, sys, spec, target)
+                ref = float(rb.resolve_target(model.layout, target) @ response)
+                assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), target
+
     def test_unnormalized_density_rejected(self, nn_model, nn_fit):
         spec = rb.ContaminationSpec(
             "theta", ("density", lambda x: st.norm.logpdf(x, 0.0, 1.0) + 0.3))
@@ -485,6 +526,23 @@ class TestContamination:
             spec.validated(nig_model)
 
 
+def _density_contamination_rhs(model, sys, idx, pc_logpdf, alpha):
+    """E_q[(s(x) - m) p_c(x)/p(x)] over the contaminated block, whose solve
+    against (I - VH) is the density contamination derivative."""
+    _, bdef, sl, mb, fam, eta = rb._block_setup(model, sys, idx)
+    bounds = fam.quad_support()
+
+    def weight(x):
+        # q(x) p_c(x) / p(x)
+        return np.exp(pc_logpdf(x) + rb._log_density_ratio(model, bdef, fam, eta, x, alpha)[0])
+
+    val, _ = quadrature_expectation(weight, lambda x: fam.suff_stats(x)[0] - mb, bounds,
+                                    tol=1e-9)
+    rhs = np.zeros(sys.dim)
+    rhs[sl] = val
+    return rhs
+
+
 class TestWorstCase:
     @pytest.mark.parametrize("p_norm", [2.0, 3.0])
     def test_unit_size_and_dominance(self, nn_model, nn_fit, p_norm):
@@ -494,7 +552,7 @@ class TestWorstCase:
         alpha = nn_model.hyperparams
 
         def prior_dens(x):
-            return np.exp(nn_model.prior_block_logpdf["theta"]("theta", x, alpha))
+            return np.exp(nn_model.prior_block_logpdf["theta"](x, alpha))
 
         q_conj = p_norm / (p_norm - 1.0)
         norm_q, _ = quadrature_expectation(
@@ -531,7 +589,7 @@ class TestWorstCase:
         wc = rb.worst_case_perturbation(nn_model, sol, sys, "theta", "theta", 2.0)
         alpha = nn_model.hyperparams
         xs = np.linspace(-1.0, 2.5, 9)
-        prior = np.array([np.exp(nn_model.prior_block_logpdf["theta"]("theta", x, alpha))
+        prior = np.array([np.exp(nn_model.prior_block_logpdf["theta"](x, alpha))
                           for x in xs])
         ratio = np.array([wc.worst_density(x) for x in xs]) / (
             prior * np.abs([wc.a_values(x) for x in xs]))
