@@ -192,7 +192,7 @@ def cmd_influence_grid(args):
         raise UsageError(f"unknown block {block!r}; "
                          f"blocks: {[b.name for b in layout.blocks]}")
     try:
-        robustness.factorized_block(model, block)
+        model.factorized_block(block)
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
     sol, sys_ = fit_and_system(model, args)

@@ -332,22 +332,19 @@ class ModelSpec:
       over alpha.
     * ``prior_block_logpdf`` -- per-block marginal prior log density for
       the blocks across which the prior factorizes (required by
-      influence-function and contamination queries on that block).
+      influence-function and contamination queries on that block, which
+      call :meth:`factorized_block`).
       ``prior_block_logpdf[name](x, alpha)`` maps one block value to
       a float and an array of n values (shape (n,), or (n, d) for a
       d-dimensional block) to an (n,) array, as the family's ``log_density``.
-    * A pointwise posterior for the MCMC and quadrature oracles, never
-      used by the fit.  A model supplies the dict hooks
-      ``log_lik_values`` / ``log_prior_values`` (pointwise log likelihood
-      and prior over a dict of per-block variable values) or the sampler
-      hook ``sampler_log_posterior(alpha)``, a factory of the log posterior
-      plus log-Jacobian over the sampler vector that may carry the cached
+    * ``sampler_log_posterior(alpha)`` -- the one pointwise posterior, for
+      the MCMC and quadrature oracles and never used by the fit.  It
+      returns the log posterior plus log-Jacobian as a function of the
+      sampler vector (see :meth:`Layout.values_from_sampler`), -inf where
+      that is not finite; the function may carry the cached
       ``coordinate_moves`` of :func:`lrvb.oracle.metropolis_sample`.
-      :func:`lrvb.oracle.sampler_log_target` picks the sampler hook when
-      there is one, else builds the target from the dict hooks, and raises
-      DomainError for a model with neither.  The conjugate models supply
-      the dict hooks, which the contaminated-posterior oracle also reads;
-      microcredit supplies only the sampler hook.
+      Every model in :mod:`lrvb.models` supplies it; the oracles raise
+      DomainError for a model without it.
     * ``exact_posterior(alpha)`` -- closed-form posterior expected
       statistics in the mean layout and the log evidence (or None), for
       conjugate models; read by :func:`lrvb.oracle.exact_conjugate_posterior`.
@@ -373,8 +370,6 @@ class ModelSpec:
     data: Any = None
     prior_alpha_grad: Optional[Callable] = None
     prior_block_logpdf: Mapping = field(default_factory=dict)
-    log_lik_values: Optional[Callable] = None
-    log_prior_values: Optional[Callable] = None
     exact_posterior: Optional[Callable] = None
     sampler_log_posterior: Optional[Callable] = None
     local_groups: tuple = ()
@@ -387,6 +382,17 @@ class ModelSpec:
 
     def resolve_alpha(self, alpha):
         return self.hyperparams if alpha is None else alpha
+
+    def factorized_block(self, block):
+        """Index of a block (name or index) across which the prior factors, as
+        every query on one block needs; else DomainError."""
+        idx = block if isinstance(block, int) else self.layout.block_index(block)
+        name = self.layout.blocks[idx].name
+        if name not in self.prior_block_logpdf:
+            raise DomainError(
+                f"prior does not factor across block {name!r}; "
+                f"factorized blocks: {sorted(self.prior_block_logpdf)}")
+        return idx
 
 
 def elbo(model, m, alpha=None):

@@ -3,6 +3,14 @@
 These fixtures keep every objective term exact, including normalizing
 constants, so the fitted objective can be compared against closed-form
 or quadrature evidence.
+
+Each fixture is conjugate-exponential: its expected log joint is affine
+in every block's sufficient statistics (Winn & Bishop, *Variational
+Message Passing*, JMLR 2005).  Under a point mass the expected statistics
+are the statistics of the point, so the pointwise log joint at values x
+is the expected log joint at m = s(x).  The oracles' pointwise posterior,
+``sampler_log_posterior``, is built that way from ``expected_log_lik`` and
+``expected_log_prior``; no fixture writes its density a second time.
 """
 
 import numpy as np
@@ -17,6 +25,24 @@ _GU = FAMILIES[Family.GAUSSIAN_UNIVARIATE]
 _IG = FAMILIES[Family.INVERSE_GAMMA]
 
 LOG_2PI = np.log(2.0 * np.pi)
+
+
+def _sampler_log_posterior(layout, expected_log_lik, expected_log_prior):
+    """The fixture's ``sampler_log_posterior``: the expected log joint at the
+    statistics of the sampler point's values, plus the log-Jacobian of
+    ``values_from_sampler``; -inf, without a warning, where that sum is not
+    finite."""
+    def sampler_log_posterior(alpha):
+        def log_post(zv):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                values, logjac = layout.values_from_sampler(np.atleast_1d(zv))
+                s = layout.suff_stats_of_values(values)
+                value = expected_log_lik(s) + expected_log_prior(s, alpha) + logjac
+            return value if np.isfinite(value) else -np.inf
+
+        return log_post
+
+    return sampler_log_posterior
 
 
 def normal_normal_model(data, noise_var, prior_natural):
@@ -73,15 +99,6 @@ def normal_normal_model(data, noise_var, prior_natural):
     def prior_block_logpdf(point, alpha):
         return _GU.log_density(point, _nat(alpha))
 
-    def log_lik_values(values):
-        th = float(np.asarray(values["theta"]).reshape(-1)[0])
-        return lik_const + lik_coeff[0] * th + lik_coeff[1] * th ** 2
-
-    def log_prior_values(values, alpha):
-        th = float(np.asarray(values["theta"]).reshape(-1)[0])
-        eta = _nat(alpha)
-        return eta[0] * th + eta[1] * th ** 2 - _GU.log_partition(eta)
-
     def default_init(alpha):
         return _GU.mean_from_natural(_nat(alpha))
 
@@ -98,7 +115,8 @@ def normal_normal_model(data, noise_var, prior_natural):
         default_init=default_init, data={"x": x, "noise_var": float(noise_var)},
         prior_alpha_grad=prior_alpha_grad,
         prior_block_logpdf={"theta": prior_block_logpdf},
-        log_lik_values=log_lik_values, log_prior_values=log_prior_values,
+        sampler_log_posterior=_sampler_log_posterior(
+            layout, expected_log_lik, expected_log_prior),
         exact_posterior=exact_posterior)
 
 
@@ -175,23 +193,6 @@ def normal_invgamma_model(data, prior_loc, prior_obs, prior_shape, prior_rate):
         a0, b0 = alpha["prior_shape"], alpha["prior_rate"]
         return _IG.log_density(point, _IG.natural_from_standard(a0, b0))
 
-    def log_lik_values(values):
-        th = float(np.asarray(values["theta"]).reshape(-1)[0])
-        v = float(np.asarray(values["noise_var"]).reshape(-1)[0])
-        quad = sxx - 2.0 * sx * th + n * th ** 2
-        return -0.5 * n * LOG_2PI - 0.5 * n * np.log(v) - 0.5 * quad / v
-
-    def log_prior_values(values, alpha):
-        mu0, k0 = alpha["prior_loc"], alpha["prior_obs"]
-        a0, b0 = alpha["prior_shape"], alpha["prior_rate"]
-        th = float(np.asarray(values["theta"]).reshape(-1)[0])
-        v = float(np.asarray(values["noise_var"]).reshape(-1)[0])
-        loc = (-0.5 * LOG_2PI + 0.5 * np.log(k0) - 0.5 * np.log(v)
-               - 0.5 * k0 * (th - mu0) ** 2 / v)
-        scale = (a0 * np.log(b0) - gammaln(a0)
-                 - (a0 + 1.0) * np.log(v) - b0 / v)
-        return loc + scale
-
     def default_init(alpha):
         a0, b0 = alpha["prior_shape"], alpha["prior_rate"]
         v0 = b0 / max(a0 - 1.0, 0.5)
@@ -222,7 +223,8 @@ def normal_invgamma_model(data, prior_loc, prior_obs, prior_shape, prior_rate):
         default_init=default_init, data={"x": x},
         prior_alpha_grad=prior_alpha_grad,
         prior_block_logpdf={"noise_var": prior_block_logpdf},
-        log_lik_values=log_lik_values, log_prior_values=log_prior_values,
+        sampler_log_posterior=_sampler_log_posterior(
+            layout, expected_log_lik, expected_log_prior),
         exact_posterior=exact_posterior)
 
 
@@ -305,16 +307,6 @@ def gaussian_target_model(nat_loc, info):
                 out[loc_idx[j]] += -c * mu[i]
         return out
 
-    def log_lik_values(values):
-        return 0.0
-
-    def log_prior_values(values, alpha):
-        h, lam = _unpack(alpha)
-        th = np.array([float(np.asarray(values[f"theta_{i+1}"]).reshape(-1)[0])
-                       for i in range(d)])
-        sign, logdet = np.linalg.slogdet(lam)
-        return float(h @ th) - 0.5 * float(th @ lam @ th) + 0.5 * logdet - 0.5 * d * LOG_2PI
-
     def default_init(alpha):
         h, lam = _unpack(alpha)
         cov = np.linalg.inv(lam)
@@ -338,7 +330,8 @@ def gaussian_target_model(nat_loc, info):
         expected_log_prior=expected_log_prior, grad_log_prior=grad_log_prior,
         default_init=default_init, data=None,
         prior_alpha_grad=prior_alpha_grad, prior_block_logpdf=prior_pdfs,
-        log_lik_values=log_lik_values, log_prior_values=log_prior_values,
+        sampler_log_posterior=_sampler_log_posterior(
+            layout, expected_log_lik, expected_log_prior),
         # no data: the posterior is the Gaussian target itself, whose exact
         # moments are what default_init starts from
         exact_posterior=lambda alpha: (default_init(alpha), None))

@@ -25,33 +25,15 @@ MIN_BATCHES = 10  # batch means of a chain; one draw per batch at the least
 
 
 def sampler_log_target(model, alpha):
-    """Log posterior plus log-Jacobian over the sampler coordinates, from
-    the model's one pointwise posterior: its ``sampler_log_posterior(alpha)``
-    when it has one, else ``log_lik_values`` + ``log_prior_values`` at
-    ``values_from_sampler`` plus that map's log-Jacobian, -inf where the
-    prior or the sum is not finite.  A value that overflows the float range
-    makes the sum -inf without a warning.  DomainError for a model with
-    neither."""
-    if model.sampler_log_posterior is not None:
-        return model.sampler_log_posterior(alpha)
+    """Log posterior plus log-Jacobian over the sampler coordinates: the
+    model's one pointwise posterior, ``sampler_log_posterior(alpha)``,
+    -inf where it is not finite.  DomainError for a model without it."""
     _check_pointwise_posterior(model)
-    layout = model.layout
-
-    def log_post(zv):
-        with np.errstate(over="ignore", invalid="ignore"):
-            values, logjac = layout.values_from_sampler(np.atleast_1d(zv))
-            lp = model.log_prior_values(values, alpha)
-            if not np.isfinite(lp):
-                return -np.inf
-            value = model.log_lik_values(values) + lp + logjac
-        return value if np.isfinite(value) else -np.inf
-
-    return log_post
+    return model.sampler_log_posterior(alpha)
 
 
 def _check_pointwise_posterior(model):
-    if model.sampler_log_posterior is None and (model.log_lik_values is None
-                                                or model.log_prior_values is None):
+    if model.sampler_log_posterior is None:
         raise DomainError(f"model {model.name!r} has no pointwise posterior "
                           "for the sampling and quadrature oracles")
 
@@ -167,19 +149,23 @@ def _box_grid(box, n):
 
 
 def contaminated_posterior_mean(model, block, contaminant, eps, alpha=None):
-    """Exact posterior statistics when the block prior is mixed with a
-    contaminating distribution at weight eps.
+    """Exact posterior statistics when the block prior p is mixed with a
+    contaminating distribution at weight eps in [0, 1].
 
     ``contaminant`` is either ("dirac", point) or ("density", logpdf).
     Only single-block models whose family has a ``quad_support()`` are
-    supported; the mixture prior makes the one-dimensional integrals
-    explicit:
+    supported.  The integrals run over the block's value x, of the joint
+    p(x) l(x): the model's sampler target less its log-Jacobian.  The
+    mixture prior makes them explicit:
 
         E_eps[s] = [(1-eps) Z0 E0[s] + eps Zc Ec[s]] / [(1-eps) Z0 + eps Zc]
 
-    where Z0, E0 use the base prior and Zc, Ec reweight by the
-    contaminant instead.
+    where Z0, E0 integrate the joint and Zc, Ec the joint times p_c/p
+    instead: a density contaminant weights it by exp(log p_c - log p),
+    and a Dirac at x0 contributes the joint at x0 over p(x0).  Every
+    ratio is taken in log space.
     """
+    _check_weight(eps)
     alpha = model.resolve_alpha(alpha)
     layout = model.layout
     if len(layout.blocks) != 1:
@@ -189,33 +175,39 @@ def contaminated_posterior_mean(model, block, contaminant, eps, alpha=None):
     name = layout.blocks[0].name
     if block not in (name, 0):
         raise DomainError(f"unknown block {block!r}")
-    if model.log_lik_values is None or name not in model.prior_block_logpdf:
-        raise DomainError(f"model {model.name!r} has no pointwise likelihood and "
-                          f"prior of block {name!r}")
+    kind, payload = contaminant
+    if kind not in ("dirac", "density"):
+        raise DomainError(f"unknown contaminant kind {kind!r}")
+    log_post = sampler_log_target(model, alpha)
+    model.factorized_block(0)
 
-    def lik(x):
-        return np.exp(model.log_lik_values({name: x}))
+    def log_joint(x):
+        zv = layout.sampler_from_values({name: x})
+        return log_post(zv) - layout.values_from_sampler(zv)[1]
 
-    def prior(x):
-        return np.exp(model.prior_block_logpdf[name](x, alpha))
+    def log_prior(x):
+        return model.prior_block_logpdf[name](x, alpha)
 
-    def mass_and_stats(weight):
-        """Integrals of lik * weight times 1 and times each statistic."""
-        return quadrature_expectation(lambda x: lik(x) * weight(x),
+    def mass_and_stats(log_weight):
+        """Integrals of the joint times exp(log_weight), times 1 and times
+        each statistic."""
+        return quadrature_expectation(lambda x: np.exp(log_joint(x) + log_weight(x)),
                                       lambda x: np.append(1.0, fam.suff_stats(x)),
                                       bounds, tol=1e-6)[0]
 
-    base = mass_and_stats(prior)
-    kind, payload = contaminant
+    base = mass_and_stats(lambda x: 0.0)
     if kind == "dirac":
         x0 = float(payload)
-        cont = lik(x0) * np.append(1.0, fam.suff_stats(x0))
-    elif kind == "density":
-        cont = mass_and_stats(lambda x: np.exp(payload(x)))
+        cont = np.exp(log_joint(x0) - log_prior(x0)) * np.append(1.0, fam.suff_stats(x0))
     else:
-        raise DomainError(f"unknown contaminant kind {kind!r}")
+        cont = mass_and_stats(lambda x: payload(x) - log_prior(x))
     mixed = (1.0 - eps) * base + eps * cont
     return mixed[1:] / mixed[0]
+
+
+def _check_weight(eps):
+    if not (np.isfinite(eps) and 0.0 <= eps <= 1.0):
+        raise DomainError(f"contamination weight eps must be in [0, 1], got {eps}")
 
 
 def contaminated_model(model, block, pc_logpdf, eps):
@@ -223,16 +215,19 @@ def contaminated_model(model, block, pc_logpdf, eps):
 
     The contamination correction E_q[log(1 - eps + eps p_c/p)] and its
     mean gradient are evaluated by quadrature over the block's underlying
-    variable (over the family's ``quad_support()``, which a family
-    without one refuses when the model is built), with the log taken as
+    variable (over the family's ``quad_support()``), with the log taken as
     logaddexp(log(1 - eps), log eps + log p_c - log p), so a contaminant
-    with heavier tails than p does not overflow.  The model keeps only
-    the fit's hooks: it has no pointwise posterior and no per-block prior.
+    with heavier tails than p does not overflow.  Building the model raises
+    DomainError for eps outside [0, 1], a block across which the prior
+    does not factor, or a family without ``quad_support()``.  The model
+    keeps only the fit's hooks: it has no pointwise posterior and no
+    per-block prior.
     """
     from dataclasses import replace
 
+    _check_weight(eps)
     layout = model.layout
-    idx = block if isinstance(block, int) else layout.block_index(block)
+    idx = model.factorized_block(block)
     bdef = layout.blocks[idx]
     fam = FAMILIES[bdef.family]
     bounds = fam.quad_support()
@@ -273,7 +268,7 @@ def contaminated_model(model, block, pc_logpdf, eps):
                    expected_log_prior=expected_log_prior,
                    grad_log_prior=grad_log_prior,
                    prior_alpha_grad=None, exact_posterior=None,
-                   log_prior_values=None, prior_block_logpdf={})
+                   sampler_log_posterior=None, prior_block_logpdf={})
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ class ContaminationSpec:
     contaminant: tuple
 
     def validated(self, model):
-        idx = factorized_block(model, self.block)
+        idx = model.factorized_block(self.block)
         kind, payload = self.contaminant
         if kind not in ("dirac", "density"):
             raise DomainError(f"unknown contaminant kind {kind!r}")
@@ -178,22 +178,9 @@ def hyperparam_sensitivity(model, sol, sys, direction, alpha=None):
 # ---------------------------------------------------------------------------
 
 
-def factorized_block(model, block):
-    """Index of a block (name or index) across which the prior factors, as
-    every query on one block needs; else DomainError."""
-    layout = model.layout
-    idx = block if isinstance(block, int) else layout.block_index(block)
-    name = layout.blocks[idx].name
-    if name not in model.prior_block_logpdf:
-        raise DomainError(
-            f"prior does not factor across block {name!r}; "
-            f"factorized blocks: {sorted(model.prior_block_logpdf)}")
-    return idx
-
-
 def _block_setup(model, sys, block):
     layout = model.layout
-    idx = factorized_block(model, block)
+    idx = model.factorized_block(block)
     bdef = layout.blocks[idx]
     sl = layout.slice_of(idx)
     eta = sys.fitted_natural(sl, bdef.family, bdef.var_dim)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -11,7 +12,7 @@ from lrvb.models import (build_microcredit_model, load_microcredit_csv,
                          normal_normal_model)
 from lrvb.oracle import McmcConfig
 
-from conftest import BUNDLED_CSV
+from conftest import BUNDLED_CSV, NN_DATA
 
 
 class TestQuadratureExpectation:
@@ -102,9 +103,9 @@ class TestContaminatedModel:
         return oracle.contaminated_model(nn_model, "theta", pc, 0.1), exact
 
     def test_has_no_pointwise_posterior(self, cont):
-        # the base model's dict hooks would sample the uncontaminated posterior
+        # the base model's sampler hook would sample the uncontaminated posterior
         model, _ = cont
-        assert model.log_prior_values is None and model.prior_block_logpdf == {}
+        assert model.sampler_log_posterior is None and model.prior_block_logpdf == {}
         with pytest.raises(DomainError, match="no pointwise posterior"):
             oracle.quadrature_posterior_mean(model, box=[(-3.0, 5.0)])
         with pytest.raises(DomainError, match="no pointwise posterior"):
@@ -113,7 +114,7 @@ class TestContaminatedModel:
             with pytest.raises(DomainError, match="no pointwise posterior"):
                 oracle.check_rerun_inputs(model, engine, {"prior_nat_1": 1.0})
         oracle.check_rerun_inputs(model, "vb", {"prior_nat_1": 1.0})
-        with pytest.raises(DomainError, match="no pointwise likelihood and prior"):
+        with pytest.raises(DomainError, match="no pointwise posterior"):
             oracle.contaminated_posterior_mean(model, "theta", ("dirac", 0.5), 0.1)
 
     def test_refit_matches_exact_posterior(self, cont, nn_fit):
@@ -122,6 +123,57 @@ class TestContaminatedModel:
         model, exact = cont
         sol = mfvb.fit(model, init=nn_fit[0].mean)
         assert np.max(np.abs(sol.mean - exact)) < 1e-3
+
+
+class TestContaminationInputs:
+    """Both contaminated oracles check the weight and the block before any
+    quadrature runs."""
+
+    @staticmethod
+    def _pc(x):
+        return st.norm.logpdf(x, 1.0, 2.0)
+
+    @pytest.fixture
+    def no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(oracle, "quadrature_expectation", refuse)
+
+    @pytest.mark.parametrize("eps", [-0.5, 1.5, np.nan])
+    def test_weight_outside_the_unit_interval(self, nn_model, no_quadrature, eps):
+        for contaminant in (("dirac", 0.5), ("density", self._pc)):
+            with pytest.raises(DomainError, match=r"eps must be in \[0, 1\]"):
+                oracle.contaminated_posterior_mean(nn_model, "theta", contaminant, eps)
+        with pytest.raises(DomainError, match=r"eps must be in \[0, 1\]"):
+            oracle.contaminated_model(nn_model, "theta", self._pc, eps)
+
+    def test_unknown_contaminant_kind(self, nn_model, no_quadrature):
+        with pytest.raises(DomainError, match="unknown contaminant kind 'point'"):
+            oracle.contaminated_posterior_mean(nn_model, "theta", ("point", 0.5), 0.1)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_weight_at_either_end(self, nn_model, nn_fit, eps):
+        # the posterior under the base prior (eps = 0) or under the
+        # contaminant alone (eps = 1), both normal-normal conjugate
+        prior = ("moment", 0.0, 1.0) if eps == 0.0 else ("moment", 1.0, 4.0)
+        exact = oracle.exact_conjugate_posterior(
+            normal_normal_model(NN_DATA, 1.0, prior)).mean
+        got = oracle.contaminated_posterior_mean(nn_model, "theta", ("density", self._pc), eps)
+        assert np.max(np.abs(got - exact)) < 1e-9
+        model = oracle.contaminated_model(nn_model, "theta", self._pc, eps)
+        sol = mfvb.fit(model, init=nn_fit[0].mean)
+        assert np.max(np.abs(sol.mean - exact)) < 1e-7
+
+    def test_block_across_which_the_prior_does_not_factor(self, nn_model, nig_model,
+                                                           no_quadrature):
+        # the normal-inverse-gamma prior on theta depends on the noise variance
+        with pytest.raises(DomainError, match="prior does not factor across block 'theta'; "
+                                              r"factorized blocks: \['noise_var'\]"):
+            oracle.contaminated_model(nig_model, "theta", self._pc, 0.1)
+        unfactored = dataclasses.replace(nn_model, prior_block_logpdf={})
+        with pytest.raises(DomainError, match="prior does not factor across block 'theta'"):
+            oracle.contaminated_posterior_mean(unfactored, "theta", ("dirac", 0.5), 0.1)
 
 
 class TestMetropolis:
