@@ -30,8 +30,7 @@ sol = mfvb.fit(model)
 sys = lr.build_system(model, sol)
 names = model.layout.coord_names()
 i_mu, i_tau = names.index("mu"), names.index("tau")
-sd_mu = np.sqrt(sys.sigma_hat[i_mu, i_mu])
-sd_tau = np.sqrt(sys.sigma_hat[i_tau, i_tau])
+sd_mu, sd_tau = np.sqrt(sys.variances([i_mu, i_tau]))
 print(f"pooled average outcome  mu  = {sol.mean[i_mu]:+.4f} +- {sd_mu:.4f}")
 print(f"pooled treatment effect tau = {sol.mean[i_tau]:+.4f} +- {sd_tau:.4f}")
 

@@ -135,7 +135,7 @@ def cmd_fit(args):
     model = build_model(args)
     sol, sys_ = fit_and_system(model, args)
     names = model.layout.coord_names()
-    sds = np.sqrt(np.maximum(np.diag(sys_.sigma_hat), 0.0))
+    sds = np.sqrt(np.maximum(sys_.variances(), 0.0))
     payload = payload_header(args, model)
     payload.update({
         "converged": bool(sol.converged),
@@ -188,9 +188,6 @@ def cmd_influence_grid(args):
     model = build_model(args)
     layout = model.layout
     block = args.block or _default_influence_block(model)
-    if block not in [b.name for b in layout.blocks]:
-        raise UsageError(f"unknown block {block!r}; "
-                         f"blocks: {[b.name for b in layout.blocks]}")
     try:
         model.factorized_block(block)
     except DomainError as exc:
@@ -204,7 +201,7 @@ def cmd_influence_grid(args):
     if loc.size == 0:
         raise UsageError(f"block {block!r} has no location coordinates")
     centers = sys_.mean[loc]
-    sds = np.sqrt(np.diag(sys_.sigma_hat)[loc])
+    sds = np.sqrt(sys_.variances(loc))
     n = args.grid_points
     axes = [np.linspace(c - args.grid_sds * s, c + args.grid_sds * s, n)
             for c, s in zip(centers, sds)]
@@ -350,8 +347,9 @@ def make_parser():
                        help="rerun step along the direction (default 1%% of the "
                             "largest non-zero hyperparameter it moves); the mcmc "
                             "engine needs an explicit step on the bundled data, "
-                            "e.g. --step 1, because at the default its coupled "
-                            "chains move identically and the run exits 3")
+                            "e.g. --step 1: at the default its coupled chains "
+                            "decide differently a few times at most, so a short "
+                            "chain exits 3 and a long one reports that noise")
     p_cmp.add_argument("--chain-length", type=int, default=50_000,
                        dest="chain_length")
     p_cmp.add_argument("--burn-in", type=int, default=10_000, dest="burn_in")

@@ -21,6 +21,14 @@ filled in by symmetry.  :func:`identity_minus_vh` assembles (I - VH) for
 An independent full second-difference Hessian of the scalar objective
 is used by the test suite to validate this path.  The factorization is
 a dense LU.
+
+This module is the only one in the package that knows sigma_hat is a
+dense matrix.  Everything else asks :class:`LrvbSystem` for an operation:
+``solve(g)`` for sigma_hat g, :func:`function_sensitivity` for
+g' sigma_hat f, ``variances(idx)`` for its diagonal, and
+``response_columns``, ``solve_identity_minus_vh`` and ``solve_transpose``
+for (I - VH)^-1.  The dense fields ``v``, ``h`` and ``sigma_hat`` stay
+readable for tests, demos and the benchmark.
 """
 
 import warnings
@@ -42,6 +50,12 @@ SYMMETRY_WARN = 1e-6
 class LrvbSystem:
     """V, H, the corrected covariance, and a reusable factorized solve.
 
+    Queries: ``solve`` (sigma_hat g, the one product with sigma_hat),
+    ``variances`` (its diagonal), ``solve_identity_minus_vh``,
+    ``solve_transpose`` and ``response_columns`` ((I - VH)^-1 from the
+    LU), and ``fitted_natural``.  Only this module, tests, demos and the
+    benchmark read the dense fields ``v``, ``h`` and ``sigma_hat``.
+
     What influence queries reuse per system -- response columns and a
     block's fitted natural parameters -- is computed on first use and kept
     in ``_memo``, keyed by content (never by alpha), read-only, and outside
@@ -61,9 +75,13 @@ class LrvbSystem:
         return self.mean.size
 
     def solve(self, rhs):
-        """Apply sigma_hat through the factorization: (I - VH)^-1 (V rhs)."""
-        rhs = np.asarray(rhs, dtype=float)
-        return scipy.linalg.lu_solve(self._lu, self.v @ rhs)
+        """sigma_hat rhs, the response of every mean to the gradient rhs."""
+        return self.sigma_hat @ np.asarray(rhs, dtype=float)
+
+    def variances(self, idx=None):
+        """sigma_hat's diagonal, or its entries at the coordinates idx."""
+        diag = np.diag(self.sigma_hat)
+        return diag if idx is None else diag[idx]
 
     def solve_identity_minus_vh(self, rhs):
         """Apply (I - VH)^-1 to rhs (columns solved jointly for matrices)."""
@@ -151,10 +169,10 @@ def build_system(model, sol, alpha=None):
 
 
 def function_sensitivity(sys, grad_h, grad_f):
-    """Bilinear response grad_h' sigma_hat grad_f."""
+    """Bilinear response grad_h' sigma_hat grad_f, through ``sys.solve``."""
     grad_h = np.asarray(grad_h, dtype=float)
     grad_f = np.asarray(grad_f, dtype=float)
     if grad_h.shape != (sys.dim,) or grad_f.shape != (sys.dim,):
         raise DimensionMismatch(
             f"gradients must have shape ({sys.dim},), got {grad_h.shape} and {grad_f.shape}")
-    return float(grad_h @ sys.sigma_hat @ grad_f)
+    return float(grad_h @ sys.solve(grad_f))

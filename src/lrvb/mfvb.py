@@ -384,9 +384,18 @@ class ModelSpec:
         return self.hyperparams if alpha is None else alpha
 
     def factorized_block(self, block):
-        """Index of a block (name or index) across which the prior factors, as
-        every query on one block needs; else DomainError."""
-        idx = block if isinstance(block, int) else self.layout.block_index(block)
+        """Index of a block across which the prior factors, as every query on
+        one block needs.  ``block`` is a layout block name or an integer
+        (Python or numpy) in [0, n_blocks); anything else, or a block the
+        prior does not factor across, raises DomainError."""
+        index = self.layout._index
+        if isinstance(block, str) and block in index:
+            idx = index[block]
+        elif (isinstance(block, (int, np.integer)) and not isinstance(block, bool)
+              and 0 <= block < len(index)):
+            idx = int(block)
+        else:
+            raise DomainError(f"unknown block {block!r}; blocks: {list(index)}")
         name = self.layout.blocks[idx].name
         if name not in self.prior_block_logpdf:
             raise DomainError(

@@ -173,13 +173,11 @@ def contaminated_posterior_mean(model, block, contaminant, eps, alpha=None):
     fam = FAMILIES[layout.blocks[0].family]
     bounds = fam.quad_support()
     name = layout.blocks[0].name
-    if block not in (name, 0):
-        raise DomainError(f"unknown block {block!r}")
     kind, payload = contaminant
     if kind not in ("dirac", "density"):
         raise DomainError(f"unknown contaminant kind {kind!r}")
     log_post = sampler_log_target(model, alpha)
-    model.factorized_block(0)
+    model.factorized_block(block)
 
     def log_joint(x):
         zv = layout.sampler_from_values({name: x})

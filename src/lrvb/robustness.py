@@ -41,6 +41,7 @@ import numpy as np
 from .errors import (DimensionMismatch, DomainError, NonDifferentiablePrior,
                      NormalizationFailure, QuadratureFailure, ZeroPriorDensity)
 from .expfam import FAMILIES
+from .linear_response import function_sensitivity
 from .oracle import quadrature_expectation
 from .util import fd_jacobian
 
@@ -170,7 +171,7 @@ def hyperparam_sensitivity(model, sol, sys, direction, alpha=None):
     grad_f = prior_direction_gradient(model, sol.mean, direction, alpha)
     if grad_f.shape != (sys.dim,):
         raise DimensionMismatch(f"direction gradient has shape {grad_f.shape}")
-    return sys.sigma_hat @ grad_f
+    return sys.solve(grad_f)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +393,7 @@ def make_report(queries, model, sol, sys, alpha=None):
                 if key not in priced:
                     priced[key] = hyperparam_sensitivity(model, sol, sys, query.direction, alpha)
                 value = float(grad_h @ priced[key])
-            variance = float(grad_h @ sys.sigma_hat @ grad_h)
+            variance = function_sensitivity(sys, grad_h, grad_h)
             if variance <= 0:
                 raise DomainError(
                     f"quantity {query.quantity!r} has nonpositive posterior "

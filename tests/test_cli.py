@@ -244,16 +244,20 @@ class TestInfluenceGrid:
         assert rows[0] == ["mu", "tau", "dE[tau]/deps"]
         assert len(rows) == 1 + 25
 
-    @pytest.mark.parametrize("argv", [
-        ["--model", "microcredit", "--data", BUNDLED_CSV, "--block", "effects_1"],
-        ["--model", "gaussian3d", "--block", "theta_1"],
-    ], ids=["microcredit", "gaussian3d"])
+    @pytest.mark.parametrize("argv,message", [
+        (["--model", "microcredit", "--data", BUNDLED_CSV, "--block", "effects_1"],
+         "prior does not factor across block"),
+        (["--model", "gaussian3d", "--block", "theta_1"],
+         "prior does not factor across block"),
+        (["--model", "normal-normal", "--block", "nope"],
+         "unknown block 'nope'; blocks: ['theta']"),
+    ], ids=["microcredit", "gaussian3d", "unknown"])
     def test_block_without_factorized_prior_is_one_usage_line(self, tmp_path, capsys,
-                                                              argv):
+                                                              argv, message):
         out = tmp_path / "g.json"
         assert run("influence-grid", *argv, "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: prior does not factor across block")
+        assert err.startswith("error: " + message)
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -337,8 +341,9 @@ class TestCompare:
         assert not out.exists()
 
     def test_mcmc_identical_chains_exit_numeric(self, data_csv, tmp_path, capsys):
-        # the default step (1% of prior_info_11) is too small for the coupled
-        # chains to ever decide differently: no sampled difference to report
+        # at the default step (1% of prior_info_11) the coupled chains of a
+        # 300-sweep run never decide differently: no sampled difference to
+        # report.  The default 50,000 sweeps part a few times and exit 0.
         out = tmp_path / "cmp.json"
         code = run("compare", "--model", "microcredit", "--data", data_csv,
                    "--engine", "mcmc", "--direction", "prior_info_11=1",

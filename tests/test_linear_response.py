@@ -89,6 +89,15 @@ class TestBuildSystem:
         assert np.max(np.abs(sys.solve(v) - direct)) < 1e-10 * max(1, np.max(np.abs(direct)))
 
 
+    @pytest.mark.parametrize("fixture", ["nn_fit", "micro_fit"])
+    def test_variances_are_the_diagonal(self, fixture, request):
+        _, sys = request.getfixturevalue(fixture)
+        diag = np.diag(sys.sigma_hat)
+        idx = np.array([sys.dim - 1, 0])
+        assert np.array_equal(sys.variances(), diag)
+        assert np.array_equal(sys.variances(idx), diag[idx])
+
+
 class TestFunctionSensitivity:
     def test_basis_vectors_select_entries(self, nig_fit):
         _, sys = nig_fit

@@ -316,6 +316,24 @@ class TestQueryInputs:
                            r"factorized blocks: \['noise_var'\]"):
             query(nig_model, sol, sys)
 
+    @pytest.mark.parametrize("block", ["nope", 5, -1, 0.0, True])
+    @pytest.mark.parametrize("query", [
+        lambda m, sol, sys, b: rb.influence_grid(m, sol, sys, b, [1.0, 2.0]),
+        lambda m, sol, sys, b: oracle.contaminated_model(m, b, lambda x: 0.0, 0.1),
+        lambda m, sol, sys, b: rb.ContaminationSpec(b, ("dirac", 0.5)).validated(m),
+        lambda m, sol, sys, b: oracle.contaminated_posterior_mean(m, b, ("dirac", 0.5), 0.1),
+    ], ids=["influence_grid", "contaminated_model", "validated",
+            "contaminated_posterior_mean"])
+    def test_unknown_block(self, nn_model, nn_fit, query, block):
+        # a name raised a bare KeyError, 5 an IndexError, and -1 passed as
+        # the empty slice of the block before it
+        sol, sys = nn_fit
+        with pytest.raises(DomainError, match=rf"unknown block {block!r}; blocks: \['theta'\]"):
+            query(nn_model, sol, sys, block)
+
+    def test_block_index_forms(self, nn_model):
+        assert [nn_model.factorized_block(b) for b in ("theta", 0, np.int64(0))] == [0, 0, 0]
+
     def test_point_with_extra_entries(self, nn_model, nn_fit):
         sol, sys = nn_fit
         with pytest.raises(DimensionMismatch, match="points of 1 entries"):

@@ -2,7 +2,12 @@
 objective Hessian, or takes the stacked statistic covariance V of a layout:
 (I - VH) is assembled in one place, which the fit's Newton polish and
 ``build_system`` share.  A family's own ``fam.suff_stat_cov(eta)`` (one
-block's V) stays allowed."""
+block's V) stays allowed.
+
+Nor does any other module read the dense fields of an ``LrvbSystem``
+(``sigma_hat``, ``v``, ``h``) or its factorization ``_lu``: they ask the
+system for ``solve``, ``variances`` and the (I - VH)^-1 solves, so the
+representation of the corrected covariance is linear_response's alone."""
 
 import ast
 import pathlib
@@ -40,6 +45,16 @@ def system_uses(source):
     return sorted(lines)
 
 
+DENSE_FIELDS = ("sigma_hat", "_lu", "v", "h")
+
+
+def dense_reads(source):
+    """Line numbers that read an attribute named like a dense field of
+    ``LrvbSystem``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in DENSE_FIELDS)
+
+
 def test_checker_flags_second_assemblies():
     source = "\n".join([
         "h = hessian_of_objective(model, m, alpha)",
@@ -64,7 +79,33 @@ def test_owner_defines_and_calls():
     assert system_uses((SRC / "linear_response.py").read_text(encoding="utf-8"))
 
 
+def test_checker_flags_dense_reads():
+    source = "\n".join([
+        # the four reads of sigma_hat that the system's queries replaced
+        "sds = np.sqrt(np.maximum(np.diag(sys_.sigma_hat), 0.0))",
+        "sds = np.sqrt(np.diag(sys_.sigma_hat)[loc])",
+        "return sys.sigma_hat @ grad_f",
+        "variance = float(grad_h @ sys.sigma_hat @ grad_h)",
+        "vh = sys.v @ sys.h",
+        "lu = sys._lu",
+        "sens = sys.solve(g)",
+        "var = sys.variances(loc)",
+        "v, h = model.layout.suff_stat_cov(m), hess",
+    ])
+    assert dense_reads(source) == [1, 2, 3, 4, 5, 5, 6]
+
+
+def test_owner_reads_dense_fields():
+    assert dense_reads((SRC / "linear_response.py").read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_second_assembly(path):
     lines = system_uses(path.read_text(encoding="utf-8"))
     assert not lines, f"{path.name} assembles part of (I - VH) at lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_dense_system_reads(path):
+    lines = dense_reads(path.read_text(encoding="utf-8"))
+    assert not lines, f"{path.name} reads a dense LrvbSystem field at lines {lines}"
