@@ -93,9 +93,6 @@ class Layout:
     def __iter__(self):
         return iter(self.blocks)
 
-    def block_index(self, name):
-        return self._index[name]
-
     def slice_of(self, block):
         i = block if isinstance(block, int) else self._index[block]
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))

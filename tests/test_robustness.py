@@ -285,7 +285,7 @@ def _dense_rhs_rows(model, sys, block, points, alpha):
     """Influence rows from a dense right-hand side with one column per
     point, solved against a fresh LU of I - VH."""
     layout = model.layout
-    bdef = layout.blocks[layout.block_index(block)]
+    bdef = layout.blocks[model.factorized_block(block)]
     fam = FAMILIES[bdef.family]
     eta = fam.natural_from_mean(sys.mean[layout.slice_of(block)], bdef.var_dim)
     loc = layout.location_indices(block)
