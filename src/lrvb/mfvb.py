@@ -319,14 +319,11 @@ class ModelSpec:
     ``expected_log_lik(m)`` and ``expected_log_prior(m, alpha)`` must be
     deterministic closed forms of the mean vector; their gradients are
     exact, which is what lets the fit reach tight tolerances and keeps
-    the downstream Hessian noise-free.
+    the downstream Hessian noise-free.  Sensitivities difference
+    ``grad_log_prior`` along alpha, so a model writes no alpha-derivative.
 
     Optional hooks:
 
-    * ``prior_alpha_grad(m, alpha, direction)`` -- analytic
-      d/dm [d expected_log_prior / d alpha . direction]; when absent the
-      robustness module falls back to differencing ``grad_log_prior``
-      over alpha.
     * ``prior_block_logpdf`` -- per-block marginal prior log density for
       the blocks across which the prior factorizes (required by
       influence-function and contamination queries on that block, which
@@ -365,7 +362,6 @@ class ModelSpec:
     grad_log_prior: Callable
     default_init: Callable
     data: Any = None
-    prior_alpha_grad: Optional[Callable] = None
     prior_block_logpdf: Mapping = field(default_factory=dict)
     exact_posterior: Optional[Callable] = None
     sampler_log_posterior: Optional[Callable] = None

@@ -90,12 +90,6 @@ def normal_normal_model(data, noise_var, prior_natural):
     def grad_log_prior(m, alpha):
         return _nat(alpha)
 
-    def prior_alpha_grad(m, alpha, direction):
-        out = np.zeros(2)
-        out[0] = direction.get("prior_nat_1", 0.0)
-        out[1] = direction.get("prior_nat_2", 0.0)
-        return out
-
     def prior_block_logpdf(point, alpha):
         return _GU.log_density(point, _nat(alpha))
 
@@ -113,7 +107,6 @@ def normal_normal_model(data, noise_var, prior_natural):
         expected_log_lik=expected_log_lik, grad_log_lik=grad_log_lik,
         expected_log_prior=expected_log_prior, grad_log_prior=grad_log_prior,
         default_init=default_init, data={"x": x, "noise_var": float(noise_var)},
-        prior_alpha_grad=prior_alpha_grad,
         prior_block_logpdf={"theta": prior_block_logpdf},
         sampler_log_posterior=_sampler_log_posterior(
             layout, expected_log_lik, expected_log_prior),
@@ -169,26 +162,6 @@ def normal_invgamma_model(data, prior_loc, prior_obs, prior_shape, prior_rate):
             -0.5 - (a0 + 1.0),
         ])
 
-    def prior_alpha_grad(m, alpha, direction):
-        mu0, k0 = alpha["prior_loc"], alpha["prior_obs"]
-        a0, b0 = alpha["prior_shape"], alpha["prior_rate"]
-        out = np.zeros(4)
-        d = direction.get("prior_loc", 0.0)
-        if d:
-            # d/d mu0 of expected log prior = k0 E[1/v] (m1 - mu0)
-            out += d * np.array([k0 * m[2], 0.0, k0 * (m[0] - mu0), 0.0])
-        d = direction.get("prior_obs", 0.0)
-        if d:
-            quad = m[1] - 2.0 * mu0 * m[0] + mu0 ** 2
-            out += d * np.array([m[2] * mu0, -0.5 * m[2], -0.5 * quad, 0.0])
-        d = direction.get("prior_shape", 0.0)
-        if d:
-            out += d * np.array([0.0, 0.0, 0.0, -1.0])
-        d = direction.get("prior_rate", 0.0)
-        if d:
-            out += d * np.array([0.0, 0.0, -1.0, 0.0])
-        return out
-
     def prior_block_logpdf(point, alpha):
         a0, b0 = alpha["prior_shape"], alpha["prior_rate"]
         return _IG.log_density(point, _IG.natural_from_standard(a0, b0))
@@ -221,7 +194,6 @@ def normal_invgamma_model(data, prior_loc, prior_obs, prior_shape, prior_rate):
         expected_log_lik=expected_log_lik, grad_log_lik=grad_log_lik,
         expected_log_prior=expected_log_prior, grad_log_prior=grad_log_prior,
         default_init=default_init, data={"x": x},
-        prior_alpha_grad=prior_alpha_grad,
         prior_block_logpdf={"noise_var": prior_block_logpdf},
         sampler_log_posterior=_sampler_log_posterior(
             layout, expected_log_lik, expected_log_prior),
@@ -288,25 +260,6 @@ def gaussian_target_model(nat_loc, info):
         g[sq_idx] = -0.5 * np.diag(lam)
         return g
 
-    def prior_alpha_grad(m, alpha, direction):
-        mu = m[loc_idx]
-        out = np.zeros(2 * d)
-        for i in range(d):
-            c = direction.get(f"nat_loc_{i+1}", 0.0)
-            if c:
-                out[loc_idx[i]] += c
-        for i, j in zip(*tril(d)):
-            c = direction.get(f"info_{i+1}{j+1}", 0.0)
-            if not c:
-                continue
-            if i == j:
-                out[sq_idx[i]] += -0.5 * c
-            else:
-                # term -lam_ij mu_i mu_j in the objective
-                out[loc_idx[i]] += -c * mu[j]
-                out[loc_idx[j]] += -c * mu[i]
-        return out
-
     def default_init(alpha):
         h, lam = _unpack(alpha)
         cov = np.linalg.inv(lam)
@@ -329,7 +282,7 @@ def gaussian_target_model(nat_loc, info):
         expected_log_lik=expected_log_lik, grad_log_lik=grad_log_lik,
         expected_log_prior=expected_log_prior, grad_log_prior=grad_log_prior,
         default_init=default_init, data=None,
-        prior_alpha_grad=prior_alpha_grad, prior_block_logpdf=prior_pdfs,
+        prior_block_logpdf=prior_pdfs,
         sampler_log_posterior=_sampler_log_posterior(
             layout, expected_log_lik, expected_log_prior),
         # no data: the posterior is the Gaussian target itself, whose exact

@@ -403,36 +403,6 @@ def build_microcredit_model(data, priors=None):
         g[wis:wis + 4] += wishart_terms(m)[2] @ [c_log, -b_s]
         return g
 
-    def prior_alpha_grad(m, alpha, direction):
-        check_priors(alpha)
-        out = np.zeros(layout.dim)
-        c = direction.get("prior_info_11", 0.0)
-        if c:
-            out[top + 2] += -0.5 * c
-        c = direction.get("prior_info_12", 0.0)
-        if c:
-            out[top + 3] += -c
-        c = direction.get("prior_info_22", 0.0)
-        if c:
-            out[top + 4] += -0.5 * c
-        need_wishart = any(direction.get(kk, 0.0) for kk in
-                           ("lkj_shape", "scale_shape", "scale_rate"))
-        if need_wishart:
-            grad_log_sum, grad_inv_sum = wishart_terms(m)[2].T
-            c = direction.get("lkj_shape", 0.0)
-            if c:
-                out[wis + 3] += -c
-                out[wis:wis + 4] += -c * grad_log_sum
-            c = direction.get("scale_shape", 0.0)
-            if c:
-                out[wis:wis + 4] += -c * grad_log_sum
-            c = direction.get("scale_rate", 0.0)
-            if c:
-                out[wis:wis + 4] += -c * grad_inv_sum
-        out[noi[:, 1]] -= direction.get("noise_shape", 0.0)
-        out[noi[:, 0]] -= direction.get("noise_rate", 0.0)
-        return out
-
     # -- pointwise log posterior (Metropolis oracle) --------------------------
     # One formula serves the sampler's full evaluation and its
     # single-coordinate moves: per-site statistics, their six sums over the
@@ -619,7 +589,6 @@ def build_microcredit_model(data, priors=None):
         expected_log_lik=expected_log_lik, grad_log_lik=grad_log_lik,
         expected_log_prior=expected_log_prior, grad_log_prior=grad_log_prior,
         default_init=default_init, data=data,
-        prior_alpha_grad=prior_alpha_grad,
         prior_block_logpdf={"top": prior_block_logpdf},
         sampler_log_posterior=sampler_log_posterior,
         local_groups=tuple((e.name, v.name) for e, v in zip(effects, noises)))

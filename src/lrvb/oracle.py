@@ -265,8 +265,7 @@ def contaminated_model(model, block, pc_logpdf, eps):
     return replace(model, name=model.name + "+contaminated",
                    expected_log_prior=expected_log_prior,
                    grad_log_prior=grad_log_prior,
-                   prior_alpha_grad=None, exact_posterior=None,
-                   sampler_log_posterior=None, prior_block_logpdf={})
+                   exact_posterior=None, sampler_log_posterior=None, prior_block_logpdf={})
 
 
 # ---------------------------------------------------------------------------

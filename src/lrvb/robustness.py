@@ -140,30 +140,31 @@ class WorstCaseResult:
 def prior_direction_gradient(model, m, direction, alpha=None):
     """d/dm of the directional alpha-derivative of the expected log prior.
 
-    Uses the model's analytic cross-derivative when available, otherwise
-    central finite differences of the prior gradient over alpha.  An
-    unknown hyperparameter name raises the KeyError of
-    :meth:`Hyperparams.check_names`; a coefficient that is not finite
-    raises DomainError.
+    The one path for every model: a central difference of
+    ``grad_log_prior`` along the direction, its step ALPHA_FD_REL_STEP of
+    the largest moved |alpha| (at least 1) rounded down to a power of two,
+    so that alpha +- step is exact.  Where one side leaves the prior's
+    domain (the model raises DomainError), the difference is one-sided
+    over the same span.  An unknown name raises the KeyError of
+    :meth:`Hyperparams.check_names`; a non-finite coefficient, DomainError.
     """
     alpha = model.resolve_alpha(alpha)
     alpha.check_names(direction)
     if not all(np.isfinite(v) for v in direction.values()):
         raise DomainError(f"direction coefficients must be finite, got {direction}")
     m = np.asarray(m, dtype=float)
-    if model.prior_alpha_grad is not None:
-        return np.asarray(model.prior_alpha_grad(m, alpha, dict(direction)),
-                          dtype=float)
     scale = max([abs(alpha[k]) for k in direction] + [1.0])
     size = max((abs(v) for v in direction.values()), default=0.0) or 1.0  # zero moves nothing
-    h = ALPHA_FD_REL_STEP * scale / size
-    try:
-        return fd_jacobian(
-            lambda t: model.grad_log_prior(m, alpha.perturbed(direction, t[0])),
-            np.zeros(1), rel_step=h)[:, 0]
-    except DomainError as exc:
-        raise NonDifferentiablePrior(
-            f"prior gradient failed under perturbation {direction}: {exc}") from exc
+    h = np.ldexp(0.5, np.frexp(ALPHA_FD_REL_STEP * scale / size)[1])
+    for center in (0.0, 1.0, -1.0):  # in units of h: central, else one-sided
+        try:
+            return fd_jacobian(
+                lambda t: model.grad_log_prior(m, alpha.perturbed(direction, h * t[0])),
+                np.array([center]), rel_step=1.0)[:, 0] / h
+        except DomainError as exc:
+            error = exc
+    raise NonDifferentiablePrior(
+        f"prior gradient failed under perturbation {direction}: {error}") from error
 
 
 def hyperparam_sensitivity(model, sol, sys, direction, alpha=None):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrvb import linear_response, mfvb, oracle
+from lrvb import linear_response, mfvb, oracle, robustness
 from lrvb.errors import DomainError
 from lrvb.expfam import FAMILIES, Family
 from lrvb.mfvb import Hyperparams
@@ -87,23 +87,13 @@ class TestBuild:
                                              + model.expected_log_prior(x, alpha)]), m)[0]
         assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
 
-    def test_alpha_cross_gradient_matches_fd(self, micro_model, micro_fit):
-        sol, _ = micro_fit
-        alpha = micro_model.hyperparams
-        for name in alpha.names:
-            d = {name: 1.0}
-            analytic = micro_model.prior_alpha_grad(sol.mean, alpha, d)
-            h = 1e-6 * max(1.0, abs(alpha[name]))
-            fd = (micro_model.grad_log_prior(sol.mean, alpha.perturbed(d, h))
-                  - micro_model.grad_log_prior(sol.mean, alpha.perturbed(d, -h))) / (2 * h)
-            assert np.max(np.abs(analytic - fd)) < 1e-5 * max(1, np.max(np.abs(fd)))
-
     def test_sampler_hook_is_the_only_pointwise_posterior(self, micro_model):
         # the sampling oracles read the hook itself; the quadrature oracle
-        # does not take this model
+        # does not take this model; sensitivities difference grad_log_prior,
+        # so no field holds a hand-written alpha-derivative either
         alpha = micro_model.hyperparams
         fields = {f.name for f in dataclasses.fields(micro_model)}
-        assert not fields & {"log_lik_values", "log_prior_values"}
+        assert not fields & {"log_lik_values", "log_prior_values", "prior_alpha_grad"}
         target = oracle.sampler_log_target(micro_model, alpha)
         assert hasattr(target, "coordinate_moves")
         layout = micro_model.layout
@@ -170,7 +160,7 @@ class TestPriorMemos:
             solves.clear()
             value = model.expected_log_prior(point, alpha)
             grad = model.grad_log_prior(point, alpha)
-            model.prior_alpha_grad(point, alpha, {"scale_rate": 1.0})
+            robustness.prior_direction_gradient(model, point, {"scale_rate": 1.0}, alpha)
             assert len(solves) == 1
             fresh = build_microcredit_model(data)
             assert value == fresh.expected_log_prior(point, alpha)

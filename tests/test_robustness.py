@@ -54,18 +54,11 @@ class TestHyperparamSensitivity:
         assert abs(s1[0] - 0.2) < 1e-8
         assert abs(s2[0] - 2.0 * 0.8 * 0.2) < 1e-8
 
-    def test_fd_fallback_matches_analytic(self, nig_model, nig_fit):
-        from dataclasses import replace
+    @pytest.mark.parametrize("name", ["prior_loc", "prior_obs", "prior_shape",
+                                      "prior_rate"])
+    def test_nig_against_refit_oracle(self, nig_model, nig_fit, name):
         sol, sys = nig_fit
-        no_analytic = replace(nig_model, prior_alpha_grad=None)
-        for name in ["prior_loc", "prior_obs", "prior_shape", "prior_rate"]:
-            a = rb.hyperparam_sensitivity(nig_model, sol, sys, {name: 1.0})
-            b = rb.hyperparam_sensitivity(no_analytic, sol, sys, {name: 1.0})
-            assert np.max(np.abs(a - b)) < 1e-6 * max(1.0, np.max(np.abs(a)))
-
-    def test_nig_against_refit_oracle(self, nig_model, nig_fit):
-        sol, sys = nig_fit
-        res = oracle.perturb_and_rerun(nig_model, {"prior_rate": 1.0}, engine="vb",
+        res = oracle.perturb_and_rerun(nig_model, {name: 1.0}, engine="vb",
                                        sol=sol, sys=sys,
                                        fit_opts=mfvb.FitOptions(tol=1e-10))
         assert abs(res.slope - 1.0) < 1e-3
@@ -88,21 +81,17 @@ class TestHyperparamSensitivity:
 
 
 class TestDirectionValidation:
-    # the prior_alpha_grad hook priced an unknown name as zero and a NaN
-    # coefficient as NaN; the finite-difference path raised a bare KeyError,
-    # and a ZeroDivisionError for a zero direction
-    @pytest.mark.parametrize("hook", [True, False])
-    def test_unknown_name_nonfinite_and_zero_coefficients(self, micro_model, micro_fit, hook):
+    # the finite-difference path once raised a bare KeyError for an unknown
+    # name and a ZeroDivisionError for a zero direction
+    def test_unknown_name_nonfinite_and_zero_coefficients(self, micro_model, micro_fit):
         sol, sys = micro_fit
-        model = (micro_model if hook
-                 else dataclasses.replace(micro_model, prior_alpha_grad=None))
         with pytest.raises(KeyError, match="valid keys"):
-            rb.hyperparam_sensitivity(model, sol, sys, {"prior_info_1": 1.0})
+            rb.hyperparam_sensitivity(micro_model, sol, sys, {"prior_info_1": 1.0})
         for coef in (np.nan, np.inf):
             with pytest.raises(DomainError, match="finite"):
-                rb.hyperparam_sensitivity(model, sol, sys, {"lkj_shape": coef})
+                rb.hyperparam_sensitivity(micro_model, sol, sys, {"lkj_shape": coef})
         for direction in ({"lkj_shape": 0.0}, {}):
-            assert not np.any(rb.hyperparam_sensitivity(model, sol, sys, direction))
+            assert not np.any(rb.hyperparam_sensitivity(micro_model, sol, sys, direction))
 
     def test_report_tags_unknown_name(self, micro_model, micro_fit):
         # the typo was reported as value 0.0 with no error
@@ -639,25 +628,26 @@ class TestReports:
                           expect / np.sqrt(sys.sigma_hat[0, 0]), rtol=1e-12)
         assert entry.error is None
 
-    def test_each_direction_priced_once(self, micro_model, micro_fit):
-        # a report over several quantities runs the prior_alpha_grad hook
+    def test_each_direction_priced_once(self, micro_model, micro_fit, monkeypatch):
+        # a report over several quantities differences the prior gradient
         # once per direction, and each entry is its direction priced alone
         sol, sys = micro_fit
-        hook, calls = micro_model.prior_alpha_grad, []
+        price, calls = rb.prior_direction_gradient, []
 
-        def counted(m, alpha, direction):
+        def counted(model, m, direction, alpha=None):
             calls.append(tuple(direction))
-            return hook(m, alpha, direction)
+            return price(model, m, direction, alpha)
 
-        model = dataclasses.replace(micro_model, prior_alpha_grad=counted)
-        names = model.layout.coord_names()
-        quantities = [names[i] for i in model.layout.location_indices()[:6]]
-        directions = model.hyperparams.names
+        monkeypatch.setattr(rb, "prior_direction_gradient", counted)
+        names = micro_model.layout.coord_names()
+        quantities = [names[i] for i in micro_model.layout.location_indices()[:6]]
+        directions = micro_model.hyperparams.names
         queries = [rb.SensitivityQuery(quantity=q, target=q, direction={h: 1.0},
                                        direction_label=h)
                    for q in quantities for h in directions]
-        report = rb.make_report(queries, model, sol, sys)
+        report = rb.make_report(queries, micro_model, sol, sys)
         assert calls == [(h,) for h in directions]
+        monkeypatch.undo()
         for query, entry in zip(queries, report.entries):
             full = rb.hyperparam_sensitivity(micro_model, sol, sys, query.direction)
             assert entry.error is None

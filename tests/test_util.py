@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,10 +134,23 @@ def loop_prior_direction_gradient(model, m, direction, alpha=None):
     alpha = model.resolve_alpha(alpha)
     scale = max([abs(alpha[k]) for k in direction] + [1.0])
     size = max(abs(v) for v in direction.values())
-    h = robustness.ALPHA_FD_REL_STEP * scale / size
-    gp = model.grad_log_prior(m, alpha.perturbed(direction, h))
-    gm = model.grad_log_prior(m, alpha.perturbed(direction, -h))
-    return (np.asarray(gp) - np.asarray(gm)) / (2.0 * h)
+    bound = robustness.ALPHA_FD_REL_STEP * scale / size
+    h = 1.0  # the largest power of two not above the bound
+    while h > bound:
+        h /= 2.0
+    while 2.0 * h <= bound:
+        h *= 2.0
+    values = {}  # grad_log_prior at each offset that stays in the prior's domain
+    for t in (h, -h, 2.0 * h, -2.0 * h, 0.0):
+        try:
+            values[t] = np.asarray(model.grad_log_prior(m, alpha.perturbed(direction, t)))
+        except DomainError:
+            pass
+    if h in values and -h in values:
+        return (values[h] - values[-h]) / (2.0 * h)
+    if 2.0 * h in values:
+        return (values[2.0 * h] - values[0.0]) / (2.0 * h)
+    return (values[-2.0 * h] - values[0.0]) / (-2.0 * h)
 
 
 # --- strategies --------------------------------------------------------------
@@ -277,12 +288,27 @@ class TestFdJacobian:
     def test_prior_direction_gradient_bit_identical_to_loop(self, micro_model,
                                                             micro_fit):
         sol, _ = micro_fit
-        model = replace(micro_model, prior_alpha_grad=None)
-        assert len(model.hyperparams) == 8
-        for name in model.hyperparams:
+        alpha = micro_model.hyperparams
+        assert len(alpha) == 8
+        for name in alpha:
             assert np.array_equal(
-                robustness.prior_direction_gradient(model, sol.mean, {name: 1.0}),
-                loop_prior_direction_gradient(model, sol.mean, {name: 1.0}))
+                robustness.prior_direction_gradient(micro_model, sol.mean, {name: 1.0}),
+                loop_prior_direction_gradient(micro_model, sol.mean, {name: 1.0}))
+        # a step that takes noise_shape below zero, or prior_info out of the
+        # positive-definite cone, is taken one-sided; one that only changes
+        # the sign of prior_info_12 stays central
+        near_edge = [
+            (alpha.with_updates(noise_shape=5e-7, prior_info_12=1e-30),
+             ({"noise_shape": 3.0}, {"noise_shape": -0.5, "lkj_shape": 2.0},
+              {"prior_info_12": 1.0})),
+            (alpha.with_updates(prior_info_11=1.0, prior_info_12=1.0 - 1e-8,
+                                prior_info_22=1.0),
+             ({"prior_info_11": 1.0}, {"prior_info_12": 1.0}, {"prior_info_22": -2.0}))]
+        for at, directions in near_edge:
+            for direction in directions:
+                assert np.array_equal(
+                    robustness.prior_direction_gradient(micro_model, sol.mean, direction, at),
+                    loop_prior_direction_gradient(micro_model, sol.mean, direction, at))
 
 
 class TestLogMinusDigamma:
