@@ -19,17 +19,16 @@ matrices are half-vectorized rather than fully vectorized to keep the
 sufficient-statistic covariance nonsingular.
 
 Batch axes.  A family's parameter maps (``check_mean``, the standard, mean,
-natural and unconstrained maps, ``log_partition``, ``suff_stat_cov``,
-``mean_jacobian_unconstrained`` and ``entropy_unconstrained``) are written
-once, over leading batch axes: a 1-D statistic vector is one block, with
-scalar standard parameters where the family has them, and an (n, stat_dim)
-array is n blocks, each result gaining that leading axis.  A check raises
-if any block fails it.  No map loops over blocks; the underlying-variable
-helpers take one block.
+natural and unconstrained maps, ``log_partition``, ``suff_stat_cov`` and
+``fit_terms``) are written once, over leading batch axes: a 1-D statistic
+vector is one block, with scalar standard parameters where the family has
+them, and an (n, stat_dim) array is n blocks, each result gaining that
+leading axis.  A check raises if any block fails it.  No map loops over
+blocks; the underlying-variable helpers take one block.
 
 Family interface.  Each object in ``FAMILIES`` owns its family's
 conventions, so no other module branches on a ``Family`` member: beside
-the maps above (``entropy_unconstrained`` among them, see Entropy below),
+the maps above (``fit_terms`` among them, see Fit coordinates below),
 ``stat_dim``, ``coord_names(block)``, ``has_location`` (the first var_dim
 statistics are x), ``scalar`` (x is one float), ``quad_support()`` (the
 (lo, hi) range of x that every density query of :mod:`lrvb.robustness`
@@ -43,8 +42,13 @@ log-Jacobian), ``unconstrained_from_value``, ``representative_value``,
 ``sampler_suff_stats`` of (n, value_dim) rows and, if scalar,
 ``sampler_box`` around mean parameters.
 
-Entropy.  ``entropy_unconstrained(z)`` is each family's closed-form
-entropy of its fit coordinates z, the value the fit's objective sums.  It
+Fit coordinates.  ``fit_terms(z)`` returns what one evaluation of the
+fit's objective and gradient needs at the family's fit coordinates z (see
+:class:`FitTerms`): the mean and natural parameters, the entropy and
+d mean / d z, all from one pass through the standard parameters, with the
+domain checks of ``mean_from_standard`` and ``natural_from_standard``.
+``entropy_unconstrained`` and ``mean_jacobian_unconstrained`` read their
+term off it.  The entropy is each family's closed form in z, and it
 never forms A(eta) - eta @ m, whose terms cancel catastrophically for a
 concentrated block (a Gaussian with mu' Sigma^-1 mu >> 1, say); that
 difference is :func:`entropy`, kept as the reference implementation the
@@ -57,7 +61,9 @@ independent work in separate processes.
 """
 
 import enum
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -122,6 +128,17 @@ class ExpFamBlock:
 # ---------------------------------------------------------------------------
 # family implementations
 # ---------------------------------------------------------------------------
+
+
+class FitTerms(NamedTuple):
+    """What the fit's objective and gradient need at fit coordinates z, from
+    one pass through a family's standard parameters: each (..., stat_dim)
+    or (..., stat_dim, stat_dim) over z's batch axes."""
+
+    mean: np.ndarray
+    natural: np.ndarray
+    entropy: np.ndarray
+    jacobian: np.ndarray  # d mean / d z
 
 
 def _stack(*cols):
@@ -201,6 +218,12 @@ class _Family:
     def natural_from_mean(self, m, var_dim=None):
         return self.natural_from_standard(*self.standard_from_mean(m))
 
+    def entropy_unconstrained(self, z):
+        return self.fit_terms(z).entropy
+
+    def mean_jacobian_unconstrained(self, z):
+        return self.fit_terms(z).jacobian
+
 
 class _Gaussian(_Family):
     """The Gaussian families' statistics (the location, then the second
@@ -279,13 +302,12 @@ class _GaussianUnivariate(_Gaussian):
     def standard_from_unconstrained(self, z):
         return z[..., 0][()], np.exp(z[..., 1])
 
-    def mean_jacobian_unconstrained(self, z):
+    def fit_terms(self, z):
         mu, var = self.standard_from_unconstrained(z)
-        return _matrix([[1.0, 0.0], [2.0 * mu, var]])
-
-    def entropy_unconstrained(self, z):
-        # log |2 pi e var| / 2 with log var = z1
-        return 0.5 * (_LOG_2PI_E + z[..., 1])
+        return FitTerms(self.mean_from_standard(mu, var), self.natural_from_standard(mu, var),
+                        # log |2 pi e var| / 2 with log var = z1
+                        0.5 * (_LOG_2PI_E + z[..., 1]),
+                        _matrix([[1.0, 0.0], [2.0 * mu, var]]))
 
     # underlying-variable helpers
     def suff_stats(self, x):
@@ -386,28 +408,30 @@ class _GaussianMultivariate(_Gaussian):
         return np.concatenate([np.asarray(mu, dtype=float), logchol_from_chol(chol)], axis=-1)
 
     def standard_from_unconstrained(self, z):
+        return self._standard_and_chol(z)[:2]
+
+    def _standard_and_chol(self, z):
         d = self.var_dim_from_stat_dim(z.shape[-1])  # same coordinate count as stats
         chol = chol_from_logchol(z[..., d:])
-        return np.asarray(z[..., :d], dtype=float), chol @ chol.swapaxes(-1, -2)
+        return np.asarray(z[..., :d], dtype=float), chol @ chol.swapaxes(-1, -2), chol
 
-    def mean_jacobian_unconstrained(self, z):
+    def fit_terms(self, z):
+        mu, sigma, chol = self._standard_and_chol(z)
+        d = mu.shape[-1]
         # m = (mu, vech(L L' + mu mu')); d vech(mu mu')_(i,j) / d mu_c is
         # delta_ic mu_j + mu_i delta_jc
-        d = self.var_dim_from_stat_dim(z.shape[-1])
-        mu = z[..., :d, None]
         i, j = tril(d)
         c = np.arange(d)
         jac = np.zeros(z.shape + z.shape[-1:])
         jac[..., c, c] = 1.0
-        jac[..., d:, :d] = (i[:, None] == c) * mu[..., j, :] + mu[..., i, :] * (j[:, None] == c)
-        jac[..., d:, d:] = _chol_product_jacobian(chol_from_logchol(z[..., d:]))
-        return jac
-
-    def entropy_unconstrained(self, z):
-        # log |2 pi e Sigma| / 2, and log |Sigma| / 2 is the sum of the
-        # log-Cholesky diagonal
-        d = self.var_dim_from_stat_dim(z.shape[-1])
-        return 0.5 * d * _LOG_2PI_E + np.sum(z[..., d + tril_diag(d)], axis=-1)
+        jac[..., d:, :d] = ((i[:, None] == c) * mu[..., j, None]
+                            + mu[..., i, None] * (j[:, None] == c))
+        jac[..., d:, d:] = _chol_product_jacobian(chol)
+        return FitTerms(self.mean_from_standard(mu, sigma), self.natural_from_standard(mu, sigma),
+                        # log |2 pi e Sigma| / 2, and log |Sigma| / 2 is the
+                        # sum of the log-Cholesky diagonal
+                        0.5 * d * _LOG_2PI_E + np.sum(z[..., d + tril_diag(d)], axis=-1),
+                        jac)
 
     # underlying-variable helpers
     def suff_stats(self, x):
@@ -509,18 +533,16 @@ class _GammaLike(_Family):
     def standard_from_unconstrained(self, z):
         return np.exp(z[..., 1]), np.exp(z[..., 1] - z[..., 0])
 
-    def mean_jacobian_unconstrained(self, z):
-        # m = (exp(z1), s (digamma(a) - log a + z1)) with a = exp(z2)
+    def fit_terms(self, z):
         shape, rate = self.standard_from_unconstrained(z)
-        return _matrix([[shape / rate, 0.0],
-                        [self.sign, self.sign * (shape * trigamma(shape) - 1.0)]])
-
-    def entropy_unconstrained(self, z):
-        # a - s log b + lgamma(a) + (s - a) digamma(a) with shape a = exp(z2)
-        # and log rate log b = z2 - z1
-        shape = np.exp(z[..., 1])
-        return (shape - self.sign * (z[..., 1] - z[..., 0]) + gammaln(shape)
-                + (self.sign - shape) * digamma(shape))
+        s = self.sign
+        return FitTerms(
+            self.mean_from_standard(shape, rate), self.natural_from_standard(shape, rate),
+            # a - s log b + lgamma(a) + (s - a) digamma(a) with shape a = exp(z2)
+            # and log rate log b = z2 - z1
+            shape - s * (z[..., 1] - z[..., 0]) + gammaln(shape) + (s - shape) * digamma(shape),
+            # m = (exp(z1), s (digamma(a) - log a + z1))
+            _matrix([[shape / rate, 0.0], [s, s * (shape * trigamma(shape) - 1.0)]]))
 
     def suff_stats(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -610,12 +632,22 @@ class _Wishart(_Family):
                 f"Wishart natural parameters need dof > K+1 and PD scale, got dof={dof}")
 
     def check_mean(self, m, var_dim):
+        self._mean_matrix(m, var_dim)
+
+    def _mean_matrix(self, m, var_dim):
+        """E[X] and log|E[X]| from one Cholesky factorization; DomainError
+        outside the mean domain."""
         mean_mat = unvech(m[..., :-1], var_dim)
-        if not (np.all(np.isfinite(m)) and is_pos_def(mean_mat)):
+        try:
+            chol = np.linalg.cholesky(mean_mat) if np.all(np.isfinite(m)) else None
+        except np.linalg.LinAlgError:
+            chol = None
+        if chol is None:
             raise DomainError("Wishart mean matrix not positive definite")
-        _, ld = np.linalg.slogdet(mean_mat)
+        ld = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
         if np.any(m[..., -1] - ld >= 0):
             raise DomainError("Wishart log-determinant coordinate violates Jensen's inequality")
+        return mean_mat, ld
 
     def standard_from_natural(self, eta):
         k = self.var_dim_from_stat_dim(eta.shape[-1])
@@ -642,15 +674,9 @@ class _Wishart(_Family):
     def standard_from_mean(self, m):
         m = np.asarray(m, dtype=float)
         k = self.var_dim_from_stat_dim(m.shape[-1])
-        self.check_mean(m, k)
-        mean_mat = unvech(m[..., :-1], k)
-        _, ld = np.linalg.slogdet(mean_mat)
-        # E[log|X|] - log|E[X]| = multidigamma(dof/2) - K log(dof/2) < 0
-        # increases toward 0 with dof, so dof > K+1 needs a gap above its
-        # value at dof = K+1
+        mean_mat, ld = self._mean_matrix(m, k)
         gap = m[..., -1] - ld
-        half = (k + 1.0) / 2.0
-        if np.any(gap <= multidigamma(half, k) - k * np.log(half)):
+        if np.any(gap <= _wishart_min_gap(k)):
             raise DomainError(
                 f"mean parameters imply degrees of freedom <= K+1 (gap {np.min(gap):.6g})")
         dof = 2.0 * solve_log_minus_digamma(-gap, k)
@@ -688,34 +714,32 @@ class _Wishart(_Family):
         return _append(logchol_from_chol(chol), np.log(dof - k - 1.0))
 
     def standard_from_unconstrained(self, z):
+        return self._standard_and_chol(z)[:2]
+
+    def _standard_and_chol(self, z):
         chol = chol_from_logchol(z[..., :-1])
         k = chol.shape[-1]
         dof = np.exp(z[..., -1]) + k + 1.0
-        return dof, (chol @ chol.swapaxes(-1, -2)) / np.asarray(dof)[..., None, None]
+        return dof, (chol @ chol.swapaxes(-1, -2)) / np.asarray(dof)[..., None, None], chol
 
-    def mean_jacobian_unconstrained(self, z):
+    def fit_terms(self, z):
+        dof, scale, chol = self._standard_and_chol(z)
+        k = chol.shape[-1]
+        excess = np.exp(z[..., -1])  # dof - K - 1, and d dof / d z_last
         # logdet coordinate = multidigamma(dof/2) + log|mean| - K log dof + K log 2,
         # and log|mean| = 2 sum_p log L_pp moves only with the log-diagonal
-        chol = chol_from_logchol(z[..., :-1])
-        k = chol.shape[-1]
-        dof = np.exp(z[..., -1]) + k + 1.0
-        ddof = dof - k - 1.0  # d dof / d z_last
         jac = np.zeros(z.shape + z.shape[-1:])
         jac[..., :-1, :-1] = _chol_product_jacobian(chol)
         jac[..., -1, tril_diag(k)] = 2.0
-        jac[..., -1, -1] = (0.5 * multitrigamma(dof / 2.0, k) - k / dof) * ddof
-        return jac
-
-    def entropy_unconstrained(self, z):
+        jac[..., -1, -1] = (0.5 * multitrigamma(dof / 2.0, k) - k / dof) * excess
         # (K+1)/2 log|V| + K(K+1)/2 log 2 + lgamma_K(n/2)
         # - (n-K-1)/2 digamma_K(n/2) + nK/2, with V = mean / n
-        k = self.var_dim_from_stat_dim(z.shape[-1])
-        excess = np.exp(z[..., -1])  # n - K - 1
-        dof = excess + k + 1.0
         logdet_scale = 2.0 * np.sum(z[..., tril_diag(k)], axis=-1) - k * np.log(dof)
-        return ((k + 1.0) / 2.0 * logdet_scale + k * (k + 1.0) / 2.0 * np.log(2.0)
-                + multigamma_ln(dof / 2.0, k) - excess / 2.0 * multidigamma(dof / 2.0, k)
-                + dof * k / 2.0)
+        entropy = ((k + 1.0) / 2.0 * logdet_scale + k * (k + 1.0) / 2.0 * np.log(2.0)
+                   + multigamma_ln(dof / 2.0, k) - excess / 2.0 * multidigamma(dof / 2.0, k)
+                   + dof * k / 2.0)
+        return FitTerms(self.mean_from_standard(dof, scale),
+                        self.natural_from_standard(dof, scale), entropy, jac)
 
     # underlying-variable helpers
     def suff_stats(self, x):
@@ -762,6 +786,15 @@ class _Wishart(_Family):
         chol = chol_from_logchol(z)
         return np.column_stack([vech(np.einsum("nij,nkj->nik", chol, chol)),
                                 (2.0 * z[:, tril_diag(var_dim)]).sum(axis=1)])
+
+
+@functools.lru_cache(maxsize=None)
+def _wishart_min_gap(k):
+    """E[log|X|] - log|E[X]| at dof = K+1.  The gap is multidigamma(dof/2)
+    - K log(dof/2) < 0 and increases toward 0 with dof, so dof > K+1 needs
+    a gap above this value."""
+    half = (k + 1.0) / 2.0
+    return float(multidigamma(half, k) - k * np.log(half))
 
 
 FAMILIES = {

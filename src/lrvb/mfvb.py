@@ -10,11 +10,20 @@ grad_L(m)``.
 Optimization runs in unconstrained per-block coordinates (means stay
 untouched, positive scalars are log-transformed, positive-definite
 matrices are Cholesky-parameterized), so every iterate is automatically
-inside the product of block domains.  A quasi-Newton pass is followed by
-damped Newton polishing to push the gradient norm to the requested
-tolerance; the downstream covariance correction needs a tight optimum.
+inside the product of block domains.  One evaluation of the objective
+and its gradient makes one pass over the layout's family groups
+(:meth:`Layout.fit_terms`) and forms J' g block by block, never the dense
+J.  L-BFGS-B runs until the largest gradient entry falls to
+HANDOFF_GRAD; a damped Newton polish then pushes it to the requested
+tolerance, as the downstream covariance correction needs a tight
+optimum.
 
-The polish's Newton step is the linear-response solve of :mod:`lrvb.linear_response`.
+The polish's Newton step is the linear-response solve of
+:mod:`lrvb.linear_response`.  It keeps the LU factors of (I - VH) + lam V
+and V while its full steps shrink the gradient KEEP_SHRINK-fold, so one
+H serves several steps, and refreshes H otherwise.  Once the gradient is
+below tol it takes only such full steps, down to tol / 100, so fits end
+about as tight as a quasi-Newton stage run to tol / 10 left them.
 
 ModelSpec and VbSolution are immutable after construction.  Fits call
 into the same BLAS library as every other stage, and concurrent calls
@@ -66,7 +75,10 @@ class Layout:
     :mod:`lrvb.expfam`) and never loops over blocks, the Wishart dof solve
     included.  The entropy is the sum of each family's closed form in fit
     coordinates (``entropy_unconstrained``); at a mean vector it goes
-    through ``unconstrained_from_mean``.  Names, location statistics and
+    through ``unconstrained_from_mean``.  The fit's objective and gradient
+    read :meth:`fit_terms`, one pass over the groups, and
+    :meth:`jacobian_transpose_times`, which never forms the dense
+    :meth:`mean_jacobian`.  Names, location statistics and
     sampler coordinates follow each block's family (see :mod:`lrvb.expfam`)
     and are looked up in per-block tables built once.
     """
@@ -214,17 +226,33 @@ class Layout:
         return float(sum(np.sum(fam.entropy_unconstrained(z[idx]))
                          for fam, _, idx in self.groups))
 
+    def fit_terms(self, z):
+        """(mean vector, natural vector, entropy, per-group d mean / d z
+        stacks) at z: one family ``fit_terms`` call per group, where the
+        four maps around this one make a standard-parameter pass each."""
+        terms = [fam.fit_terms(z[idx]) for fam, _, idx in self.groups]
+        return (self._scatter(t.mean for t in terms),
+                self._scatter(t.natural for t in terms),
+                float(sum(np.sum(t.entropy) for t in terms)),
+                [t.jacobian for t in terms])
+
+    def jacobian_transpose_times(self, jacobians, g):
+        """J' g for the per-group stacks of :meth:`fit_terms`, block by
+        block: a block's entries do not depend on the others."""
+        return self._scatter(np.sum(jac * g[idx][..., :, None], axis=-2)
+                             for jac, (_, _, idx) in zip(jacobians, self.groups))
+
     def mean_jacobian(self, z):
         """Block-diagonal d mean / d unconstrained."""
         return self._block_diagonal(fam.mean_jacobian_unconstrained(z[idx])
                                     for fam, _, idx in self.groups)
 
-    def mean_jacobian_solve(self, z, rhs, trans=False):
-        """J^-1 rhs (J^-T rhs with ``trans``), J = mean_jacobian(z), batched per group."""
-        jacs = (fam.mean_jacobian_unconstrained(z[idx]) for fam, _, idx in self.groups)
+    def mean_jacobian_solve(self, jacobians, rhs, trans=False):
+        """J^-1 rhs (J^-T rhs with ``trans``) for the per-group stacks of
+        :meth:`fit_terms`, batched per group."""
         return self._scatter(np.linalg.solve(np.swapaxes(jac, 1, 2) if trans else jac,
                                              rhs[idx][..., None])[..., 0]
-                             for jac, (_, _, idx) in zip(jacs, self.groups))
+                             for jac, (_, _, idx) in zip(jacobians, self.groups))
 
     # --- underlying-variable (sampler/oracle) coordinates, per family -----
 
@@ -417,6 +445,18 @@ def elbo_grad_mean(model, m, alpha=None):
             - model.layout.natural_vector(m))
 
 
+# L-BFGS-B hands the fit to the Newton polish once its largest gradient
+# entry is at most HANDOFF_GRAD.  On the microcredit studies of 7 to 300
+# sites, hand-offs from 0.01 to 0.1 cost about the same up to 30 sites.
+# Above 0.02 the 100- and 300-site polishes start outside the quadratic
+# basin and take a second H; at 1.0 they take 5-10 and three times as
+# long.  0.05 keeps the bundled fit at one H and 60 evaluations.
+HANDOFF_GRAD = 0.05
+# A kept factorization serves while its full steps shrink the largest
+# gradient entry at least this many times.
+KEEP_SHRINK = 4.0
+
+
 @dataclass(frozen=True)
 class FitOptions:
     tol: float = 1e-8          # max-abs gradient in unconstrained coordinates
@@ -439,9 +479,11 @@ class VbSolution:
 def fit(model, init=None, opts=None, alpha=None):
     """Maximize the objective; returns a VbSolution or raises NonConvergence.
 
-    Deterministic for fixed (model, init, opts).  Accepted steps never
-    decrease the objective; the per-step values are kept in
-    ``elbo_trace``.
+    Deterministic for fixed (model, init, opts).  The per-step objective
+    values are kept in ``elbo_trace``.  The quasi-Newton stage never lowers
+    the objective; a polish step is also accepted when it shrinks the
+    gradient and lowers the objective by at most 1e-12 max(1, |objective|),
+    below which the change is rounding.
     """
     opts = opts or FitOptions()
     alpha = model.resolve_alpha(alpha)
@@ -450,65 +492,84 @@ def fit(model, init=None, opts=None, alpha=None):
     layout.check_mean(m0)
     z0 = layout.unconstrained_from_mean(m0)
 
-    def value_grad(z):
+    def evaluate(z):
+        """(-objective, its gradient in z, the layout's fit terms) at z;
+        (inf, zeros, None) where the objective is not finite."""
         try:
             with np.errstate(all="ignore"):
-                m = layout.mean_from_unconstrained(z)
+                terms = layout.fit_terms(z)
+                m, natural, entropy, jacobians = terms
                 val = (model.expected_log_lik(m)
                        + model.expected_log_prior(m, alpha)
-                       + layout.entropy_from_unconstrained(z))
+                       + entropy)
                 if not np.isfinite(val):
-                    return np.inf, np.zeros_like(z)
+                    return np.inf, np.zeros_like(z), None
                 gm = (model.grad_log_lik(m) + model.grad_log_prior(m, alpha)
-                      - layout.natural_from_unconstrained(z))
-                gz = layout.mean_jacobian(z).T @ gm
+                      - natural)
+                gz = layout.jacobian_transpose_times(jacobians, gm)
                 if not np.all(np.isfinite(gz)):
-                    return np.inf, np.zeros_like(z)
-                return -val, -gz
+                    return np.inf, np.zeros_like(z), None
+                return -val, -gz, terms
         except (DomainError, np.linalg.LinAlgError, OverflowError):
-            return np.inf, np.zeros_like(z)
+            return np.inf, np.zeros_like(z), None
 
-    trace = [-value_grad(z0)[0]]
+    trace = [-evaluate(z0)[0]]
     res = scipy.optimize.minimize(
-        value_grad, z0, jac=True, method="L-BFGS-B",
+        lambda z: evaluate(z)[:2], z0, jac=True, method="L-BFGS-B",
         callback=lambda intermediate_result: trace.append(-intermediate_result.fun),
-        options={"maxiter": opts.max_iter, "ftol": 1e-14, "gtol": opts.tol / 10.0,
-                 "maxcor": 30, "maxls": 60})
+        options={"maxiter": opts.max_iter, "ftol": 1e-14,
+                 "gtol": max(HANDOFF_GRAD, opts.tol / 10.0), "maxcor": 30, "maxls": 60})
     z, fz, gz = res.x, res.fun, res.jac
+    terms = None  # the layout's fit terms at z, once the polish needs them
     iterations = int(res.nit)
     # kept for the error messages: the first sign of a stalled fit
     quasi_newton = f"; L-BFGS-B stopped after {res.nit} iterations: {res.message}"
 
-    # Damped Newton polish: quasi-Newton alone rarely reaches 1e-8.
+    # Damped Newton polish.  A factorization is kept while its full steps
+    # shrink the gradient KEEP_SHRINK-fold; otherwise H is refreshed.  Below
+    # tol only such full steps are taken, down to tol / 100.
+    factor = None  # (LU of (I - VH) + lam V, V) from an earlier iterate
     for _ in range(opts.polish_iter):
         gnorm = np.max(np.abs(gz))
-        if gnorm <= opts.tol:
+        if gnorm <= opts.tol / 100.0:
             break
+        if terms is None:  # z came from L-BFGS-B with a finite objective
+            terms = layout.fit_terms(z)
         try:
-            step = _newton_step(model, z, gz, alpha)
-        except (DomainError, np.linalg.LinAlgError):
-            # a singular J, or a Hessian step that left the domain: steepest descent
-            step = -gz
+            step = None if factor is None else _factored_step(layout, factor, terms, gz)
+        except np.linalg.LinAlgError:  # a singular J
+            step = None
+        fresh = step is None
+        if fresh and gnorm <= opts.tol:
+            break  # below tol, only full steps from a kept factorization
+        if fresh:
+            try:
+                factor, step = _newton_factor(model, terms, gz, alpha)
+            except (DomainError, np.linalg.LinAlgError):
+                # a singular J, or a Hessian step that left the domain
+                factor, step = None, -gz
         accepted = False
         scale = 1.0
         # Near the optimum the objective change drops below float
         # resolution, so a step also counts when it shrinks the gradient
         # without measurably moving the objective.
         float_floor = 1e-12 * max(1.0, abs(fz))
-        for _ in range(40):
+        for _ in range(40 if fresh else 1):  # a kept factorization: full steps only
             z_new = z + scale * step
-            f_new, g_new = value_grad(z_new)
+            f_new, g_new, terms_new = evaluate(z_new)
             better_f = f_new < fz
             flat_better_g = (f_new <= fz + float_floor
                              and np.max(np.abs(g_new)) < 0.9 * gnorm)
             if better_f or flat_better_g:
-                z, fz, gz = z_new, f_new, g_new
+                z, fz, gz, terms = z_new, f_new, g_new, terms_new
                 trace.append(-fz)
                 accepted = True
                 break
             scale /= 2.0
         iterations += 1
-        if not accepted:
+        if not accepted or scale < 1.0 or np.max(np.abs(gz)) > gnorm / KEEP_SHRINK:
+            factor = None
+        if not accepted and fresh:
             if gnorm <= 1e3 * opts.tol:
                 break  # stuck at rounding floor near the optimum
             raise DomainViolation(
@@ -532,21 +593,53 @@ def fit(model, init=None, opts=None, alpha=None):
 def _newton_step(model, z, grad, alpha):
     """Newton step J^-1 dm on -ELBO, (I - VH) dm = V g with J' g = -grad, damped in m
     by lam V (Levenberg-Marquardt on V^-1 - H + lam I); else steepest descent."""
+    return _newton_factor(model, model.layout.fit_terms(z), grad, alpha)[1]
+
+
+def _newton_factor(model, terms, grad, alpha):
+    """(factorization, step) at the point of the layout's fit terms: the step
+    of :func:`_newton_step` and the (LU of (I - VH) + lam V, V) it solved,
+    or None for steepest descent."""
     layout = model.layout
-    m = layout.mean_from_unconstrained(z)
-    g = layout.mean_jacobian_solve(z, -grad, trans=True)
+    m, _, _, jacobians = terms
+    g = layout.mean_jacobian_solve(jacobians, -grad, trans=True)
     v, h, system = identity_minus_vh(model, m, alpha)
-    vg = v @ g
     damping = 0.0
     for _ in range(12):
-        try:
-            with warnings.catch_warnings():
-                # a system with rcond below machine epsilon is as good as singular
-                warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-                dm = scipy.linalg.solve(system + damping * v, vg)
-            if np.all(np.isfinite(dm)) and dm @ g > 0:
-                return layout.mean_jacobian_solve(z, dm)  # J is regular: J' solved above
-        except (ValueError, scipy.linalg.LinAlgWarning):
-            pass  # singular, ill-conditioned, or curvature that overflowed
+        lu = _lu_factor(system + damping * v)
+        step = None if lu is None else _descent_step(layout, (lu, v), jacobians, g)
+        if step is not None:
+            return (lu, v), step
         damping = max(2.0 * damping, 1e-8 * max(np.max(np.abs(h)), 1.0))
-    return -grad  # fall back to steepest descent
+    return None, -grad  # fall back to steepest descent
+
+
+def _factored_step(layout, factor, terms, grad):
+    """The Newton step from a kept (LU, V) at the point of the fit terms:
+    J^-1 dm with (I - VH + lam V) dm = V g and J' g = -grad; None unless it
+    descends."""
+    jacobians = terms[3]
+    return _descent_step(layout, factor, jacobians,
+                         layout.mean_jacobian_solve(jacobians, -grad, trans=True))
+
+
+def _descent_step(layout, factor, jacobians, g):
+    lu, v = factor
+    dm = scipy.linalg.lu_solve(lu, v @ g)
+    if np.all(np.isfinite(dm)) and dm @ g > 0:
+        return layout.mean_jacobian_solve(jacobians, dm)  # J is regular: J' solved for g
+    return None
+
+
+def _lu_factor(a):
+    """scipy's LU factors of a; None for a singular, non-finite or
+    ill-conditioned a (reciprocal condition below machine epsilon, where
+    scipy.linalg.solve warns)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            lu = scipy.linalg.lu_factor(a)
+    except (ValueError, scipy.linalg.LinAlgWarning):
+        return None  # singular, or curvature that overflowed
+    rcond, _ = scipy.linalg.lapack.dgecon(lu[0], np.linalg.norm(a, 1))
+    return lu if rcond >= np.finfo(float).eps else None

@@ -29,8 +29,9 @@ the K site-noise blocks (2 each) and ``effect_prec`` (4).  Two integer
 arrays built once place every site: row k of ``eff`` (K, 5) and ``noi``
 (K, 2) holds site k's coordinates, so ``m[eff]`` and ``m[noi]`` are
 per-site views and each expected term is one array expression over all
-sites.  The Wishart marginal moments E[log S_jj] and E[1/S_jj] come from
-:func:`lrvb.expfam.wishart_expectations`.  Site k's blocks ``effects_k``
+sites.  The Wishart marginal moments E[log S_jj] and E[1/S_jj] are the
+inverse-gamma moments of :class:`lrvb.expfam.WishartExpectations`, read
+from the inverse scale the gradient needs anyway.  Site k's blocks ``effects_k``
 and ``noise_k`` couple only with each other and with ``top`` and
 ``effect_prec``, so the model declares them as one of its
 ``local_groups``: the objective Hessian then costs 2 (9 + 7) = 32
@@ -69,10 +70,10 @@ import numpy as np
 from scipy.special import gammaln
 
 from ..errors import DomainError
-from ..expfam import FAMILIES, Family, wishart_expectations
+from ..expfam import FAMILIES, Family
 from ..mfvb import BlockDef, Hyperparams, Layout, ModelSpec
-from ..util import (is_pos_def, multitrigamma, tril, trigamma, unvech, vech, vech_dim,
-                    vech_dup)
+from ..util import (digamma, is_pos_def, multitrigamma, tril, trigamma, unvech, vech,
+                    vech_dim, vech_dup)
 
 _GM = FAMILIES[Family.GAUSSIAN_MULTIVARIATE]
 _IG = FAMILIES[Family.INVERSE_GAMMA]
@@ -187,16 +188,22 @@ def save_microcredit_csv(data, path):
 def load_microcredit_csv(path):
     sites, treats, ys = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"site", "treatment", "outcome"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        required = ("site", "treatment", "outcome")
+        if header is None or not set(required).issubset(header):
             raise DomainError(f"CSV must have header columns {sorted(required)}")
+        # a repeated name's last column, as csv.DictReader read it
+        i_site, i_treat, i_y = (len(header) - 1 - header[::-1].index(name)
+                                for name in required)
         for line, row in enumerate(reader, start=2):
+            if not row:  # a blank line, which csv.DictReader skipped as well
+                continue
             try:
-                sites.append(int(row["site"]))
-                treats.append(int(row["treatment"]))
-                ys.append(float(row["outcome"]))
-            except (TypeError, ValueError) as exc:
+                sites.append(int(row[i_site]))
+                treats.append(int(row[i_treat]))
+                ys.append(float(row[i_y]))
+            except (IndexError, ValueError) as exc:
                 raise ValueError(f"{path}, line {line}: missing or non-numeric "
                                  f"cell ({exc})") from exc
     labels, site0 = np.unique(np.asarray(sites), return_inverse=True)
@@ -321,19 +328,23 @@ def build_microcredit_model(data, priors=None):
     wishart = None  # (effect_prec means' bytes, terms) of the last point
 
     def wishart_terms(m):
-        """At the four effect_prec means: E[log S_jj] and E[1/S_jj] (S = X^-1)
-        from :func:`wishart_expectations`, and the mean-coordinate gradients
-        of their sums over j as the two columns of a (4, 2) array.  Derived
-        once per distinct means: the last terms are kept, keyed on their
-        exact bytes; a failing derivation keeps nothing."""
+        """At the four effect_prec means: E[log S_jj] and E[1/S_jj] (S = X^-1),
+        and the mean-coordinate gradients of their sums over j as the two
+        columns of a (4, 2) array.  S_jj is inverse gamma with shape
+        (dof - K + 1)/2 and scale P_jj / 2 for P = scale^-1 (see
+        :class:`lrvb.expfam.WishartExpectations`).  Derived once per
+        distinct means: the last terms are kept, keyed on their exact
+        bytes; a failing derivation keeps nothing."""
         nonlocal wishart
         block, memo = np.array(m[wis:wis + 4], dtype=float), wishart
         key = block.tobytes()
         if memo is None or memo[0] != key:
             dof, scale = _WI.standard_from_mean(block)
-            w = wishart_expectations(dof, scale)
             p = np.linalg.inv(scale)
             p = (p + p.T) / 2.0
+            pjj = np.diag(p)
+            log_sigma_diag = np.log(pjj / 2.0) - digamma((dof - KW + 1.0) / 2.0)
+            inv_sigma_diag = (dof - KW + 1.0) / pjj
             # d(block mean)/d(vech scale, dof); rows match the block layout
             nv = vech_dim(KW)
             jac = np.zeros((nv + 1, nv + 1))
@@ -343,13 +354,12 @@ def build_microcredit_model(data, priors=None):
             jac[nv, nv] = 0.5 * multitrigamma(dof / 2.0, KW)
             # the sums' gradients in (vech scale, dof)
             rows, cols = tril(KW)
-            pjj = np.diag(p)[:, None]
             dpjj = -(2.0 - (rows == cols)) * p[:, rows] * p[:, cols]
-            d_log = np.append((dpjj / pjj).sum(axis=0),
+            d_log = np.append((dpjj / pjj[:, None]).sum(axis=0),
                               -0.5 * KW * trigamma((dof - KW + 1.0) / 2.0))
-            d_inv = np.append((-(dof - KW + 1.0) * dpjj / pjj ** 2).sum(axis=0),
+            d_inv = np.append((-(dof - KW + 1.0) * dpjj / pjj[:, None] ** 2).sum(axis=0),
                               np.sum(1.0 / pjj))
-            terms = (w.log_sigma_diag, w.inv_sigma_diag,
+            terms = (log_sigma_diag, inv_sigma_diag,
                      np.linalg.solve(jac.T, np.column_stack([d_log, d_inv])))
             for arr in terms:  # shared by every later call at these means
                 arr.flags.writeable = False
