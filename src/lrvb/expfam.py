@@ -427,11 +427,11 @@ class _GaussianMultivariate(_Gaussian):
         jac[..., d:, :d] = ((i[:, None] == c) * mu[..., j, None]
                             + mu[..., i, None] * (j[:, None] == c))
         jac[..., d:, d:] = _chol_product_jacobian(chol)
-        return FitTerms(self.mean_from_standard(mu, sigma), self.natural_from_standard(mu, sigma),
-                        # log |2 pi e Sigma| / 2, and log |Sigma| / 2 is the
-                        # sum of the log-Cholesky diagonal
-                        0.5 * d * _LOG_2PI_E + np.sum(z[..., d + tril_diag(d)], axis=-1),
-                        jac)
+        # log |2 pi e Sigma| / 2, and log |Sigma| / 2 is the sum of the
+        # log-Cholesky diagonal
+        entropy = 0.5 * d * _LOG_2PI_E + np.sum(z[..., d + tril_diag(d)], axis=-1)
+        return FitTerms(self.mean_from_standard(mu, sigma),
+                        self.natural_from_standard(mu, sigma), entropy, jac)
 
     # underlying-variable helpers
     def suff_stats(self, x):
@@ -536,13 +536,14 @@ class _GammaLike(_Family):
     def fit_terms(self, z):
         shape, rate = self.standard_from_unconstrained(z)
         s = self.sign
-        return FitTerms(
-            self.mean_from_standard(shape, rate), self.natural_from_standard(shape, rate),
-            # a - s log b + lgamma(a) + (s - a) digamma(a) with shape a = exp(z2)
-            # and log rate log b = z2 - z1
-            shape - s * (z[..., 1] - z[..., 0]) + gammaln(shape) + (s - shape) * digamma(shape),
-            # m = (exp(z1), s (digamma(a) - log a + z1))
-            _matrix([[shape / rate, 0.0], [s, s * (shape * trigamma(shape) - 1.0)]]))
+        # a - s log b + lgamma(a) + (s - a) digamma(a) with shape a = exp(z2)
+        # and log rate log b = z2 - z1
+        entropy = (shape - s * (z[..., 1] - z[..., 0]) + gammaln(shape)
+                   + (s - shape) * digamma(shape))
+        # m = (exp(z1), s (digamma(a) - log a + z1))
+        jac = _matrix([[shape / rate, 0.0], [s, s * (shape * trigamma(shape) - 1.0)]])
+        return FitTerms(self.mean_from_standard(shape, rate),
+                        self.natural_from_standard(shape, rate), entropy, jac)
 
     def suff_stats(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -31,9 +31,9 @@ arrays built once place every site: row k of ``eff`` (K, 5) and ``noi``
 per-site views and each expected term is one array expression over all
 sites.  The Wishart marginal moments E[log S_jj] and E[1/S_jj] are the
 inverse-gamma moments of :class:`lrvb.expfam.WishartExpectations`, read
-from the inverse scale the gradient needs anyway.  Site k's blocks ``effects_k``
-and ``noise_k`` couple only with each other and with ``top`` and
-``effect_prec``, so the model declares them as one of its
+from the inverse scale the gradient needs anyway.  Site k's blocks
+``effects_k`` and ``noise_k`` couple only with each other and with ``top``
+and ``effect_prec``, so the model declares them as one of its
 ``local_groups``: the objective Hessian then costs 2 (9 + 7) = 32
 gradient calls at any number of sites, not two per coordinate.
 

@@ -82,17 +82,20 @@ class TestFit:
         err = capsys.readouterr().err
         assert "bogus" in err and "lkj_shape" in err
 
-    def test_non_numeric_cell_is_usage_error(self, data_csv, tmp_path, capsys):
+    @pytest.mark.parametrize("cells, shown", [(3, "abc"), (2, "missing or non-numeric")])
+    def test_non_numeric_cell_is_usage_error(self, data_csv, tmp_path, capsys, cells,
+                                             shown):
+        # a row with a bad outcome, or one whose outcome is missing
         lines = open(data_csv).read().splitlines()
         site, treat, _ = lines[3].split(",")
-        lines[3] = f"{site},{treat},abc"
+        lines[3] = ",".join([site, treat, "abc"][:cells])
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
         code = run("fit", "--model", "microcredit", "--data", str(bad),
                    "--out", str(tmp_path / "x.json"))
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "line 4" in err and "abc" in err
+        assert err.startswith("error:") and "line 4" in err and shown in err
 
     @pytest.mark.parametrize("case", [
         "missing_column", "single_site", "nan_outcome", "inf_outcome",

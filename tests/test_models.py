@@ -259,6 +259,9 @@ class TestSimulate:
     def test_csv_round_trip(self, micro_data, tmp_path):
         path = tmp_path / "data.csv"
         save_microcredit_csv(micro_data, path)
+        # blank lines are skipped, as csv.DictReader skipped them
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + [""] + lines[2:] + ["", ""]) + "\n")
         back = load_microcredit_csv(path)
         assert np.array_equal(back.site, micro_data.site)
         assert np.array_equal(back.treatment, micro_data.treatment)
