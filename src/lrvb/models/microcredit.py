@@ -50,9 +50,11 @@ in the six sums (Roberts & Sahu, JRSS-B 1997), so its
 ``coordinate_moves`` keep every site's row for a whole chain and price
 a move of site k's effect or log v_k as f + c.(r_k' - r_k), with
 c = (1, -a_n, -b_n, -p11/2, -p12, -p22/2) re-priced only when a
-precision move is accepted: O(1) per site move.  A move of (mu, tau)
-re-evaluates every site's deviations, O(K).  The rows are evaluated from
-the sampler's values, never accumulated, and each sweep re-sums them.
+precision move is accepted: O(1) per site move, summed over the four
+entries an effect move changes or the three a noise move changes.  A
+move of (mu, tau) re-evaluates every site's deviations, O(K).  The rows
+are evaluated from the sampler's values, never accumulated, and each
+sweep re-sums them.
 Its independent check is the literal per-site loop reference in
 ``tests/test_microcredit_reference.py``.
 
@@ -64,7 +66,6 @@ and the Lambda of the last alpha that passed validation.
 import csv
 import math
 from dataclasses import dataclass
-from operator import mul, sub
 
 import numpy as np
 from scipy.special import gammaln
@@ -297,6 +298,8 @@ def build_microcredit_model(data, priors=None):
     # the sites, and one row of floats per site for the sampler's site moves
     site_data = (syy, sy, syt, n, st2, st)
     data_rows = np.column_stack(site_data).tolist()
+    # the site of each sampler site coordinate: mu_k and tau_k, then log v_k
+    site_of = [None, None] + [i // 2 for i in range(2 * k_sites)] + list(range(k_sites))
 
     def site_quad(e1, e2, e11, e12, e22, data=site_data):
         """sum_i (y_ik - mu_k - T_ik tau_k)^2 for every site k, linear in the
@@ -546,17 +549,23 @@ def build_microcredit_model(data, priors=None):
                     value = from_sums(g_new, sums)
                     move = value, None, (g_new, sums), None
                     return value
-                k = (j - 2) // 2 if j < pos_noise else j - pos_noise
+                # c.(r_k' - r_k) without the entries the move leaves as they
+                # are: their terms are c_i * 0.0, as every kept row is finite
+                k = site_of[j]
                 old, muk, tauk = rows[k], x.item(2 * k + 2), x.item(2 * k + 3)
                 if j < pos_noise:
                     muk, tauk = (xj, tauk) if j % 2 == 0 else (muk, xj)
-                    new = [site_terms(muk, tauk, *old[1:3], data_rows[k])[0], *old[1:3],
-                           *deviations(g[0], g[1], muk, tauk)]
+                    lik = site_terms(muk, tauk, old[1], old[2], data_rows[k])[0]
+                    d11, d12, d22 = deviations(g[0], g[1], muk, tauk)
+                    new = [lik, old[1], old[2], d11, d12, d22]
+                    value = f + (c[0] * (lik - old[0]) + c[3] * (d11 - old[3])
+                                 + c[4] * (d12 - old[4]) + c[5] * (d22 - old[5]))
                 else:
                     inv_v = _exp_quiet(-xj)
-                    new = [site_terms(muk, tauk, xj, inv_v, data_rows[k])[0], xj, inv_v,
-                           *old[3:]]
-                value = f + sum(map(mul, c, map(sub, new, old)))
+                    lik = site_terms(muk, tauk, xj, inv_v, data_rows[k])[0]
+                    new = [lik, xj, inv_v, *old[3:]]
+                    value = f + (c[0] * (lik - old[0]) + c[1] * (xj - old[1])
+                                 + c[2] * (inv_v - old[2]))
                 if not math.isfinite(value):  # a row past the float range
                     value = -math.inf
                 move = value, k, new, None

@@ -5,10 +5,17 @@ touching the linear-response path: exact conjugate updates, adaptive
 quadrature over the underlying variables, a seeded random-walk
 Metropolis sampler, and a perturb-and-rerun comparator that measures
 actual changes in posterior means against the predicted derivatives.
-All outputs are reproducible under fixed seeds.
+All outputs are reproducible under fixed seeds.  The comparator's mcmc
+engine runs its perturbed chain in a child made by ``os.fork()`` while
+the base chain runs here, so it needs a platform with ``os.fork``; its
+results are bitwise those of running the two chains in turn.
 """
 
 import itertools
+import os
+import pickle
+import signal
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -342,10 +349,13 @@ def metropolis_sample(log_target, init, config, adapt_sweeps=500):
     def sweep(f, accept_counter):
         steps = (scales * rng.normal(size=d)).tolist()
         logu = np.log(rng.random(d)).tolist()
+        # coordinate j changes only at its own move, so x read at the start
+        # of the sweep holds its current value
+        start = x.tolist()
         if resum is not None:
             f = resum()
         for j in range(d):
-            xj = x.item(j) + steps[j]
+            xj = start[j] + steps[j]
             fp = propose(j, xj)
             if fp - f > logu[j]:
                 accept()
@@ -355,17 +365,17 @@ def metropolis_sample(log_target, init, config, adapt_sweeps=500):
 
     # adaptation phase (discarded)
     window = 50
-    acc = np.zeros(d)
+    acc = [0] * d
     for sweep_idx in range(adapt_sweeps):
         f = sweep(f, acc)
         if (sweep_idx + 1) % window == 0:
-            rate = acc / window
+            rate = np.array(acc) / window
             scales *= np.exp(np.clip(rate - 0.44, -0.5, 0.5))
-            acc[:] = 0.0
+            acc = [0] * d
 
     kept = config.chain_length - config.burn_in
     draws = np.empty((kept, d))
-    acc_total = np.zeros(d)
+    acc_total = [0] * d
     for it in range(config.chain_length):
         f = sweep(f, acc_total)
         if it >= config.burn_in:
@@ -389,6 +399,73 @@ def _full_moves(log_target, x):
         return float(log_target(prop))
 
     return None, propose, lambda: None
+
+
+def _beside_forked_child(here, there):
+    """(here(), there()), with there() run in a child made by os.fork()
+    while this process runs here().
+
+    The child pickles its result, or the exception it raised, and the
+    warnings it caught into a pipe, then leaves with os._exit: it runs no
+    atexit handler and flushes no stdio buffer it inherited.  This process
+    reads the pipe to EOF, reaps the child and issues the child's warnings
+    after its own.  An exception of here() wins over one of there(), as
+    when the two run in turn, and any exception here, KeyboardInterrupt
+    included, kills and reaps the child.  Processes, not threads: calls
+    into OpenBLAS from threads of one process have not been shown safe."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        _child(there, read_fd, write_fd)  # does not return
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            mine = here()
+            payload = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:  # it did not answer in full: killed, say by the OOM killer
+        raise RuntimeError(f"the forked child ended with exit code {code}")
+    ok, theirs, caught = pickle.loads(payload)
+    for message, category, filename, lineno in caught:
+        warnings.warn_explicit(message, category, filename, lineno)
+    if not ok:
+        raise theirs
+    return mine, theirs
+
+
+def _child(there, read_fd, write_fd):
+    """The forked child's whole life: run there(), send (True, result,
+    warnings) or (False, exception, warnings) down write_fd, and leave
+    without cleaning up."""
+    status = 1
+    try:
+        os.close(read_fd)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                outcome = True, there()
+            except BaseException as exc:
+                outcome = False, exc
+        shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        try:
+            payload = pickle.dumps((*outcome, shown), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            payload = pickle.dumps((False, RuntimeError(
+                f"the forked child's outcome does not pickle: {exc}"), []))
+        view = memoryview(payload)
+        while view:
+            view = view[os.write(write_fd, view):]
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def batch_means_se(series):
@@ -478,6 +555,13 @@ def perturb_and_rerun(model, direction, engine, step=None, sol=None, sys=None,
     sharing one seed).  Forward differences with step ``step`` (default
     1% of the dominant hyperparameter magnitude); the Vb and Quadrature
     engines Richardson-extrapolate with a halved step.
+
+    The mcmc engine runs the perturbed chain in a child made by
+    ``os.fork()`` (so it needs ``os.fork``) while this process runs the
+    base chain.  Each chain is a deterministic function of its target, the
+    start point and the seeded config, so the results are bitwise those of
+    running the two in turn.  Where both chains raise, the base chain's
+    error is the one raised, as in that order.
     """
     from . import linear_response, robustness
 
@@ -527,8 +611,8 @@ def perturb_and_rerun(model, direction, engine, step=None, sol=None, sys=None,
                     {"acceptance_rate": run.acceptance_rate,
                      "min_ess": float(np.min(run.ess))})
 
-        (stats_base, base), (stats_pert, pert) = (
-            chain(a) for a in (alpha, alpha.perturbed(direction, step)))
+        (stats_base, base), (stats_pert, pert) = _beside_forked_child(
+            lambda: chain(alpha), lambda: chain(alpha.perturbed(direction, step)))
         chains = {"base": base, "perturbed": pert}
         diff = (stats_pert - stats_base) / step
         if not np.any(diff):

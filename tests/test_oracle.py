@@ -1,18 +1,23 @@
 import dataclasses
 import functools
+import os
+import subprocess
+import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats as st
 
-from lrvb import mfvb, oracle
+from lrvb import cli, mfvb, oracle
 from lrvb.errors import (DegenerateChain, DomainError, NotConjugate,
                          QuadratureFailure)
 from lrvb.models import (build_microcredit_model, load_microcredit_csv,
                          normal_normal_model)
 from lrvb.oracle import McmcConfig
 
-from conftest import BUNDLED_CSV, NN_DATA
+from conftest import BUNDLED_CSV, NN_DATA, ROOT
 
 
 class TestQuadratureExpectation:
@@ -481,6 +486,25 @@ class TestCachedMoves:
         assert np.array_equal(runs["cached"][0].draws, runs["full"][0].draws)
 
 
+def _serial_rerun(model, sol, direction, step, config):
+    """The mcmc engine's result rebuilt in this process: the chain at alpha,
+    then the chain at the perturbed alpha, in turn."""
+    alpha, layout = model.hyperparams, model.layout
+    z0 = layout.sampler_from_values(layout.representative_values(sol.mean))
+    runs = [oracle.metropolis_sample(oracle.sampler_log_target(model, a), z0, config)
+            for a in (alpha, alpha.perturbed(direction, step))]
+    base, pert = (layout.suff_stats_of_sampler_matrix(r.draws) for r in runs)
+    diff = (pert - base) / step
+    chains = {role: {"acceptance_rate": r.acceptance_rate, "min_ess": float(np.min(r.ess))}
+              for role, r in zip(("base", "perturbed"), runs)}
+    return diff.mean(axis=0), oracle.batch_means_se(diff)[0], chains
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestPerturbAndRerun:
     def test_quadrature_engine_exact_for_gaussian(self, nn_model):
         res = oracle.perturb_and_rerun(nn_model, {"prior_nat_1": 1.0},
@@ -532,3 +556,128 @@ class TestPerturbAndRerun:
     def test_degenerate_direction_or_step_rejected(self, nn_model, direction, step):
         with pytest.raises(DomainError):
             oracle.perturb_and_rerun(nn_model, direction, engine="vb", step=step)
+
+    # the mcmc engine runs the perturbed chain in a forked child
+
+    @pytest.fixture(scope="class")
+    def bundled(self):
+        model = build_microcredit_model(load_microcredit_csv(BUNDLED_CSV))
+        return model, mfvb.fit(model)
+
+    @pytest.mark.parametrize("which", ["nn", "bundled"])
+    def test_fork_changes_no_result(self, nn_model, bundled, which):
+        if which == "nn":
+            model, sol = nn_model, mfvb.fit(nn_model)
+            direction, step = {"prior_nat_1": 1.0}, 0.3
+        else:
+            (model, sol), direction, step = bundled, {"prior_info_11": 1.0}, 1.0
+        config = McmcConfig(chain_length=1500, burn_in=300, seed=2)
+        res = oracle.perturb_and_rerun(model, direction, "mcmc", step=step, sol=sol,
+                                       mcmc_config=config)
+        actual, se, chains = _serial_rerun(model, sol, direction, step, config)
+        assert np.array_equal(res.actual_deltas, actual)
+        assert np.array_equal(res.mc_standard_errors, se)
+        assert res.chains["base"] == chains["base"]
+        assert res.chains["perturbed"] == chains["perturbed"]
+        # swapping the two roles would change both
+        assert np.any(actual != 0) and chains["base"] != chains["perturbed"]
+        _no_child_left()
+
+    def test_child_error_reraised_in_parent(self, nn_model):
+        # the perturbed target is -inf at z0; the base target is not
+        direction, step = {"prior_nat_1": 1.0}, 1e300
+        sol = mfvb.fit(nn_model)
+        config = McmcConfig(chain_length=200, burn_in=50)
+        with pytest.raises(DomainError) as serial:
+            _serial_rerun(nn_model, sol, direction, step, config)
+        with pytest.raises(DomainError) as forked:
+            oracle.perturb_and_rerun(nn_model, direction, "mcmc", step=step, sol=sol,
+                                     mcmc_config=config)
+        assert str(forked.value) == str(serial.value) == (
+            "log target not finite at the initial point")
+        _no_child_left()
+
+    @pytest.fixture
+    def before_sampling(self, monkeypatch):
+        """before_sampling(hook): metropolis_sample first calls
+        hook(in_parent), True in this process and False in the forked child."""
+        parent, sample = os.getpid(), oracle.metropolis_sample
+
+        def install(hook):
+            def sampler(*args, **kwargs):
+                hook(os.getpid() == parent)
+                return sample(*args, **kwargs)
+
+            monkeypatch.setattr(oracle, "metropolis_sample", sampler)
+
+        return install
+
+    @pytest.mark.parametrize("exc", [DegenerateChain("parent chain"), KeyboardInterrupt()])
+    def test_parent_error_kills_and_reaps_the_child(self, nn_model, before_sampling, exc):
+        def hook(in_parent):
+            if in_parent:
+                raise exc
+
+        before_sampling(hook)
+        # a child left to finish its chain would take tens of seconds
+        config = McmcConfig(chain_length=3_000_000, burn_in=0)
+        start = time.perf_counter()
+        with pytest.raises(type(exc)) as info:
+            oracle.perturb_and_rerun(nn_model, {"prior_nat_1": 1.0}, "mcmc", step=0.3,
+                                     mcmc_config=config)
+        assert info.value is exc
+        assert time.perf_counter() - start < 5.0
+        _no_child_left()
+
+    def test_base_chain_error_wins(self, nn_model, before_sampling):
+        def hook(in_parent):
+            raise DegenerateChain("base" if in_parent else "perturbed")
+
+        before_sampling(hook)
+        with pytest.raises(DegenerateChain, match="^base$"):
+            oracle.perturb_and_rerun(nn_model, {"prior_nat_1": 1.0}, "mcmc", step=0.3,
+                                     mcmc_config=McmcConfig(chain_length=300, burn_in=50))
+        _no_child_left()
+
+    def test_child_degenerate_chain_exits_3(self, before_sampling, tmp_path, capsys):
+        def hook(in_parent):
+            if not in_parent:
+                raise DegenerateChain("perturbed chain degenerate")
+
+        before_sampling(hook)
+        out = tmp_path / "cmp.json"
+        code = cli.main(["compare", "--model", "normal-normal", "--engine", "mcmc",
+                         "--direction", "prior_nat_1=1", "--step", "0.3",
+                         "--chain-length", "300", "--burn-in", "50", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure [DegenerateChain]: perturbed chain degenerate\n")
+        assert not out.exists()
+        _no_child_left()
+
+    def test_child_warnings_issued_in_parent(self, nn_model, before_sampling):
+        before_sampling(lambda in_parent: warnings.warn(
+            "from parent" if in_parent else "from child"))
+        with pytest.warns(UserWarning) as record:
+            oracle.perturb_and_rerun(nn_model, {"prior_nat_1": 1.0}, "mcmc", step=0.3,
+                                     mcmc_config=McmcConfig(chain_length=300, burn_in=50))
+        assert [str(w.message) for w in record] == ["from parent", "from child"]
+        _no_child_left()
+
+    def test_stdio_buffer_written_once(self):
+        # stdout to a pipe is block-buffered: a child that flushed the
+        # buffer it inherited would write the line a second time
+        script = ("import numpy as np\n"
+                  "from lrvb import oracle\n"
+                  "from lrvb.models import normal_normal_model\n"
+                  "print('written once')\n"
+                  f"model = normal_normal_model(np.array({NN_DATA.tolist()}), 1.0, "
+                  "('moment', 0.0, 1.0))\n"
+                  "oracle.perturb_and_rerun(model, {'prior_nat_1': 1.0}, 'mcmc', step=0.3,"
+                  " mcmc_config=oracle.McmcConfig(chain_length=300, burn_in=50))\n")
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "written once\n"
