@@ -3,35 +3,39 @@
 Every variational factor lives in one of five families and can be
 addressed through three equivalent coordinate systems: natural
 parameters, mean parameters (expected sufficient statistics), and the
-familiar standard parameters.  This script walks through the
-conversions, the statistic covariances, and the closed-form moments
-used by the covariance-decomposition prior, checking each against a
-Monte Carlo estimate as it goes.
+familiar standard parameters.  Each family is one object in
+``lrvb.expfam.FAMILIES`` whose methods map between them, so this script
+walks through the conversions, the statistic covariances, the entropy
+A(eta) - eta.m and the closed-form moments used by the
+covariance-decomposition prior with those methods, checking each against
+a Monte Carlo estimate as it goes.
 """
 
 import numpy as np
 
 from lrvb import expfam as ef
-from lrvb.expfam import ExpFamBlock, Family
+from lrvb.expfam import FAMILIES, Family
 
 rng = np.random.default_rng(0)
 
 print("=" * 70)
 print("Dual coordinates of a scalar Gaussian block")
 print("=" * 70)
-block = ExpFamBlock.from_natural(Family.GAUSSIAN_UNIVARIATE, [0.5, -0.125])
-mu, var = ef.FAMILIES[Family.GAUSSIAN_UNIVARIATE].standard_from_natural(block.natural)
-print(f"natural parameters : {block.natural}")
+gauss = FAMILIES[Family.GAUSSIAN_UNIVARIATE]
+eta = np.array([0.5, -0.125])
+mean = gauss.mean_from_natural(eta)
+mu, var = gauss.standard_from_natural(eta)
+print(f"natural parameters : {eta}")
 print(f"standard (mu, var) : ({mu:g}, {var:g})")
-print(f"mean parameters    : {block.mean}   <- (E[x], E[x^2])")
-print(f"round trip natural : {ef.natural_from_mean(block)}")
+print(f"mean parameters    : {mean}   <- (E[x], E[x^2])")
+print(f"round trip natural : {gauss.natural_from_mean(mean)}")
 
 print()
 print("Statistic covariance = Jacobian of the mean map:")
-cov = ef.suff_stat_covariance(block)
+cov = gauss.suff_stat_cov(eta)
 print(cov)
-draws = ef.sample_block(block, 200_000, rng)
-stats = ef.block_suff_stats(block, draws)
+draws = gauss.sample(eta, 200_000, rng)
+stats = gauss.suff_stats(draws)
 print("Monte Carlo covariance of (x, x^2):")
 print(np.cov(stats.T))
 
@@ -44,10 +48,11 @@ for family, params in [
     (Family.GAMMA, (1.0, 1.0)),
     (Family.INVERSE_GAMMA, (2.5, 2.0)),
 ]:
-    blk = ExpFamBlock.from_standard(family, *params)
-    d = ef.sample_block(blk, 50_000, rng)
-    mc = -np.mean([ef.block_log_density(blk, d[i]) for i in range(2_000)])
-    print(f"{family.value:22s} entropy {ef.entropy(blk):+.6f}   MC ~ {mc:+.4f}")
+    fam = FAMILIES[family]
+    eta = fam.natural_from_standard(*params)
+    d = fam.sample(eta, 50_000, rng)
+    mc = -np.mean([fam.log_density(d[i], eta) for i in range(2_000)])
+    print(f"{family.value:22s} entropy {ef.entropy(family, eta):+.6f}   MC ~ {mc:+.4f}")
 
 print()
 print("=" * 70)
@@ -55,8 +60,8 @@ print("Wishart block: closed-form moments of the precision and its inverse")
 print("=" * 70)
 dof, scale = 7.0, np.array([[0.4, 0.1], [0.1, 0.3]])
 w = ef.wishart_expectations(dof, scale)
-blk = ExpFamBlock.from_standard(Family.WISHART, dof, scale)
-draws = ef.sample_block(blk, 100_000, rng)
+wishart = FAMILIES[Family.WISHART]
+draws = wishart.sample(wishart.natural_from_standard(dof, scale), 100_000, rng)
 inv = np.linalg.inv(draws)
 diag = inv[:, [0, 1], [0, 1]]
 print("E[precision]       :", w.mean_precision.ravel(),

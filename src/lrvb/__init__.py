@@ -8,10 +8,8 @@ from .errors import (DegenerateChain, DimensionMismatch, DomainError,
                      NonDifferentiablePrior, NormalizationFailure,
                      NotConjugate, QuadratureFailure, SingularSystem,
                      ZeroPriorDensity)
-from .expfam import (ExpFamBlock, Family, WishartExpectations, entropy,
-                     invgamma_sqrt_expectation, mean_from_natural,
-                     natural_from_mean, suff_stat_covariance,
-                     wishart_expectations)
+from .expfam import (Family, WishartExpectations, entropy,
+                     invgamma_sqrt_expectation, wishart_expectations)
 from .linear_response import LrvbSystem, build_system, function_sensitivity
 from .mfvb import (BlockDef, FitOptions, Hyperparams, Layout, ModelSpec,
                    VbSolution, elbo, elbo_grad_mean, fit)

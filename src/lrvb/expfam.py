@@ -26,10 +26,12 @@ them, and an (n, stat_dim) array is n blocks, each result gaining that
 leading axis.  A check raises if any block fails it.  No map loops over
 blocks; the underlying-variable helpers take one block.
 
-Family interface.  Each object in ``FAMILIES`` owns its family's
-conventions, so no other module branches on a ``Family`` member: beside
-the maps above (``fit_terms`` among them, see Fit coordinates below),
-``stat_dim``, ``coord_names(block)``, ``has_location`` (the first var_dim
+Family interface.  The objects in ``FAMILIES`` are the one interface to
+the families, and each owns its family's conventions, so no other module
+branches on a ``Family`` member: beside the maps above (``fit_terms``
+among them, see Fit coordinates below; ``mean_from_natural`` raises
+DomainError outside ``check_natural``'s domain), ``stat_dim``,
+``coord_names(block)``, ``has_location`` (the first var_dim
 statistics are x), ``scalar`` (x is one float), ``quad_support()`` (the
 (lo, hi) range of x that every density query of :mod:`lrvb.robustness`
 and :mod:`lrvb.oracle` integrates over; the multivariate Gaussian and
@@ -47,22 +49,20 @@ fit's objective and gradient needs at the family's fit coordinates z (see
 :class:`FitTerms`): the mean and natural parameters, the entropy and
 d mean / d z, all from one pass through the standard parameters, with the
 domain checks of ``mean_from_standard`` and ``natural_from_standard``.
-``entropy_unconstrained`` and ``mean_jacobian_unconstrained`` read their
-term off it.  The entropy is each family's closed form in z, and it
-never forms A(eta) - eta @ m, whose terms cancel catastrophically for a
-concentrated block (a Gaussian with mu' Sigma^-1 mu >> 1, say); that
-difference is :func:`entropy`, kept as the reference implementation the
-closed forms are tested against.
+The entropy is each family's closed form in z, and it never forms
+A(eta) - eta @ m, whose terms cancel catastrophically for a concentrated
+block (a Gaussian with mu' Sigma^-1 mu >> 1, say); that difference is
+:func:`entropy`, kept as the reference implementation the closed forms
+are tested against.
 
-All functions are pure and :class:`ExpFamBlock` instances are immutable.
-They call into the same BLAS library as every other stage, and concurrent
-calls from threads of one process have not been shown safe with it; run
-independent work in separate processes.
+All functions are pure.  They call into the same BLAS library as every
+other stage, and concurrent calls from threads of one process have not
+been shown safe with it; run independent work in separate processes.
 """
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -84,45 +84,6 @@ class Family(enum.Enum):
     GAMMA = "gamma"
     INVERSE_GAMMA = "inverse_gamma"
     WISHART = "wishart"
-
-
-@dataclass(frozen=True)
-class ExpFamBlock:
-    """One mean-field factor: family tag plus dual parameter vectors.
-
-    ``dim`` is the length of the sufficient-statistic vector; ``var_dim``
-    the dimension of the underlying variable (matrix side length for
-    Wishart blocks).
-    """
-
-    family: Family
-    dim: int
-    natural: np.ndarray
-    mean: np.ndarray
-    var_dim: int = field(default=0)
-
-    @staticmethod
-    def from_natural(family, natural):
-        fam = FAMILIES[family]
-        natural = np.asarray(natural, dtype=float)
-        var_dim = fam.var_dim_from_stat_dim(natural.size)
-        fam.check_natural(natural, var_dim)
-        mean = fam.mean_from_natural(natural, var_dim)
-        return ExpFamBlock(family, natural.size, natural, mean, var_dim)
-
-    @staticmethod
-    def from_mean(family, mean):
-        fam = FAMILIES[family]
-        mean = np.asarray(mean, dtype=float)
-        var_dim = fam.var_dim_from_stat_dim(mean.size)
-        natural = fam.natural_from_mean(mean, var_dim)
-        return ExpFamBlock(family, mean.size, natural, mean, var_dim)
-
-    @staticmethod
-    def from_standard(family, *params):
-        fam = FAMILIES[family]
-        natural = fam.natural_from_standard(*params)
-        return ExpFamBlock.from_natural(family, natural)
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +173,13 @@ class _Family:
             raise DomainError(f"{self.family.value} blocks have 2 statistics")
         return 1
 
-    def mean_from_natural(self, eta, var_dim=None):
+    def mean_from_natural(self, eta):
+        eta = np.asarray(eta, dtype=float)
+        self.check_natural(eta, self.var_dim_from_stat_dim(eta.shape[-1]))
         return self.mean_from_standard(*self.standard_from_natural(eta))
 
     def natural_from_mean(self, m, var_dim=None):
         return self.natural_from_standard(*self.standard_from_mean(m))
-
-    def entropy_unconstrained(self, z):
-        return self.fit_terms(z).entropy
-
-    def mean_jacobian_unconstrained(self, z):
-        return self.fit_terms(z).jacobian
 
 
 class _Gaussian(_Family):
@@ -808,47 +765,18 @@ FAMILIES = {
 
 
 # ---------------------------------------------------------------------------
-# public block operations
+# the entropy reference and closed-form moments
 # ---------------------------------------------------------------------------
 
 
-def mean_from_natural(block):
-    """Expected sufficient statistics under the block's natural parameters."""
-    fam = FAMILIES[block.family]
-    fam.check_natural(block.natural, block.var_dim)
-    return fam.mean_from_natural(block.natural, block.var_dim)
-
-
-def natural_from_mean(block):
-    """Natural parameters recovering the block's mean parameters."""
-    fam = FAMILIES[block.family]
-    return fam.natural_from_mean(block.mean, block.var_dim)
-
-
-def suff_stat_covariance(block):
-    """Covariance of the sufficient statistics; the log-partition Hessian."""
-    fam = FAMILIES[block.family]
-    fam.check_natural(block.natural, block.var_dim)
-    return fam.suff_stat_cov(block.natural)
-
-
-def log_partition(block):
-    fam = FAMILIES[block.family]
-    fam.check_natural(block.natural, block.var_dim)
-    return fam.log_partition(block.natural)
-
-
-def entropy(block):
-    """Differential entropy, A(eta) - eta @ m.
-
-    The negative of the expected log density; valid for every family here
-    because all five have unit base measure.  This is the reference the
-    families' closed-form ``entropy_unconstrained`` is tested against; the
-    difference loses digits when the block is concentrated.
-    """
-    fam = FAMILIES[block.family]
-    fam.check_natural(block.natural, block.var_dim)
-    return fam.log_partition(block.natural) - float(block.natural @ block.mean)
+def entropy(family, eta):
+    """Differential entropy A(eta) - eta @ m at natural parameters eta, of
+    one block or a stack, m their mean parameters (all five families have
+    unit base measure): the reference the closed forms of ``fit_terms`` are
+    tested against, which loses digits for a concentrated block."""
+    fam = FAMILIES[family]
+    eta = np.asarray(eta, dtype=float)
+    return fam.log_partition(eta) - np.sum(eta * fam.mean_from_natural(eta), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -886,15 +814,23 @@ def wishart_expectations(dof, scale):
     scale_inv = (scale_inv + scale_inv.T) / 2.0
     _, logdet_scale = np.linalg.slogdet(scale)
     diag = np.diag(scale_inv)
-    marg_shape = (dof - k + 1.0) / 2.0
+    log_sigma_diag, inv_sigma_diag = wishart_marginal_moments(dof, diag, k)
     return WishartExpectations(
         mean_precision=dof * scale,
         logdet=multidigamma(dof / 2.0, k) + logdet_scale + k * np.log(2.0),
-        log_sigma_diag=np.log(diag / 2.0) - digamma(marg_shape),
+        log_sigma_diag=log_sigma_diag,
         sqrt_sigma_diag=np.sqrt(diag / 2.0)
-        * np.exp(gammaln((dof - k) / 2.0) - gammaln(marg_shape)),
-        inv_sigma_diag=(dof - k + 1.0) / diag,
+        * np.exp(gammaln((dof - k) / 2.0) - gammaln((dof - k + 1.0) / 2.0)),
+        inv_sigma_diag=inv_sigma_diag,
     )
+
+
+def wishart_marginal_moments(dof, scale_inv_diag, k):
+    """E[log S_jj] and E[1/S_jj] for S = X^-1 with X ~ Wishart(scale V,
+    dof n) over K x K matrices, from the diagonal of V^-1: S_jj is inverse
+    gamma with shape (n-K+1)/2 and scale (V^-1)_jj / 2."""
+    return (np.log(scale_inv_diag / 2.0) - digamma((dof - k + 1.0) / 2.0),
+            (dof - k + 1.0) / scale_inv_diag)
 
 
 def invgamma_sqrt_expectation(shape, scale):
@@ -904,18 +840,3 @@ def invgamma_sqrt_expectation(shape, scale):
     if scale <= 0:
         raise DomainError(f"scale must be positive, got {scale}")
     return np.sqrt(scale) * np.exp(gammaln(shape - 0.5) - gammaln(shape))
-
-
-def sample_block(block, size, rng):
-    """Draws of the underlying variable (rows index draws)."""
-    return FAMILIES[block.family].sample(block.natural, size, rng)
-
-
-def block_suff_stats(block, x):
-    """Sufficient statistics of draws, shape (n_draws, block.dim)."""
-    return FAMILIES[block.family].suff_stats(x)
-
-
-def block_log_density(block, x):
-    """Log density of the underlying variable at x."""
-    return FAMILIES[block.family].log_density(x, block.natural)

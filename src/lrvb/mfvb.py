@@ -74,7 +74,7 @@ class Layout:
     linear-response map is one batched family call per group (see
     :mod:`lrvb.expfam`) and never loops over blocks, the Wishart dof solve
     included.  The entropy is the sum of each family's closed form in fit
-    coordinates (``entropy_unconstrained``); at a mean vector it goes
+    coordinates (the ``entropy`` of ``fit_terms``); at a mean vector it goes
     through ``unconstrained_from_mean``.  The fit's objective and gradient
     read :meth:`fit_terms`, one pass over the groups, and
     :meth:`jacobian_transpose_times`, which never forms the dense
@@ -223,7 +223,7 @@ class Layout:
             for fam, _, idx in self.groups)
 
     def entropy_from_unconstrained(self, z):
-        return float(sum(np.sum(fam.entropy_unconstrained(z[idx]))
+        return float(sum(np.sum(fam.fit_terms(z[idx]).entropy)
                          for fam, _, idx in self.groups))
 
     def fit_terms(self, z):
@@ -244,7 +244,7 @@ class Layout:
 
     def mean_jacobian(self, z):
         """Block-diagonal d mean / d unconstrained."""
-        return self._block_diagonal(fam.mean_jacobian_unconstrained(z[idx])
+        return self._block_diagonal(fam.fit_terms(z[idx]).jacobian
                                     for fam, _, idx in self.groups)
 
     def mean_jacobian_solve(self, jacobians, rhs, trans=False):
@@ -590,16 +590,11 @@ def fit(model, init=None, opts=None, alpha=None):
     return solution
 
 
-def _newton_step(model, z, grad, alpha):
-    """Newton step J^-1 dm on -ELBO, (I - VH) dm = V g with J' g = -grad, damped in m
-    by lam V (Levenberg-Marquardt on V^-1 - H + lam I); else steepest descent."""
-    return _newton_factor(model, model.layout.fit_terms(z), grad, alpha)[1]
-
-
 def _newton_factor(model, terms, grad, alpha):
-    """(factorization, step) at the point of the layout's fit terms: the step
-    of :func:`_newton_step` and the (LU of (I - VH) + lam V, V) it solved,
-    or None for steepest descent."""
+    """(factorization, step) at the point of the layout's fit terms: the
+    Newton step J^-1 dm on -ELBO, (I - VH) dm = V g with J' g = -grad, damped
+    in m by lam V (Levenberg-Marquardt on V^-1 - H + lam I), and the (LU of
+    (I - VH) + lam V, V) it solved; else (None, steepest descent)."""
     layout = model.layout
     m, _, _, jacobians = terms
     g = layout.mean_jacobian_solve(jacobians, -grad, trans=True)

@@ -29,9 +29,9 @@ the K site-noise blocks (2 each) and ``effect_prec`` (4).  Two integer
 arrays built once place every site: row k of ``eff`` (K, 5) and ``noi``
 (K, 2) holds site k's coordinates, so ``m[eff]`` and ``m[noi]`` are
 per-site views and each expected term is one array expression over all
-sites.  The Wishart marginal moments E[log S_jj] and E[1/S_jj] are the
-inverse-gamma moments of :class:`lrvb.expfam.WishartExpectations`, read
-from the inverse scale the gradient needs anyway.  Site k's blocks
+sites.  The Wishart marginal moments E[log S_jj] and E[1/S_jj] come from
+:func:`lrvb.expfam.wishart_marginal_moments`, as in ``wishart_expectations``,
+at the inverse scale the gradient needs anyway.  Site k's blocks
 ``effects_k`` and ``noise_k`` couple only with each other and with ``top``
 and ``effect_prec``, so the model declares them as one of its
 ``local_groups``: the objective Hessian then costs 2 (9 + 7) = 32
@@ -51,7 +51,8 @@ in the six sums (Roberts & Sahu, JRSS-B 1997), so its
 a move of site k's effect or log v_k as f + c.(r_k' - r_k), with
 c = (1, -a_n, -b_n, -p11/2, -p12, -p22/2) re-priced only when a
 precision move is accepted: O(1) per site move, summed over the four
-entries an effect move changes or the three a noise move changes.  A
+entries an effect move changes or the three a noise move changes, and
+accepting it updates only those entries of the row and the sums.  A
 move of (mu, tau) re-evaluates every site's deviations, O(K).  The rows
 are evaluated from the sampler's values, never accumulated, and each
 sweep re-sums them.
@@ -71,10 +72,10 @@ import numpy as np
 from scipy.special import gammaln
 
 from ..errors import DomainError
-from ..expfam import FAMILIES, Family
+from ..expfam import FAMILIES, Family, wishart_marginal_moments
 from ..mfvb import BlockDef, Hyperparams, Layout, ModelSpec
-from ..util import (digamma, is_pos_def, multitrigamma, tril, trigamma, unvech, vech,
-                    vech_dim, vech_dup)
+from ..util import (is_pos_def, multitrigamma, tril, trigamma, unvech, vech, vech_dim,
+                    vech_dup)
 
 _GM = FAMILIES[Family.GAUSSIAN_MULTIVARIATE]
 _IG = FAMILIES[Family.INVERSE_GAMMA]
@@ -335,7 +336,7 @@ def build_microcredit_model(data, priors=None):
         and the mean-coordinate gradients of their sums over j as the two
         columns of a (4, 2) array.  S_jj is inverse gamma with shape
         (dof - K + 1)/2 and scale P_jj / 2 for P = scale^-1 (see
-        :class:`lrvb.expfam.WishartExpectations`).  Derived once per
+        :func:`lrvb.expfam.wishart_marginal_moments`).  Derived once per
         distinct means: the last terms are kept, keyed on their exact
         bytes; a failing derivation keeps nothing."""
         nonlocal wishart
@@ -346,8 +347,7 @@ def build_microcredit_model(data, priors=None):
             p = np.linalg.inv(scale)
             p = (p + p.T) / 2.0
             pjj = np.diag(p)
-            log_sigma_diag = np.log(pjj / 2.0) - digamma((dof - KW + 1.0) / 2.0)
-            inv_sigma_diag = (dof - KW + 1.0) / pjj
+            log_sigma_diag, inv_sigma_diag = wishart_marginal_moments(dof, pjj, KW)
             # d(block mean)/d(vech scale, dof); rows match the block layout
             nv = vech_dim(KW)
             jac = np.zeros((nv + 1, nv + 1))
@@ -549,21 +549,22 @@ def build_microcredit_model(data, priors=None):
                     value = from_sums(g_new, sums)
                     move = value, None, (g_new, sums), None
                     return value
-                # c.(r_k' - r_k) without the entries the move leaves as they
-                # are: their terms are c_i * 0.0, as every kept row is finite
+                # c.(r_k' - r_k) over the (index, value) pairs the move
+                # changes: the others' terms are c_i * 0.0, as every kept row
+                # is finite
                 k = site_of[j]
                 old, muk, tauk = rows[k], x.item(2 * k + 2), x.item(2 * k + 3)
                 if j < pos_noise:
                     muk, tauk = (xj, tauk) if j % 2 == 0 else (muk, xj)
                     lik = site_terms(muk, tauk, old[1], old[2], data_rows[k])[0]
                     d11, d12, d22 = deviations(g[0], g[1], muk, tauk)
-                    new = [lik, old[1], old[2], d11, d12, d22]
+                    new = (0, lik), (3, d11), (4, d12), (5, d22)
                     value = f + (c[0] * (lik - old[0]) + c[3] * (d11 - old[3])
                                  + c[4] * (d12 - old[4]) + c[5] * (d22 - old[5]))
                 else:
                     inv_v = _exp_quiet(-xj)
                     lik = site_terms(muk, tauk, xj, inv_v, data_rows[k])[0]
-                    new = [lik, xj, inv_v, *old[3:]]
+                    new = (0, lik), (1, xj), (2, inv_v)
                     value = f + (c[0] * (lik - old[0]) + c[1] * (xj - old[1])
                                  + c[2] * (inv_v - old[2]))
                 if not math.isfinite(value):  # a row past the float range
@@ -575,8 +576,10 @@ def build_microcredit_model(data, priors=None):
                 nonlocal f, g, c, sums
                 f, k, new, devs = move
                 if k is not None:
-                    sums = [s + (a - b) for s, a, b in zip(sums, new, rows[k])]
-                    rows[k] = new
+                    row = rows[k]  # the other entries' s + 0.0 is s
+                    for i, a in new:
+                        sums[i] += a - row[i]
+                        row[i] = a
                     return
                 g, sums = new
                 if devs is None:

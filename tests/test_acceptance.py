@@ -13,7 +13,7 @@ from lrvb import expfam as ef
 from lrvb import linear_response as lr
 from lrvb import mfvb, oracle
 from lrvb import robustness as rb
-from lrvb.expfam import ExpFamBlock, Family
+from lrvb.expfam import FAMILIES, Family
 from lrvb.models import (build_microcredit_model, gaussian_target_model,
                          normal_invgamma_model, normal_normal_model,
                          simulate_microcredit)
@@ -144,11 +144,11 @@ def test_criterion_6_closed_form_moments():
         scale = (a @ a.T + 0.5 * np.eye(2)) / rng.uniform(2.0, 8.0)
         dof = rng.uniform(3.5, 20.0)
         w = ef.wishart_expectations(dof, scale)
-        blk = ExpFamBlock.from_standard(Family.WISHART, dof, scale)
-        draws = ef.sample_block(blk, 10 ** 5, rng)
+        fam = FAMILIES[Family.WISHART]
+        draws = fam.sample(fam.natural_from_standard(dof, scale), 10 ** 5, rng)
         inv = np.linalg.inv(draws)
         diag = inv[:, [0, 1], [0, 1]]
-        stats = ef.block_suff_stats(blk, draws)
+        stats = fam.suff_stats(draws)
         for mc, exact in [
             (stats[:, :3], vech(w.mean_precision)),
             (stats[:, 3:4], np.array([w.logdet])),

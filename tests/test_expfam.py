@@ -7,7 +7,7 @@ from scipy.special import digamma
 
 from lrvb import expfam as ef
 from lrvb.errors import DomainError
-from lrvb.expfam import ExpFamBlock, Family
+from lrvb.expfam import Family
 from lrvb.util import fd_jacobian, vech, vech_dup
 
 
@@ -27,56 +27,75 @@ def random_natural(family, rng):
                                      (a @ a.T + 2.0 * np.eye(2)) / 5.0)
 
 
+GU = ef.FAMILIES[Family.GAUSSIAN_UNIVARIATE]
+
+
 class TestMeanFromNatural:
     def test_standard_normal(self):
-        blk = ExpFamBlock.from_standard(Family.GAUSSIAN_UNIVARIATE, 0.0, 1.0)
-        assert np.allclose(blk.mean, [0.0, 1.0], atol=1e-14)
+        assert np.allclose(GU.mean_from_natural(GU.natural_from_standard(0.0, 1.0)),
+                           [0.0, 1.0], atol=1e-14)
 
     def test_gaussian_mean_two_var_four(self):
         # natural (0.5, -0.125); second moment is mu^2 + var = 8
-        blk = ExpFamBlock.from_natural(Family.GAUSSIAN_UNIVARIATE, [0.5, -0.125])
-        assert np.allclose(blk.mean, [2.0, 8.0], rtol=1e-12)
+        assert np.allclose(GU.mean_from_natural([0.5, -0.125]), [2.0, 8.0], rtol=1e-12)
 
     def test_gaussian_second_moment_monte_carlo(self):
-        blk = ExpFamBlock.from_natural(Family.GAUSSIAN_UNIVARIATE, [0.5, -0.125])
-        draws = ef.sample_block(blk, 10 ** 6, np.random.default_rng(0))
-        stats = ef.block_suff_stats(blk, draws)
+        eta = np.array([0.5, -0.125])
+        draws = GU.sample(eta, 10 ** 6, np.random.default_rng(0))
+        stats = GU.suff_stats(draws)
         se = stats.std(axis=0) / np.sqrt(draws.size)
-        assert np.all(np.abs(stats.mean(axis=0) - blk.mean) < 3.0 * se)
+        assert np.all(np.abs(stats.mean(axis=0) - GU.mean_from_natural(eta)) < 3.0 * se)
 
     def test_wishart_identity_mean(self):
-        blk = ExpFamBlock.from_standard(Family.WISHART, 5.0, np.eye(2) / 5.0)
-        assert np.allclose(ef.mean_from_natural(blk)[:3], [1.0, 0.0, 1.0], rtol=1e-12)
+        fam = ef.FAMILIES[Family.WISHART]
+        mean = fam.mean_from_natural(fam.natural_from_standard(5.0, np.eye(2) / 5.0))
+        assert np.allclose(mean[:3], [1.0, 0.0, 1.0], rtol=1e-12)
 
-    def test_out_of_domain_raises(self):
+    @pytest.mark.parametrize("family, eta", [
+        # a non-negative second-moment coefficient
+        (Family.GAUSSIAN_UNIVARIATE, [0.0, 0.5]),
+        (Family.GAUSSIAN_UNIVARIATE, [1.0, 0.0]),
+        # -2 * the second-moment matrix is [[1, 2], [2, 1]], not positive definite
+        (Family.GAUSSIAN_MULTIVARIATE, np.concatenate(
+            [np.zeros(2), vech_dup(-0.5 * np.array([[1.0, 2.0], [2.0, 1.0]]))])),
+        # rate term -eta_0 <= 0
+        (Family.GAMMA, [0.5, 1.0]),
+        (Family.GAMMA, [0.0, 1.0]),
+        (Family.INVERSE_GAMMA, [0.5, -3.0]),
+        (Family.INVERSE_GAMMA, [0.0, -3.0]),
+        # dof = 2 eta_last + K + 1 = K + 1
+        (Family.WISHART, np.append(vech_dup(-0.5 * np.eye(2)), 0.0)),
+    ])
+    def test_out_of_domain_raises(self, family, eta):
         with pytest.raises(DomainError):
-            ExpFamBlock.from_natural(Family.GAUSSIAN_UNIVARIATE, [0.0, 0.5])
+            ef.FAMILIES[family].mean_from_natural(np.asarray(eta))
 
 
 class TestRoundTrips:
     @pytest.mark.parametrize("family", list(Family))
     def test_natural_mean_round_trip(self, family):
         rng = np.random.default_rng(101)
+        fam = ef.FAMILIES[family]
         for _ in range(100):
             eta = random_natural(family, rng)
-            blk = ExpFamBlock.from_natural(family, eta)
-            back = ef.natural_from_mean(blk)
+            back = fam.natural_from_mean(fam.mean_from_natural(eta))
             assert np.max(np.abs(back - eta)) < 1e-10 * max(1.0, np.max(np.abs(eta)))
 
 
 class TestSuffStatCovariance:
     def test_standard_normal(self):
-        blk = ExpFamBlock.from_standard(Family.GAUSSIAN_UNIVARIATE, 0.0, 1.0)
-        assert np.allclose(ef.suff_stat_covariance(blk), [[1, 0], [0, 2]], atol=1e-14)
+        cov = GU.suff_stat_cov(GU.natural_from_standard(0.0, 1.0))
+        assert np.allclose(cov, [[1, 0], [0, 2]], atol=1e-14)
 
     def test_shifted_normal_fourth_moment(self):
-        blk = ExpFamBlock.from_standard(Family.GAUSSIAN_UNIVARIATE, 1.0, 1.0)
-        assert np.allclose(ef.suff_stat_covariance(blk), [[1, 2], [2, 6]], atol=1e-12)
+        cov = GU.suff_stat_cov(GU.natural_from_standard(1.0, 1.0))
+        assert np.allclose(cov, [[1, 2], [2, 6]], atol=1e-12)
 
     def test_exponential_trigamma(self):
-        blk = ExpFamBlock.from_standard(Family.GAMMA, 1.0, 1.0)
+        fam = ef.FAMILIES[Family.GAMMA]
         expect = [[1.0, 1.0], [1.0, np.pi ** 2 / 6.0]]
-        assert np.allclose(ef.suff_stat_covariance(blk), expect, rtol=1e-12)
+        assert np.allclose(fam.suff_stat_cov(fam.natural_from_standard(1.0, 1.0)), expect,
+                           rtol=1e-12)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_equals_jacobian_of_mean_map(self, family):
@@ -96,26 +115,29 @@ class TestSuffStatCovariance:
 
 class TestEntropy:
     def test_standard_normal(self):
-        blk = ExpFamBlock.from_standard(Family.GAUSSIAN_UNIVARIATE, 0.0, 1.0)
-        assert np.isclose(ef.entropy(blk), 0.5 * np.log(2.0 * np.pi * np.e), rtol=1e-12)
+        assert np.isclose(ef.entropy(Family.GAUSSIAN_UNIVARIATE,
+                                     GU.natural_from_standard(0.0, 1.0)),
+                          0.5 * np.log(2.0 * np.pi * np.e), rtol=1e-12)
 
     def test_scaled_normal(self):
-        blk = ExpFamBlock.from_standard(Family.GAUSSIAN_UNIVARIATE, 0.0, 4.0)
         expect = 0.5 * np.log(2.0 * np.pi * np.e) + np.log(2.0)
-        assert np.isclose(ef.entropy(blk), expect, rtol=1e-12)
+        assert np.isclose(ef.entropy(Family.GAUSSIAN_UNIVARIATE,
+                                     GU.natural_from_standard(0.0, 4.0)),
+                          expect, rtol=1e-12)
 
     def test_unit_exponential(self):
-        blk = ExpFamBlock.from_standard(Family.GAMMA, 1.0, 1.0)
-        assert np.isclose(ef.entropy(blk), 1.0, rtol=1e-12)
+        eta = ef.FAMILIES[Family.GAMMA].natural_from_standard(1.0, 1.0)
+        assert np.isclose(ef.entropy(Family.GAMMA, eta), 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_matches_sampled_log_density(self, family):
         rng = np.random.default_rng(5)
-        blk = ExpFamBlock.from_natural(family, random_natural(family, rng))
-        draws = ef.sample_block(blk, 4000, np.random.default_rng(8))
-        vals = np.array([-ef.block_log_density(blk, draws[i]) for i in range(4000)])
+        fam = ef.FAMILIES[family]
+        eta = random_natural(family, rng)
+        draws = fam.sample(eta, 4000, np.random.default_rng(8))
+        vals = np.array([-fam.log_density(draws[i], eta) for i in range(4000)])
         se = vals.std() / np.sqrt(vals.size)
-        assert abs(vals.mean() - ef.entropy(blk)) < 4.0 * se
+        assert abs(vals.mean() - ef.entropy(family, eta)) < 4.0 * se
 
 
 class TestWishartExpectations:
@@ -132,12 +154,12 @@ class TestWishartExpectations:
         rng = np.random.default_rng(12)
         dof, scale = 7.0, np.array([[0.4, 0.1], [0.1, 0.3]])
         w = ef.wishart_expectations(dof, scale)
-        blk = ExpFamBlock.from_standard(Family.WISHART, dof, scale)
-        draws = ef.sample_block(blk, 10 ** 5, rng)
+        fam = ef.FAMILIES[Family.WISHART]
+        draws = fam.sample(fam.natural_from_standard(dof, scale), 10 ** 5, rng)
         inv = np.linalg.inv(draws)
         diag = inv[:, [0, 1], [0, 1]]
         for mc, exact in [
-            (ef.block_suff_stats(blk, draws)[:, :3], vech(w.mean_precision)),
+            (fam.suff_stats(draws)[:, :3], vech(w.mean_precision)),
             (np.log(diag), w.log_sigma_diag),
             (np.sqrt(diag), w.sqrt_sigma_diag),
             (1.0 / diag, w.inv_sigma_diag),
@@ -181,14 +203,13 @@ class TestGaussianLogDensityChunks:
         # point must get the same bits whatever shares its call
         rng = np.random.default_rng(d)
         a = rng.normal(size=(d, d))
-        eta = ef.FAMILIES[Family.GAUSSIAN_MULTIVARIATE].natural_from_standard(
-            rng.normal(size=d), a @ a.T + np.eye(d))
-        blk = ExpFamBlock.from_natural(Family.GAUSSIAN_MULTIVARIATE, eta)
+        fam = ef.FAMILIES[Family.GAUSSIAN_MULTIVARIATE]
+        eta = fam.natural_from_standard(rng.normal(size=d), a @ a.T + np.eye(d))
         x = rng.normal(size=(1003, d))
-        whole = ef.block_log_density(blk, x)
+        whole = fam.log_density(x, eta)
         for size in range(1, 40):
             for off in range(16):
-                part = np.atleast_1d(ef.block_log_density(blk, x[off:off + size]))
+                part = np.atleast_1d(fam.log_density(x[off:off + size], eta))
                 assert np.array_equal(part, whole[off:off + size]), (size, off)
 
 
@@ -296,12 +317,12 @@ class TestBatchedMaps:
             "unconstrained_from_standard":
                 (lambda p: fam.unconstrained_from_standard(*p), params),
             "standard_from_unconstrained": (fam.standard_from_unconstrained, z),
-            "mean_jacobian_unconstrained": (fam.mean_jacobian_unconstrained, z),
+            "fit_terms": (fam.fit_terms, z),
             "standard_from_mean": (fam.standard_from_mean, mean),
             "natural_from_mean": (lambda m: fam.natural_from_mean(m, var_dim), mean),
+            "mean_from_natural": (fam.mean_from_natural, eta),
             "log_partition": (fam.log_partition, eta),
             "suff_stat_cov": (fam.suff_stat_cov, eta),
-            "entropy_unconstrained": (fam.entropy_unconstrained, z),
         }
         for name, (func, arg) in stacked_maps.items():
             whole = func(arg)
@@ -349,12 +370,12 @@ class TestClosedFormEntropy:
         family, var_dim = family_dim
         fam = ef.FAMILIES[family]
         params = _random_standard(family, var_dim, 5, np.random.default_rng(seed))
-        closed = fam.entropy_unconstrained(fam.unconstrained_from_standard(*params))
+        closed = fam.fit_terms(fam.unconstrained_from_standard(*params)).entropy
         for i in range(5):
-            blk = ExpFamBlock.from_standard(family, *(p[i] for p in params))
-            scale = max(1.0, abs(fam.log_partition(blk.natural))
-                        + abs(float(blk.natural @ blk.mean)))
-            assert abs(closed[i] - ef.entropy(blk)) <= 1e-10 * scale, (params, i)
+            eta = fam.natural_from_standard(*(p[i] for p in params))
+            scale = max(1.0, abs(fam.log_partition(eta))
+                        + abs(float(eta @ fam.mean_from_natural(eta))))
+            assert abs(closed[i] - ef.entropy(family, eta)) <= 1e-10 * scale, (params, i)
 
 
 class TestQuadSupport:

@@ -3,7 +3,8 @@ kept here as the reference.
 
 The reference walks the blocks one at a time through slices, and for the
 multivariate Gaussian and Wishart families it also keeps the earlier
-nested-loop forms of ``suff_stat_cov`` and ``mean_jacobian_unconstrained``.
+nested-loop forms of ``suff_stat_cov`` and of the d mean / d z Jacobian of
+``fit_terms``.
 Both sides call the library's ``solve_log_minus_digamma``, so these tests
 isolate the batching from the shape solver.
 """
@@ -121,7 +122,10 @@ class _LoopFamily:
         cov, jac = self.LOOPS.get(family, (None, None))
         if cov is not None:
             self.suff_stat_cov = lambda eta: cov(self._fam, eta)
-            self.mean_jacobian_unconstrained = lambda z: jac(self._fam, z)
+            self.mean_jacobian = lambda z: jac(self._fam, z)
+
+    def mean_jacobian(self, z):
+        return self._fam.fit_terms(z).jacobian
 
     def __getattr__(self, name):
         return getattr(self._fam, name)
@@ -151,8 +155,8 @@ def loop_natural_vector(self, m):
 def loop_entropy(self, m):
     total = 0.0
     for b, mb in zip(self.blocks, self.split(m)):
-        blk = expfam.ExpFamBlock.from_mean(b.family, mb)
-        total += expfam.entropy(blk)
+        eta = LOOP_FAMILIES[b.family].natural_from_mean(mb, b.var_dim)
+        total += expfam.entropy(b.family, eta)
     return total
 
 
@@ -208,7 +212,7 @@ def loop_mean_jacobian(self, z):
     jac = np.zeros((self.dim, self.dim))
     for i, b in enumerate(self.blocks):
         sl = self.slice_of(i)
-        jac[sl, sl] = LOOP_FAMILIES[b.family].mean_jacobian_unconstrained(z[sl])
+        jac[sl, sl] = LOOP_FAMILIES[b.family].mean_jacobian(z[sl])
     return jac
 
 

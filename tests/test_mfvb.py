@@ -206,7 +206,8 @@ class TestPolish:
         ref = (ref + ref.T) / 2.0
         rng = np.random.default_rng(0)
         for grad in [z_gradient(model, z + 1e-3)] + list(rng.normal(size=(4, z.size))):
-            step = mfvb._newton_step(model, z, grad, model.hyperparams)
+            _, step = mfvb._newton_factor(model, model.layout.fit_terms(z), grad,
+                                          model.hyperparams)
             newton = np.linalg.solve(ref, -grad)
             assert np.max(np.abs(step - newton)) <= 1e-5 * np.max(np.abs(newton))
 
@@ -253,7 +254,8 @@ class TestPolish:
                             lambda model, m, alpha: eye)
         z = layout.unconstrained_from_mean(sol.mean)
         grad = np.random.default_rng(1).normal(size=z.size)
-        step = mfvb._newton_step(nig_model, z, grad, nig_model.hyperparams)
+        _, step = mfvb._newton_factor(nig_model, layout.fit_terms(z), grad,
+                                      nig_model.hyperparams)
         assert step @ grad < 0
         direction = np.linalg.solve(layout.mean_jacobian(z),
                                     np.linalg.solve(layout.mean_jacobian(z).T, -grad))

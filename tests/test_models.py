@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrvb import linear_response, mfvb, oracle, robustness
+from lrvb import expfam, linear_response, mfvb, oracle, robustness
 from lrvb.errors import DomainError
 from lrvb.expfam import FAMILIES, Family
 from lrvb.mfvb import Hyperparams
@@ -14,10 +14,23 @@ from lrvb.models import (build_microcredit_model, load_microcredit_csv,
 from lrvb.models import microcredit
 from lrvb.models.microcredit import (DEFAULT_PRIORS, MicrocreditData,
                                      MicrocreditParams)
+from lrvb.oracle import McmcConfig
 from lrvb.util import fd_jacobian, is_pos_def
 
-from conftest import BUNDLED_CSV, TRUTH
+from conftest import BUNDLED_CSV, TRUTH, sites_model
 from test_microcredit_reference import loop_reference
+
+
+def closed_over(fn, name):
+    """The current value of the variable ``name`` that the closure fn reads."""
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+def study_model(n_sites, tmp_path):
+    """The bundled 7-site study, or the benchmark's seeded study of n_sites."""
+    if n_sites == 7:
+        return build_microcredit_model(load_microcredit_csv(BUNDLED_CSV))
+    return sites_model(tmp_path, n_sites)
 
 
 class TestBuild:
@@ -113,11 +126,10 @@ class TestBuild:
         layout = micro_model.layout
         rng = np.random.default_rng(17)
         n = 40_000
-        from lrvb import expfam as ef
         draws = {}
         for b, mb in zip(layout.blocks, layout.split(sol.mean)):
-            blk = ef.ExpFamBlock.from_mean(b.family, np.asarray(mb))
-            draws[b.name] = ef.sample_block(blk, n, rng)
+            fam = FAMILIES[b.family]
+            draws[b.name] = fam.sample(fam.natural_from_mean(np.asarray(mb), b.var_dim), n, rng)
         vals = np.empty(n)
         for i in range(n):
             values = {nm: (arr[i] if arr.ndim > 1 else float(arr[i]))
@@ -168,6 +180,25 @@ class TestPriorMemos:
         solves.clear()
         linear_response.hessian_of_objective(model, m, alpha)
         assert 8 <= len(solves) <= 10
+
+    @pytest.mark.parametrize("n_sites", [7, 30])
+    def test_wishart_moments_are_those_of_wishart_expectations(self, n_sites, tmp_path):
+        # one copy of E[log S_jj] and E[1/S_jj]: the memo's arrays are, bit
+        # for bit, those of wishart_expectations at the block's (dof, scale)
+        model = study_model(n_sites, tmp_path)
+        wishart_terms = closed_over(model.expected_log_prior, "wishart_terms")
+        wis = model.layout.slice_of("effect_prec")
+        wishart = FAMILIES[Family.WISHART]
+        rng = np.random.default_rng(n_sites)
+        m = model.default_init(model.hyperparams)
+        for _ in range(20):
+            a = rng.normal(size=(2, 2))
+            m[wis] = wishart.mean_from_standard(np.exp(rng.uniform(np.log(3.01), np.log(1e3))),
+                                                np.exp(rng.normal()) * (a @ a.T + 0.1 * np.eye(2)))
+            log_terms, inv_terms, _ = wishart_terms(m)
+            w = expfam.wishart_expectations(*wishart.standard_from_mean(m[wis]))
+            assert np.array_equal(log_terms, w.log_sigma_diag)
+            assert np.array_equal(inv_terms, w.inv_sigma_diag)
 
     def test_one_jacobian_build_per_point_of_h(self, bundled, monkeypatch):
         # H's 32 gradient calls move the effect_prec means in 8 of them, so
@@ -307,3 +338,47 @@ class TestAgainstMcmc:
             gap = abs(sol.mean[i] - means[i])
             bound = 10.0 * (3.0 * se[i] + 0.002 * abs(means[i]))
             assert gap < bound, f"{names[i]}: {gap} vs {bound}"
+
+
+class TestSiteMoveSums:
+    @pytest.mark.parametrize("n_sites", [7, 30])
+    def test_kept_sums_follow_the_six_entry_rule(self, n_sites, tmp_path):
+        # accepting a site move updates only the entries it changes (four for
+        # an effect, three for a log noise variance); over a chain the kept
+        # sums stay bit for bit those of adding all six entries' differences
+        model = study_model(n_sites, tmp_path)
+        layout = model.layout
+        target = model.sampler_log_posterior(model.hyperparams)
+        checked = []
+
+        def coordinate_moves(x):
+            resum, propose, accept = target.coordinate_moves(x)
+
+            def checked_accept():
+                _, k, changed, _ = closed_over(accept, "move")
+                if k is None:  # (mu, tau) and precision moves
+                    return accept()
+                sums = list(closed_over(accept, "sums"))
+                old = list(closed_over(accept, "rows")[k])
+                new = list(old)
+                for i, value in changed:
+                    new[i] = value
+                six_entry = [s + (a - b) for s, a, b in zip(sums, new, old)]
+                accept()
+                kept = closed_over(accept, "sums")
+                assert np.array(kept).tobytes() == np.array(six_entry).tobytes()
+                assert closed_over(accept, "rows")[k] == new
+                checked.append(len(changed))
+
+            return resum, propose, checked_accept
+
+        def log_target(z):
+            return target(z)
+
+        log_target.coordinate_moves = coordinate_moves
+        z0 = layout.sampler_from_values(layout.representative_values(
+            model.default_init(model.hyperparams)))
+        oracle.metropolis_sample(log_target, z0,
+                                 McmcConfig(chain_length=300, burn_in=0, seed=n_sites),
+                                 adapt_sweeps=100)
+        assert checked.count(4) > 100 and checked.count(3) > 100
