@@ -135,7 +135,7 @@ def cmd_fit(args):
     model = build_model(args)
     sol, sys_ = fit_and_system(model, args)
     names = model.layout.coord_names()
-    sds = np.sqrt(np.maximum(sys_.variances(), 0.0))
+    sds = np.sqrt(sys_.variances())
     payload = payload_header(args, model)
     payload.update({
         "converged": bool(sol.converged),

@@ -26,7 +26,7 @@ class DomainViolation(LrvbError):
 
 
 class SingularSystem(LrvbError):
-    """(I - VH) is numerically singular; the optimum is degenerate."""
+    """(I - VH) is numerically singular, or I - L'HL is not positive definite."""
 
 
 class NonDifferentiablePrior(LrvbError):

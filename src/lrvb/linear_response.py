@@ -15,23 +15,25 @@ analytic gradient of L in mean coordinates (relative step
 HESSIAN_REL_STEP): every column on its own, or, for a model that declares
 ``local_groups``, each coordinate outside the groups on its own and one
 position of every group at a time, with the rows outside the groups
-filled in by symmetry.  :func:`identity_minus_vh` assembles (I - VH) for
-:func:`build_system` and for the fit's Newton polish, whose step in m is
-(I - VH)^-1 V g, as H - V^-1 = -V^-1 (I - VH) is the Hessian in m.
-An independent full second-difference Hessian of the scalar objective
-is used by the test suite to validate this path.  The factorization is
-a dense LU.
+filled in by symmetry.  An independent full second-difference Hessian of
+the scalar objective is used by the test suite to validate this path.
+
+sigma_hat inverts A = V^-1 - H, minus the objective's Hessian in m.
+:func:`linear_response` factors V = LL' block by block and forms
+B = L'AL = I - L'HL, never inverting V, whose inverse-gamma blocks have
+condition numbers near 1e7.  A Cholesky factorization of B gives
+:func:`build_system` sigma_hat = L B^-1 L' and the fit's Newton polish its
+step L (B + lam I)^-1 L' g; where B has none, m is no strict maximum.
 
 This module is the only one in the package that knows sigma_hat is a
 dense matrix.  Everything else asks :class:`LrvbSystem` for an operation:
 ``solve(g)`` for sigma_hat g, :func:`function_sensitivity` for
 g' sigma_hat f, ``variances(idx)`` for its diagonal, and
 ``response_columns``, ``solve_identity_minus_vh`` and ``solve_transpose``
-for (I - VH)^-1.  The dense fields ``v``, ``h`` and ``sigma_hat`` stay
-readable for tests, demos and the benchmark.
+for (I - VH)^-1 = I + sigma_hat H.  The dense fields ``v``, ``h`` and
+``sigma_hat`` stay readable for tests, demos and the benchmark.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,17 +45,16 @@ from .util import fd_jacobian
 
 HESSIAN_REL_STEP = 1e-5
 CONDITION_LIMIT = 1e12
-SYMMETRY_WARN = 1e-6
 
 
 @dataclass(frozen=True)
 class LrvbSystem:
-    """V, H, the corrected covariance, and a reusable factorized solve.
+    """V, H and the corrected covariance, with the queries that use them.
 
-    Queries: ``solve`` (sigma_hat g, the one product with sigma_hat),
-    ``variances`` (its diagonal), ``solve_identity_minus_vh``,
-    ``solve_transpose`` and ``response_columns`` ((I - VH)^-1 from the
-    LU), and ``fitted_natural``.  Only this module, tests, demos and the
+    Queries: ``solve`` (sigma_hat g), ``variances`` (its diagonal),
+    ``solve_identity_minus_vh``, ``solve_transpose`` and
+    ``response_columns`` ((I - VH)^-1 = I + sigma_hat H), and
+    ``fitted_natural``.  Only this module, tests, demos and the
     benchmark read the dense fields ``v``, ``h`` and ``sigma_hat``.
 
     What influence queries reuse per system -- response columns and a
@@ -67,7 +68,6 @@ class LrvbSystem:
     h: np.ndarray
     sigma_hat: np.ndarray
     condition: float
-    _lu: tuple = field(repr=False, default=None)
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -84,21 +84,24 @@ class LrvbSystem:
         return diag if idx is None else diag[idx]
 
     def solve_identity_minus_vh(self, rhs):
-        """Apply (I - VH)^-1 to rhs (columns solved jointly for matrices)."""
-        return scipy.linalg.lu_solve(self._lu, np.asarray(rhs, dtype=float))
+        """(I - VH)^-1 rhs = rhs + sigma_hat H rhs, for vectors or matrices."""
+        rhs = np.asarray(rhs, dtype=float)
+        return rhs + self.sigma_hat @ (self.h @ rhs)
 
     def solve_transpose(self, lhs):
-        """Return (I - VH)^-T lhs, i.e. row-vector solves lhs' (I - VH)^-1."""
-        return scipy.linalg.lu_solve(self._lu, np.asarray(lhs, dtype=float), trans=1)
+        """(I - VH)^-T lhs = lhs + H sigma_hat lhs, i.e. lhs' (I - VH)^-1."""
+        lhs = np.asarray(lhs, dtype=float)
+        return lhs + self.h @ (self.sigma_hat @ lhs)
 
     def response_columns(self, idx):
         """(I - VH)^-1 restricted to the columns ``idx``, shape (dim, len(idx)):
-        one solve against their unit columns on first use."""
+        one product with their unit columns on first use, stored column by
+        column, as influence grids read one column at a time."""
         key = ("columns",) + tuple(int(i) for i in idx)
         if key not in self._memo:
             unit = np.zeros((self.dim, len(key) - 1))
             unit[key[1:], np.arange(unit.shape[1])] = 1.0
-            self._memo[key] = _read_only(self.solve_identity_minus_vh(unit))
+            self._memo[key] = _read_only(np.asfortranarray(self.solve_identity_minus_vh(unit)))
         return self._memo[key]
 
     def fitted_natural(self, sl, family, var_dim):
@@ -138,34 +141,50 @@ def hessian_of_objective(model, m, alpha=None):
     return (hess + hess.T) / 2.0
 
 
-def identity_minus_vh(model, m, alpha=None):
-    """(V, H, I - VH) at the mean vector m."""
-    v, h = model.layout.suff_stat_cov(m), hessian_of_objective(model, m, alpha)
-    return v, h, np.eye(m.size) - v @ h
+def linear_response(model, m, alpha=None):
+    """(V, H, L, B) at the mean vector m: L the per-group stacks of the
+    Cholesky factors of V's blocks, so that V = L L' with L block diagonal,
+    and B = I - L'HL, which is L^-1 (I - VH) L."""
+    layout = model.layout
+    v, h = layout.suff_stat_cov(m), hessian_of_objective(model, m, alpha)
+    chol = [np.linalg.cholesky(v[idx[:, :, None], idx[:, None, :]])
+            for _, _, idx in layout.groups]
+    lhl = times_chol(layout, chol, times_chol(layout, chol, h).T)  # (HL)'L
+    return v, h, chol, np.eye(m.size) - lhl
+
+
+def times_chol(layout, chol, x, trans=False):
+    """x L (x L' with ``trans``) for the block-diagonal L of the per-group
+    stacks ``chol``, over x's last axis: L'x and Lx for a vector x.  Each
+    group is one stacked matmul over its blocks."""
+    rows = np.reshape(x, (-1, x.shape[-1]))
+    out = np.empty_like(rows)
+    for c, (_, _, idx) in zip(chol, layout.groups):
+        out[:, idx] = np.swapaxes(np.swapaxes(rows[:, idx], 0, 1)
+                                  @ (np.swapaxes(c, 1, 2) if trans else c), 0, 1)
+    return out.reshape(x.shape)
 
 
 def build_system(model, sol, alpha=None):
-    """Assemble the linear-response system at a converged solution."""
+    """Assemble the linear-response system at a converged solution:
+    sigma_hat = X'X, X = R^-1 L' with B = RR', exactly symmetric."""
     if not sol.converged:
         raise NonConvergence("linear-response system requires a converged solution")
     m = np.asarray(sol.mean, dtype=float)
-    v, h, system = identity_minus_vh(model, m, alpha)
-    condition = float(np.linalg.cond(system))
+    v, h, chol, b = linear_response(model, m, alpha)
+    condition = float(np.linalg.cond(np.eye(m.size) - v @ h))
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise SingularSystem(
             f"(I - VH) condition number {condition:.3g} exceeds {CONDITION_LIMIT:.0e}; "
             "the optimum is degenerate or not interior")
-    lu = scipy.linalg.lu_factor(system)
-    sigma = scipy.linalg.lu_solve(lu, v)
-    asym = float(np.max(np.abs(sigma - sigma.T)))
-    scale = max(float(np.max(np.abs(sigma))), 1e-300)
-    if asym > SYMMETRY_WARN * scale:
-        warnings.warn(
-            f"corrected covariance asymmetry {asym:.3g} exceeds "
-            f"{SYMMETRY_WARN:g} of its scale; check convergence", RuntimeWarning)
-    sigma = (sigma + sigma.T) / 2.0
-    return LrvbSystem(mean=m.copy(), v=v, h=h, sigma_hat=sigma,
-                      condition=condition, _lu=lu)
+    try:
+        r = scipy.linalg.cholesky(b, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("I - L'HL is not positive definite; the fit "
+                             "stopped at a saddle point, not a maximum") from exc
+    r_inv, _ = scipy.linalg.lapack.dtrtri(r, lower=1)
+    x = times_chol(model.layout, chol, r_inv, trans=True)
+    return LrvbSystem(mean=m.copy(), v=v, h=h, sigma_hat=x.T @ x, condition=condition)
 
 
 def function_sensitivity(sys, grad_h, grad_f):

@@ -19,11 +19,12 @@ tolerance, as the downstream covariance correction needs a tight
 optimum.
 
 The polish's Newton step is the linear-response solve of
-:mod:`lrvb.linear_response`.  It keeps the LU factors of (I - VH) + lam V
-and V while its full steps shrink the gradient KEEP_SHRINK-fold, so one
-H serves several steps, and refreshes H otherwise.  Once the gradient is
-below tol it takes only such full steps, down to tol / 100, so fits end
-about as tight as a quasi-Newton stage run to tol / 10 left them.
+:mod:`lrvb.linear_response`.  It keeps the Cholesky factors of
+B + lam I, B = I - L'HL with V = LL', and L while its full steps shrink
+the gradient KEEP_SHRINK-fold, so one H serves several steps, and
+refreshes H otherwise.  Once the gradient is below tol it takes only
+such full steps, down to tol / 100, so fits end about as tight as a
+quasi-Newton stage run to tol / 10 left them.
 
 ModelSpec and VbSolution are immutable after construction.  Fits call
 into the same BLAS library as every other stage, and concurrent calls
@@ -31,7 +32,6 @@ from threads of one process have not been shown safe with it; run
 independent fits in separate processes.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Mapping, Optional
@@ -42,7 +42,7 @@ import scipy.optimize
 
 from .errors import DomainError, DomainViolation, NonConvergence
 from .expfam import FAMILIES, Family
-from .linear_response import identity_minus_vh
+from .linear_response import linear_response, times_chol
 
 
 @dataclass(frozen=True)
@@ -455,6 +455,9 @@ HANDOFF_GRAD = 0.05
 # A kept factorization serves while its full steps shrink the largest
 # gradient entry at least this many times.
 KEEP_SHRINK = 4.0
+# The polish damps B = I - L'HL, which is I where H vanishes, by the first
+# of these lam at which B + lam I is positive definite.
+DAMPING = (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
 
 
 @dataclass(frozen=True)
@@ -528,7 +531,7 @@ def fit(model, init=None, opts=None, alpha=None):
     # Damped Newton polish.  A factorization is kept while its full steps
     # shrink the gradient KEEP_SHRINK-fold; otherwise H is refreshed.  Below
     # tol only such full steps are taken, down to tol / 100.
-    factor = None  # (LU of (I - VH) + lam V, V) from an earlier iterate
+    factor = None  # (Cholesky of B + lam I, L) from an earlier iterate
     for _ in range(opts.polish_iter):
         gnorm = np.max(np.abs(gz))
         if gnorm <= opts.tol / 100.0:
@@ -592,49 +595,23 @@ def fit(model, init=None, opts=None, alpha=None):
 
 def _newton_factor(model, terms, grad, alpha):
     """(factorization, step) at the point of the layout's fit terms: the
-    Newton step J^-1 dm on -ELBO, (I - VH) dm = V g with J' g = -grad, damped
-    in m by lam V (Levenberg-Marquardt on V^-1 - H + lam I), and the (LU of
-    (I - VH) + lam V, V) it solved; else (None, steepest descent)."""
-    layout = model.layout
-    m, _, _, jacobians = terms
-    g = layout.mean_jacobian_solve(jacobians, -grad, trans=True)
-    v, h, system = identity_minus_vh(model, m, alpha)
-    damping = 0.0
-    for _ in range(12):
-        lu = _lu_factor(system + damping * v)
-        step = None if lu is None else _descent_step(layout, (lu, v), jacobians, g)
-        if step is not None:
-            return (lu, v), step
-        damping = max(2.0 * damping, 1e-8 * max(np.max(np.abs(h)), 1.0))
-    return None, -grad  # fall back to steepest descent
+    Newton step on -ELBO from the (Cholesky factors of B + lam I, L) at the
+    first lam of DAMPING where they exist; else (None, steepest descent)."""
+    _, _, chol, b = linear_response(model, terms[0], alpha)
+    for damping in DAMPING:
+        try:
+            factor = (scipy.linalg.cho_factor(b + damping * np.eye(b.shape[0])), chol)
+        except (ValueError, np.linalg.LinAlgError):  # indefinite, or not finite
+            continue
+        return factor, _factored_step(model.layout, factor, terms, grad)
+    return None, -grad
 
 
 def _factored_step(layout, factor, terms, grad):
-    """The Newton step from a kept (LU, V) at the point of the fit terms:
-    J^-1 dm with (I - VH + lam V) dm = V g and J' g = -grad; None unless it
-    descends."""
-    jacobians = terms[3]
-    return _descent_step(layout, factor, jacobians,
-                         layout.mean_jacobian_solve(jacobians, -grad, trans=True))
-
-
-def _descent_step(layout, factor, jacobians, g):
-    lu, v = factor
-    dm = scipy.linalg.lu_solve(lu, v @ g)
-    if np.all(np.isfinite(dm)) and dm @ g > 0:
-        return layout.mean_jacobian_solve(jacobians, dm)  # J is regular: J' solved for g
-    return None
-
-
-def _lu_factor(a):
-    """scipy's LU factors of a; None for a singular, non-finite or
-    ill-conditioned a (reciprocal condition below machine epsilon, where
-    scipy.linalg.solve warns)."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(a)
-    except (ValueError, scipy.linalg.LinAlgWarning):
-        return None  # singular, or curvature that overflowed
-    rcond, _ = scipy.linalg.lapack.dgecon(lu[0], np.linalg.norm(a, 1))
-    return lu if rcond >= np.finfo(float).eps else None
+    """The Newton step from a kept (Cholesky of B + lam I, L) at the point
+    of the fit terms: J^-1 dm with dm = L (B + lam I)^-1 L' g, J' g = -grad."""
+    (cho, chol), jacobians = factor, terms[3]
+    g = layout.mean_jacobian_solve(jacobians, -grad, trans=True)
+    dm = times_chol(layout, chol,
+                    scipy.linalg.cho_solve(cho, times_chol(layout, chol, g)), trans=True)
+    return layout.mean_jacobian_solve(jacobians, dm)

@@ -376,9 +376,9 @@ def make_report(queries, model, sol, sys, alpha=None):
     """Evaluate queries into a report with per-posterior-sd normalization.
 
     Each distinct hyperparameter direction is priced once for all of its
-    queries.  Per-query failures become error entries instead of aborting
-    the batch; a zero-variance target is reported as an error, not a
-    division by zero.
+    queries; a named target's variance is read off sigma_hat's diagonal.
+    Per-query failures become error entries instead of aborting the batch;
+    a zero-variance target is reported as an error, not a division by zero.
     """
     alpha = model.resolve_alpha(alpha)
     entries = []
@@ -394,7 +394,9 @@ def make_report(queries, model, sol, sys, alpha=None):
                 if key not in priced:
                     priced[key] = hyperparam_sensitivity(model, sol, sys, query.direction, alpha)
                 value = float(grad_h @ priced[key])
-            variance = function_sensitivity(sys, grad_h, grad_h)
+            variance = (sys.variances(model.layout.coord_index(query.target))
+                        if isinstance(query.target, str)
+                        else function_sensitivity(sys, grad_h, grad_h))
             if variance <= 0:
                 raise DomainError(
                     f"quantity {query.quantity!r} has nonpositive posterior "

@@ -195,6 +195,28 @@ class TestFit:
         else:
             assert (code, err, shown) == (0, "", [("held back", RuntimeWarning)])
 
+    def test_saddle_point_is_numerical_failure(self, tmp_path):
+        # a random study on which the fit once stopped at a saddle point of
+        # the objective, reported it converged, and printed the clipped sd
+        # of effect_prec[1,0], a variance of -76.3, as 0
+        rng = np.random.default_rng(0)
+        path = tmp_path / "saddle.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["site", "treatment", "outcome"])
+            writer.writerows(zip(np.repeat([0, 1], [26, 1]).tolist(),
+                                 rng.integers(0, 2, 27).tolist(),
+                                 rng.normal(1.0, 3.0, 27).tolist()))
+        priors = {"prior_info_11": 1, "prior_info_22": 1,
+                  "prior_info_12": -0.5388542584121077, "lkj_shape": 1,
+                  "scale_shape": 1, "scale_rate": 0.28916501064662836,
+                  "noise_shape": 0.6016637435616929, "noise_rate": 0.9577516371756841}
+        sets = [arg for k, v in priors.items() for arg in ("--set", f"{k}={v!r}")]
+        out = tmp_path / "x.json"
+        code = run("fit", "--model", "microcredit", "--data", str(path),
+                   "--out", str(out), *sets)
+        assert code == 3 and not out.exists()
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # indefinite precision override -> domain failure -> exit 3
         code = run("fit", "--model", "gaussian3d",

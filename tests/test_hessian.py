@@ -92,7 +92,7 @@ class TestGroupedHessian:
 
     def test_build_system_uses_grouped_hessian(self, micro_model, micro_fit):
         sol, sys_ = micro_fit
-        assert np.array_equal(sys_.h, linear_response.identity_minus_vh(
+        assert np.array_equal(sys_.h, linear_response.linear_response(
             micro_model, sol.mean)[1])
         assert np.array_equal(sys_.h, linear_response.hessian_of_objective(
             micro_model, sol.mean))

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lrvb import linear_response as lr
 from lrvb import mfvb
 from lrvb.errors import DimensionMismatch, NonConvergence, SingularSystem
 from lrvb.expfam import Family
 from lrvb.mfvb import BlockDef, Hyperparams, Layout, ModelSpec, VbSolution
+from lrvb.models import build_microcredit_model, load_microcredit_csv
 from lrvb.util import fd_hessian
+
+from conftest import BUNDLED_CSV, sites_model
 
 
 def toy_model(hess_coeffs):
@@ -51,6 +55,16 @@ class TestBuildSystem:
         with pytest.raises(SingularSystem):
             lr.build_system(model, sol)
 
+    def test_saddle_point_detected(self):
+        # H = diag(2, 0) makes I - VH = diag(-1, 1): condition 1, and
+        # (I - VH)^-1 V = diag(-1, 2) would be a covariance with a negative
+        # variance.  B = I - L'HL = diag(-1, 1) has no Cholesky factor
+        model = toy_model(np.diag([2.0, 0.0]))
+        sol = VbSolution(mean=np.array([0.0, 1.0]), elbo=0.0, iterations=0,
+                         converged=True, grad_norm=0.0)
+        with pytest.raises(SingularSystem, match="not positive definite"):
+            lr.build_system(model, sol)
+
     def test_requires_converged_solution(self, nn_model):
         bad = VbSolution(mean=np.array([0.0, 1.0]), elbo=0.0, iterations=0,
                          converged=False, grad_norm=1.0)
@@ -61,7 +75,7 @@ class TestBuildSystem:
     def test_sigma_symmetric_psd(self, fixture, request):
         _, sys = request.getfixturevalue(fixture)
         sigma = sys.sigma_hat
-        assert np.max(np.abs(sigma - sigma.T)) <= 1e-8 * max(np.max(np.abs(sigma)), 1.0)
+        assert np.array_equal(sigma, sigma.T)
         eigs = np.linalg.eigvalsh(sigma)
         assert eigs.min() >= -1e-8 * np.max(np.abs(sigma))
         assert np.all(np.diag(sigma) >= -1e-12)
@@ -88,6 +102,22 @@ class TestBuildSystem:
         direct = np.linalg.solve(np.eye(sys.dim) - sys.v @ sys.h, sys.v @ v)
         assert np.max(np.abs(sys.solve(v) - direct)) < 1e-10 * max(1, np.max(np.abs(direct)))
 
+
+    @pytest.mark.parametrize("n_sites", [7, 30])
+    def test_sigma_matches_extended_precision_solve(self, n_sites, tmp_path):
+        # the reference solves (I - VH) sigma = V with residuals taken in
+        # long double, so its own error is far below the bound
+        model = (build_microcredit_model(load_microcredit_csv(BUNDLED_CSV)) if n_sites == 7
+                 else sites_model(tmp_path, n_sites))
+        sys = lr.build_system(model, mfvb.fit(model))
+        v, h = sys.v.astype(np.longdouble), sys.h.astype(np.longdouble)
+        system = np.eye(sys.dim, dtype=np.longdouble) - v @ h
+        lu = scipy.linalg.lu_factor(system.astype(float))
+        ref = scipy.linalg.lu_solve(lu, sys.v).astype(np.longdouble)
+        for _ in range(3):
+            ref += scipy.linalg.lu_solve(lu, (v - system @ ref).astype(float))
+        err = np.max(np.abs(sys.sigma_hat - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-14, err
 
     @pytest.mark.parametrize("fixture", ["nn_fit", "micro_fit"])
     def test_variances_are_the_diagonal(self, fixture, request):

@@ -197,7 +197,7 @@ def gaussian_targets(draw):
 class TestPolish:
     @pytest.mark.parametrize("name", ["nig", "micro"])
     def test_step_matches_newton_step_of_fd_z_hessian(self, name, request):
-        # the (I - VH) solve mapped through J against a Newton step on the
+        # the I - L'HL solve mapped through J against a Newton step on the
         # Hessian of -ELBO differenced in z, for several gradients
         model = request.getfixturevalue(f"{name}_model")
         sol, _ = request.getfixturevalue(f"{name}_fit")
@@ -244,8 +244,8 @@ class TestPolish:
             assert sol.grad_norm <= tol / 10.0, (tol, sol.grad_norm)
 
     def test_damped_step_descends(self, nig_model, nig_fit, monkeypatch):
-        # V = H = I makes (I - VH) zero, so only the damped system
-        # (I - VH + lam V) dm = V g solves, and its step is J^-1 g / lam
+        # V = H = I makes B = I - L'HL zero, so only a damped B + lam I
+        # factors, and the step J^-1 L (B + lam I)^-1 L' g is J^-1 g / lam
         sol, _ = nig_fit
         layout = nig_model.layout
         eye = np.eye(layout.dim)

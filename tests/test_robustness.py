@@ -226,9 +226,9 @@ class TestInfluenceFunction:
 
     def test_memo_outside_equality_and_repr(self):
         fields = dataclasses.fields(linear_response.LrvbSystem)
-        names = ("mean", "v", "h", "sigma_hat", "condition", "_lu")
+        names = ("mean", "v", "h", "sigma_hat", "condition")
         assert tuple(f.name for f in fields if f.compare) == names
-        assert tuple(f.name for f in fields if f.repr) == names[:-1]
+        assert tuple(f.name for f in fields if f.repr) == names
 
     def test_zero_prior_density_rejected_within_grid(self, nn_fit, nn_model):
         # one underflowing point among many fails the whole grid and is named
