@@ -24,9 +24,11 @@ print("=" * 70)
 gauss = FAMILIES[Family.GAUSSIAN_UNIVARIATE]
 eta = np.array([0.5, -0.125])
 mean = gauss.mean_from_natural(eta)
-mu, var = gauss.standard_from_natural(eta)
+# the scalar Gaussian is the d = 1 case of the multivariate family, so its
+# standard parameters are mu (1,) and Sigma (1, 1)
+mu, sigma = gauss.standard_from_natural(eta)
 print(f"natural parameters : {eta}")
-print(f"standard (mu, var) : ({mu:g}, {var:g})")
+print(f"standard (mu, var) : ({mu[0]:g}, {sigma[0, 0]:g})")
 print(f"mean parameters    : {mean}   <- (E[x], E[x^2])")
 print(f"round trip natural : {gauss.natural_from_mean(mean)}")
 
@@ -44,7 +46,7 @@ print("=" * 70)
 print("Entropies against sampled log densities")
 print("=" * 70)
 for family, params in [
-    (Family.GAUSSIAN_UNIVARIATE, (0.0, 4.0)),
+    (Family.GAUSSIAN_UNIVARIATE, ([0.0], [[4.0]])),
     (Family.GAMMA, (1.0, 1.0)),
     (Family.INVERSE_GAMMA, (2.5, 2.0)),
 ]:

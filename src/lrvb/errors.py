@@ -26,7 +26,8 @@ class DomainViolation(LrvbError):
 
 
 class SingularSystem(LrvbError):
-    """(I - VH) is numerically singular, or I - L'HL is not positive definite."""
+    """(I - VH) is numerically singular, I - L'HL is not positive definite,
+    or a block of V has no Cholesky factor."""
 
 
 class NonDifferentiablePrior(LrvbError):

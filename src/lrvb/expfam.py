@@ -6,8 +6,9 @@ parameters ``eta`` or by its mean parameters ``m = E_q[s(x)]``.  The
 sufficient-statistic layouts are fixed per family so that covariance and
 Hessian matrices compose consistently across blocks:
 
-* ``GAUSSIAN_UNIVARIATE``  x in R,        s(x) = (x, x^2)
 * ``GAUSSIAN_MULTIVARIATE`` x in R^d,     s(x) = (x, vech(x x'))
+* ``GAUSSIAN_UNIVARIATE``  x in R,        s(x) = (x, x^2), the d = 1 case
+  of the multivariate family, whose maps it shares
 * ``GAMMA``                x > 0,         s(x) = (x, log x)
 * ``INVERSE_GAMMA``        x > 0,         s(x) = (1/x, log x)
 * ``WISHART``              X pos. def.,   s(X) = (vech(X), log|X|)
@@ -21,9 +22,11 @@ sufficient-statistic covariance nonsingular.
 Batch axes.  A family's parameter maps (``check_mean``, the standard, mean,
 natural and unconstrained maps, ``log_partition``, ``suff_stat_cov`` and
 ``fit_terms``) are written once, over leading batch axes: a 1-D statistic
-vector is one block, with scalar standard parameters where the family has
-them, and an (n, stat_dim) array is n blocks, each result gaining that
-leading axis.  A check raises if any block fails it.  No map loops over
+vector is one block, and an (n, stat_dim) array is n blocks, each result
+gaining that leading axis.  A block's standard parameters are scalars for
+gamma and inverse gamma, (dof, scale (K, K)) for the Wishart, and mu (d,)
+and Sigma (d, d) for either Gaussian, so a univariate block has mu (1,)
+and Sigma (1, 1).  A check raises if any block fails it.  No map loops over
 blocks; the underlying-variable helpers take one block.
 
 Family interface.  The objects in ``FAMILIES`` are the one interface to
@@ -49,6 +52,10 @@ fit's objective and gradient needs at the family's fit coordinates z (see
 :class:`FitTerms`): the mean and natural parameters, the entropy and
 d mean / d z, all from one pass through the standard parameters, with the
 domain checks of ``mean_from_standard`` and ``natural_from_standard``.
+A Gaussian's z is (mu, the log-Cholesky coordinates of Sigma), which is
+(mu, log sd) for a univariate block; gamma and inverse gamma use (log of
+the first-statistic mean, log shape), and the Wishart the log-Cholesky
+coordinates of its mean matrix and log(dof - K - 1).
 The entropy is each family's closed form in z, and it never forms
 A(eta) - eta @ m, whose terms cancel catastrophically for a concentrated
 block (a Gaussian with mu' Sigma^-1 mu >> 1, say); that difference is
@@ -182,113 +189,14 @@ class _Family:
         return self.natural_from_standard(*self.standard_from_mean(m))
 
 
-class _Gaussian(_Family):
-    """The Gaussian families' statistics (the location, then the second
-    moments, named by the block's labels) and sampler coordinates (x)."""
-
-    has_location = True
-
-    def coord_names(self, block):
-        lab = block.labels
-        return list(lab) + [f"{lab[i]}*{lab[j]}" for i, j in zip(*tril(block.var_dim))]
-
-    def value_from_unconstrained(self, z):
-        return (float(z[0]) if self.scalar else np.asarray(z, dtype=float)), 0.0
-
-    def unconstrained_from_value(self, x):
-        return np.atleast_1d(np.asarray(x, dtype=float))
-
-    def representative_value(self, m, var_dim):
-        return float(m[0]) if self.scalar else np.asarray(m[:var_dim], dtype=float)
-
-    def sampler_suff_stats(self, z, var_dim):
-        return self.suff_stats(z[:, 0] if self.scalar else z)
-
-
-class _GaussianUnivariate(_Gaussian):
-    """Scalar Gaussian; standard parameters (mu, var)."""
-
-    family = Family.GAUSSIAN_UNIVARIATE
-
-    def quad_support(self):
-        return (-np.inf, np.inf)
-
-    def check_natural(self, eta, var_dim=1):
-        if (eta.shape[-1:] != (2,) or not np.all(np.isfinite(eta))
-                or np.any(eta[..., 1] >= 0)):
-            raise DomainError(f"invalid Gaussian natural parameters {eta}")
-
-    def check_mean(self, m, var_dim=1):
-        if (m.shape[-1:] != (2,) or not np.all(np.isfinite(m))
-                or np.any(m[..., 1] - m[..., 0] * m[..., 0] <= 0)):
-            raise DomainError(f"invalid Gaussian mean parameters {m}")
-
-    def standard_from_natural(self, eta):
-        var = -0.5 / eta[..., 1]
-        return eta[..., 0] * var, var
-
-    def natural_from_standard(self, mu, var):
-        if np.any(np.asarray(var) <= 0):
-            raise DomainError(f"variance must be positive, got {var}")
-        return _stack(mu / var, -0.5 / var)
-
-    def mean_from_standard(self, mu, var):
-        with np.errstate(over="ignore"):  # an overflow is reported below
-            second = mu * mu + var
-        if not np.all(np.isfinite(second)):
-            raise DomainError(f"second moment of N({mu}, {var}) overflows")
-        return _stack(mu, second)
-
-    def standard_from_mean(self, m):
-        m = np.asarray(m, dtype=float)
-        self.check_mean(m)
-        return m[..., 0][()], m[..., 1] - m[..., 0] * m[..., 0]
-
-    def log_partition(self, eta):
-        return -np.square(eta[..., 0]) / (4.0 * eta[..., 1]) + 0.5 * np.log(np.pi / -eta[..., 1])
-
-    def suff_stat_cov(self, eta):
-        mu, var = self.standard_from_natural(eta)
-        c12 = 2.0 * mu * var
-        return _matrix([[var, c12], [c12, 2.0 * var * var + 4.0 * mu * mu * var]])
-
-    # fit parameterization: z = (mu, log var)
-    def unconstrained_from_standard(self, mu, var):
-        return _stack(mu, np.log(var))
-
-    def standard_from_unconstrained(self, z):
-        return z[..., 0][()], np.exp(z[..., 1])
-
-    def fit_terms(self, z):
-        mu, var = self.standard_from_unconstrained(z)
-        return FitTerms(self.mean_from_standard(mu, var), self.natural_from_standard(mu, var),
-                        # log |2 pi e var| / 2 with log var = z1
-                        0.5 * (_LOG_2PI_E + z[..., 1]),
-                        _matrix([[1.0, 0.0], [2.0 * mu, var]]))
-
-    # underlying-variable helpers
-    def suff_stats(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.column_stack([x, x ** 2])
-
-    def log_density(self, x, eta):
-        mu, var = self.standard_from_natural(eta)
-        return -0.5 * np.log(2.0 * np.pi * var) - 0.5 * (np.asarray(x) - mu) ** 2 / var
-
-    def sample(self, eta, size, rng):
-        mu, var = self.standard_from_natural(eta)
-        return rng.normal(mu, np.sqrt(var), size=size)
-
-    def sampler_box(self, m, widen):
-        mu, var = self.standard_from_mean(np.asarray(m, dtype=float))
-        return (mu - widen * np.sqrt(var), mu + widen * np.sqrt(var))
-
-
-class _GaussianMultivariate(_Gaussian):
-    """d-dimensional Gaussian; standard parameters (mu, Sigma)."""
+class _GaussianMultivariate(_Family):
+    """d-dimensional Gaussian; standard parameters mu (..., d) and Sigma
+    (..., d, d).  Its statistics are the location, then the second moments,
+    named by the block's labels; its sampler coordinates are x."""
 
     family = Family.GAUSSIAN_MULTIVARIATE
     scalar = False
+    has_location = True
 
     def stat_dim(self, var_dim):
         return var_dim + vech_dim(var_dim)
@@ -298,6 +206,10 @@ class _GaussianMultivariate(_Gaussian):
             if d + vech_dim(d) == stat_dim:
                 return d
         raise DomainError(f"no Gaussian dimension has {stat_dim} statistics")
+
+    def coord_names(self, block):
+        lab = block.labels
+        return list(lab) + [f"{lab[i]}*{lab[j]}" for i, j in zip(*tril(block.var_dim))]
 
     def check_natural(self, eta, var_dim):
         lam = -2.0 * unvech_half(eta[..., var_dim:], var_dim)
@@ -326,7 +238,11 @@ class _GaussianMultivariate(_Gaussian):
 
     def mean_from_standard(self, mu, sigma):
         mu = np.asarray(mu, dtype=float)
-        return np.concatenate([mu, vech(np.asarray(sigma) + _outer(mu))], axis=-1)
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            second = vech(np.asarray(sigma) + _outer(mu))
+        if not np.all(np.isfinite(second)):
+            raise DomainError("second moments of N(mu, Sigma) overflow")
+        return np.concatenate([mu, second], axis=-1)
 
     def standard_from_mean(self, m):
         m = np.asarray(m, dtype=float)
@@ -419,6 +335,51 @@ class _GaussianMultivariate(_Gaussian):
     def sample(self, eta, size, rng):
         mu, sigma = self.standard_from_natural(eta)
         return rng.multivariate_normal(mu, sigma, size=size)
+
+    # sampler coordinates: x
+    def value_from_unconstrained(self, z):
+        return (float(z[0]) if self.scalar else np.asarray(z, dtype=float)), 0.0
+
+    def unconstrained_from_value(self, x):
+        return np.atleast_1d(np.asarray(x, dtype=float))
+
+    def representative_value(self, m, var_dim):
+        return float(m[0]) if self.scalar else np.asarray(m[:var_dim], dtype=float)
+
+    def sampler_suff_stats(self, z, var_dim):
+        return self.suff_stats(z[:, 0] if self.scalar else z)
+
+
+class _GaussianUnivariate(_GaussianMultivariate):
+    """The d = 1 Gaussian, whose x is one float: every parameter map is the
+    multivariate one, with mu (..., 1) and Sigma (..., 1, 1).  Its per-point
+    ``suff_stats`` and ``log_density`` stay closed forms, as the quadrature
+    and worst-case oracles call them once per point, and ``sample`` draws
+    with ``rng.normal``."""
+
+    family = Family.GAUSSIAN_UNIVARIATE
+    scalar = True
+
+    def quad_support(self):
+        return (-np.inf, np.inf)
+
+    def sampler_box(self, m, widen):
+        mu, sigma = self.standard_from_mean(np.asarray(m, dtype=float))
+        sd = np.sqrt(sigma[0, 0])
+        return (mu[0] - widen * sd, mu[0] + widen * sd)
+
+    def suff_stats(self, x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return np.column_stack([x, x ** 2])
+
+    def log_density(self, x, eta):
+        var = -0.5 / eta[..., 1]
+        mu = eta[..., 0] * var
+        return -0.5 * np.log(2.0 * np.pi * var) - 0.5 * (np.asarray(x) - mu) ** 2 / var
+
+    def sample(self, eta, size, rng):
+        mu, sigma = self.standard_from_natural(eta)
+        return rng.normal(mu[..., 0], np.sqrt(sigma[..., 0, 0]), size=size)
 
 
 class _GammaLike(_Family):

@@ -24,6 +24,8 @@ B = L'AL = I - L'HL, never inverting V, whose inverse-gamma blocks have
 condition numbers near 1e7.  A Cholesky factorization of B gives
 :func:`build_system` sigma_hat = L B^-1 L' and the fit's Newton polish its
 step L (B + lam I)^-1 L' g; where B has none, m is no strict maximum.
+Where a block of V has no Cholesky factor, :func:`build_system` raises
+SingularSystem and the polish falls back to steepest descent.
 
 This module is the only one in the package that knows sigma_hat is a
 dense matrix.  Everything else asks :class:`LrvbSystem` for an operation:
@@ -171,7 +173,11 @@ def build_system(model, sol, alpha=None):
     if not sol.converged:
         raise NonConvergence("linear-response system requires a converged solution")
     m = np.asarray(sol.mean, dtype=float)
-    v, h, chol, b = linear_response(model, m, alpha)
+    try:
+        v, h, chol, b = linear_response(model, m, alpha)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("a block of V has no Cholesky factor; the fitted "
+                             "statistics are degenerate") from exc
     condition = float(np.linalg.cond(np.eye(m.size) - v @ h))
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise SingularSystem(

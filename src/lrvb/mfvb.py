@@ -314,9 +314,6 @@ class Hyperparams(Mapping):
     def names(self):
         return tuple(self._entries)
 
-    def as_vector(self):
-        return np.array(list(self._entries.values()))
-
     def check_names(self, names):
         """KeyError listing the valid keys unless every name is one of them."""
         unknown = set(names) - set(self._entries)
@@ -458,13 +455,14 @@ KEEP_SHRINK = 4.0
 # The polish damps B = I - L'HL, which is I where H vanishes, by the first
 # of these lam at which B + lam I is positive definite.
 DAMPING = (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
+# Damped Newton steps after the quasi-Newton stage, at most.
+POLISH_ITER = 60
 
 
 @dataclass(frozen=True)
 class FitOptions:
     tol: float = 1e-8          # max-abs gradient in unconstrained coordinates
     max_iter: int = 10_000
-    polish_iter: int = 60      # damped Newton steps after quasi-Newton stage
 
 
 @dataclass(frozen=True)
@@ -532,7 +530,7 @@ def fit(model, init=None, opts=None, alpha=None):
     # shrink the gradient KEEP_SHRINK-fold; otherwise H is refreshed.  Below
     # tol only such full steps are taken, down to tol / 100.
     factor = None  # (Cholesky of B + lam I, L) from an earlier iterate
-    for _ in range(opts.polish_iter):
+    for _ in range(POLISH_ITER):
         gnorm = np.max(np.abs(gz))
         if gnorm <= opts.tol / 100.0:
             break

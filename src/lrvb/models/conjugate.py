@@ -56,7 +56,7 @@ def normal_normal_model(data, noise_var, prior_natural):
     """
     if isinstance(prior_natural, tuple) and prior_natural and prior_natural[0] == "moment":
         _, mu0, var0 = prior_natural
-        prior_natural = _GU.natural_from_standard(mu0, var0)
+        prior_natural = _GU.natural_from_standard([mu0], [[var0]])
     a = np.asarray(prior_natural, dtype=float)
     if a.shape != (2,) or a[1] >= 0:
         raise DomainError(f"prior natural parameters {a} out of domain")
@@ -83,9 +83,15 @@ def normal_normal_model(data, noise_var, prior_natural):
             raise DomainError(f"prior natural parameters {eta} out of domain")
         return eta
 
+    prior_norm = None  # (eta, A(eta)) of the last prior
+
     def expected_log_prior(m, alpha):
+        # A(eta) once per prior: a chain evaluates this at one alpha every step
+        nonlocal prior_norm
         eta = _nat(alpha)
-        return float(eta @ m) - _GU.log_partition(eta)
+        if prior_norm is None or prior_norm[0] != tuple(eta):
+            prior_norm = tuple(eta), _GU.log_partition(eta)
+        return float(eta @ m) - prior_norm[1]
 
     def grad_log_prior(m, alpha):
         return _nat(alpha)
@@ -169,7 +175,7 @@ def normal_invgamma_model(data, prior_loc, prior_obs, prior_shape, prior_rate):
     def default_init(alpha):
         a0, b0 = alpha["prior_shape"], alpha["prior_rate"]
         v0 = b0 / max(a0 - 1.0, 0.5)
-        m_theta = _GU.mean_from_standard(alpha["prior_loc"], v0 / alpha["prior_obs"])
+        m_theta = _GU.mean_from_standard([alpha["prior_loc"]], [[v0 / alpha["prior_obs"]]])
         m_v = _IG.mean_from_standard(a0, b0)
         return np.concatenate([m_theta, m_v])
 
@@ -265,7 +271,7 @@ def gaussian_target_model(nat_loc, info):
         cov = np.linalg.inv(lam)
         # rows (E[theta_i], E[theta_i^2]) in layout order; an overflowing
         # second moment is a DomainError
-        return _GU.mean_from_standard(cov @ h, np.diag(cov)).ravel()
+        return _GU.mean_from_standard((cov @ h)[:, None], np.diag(cov)[:, None, None]).ravel()
 
     prior_pdfs = {}
     if np.allclose(info, np.diag(np.diag(info))):

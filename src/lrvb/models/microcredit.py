@@ -208,6 +208,8 @@ def load_microcredit_csv(path):
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"{path}, line {line}: missing or non-numeric "
                                  f"cell ({exc})") from exc
+    if not sites:
+        raise DomainError(f"{path} has no data rows, only a header")
     labels, site0 = np.unique(np.asarray(sites), return_inverse=True)
     return MicrocreditData(site0, np.asarray(treats), np.asarray(ys),
                            n_sites=len(labels))

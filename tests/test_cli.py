@@ -99,13 +99,15 @@ class TestFit:
 
     @pytest.mark.parametrize("case", [
         "missing_column", "single_site", "nan_outcome", "inf_outcome",
-        "negative_noise_shape", "indefinite_prior_info"])
+        "negative_noise_shape", "indefinite_prior_info", "header_only"])
     def test_bad_microcredit_input_is_usage_error(self, data_csv, tmp_path,
                                                   capsys, case):
         lines = open(data_csv).read().splitlines()
         extra = []
         if case == "missing_column":
             lines[0] = "site,treatment,y"
+        elif case == "header_only":
+            lines = lines[:1]
         elif case == "single_site":
             lines = [lines[0]] + [ln for ln in lines[1:] if ln.split(",")[0] == "1"]
         elif case in ("nan_outcome", "inf_outcome"):
@@ -119,7 +121,9 @@ class TestFit:
         code = run("fit", "--model", "microcredit", "--data", str(bad),
                    "--out", str(tmp_path / "x.json"), *extra)
         assert code == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert ("no data rows" in err) == (case == "header_only")
 
     def test_overflowing_override_prints_only_the_error(self, tmp_path, capsys):
         code = run("fit", "--model", "normal-normal",

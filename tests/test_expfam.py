@@ -14,7 +14,7 @@ from lrvb.util import fd_jacobian, vech, vech_dup
 def random_natural(family, rng):
     fam = ef.FAMILIES[family]
     if family is Family.GAUSSIAN_UNIVARIATE:
-        return fam.natural_from_standard(rng.normal(), rng.uniform(0.2, 3.0))
+        return fam.natural_from_standard([rng.normal()], [[rng.uniform(0.2, 3.0)]])
     if family is Family.GAMMA:
         return fam.natural_from_standard(rng.uniform(0.5, 6.0), rng.uniform(0.3, 5.0))
     if family is Family.INVERSE_GAMMA:
@@ -32,7 +32,7 @@ GU = ef.FAMILIES[Family.GAUSSIAN_UNIVARIATE]
 
 class TestMeanFromNatural:
     def test_standard_normal(self):
-        assert np.allclose(GU.mean_from_natural(GU.natural_from_standard(0.0, 1.0)),
+        assert np.allclose(GU.mean_from_natural(GU.natural_from_standard([0.0], [[1.0]])),
                            [0.0, 1.0], atol=1e-14)
 
     def test_gaussian_mean_two_var_four(self):
@@ -84,11 +84,11 @@ class TestRoundTrips:
 
 class TestSuffStatCovariance:
     def test_standard_normal(self):
-        cov = GU.suff_stat_cov(GU.natural_from_standard(0.0, 1.0))
+        cov = GU.suff_stat_cov(GU.natural_from_standard([0.0], [[1.0]]))
         assert np.allclose(cov, [[1, 0], [0, 2]], atol=1e-14)
 
     def test_shifted_normal_fourth_moment(self):
-        cov = GU.suff_stat_cov(GU.natural_from_standard(1.0, 1.0))
+        cov = GU.suff_stat_cov(GU.natural_from_standard([1.0], [[1.0]]))
         assert np.allclose(cov, [[1, 2], [2, 6]], atol=1e-12)
 
     def test_exponential_trigamma(self):
@@ -116,13 +116,13 @@ class TestSuffStatCovariance:
 class TestEntropy:
     def test_standard_normal(self):
         assert np.isclose(ef.entropy(Family.GAUSSIAN_UNIVARIATE,
-                                     GU.natural_from_standard(0.0, 1.0)),
+                                     GU.natural_from_standard([0.0], [[1.0]])),
                           0.5 * np.log(2.0 * np.pi * np.e), rtol=1e-12)
 
     def test_scaled_normal(self):
         expect = 0.5 * np.log(2.0 * np.pi * np.e) + np.log(2.0)
         assert np.isclose(ef.entropy(Family.GAUSSIAN_UNIVARIATE,
-                                     GU.natural_from_standard(0.0, 4.0)),
+                                     GU.natural_from_standard([0.0], [[4.0]])),
                           expect, rtol=1e-12)
 
     def test_unit_exponential(self):
@@ -276,7 +276,8 @@ class TestStandardMeanRoundTrip:
 def _random_standard(family, var_dim, n, rng):
     """Standard parameters of n random valid blocks, stacked."""
     if family is Family.GAUSSIAN_UNIVARIATE:
-        return rng.normal(scale=3.0, size=n), np.exp(rng.uniform(-3.0, 3.0, n))
+        return (rng.normal(scale=3.0, size=(n, 1)),
+                np.exp(rng.uniform(-3.0, 3.0, n))[:, None, None])
     if family in (Family.GAMMA, Family.INVERSE_GAMMA):
         return np.exp(rng.uniform(-3.0, 5.0, n)), np.exp(rng.uniform(-3.0, 3.0, n))
     a = rng.normal(size=(n, var_dim, var_dim))
@@ -389,3 +390,28 @@ class TestQuadSupport:
         with pytest.raises(DomainError, match=f"no quadrature support for family "
                            f"{family.value}"):
             ef.FAMILIES[family].quad_support()
+
+
+class TestUnivariateGaussian:
+    """The d = 1 Gaussian shares the multivariate maps; only its per-point
+    closed forms and its sampler are its own."""
+
+    @pytest.mark.parametrize("family, mu, sigma", [
+        (Family.GAUSSIAN_UNIVARIATE, [1e200], [[1.0]]),
+        (Family.GAUSSIAN_MULTIVARIATE, [1e200, 0.0], np.eye(2)),
+    ])
+    def test_overflowing_second_moment_raises(self, family, mu, sigma):
+        with pytest.raises(DomainError, match="second moments"):
+            ef.FAMILIES[family].mean_from_standard(np.array(mu), np.array(sigma))
+
+    def test_closed_forms_match_the_multivariate_family(self):
+        gm = ef.FAMILIES[Family.GAUSSIAN_MULTIVARIATE]
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            mu, sd = rng.normal(scale=3.0), np.exp(rng.uniform(-3.0, 3.0))
+            eta = GU.natural_from_standard([mu], [[sd * sd]])
+            x = mu + sd * rng.normal(scale=4.0, size=40)
+            for got, want in [(GU.log_density(x, eta), gm.log_density(x[:, None], eta)),
+                              (GU.suff_stats(x), gm.suff_stats(x[:, None]))]:
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

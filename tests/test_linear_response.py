@@ -55,6 +55,15 @@ class TestBuildSystem:
         with pytest.raises(SingularSystem):
             lr.build_system(model, sol)
 
+    def test_v_without_cholesky_factor_detected(self, nn_model):
+        # at variance 1e-170 the block's V = diag(var, 2 var^2) has a
+        # second entry that underflows to 0, so V has no Cholesky factor;
+        # at 1e-160 it is subnormal and the system builds
+        sol = VbSolution(mean=np.array([0.0, 1e-170]), elbo=0.0, iterations=0,
+                         converged=True, grad_norm=0.0)
+        with pytest.raises(SingularSystem, match="no Cholesky factor"):
+            lr.build_system(nn_model, sol)
+
     def test_saddle_point_detected(self):
         # H = diag(2, 0) makes I - VH = diag(-1, 1): condition 1, and
         # (I - VH)^-1 V = diag(-1, 2) would be a covariance with a negative

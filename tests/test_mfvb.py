@@ -113,21 +113,23 @@ class TestFit:
         assert np.all(np.diff(trace) >= -slack)
         assert sol.converged
 
-    def test_non_convergence_raises(self, nn_model):
+    def test_non_convergence_raises(self, nn_model, monkeypatch):
+        monkeypatch.setattr(mfvb, "POLISH_ITER", 0)
         with pytest.raises(NonConvergence) as info:
-            mfvb.fit(nn_model, opts=FitOptions(tol=1e-30, max_iter=3, polish_iter=0))
+            mfvb.fit(nn_model, opts=FitOptions(tol=1e-30, max_iter=3))
         assert info.value.solution is not None
         # the quasi-Newton stage's own outcome is kept in the message
         assert ("L-BFGS-B stopped after 3 iterations: "
                 "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT") in str(info.value)
 
-    def test_polish_steps_past_a_hessian_outside_the_domain(self):
+    def test_polish_steps_past_a_hessian_outside_the_domain(self, monkeypatch):
         # with no quasi-Newton stage the polish starts far from the optimum,
         # where the Hessian's difference steps cross the Wishart boundary; a
         # DomainError from the Hessian once escaped the fit
         model = build_microcredit_model(load_microcredit_csv(BUNDLED_CSV))
+        monkeypatch.setattr(mfvb, "POLISH_ITER", 20)
         with pytest.raises(NonConvergence):
-            mfvb.fit(model, opts=FitOptions(max_iter=0, polish_iter=20))
+            mfvb.fit(model, opts=FitOptions(max_iter=0))
 
     def test_hierarchical_converges_from_prior_init(self, micro_model):
         sol = mfvb.fit(micro_model)
@@ -148,17 +150,17 @@ class TestLayoutEntropy:
         # stalled.  A(eta) and eta.m reach 5e12 and 3e18, and their
         # difference read -2.3e8 for an entropy of -17.2 and moved by up to
         # 4.5e17 per unit of a 1e-9 step.  Each step of a fit coordinate
-        # moves the entropy by its derivative: 1/2 for the log variance, 1
-        # for a log-Cholesky diagonal entry, 0 otherwise.
+        # moves the entropy by its derivative: 1 for a log-Cholesky diagonal
+        # entry (the log sd of the univariate block), 0 otherwise.
         layout = Layout([BlockDef("a", Family.GAUSSIAN_UNIVARIATE),
                          BlockDef("b", Family.GAUSSIAN_MULTIVARIATE, 2)])
-        z = np.array([3e3, -14.0, 3e3, -2e3, -7.0, 0.4, -7.5])
+        z = np.array([3e3, -7.0, 3e3, -2e3, -7.0, 0.4, -7.5])
         slope = np.zeros(z.size)
-        slope[1] = 0.5
+        slope[1] = 1.0
         slope[4 + tril_diag(2)] = 1.0
         h = 1e-9
         base = layout.entropy_from_unconstrained(z)
-        # 1/2 log(2 pi e var) + log|2 pi e Sigma| / 2
+        # 1/2 log(2 pi e sd^2) + log|2 pi e Sigma| / 2
         assert np.isclose(base, 1.5 * np.log(2.0 * np.pi * np.e) - 7.0 - 7.0 - 7.5,
                           rtol=1e-14, atol=0.0)
         for j in range(z.size):
@@ -294,7 +296,7 @@ class TestHyperparams:
     def test_round_trip_and_updates(self):
         hp = Hyperparams({"a": 1.0, "b": -2.0})
         assert hp.names == ("a", "b")
-        assert np.array_equal(hp.as_vector(), [1.0, -2.0])
+        assert list(hp.values()) == [1.0, -2.0]
         hp2 = hp.with_updates(b=5.0)
         assert hp2["b"] == 5.0 and hp["b"] == -2.0
         hp3 = hp.perturbed({"a": 2.0}, 0.5)

@@ -36,7 +36,7 @@ LOG_2PI = np.log(2.0 * np.pi)
 def normal_normal_hooks(data, noise_var, prior_natural):
     if isinstance(prior_natural, tuple) and prior_natural and prior_natural[0] == "moment":
         _, mu0, var0 = prior_natural
-        prior_natural = _GU.natural_from_standard(mu0, var0)
+        prior_natural = _GU.natural_from_standard([mu0], [[var0]])
     x = np.asarray(data, dtype=float)
     n, sx, sxx = x.size, float(np.sum(x)), float(np.sum(x ** 2))
     lik_coeff = np.array([sx / noise_var, -0.5 * n / noise_var])
