@@ -59,8 +59,7 @@ def _gaussian3d(args, overrides):
 
 def _with_hyper(model, overrides):
     _check_names(model.hyperparams, overrides)
-    return (replace(model, hyperparams=model.hyperparams.with_updates(**overrides))
-            if overrides else model)
+    return replace(model, hyperparams=model.hyperparams.with_updates(**overrides))
 
 
 def _check_names(hyperparams, names):

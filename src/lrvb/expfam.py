@@ -162,7 +162,12 @@ class _Family:
     scalar = True  # one float per value
     has_location = False
 
-    def stat_dim(self, var_dim):
+    def stat_dim(self, var_dim):  # a scalar family takes var_dim 1, the others >= 1
+        if var_dim < 1 or (self.scalar and var_dim != 1):
+            raise ValueError(f"{self.family.value} blocks cannot have var_dim {var_dim}")
+        return self._stat_dim(var_dim)
+
+    def _stat_dim(self, var_dim):
         return 2
 
     def value_dim(self, var_dim):
@@ -198,7 +203,7 @@ class _GaussianMultivariate(_Family):
     scalar = False
     has_location = True
 
-    def stat_dim(self, var_dim):
+    def _stat_dim(self, var_dim):
         return var_dim + vech_dim(var_dim)
 
     def var_dim_from_stat_dim(self, stat_dim):
@@ -330,7 +335,7 @@ class _GaussianMultivariate(_Family):
         quad = np.sum(diff[:, :, None] * lam * diff[:, None, :], axis=(1, 2))
         logdet_lam = 2.0 * np.sum(np.log(np.diagonal(chol)))
         out = -0.5 * (d * np.log(2.0 * np.pi) - logdet_lam + quad)
-        return out if out.size > 1 else float(out[0])
+        return float(out[0]) if np.ndim(x) < 2 else out
 
     def sample(self, eta, size, rng):
         mu, sigma = self.standard_from_natural(eta)
@@ -373,6 +378,10 @@ class _GaussianUnivariate(_GaussianMultivariate):
         return np.column_stack([x, x ** 2])
 
     def log_density(self, x, eta):
+        # checked on Python floats, as numpy reductions cost twice the density
+        if not all(abs(h) < np.inf and -np.inf < e < 0
+                   for h, e in np.reshape(eta, (-1, 2)).tolist()):
+            raise DomainError("Gaussian natural second-moment matrix not negative definite")
         var = -0.5 / eta[..., 1]
         mu = eta[..., 0] * var
         return -0.5 * np.log(2.0 * np.pi * var) - 0.5 * (np.asarray(x) - mu) ** 2 / var
@@ -531,7 +540,7 @@ class _Wishart(_Family):
     family = Family.WISHART
     scalar = False
 
-    def stat_dim(self, var_dim):
+    def _stat_dim(self, var_dim):
         return vech_dim(var_dim) + 1
 
     def value_dim(self, var_dim):

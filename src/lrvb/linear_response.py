@@ -61,8 +61,8 @@ class LrvbSystem:
 
     What influence queries reuse per system -- response columns and a
     block's fitted natural parameters -- is computed on first use and kept
-    in ``_memo``, keyed by content (never by alpha), read-only, and outside
-    equality and repr.
+    in ``_memo``, keyed by content, read-only, and outside equality and
+    repr.
     """
 
     mean: np.ndarray
@@ -121,7 +121,7 @@ def _read_only(arr):
     return arr
 
 
-def hessian_of_objective(model, m, alpha=None):
+def hessian_of_objective(model, m):
     """H = d^2 L / dm dm' by central differences of L's analytic gradient.
 
     Each coordinate outside the model's ``local_groups`` is differenced on
@@ -133,22 +133,21 @@ def hessian_of_objective(model, m, alpha=None):
     number of groups (Powell & Toint 1979).  A model that declares no
     groups has every column differenced on its own.
     """
-    alpha = model.resolve_alpha(alpha)
     columns, owner = model._hessian_columns
-    hess = fd_jacobian(lambda x: model.grad_log_lik(x) + model.grad_log_prior(x, alpha),
-                       np.asarray(m, dtype=float), rel_step=HESSIAN_REL_STEP,
-                       columns=columns)
+    hess = fd_jacobian(
+        lambda x: model.grad_log_lik(x) + model.grad_log_prior(x, model.hyperparams),
+        np.asarray(m, dtype=float), rel_step=HESSIAN_REL_STEP, columns=columns)
     own = (owner[None, :] < 0) | (owner[:, None] == owner[None, :])
     hess = np.where(own, hess, np.where(owner[:, None] < 0, hess.T, 0.0))
     return (hess + hess.T) / 2.0
 
 
-def linear_response(model, m, alpha=None):
+def linear_response(model, m):
     """(V, H, L, B) at the mean vector m: L the per-group stacks of the
     Cholesky factors of V's blocks, so that V = L L' with L block diagonal,
     and B = I - L'HL, which is L^-1 (I - VH) L."""
     layout = model.layout
-    v, h = layout.suff_stat_cov(m), hessian_of_objective(model, m, alpha)
+    v, h = layout.suff_stat_cov(m), hessian_of_objective(model, m)
     chol = [np.linalg.cholesky(v[idx[:, :, None], idx[:, None, :]])
             for _, _, idx in layout.groups]
     lhl = times_chol(layout, chol, times_chol(layout, chol, h).T)  # (HL)'L
@@ -167,14 +166,14 @@ def times_chol(layout, chol, x, trans=False):
     return out.reshape(x.shape)
 
 
-def build_system(model, sol, alpha=None):
+def build_system(model, sol):
     """Assemble the linear-response system at a converged solution:
     sigma_hat = X'X, X = R^-1 L' with B = RR', exactly symmetric."""
     if not sol.converged:
         raise NonConvergence("linear-response system requires a converged solution")
     m = np.asarray(sol.mean, dtype=float)
     try:
-        v, h, chol, b = linear_response(model, m, alpha)
+        v, h, chol, b = linear_response(model, m)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("a block of V has no Cholesky factor; the fitted "
                              "statistics are degenerate") from exc

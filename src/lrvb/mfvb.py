@@ -32,7 +32,7 @@ from threads of one process have not been shown safe with it; run
 independent fits in separate processes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Callable, Mapping, Optional
 
@@ -55,6 +55,7 @@ class BlockDef:
     labels: tuple = ()
 
     def __post_init__(self):
+        self.stat_dim  # the family's ValueError for a var_dim it does not take
         if not self.labels:  # one per dimension of x, as the Wishart's name[i,j]
             labels = ((self.name,) if self.var_dim == 1
                       else tuple(f"{self.name}[{i}]" for i in range(self.var_dim)))
@@ -344,8 +345,11 @@ class ModelSpec:
     ``expected_log_lik(m)`` and ``expected_log_prior(m, alpha)`` must be
     deterministic closed forms of the mean vector; their gradients are
     exact, which is what lets the fit reach tight tolerances and keeps
-    the downstream Hessian noise-free.  Sensitivities difference
-    ``grad_log_prior`` along alpha, so a model writes no alpha-derivative.
+    the downstream Hessian noise-free.  The prior lives here, in
+    ``hyperparams``, which every fit, system, query and oracle reads; the
+    hooks take alpha so that sensitivities can difference ``grad_log_prior``
+    in it, and no model writes an alpha-derivative.  Another prior is
+    another model, ``dataclasses.replace(model, hyperparams=...)``.
 
     Optional hooks:
 
@@ -398,9 +402,6 @@ class ModelSpec:
         object.__setattr__(self, "_hessian_columns",
                            self.layout.hessian_columns(self.local_groups))
 
-    def resolve_alpha(self, alpha):
-        return self.hyperparams if alpha is None else alpha
-
     def factorized_block(self, block):
         """Index of a block across which the prior factors, as every query on
         one block needs.  ``block`` is a layout block name or an integer
@@ -422,23 +423,21 @@ class ModelSpec:
         return idx
 
 
-def elbo(model, m, alpha=None):
+def elbo(model, m):
     """Expected log joint plus entropy at mean vector m."""
-    alpha = model.resolve_alpha(alpha)
     model.layout.check_mean(m)
     m = np.asarray(m, dtype=float)
-    value = (model.expected_log_lik(m) + model.expected_log_prior(m, alpha)
+    value = (model.expected_log_lik(m) + model.expected_log_prior(m, model.hyperparams)
              + model.layout.entropy(m))
     if not np.isfinite(value):
         raise DomainError(f"objective not finite at the given mean vector ({value})")
     return float(value)
 
 
-def elbo_grad_mean(model, m, alpha=None):
+def elbo_grad_mean(model, m):
     """Gradient of the objective in mean coordinates: grad_L(m) - natural(m)."""
-    alpha = model.resolve_alpha(alpha)
     m = np.asarray(m, dtype=float)
-    return (model.grad_log_lik(m) + model.grad_log_prior(m, alpha)
+    return (model.grad_log_lik(m) + model.grad_log_prior(m, model.hyperparams)
             - model.layout.natural_vector(m))
 
 
@@ -485,11 +484,15 @@ def fit(model, init=None, opts=None, alpha=None):
     the objective; a polish step is also accepted when it shrinks the
     gradient and lowers the objective by at most 1e-12 max(1, |objective|),
     below which the change is rounding.
+
+    ``alpha``, when given, fits ``replace(model, hyperparams=alpha)``, for
+    callers that refit one model at many priors; no code below reads it.
     """
     opts = opts or FitOptions()
-    alpha = model.resolve_alpha(alpha)
-    layout = model.layout
-    m0 = np.asarray(init if init is not None else model.default_init(alpha), dtype=float)
+    if alpha is not None:
+        model = replace(model, hyperparams=alpha)
+    layout, prior = model.layout, model.hyperparams
+    m0 = np.asarray(init if init is not None else model.default_init(prior), dtype=float)
     layout.check_mean(m0)
     z0 = layout.unconstrained_from_mean(m0)
 
@@ -501,11 +504,11 @@ def fit(model, init=None, opts=None, alpha=None):
                 terms = layout.fit_terms(z)
                 m, natural, entropy, jacobians = terms
                 val = (model.expected_log_lik(m)
-                       + model.expected_log_prior(m, alpha)
+                       + model.expected_log_prior(m, prior)
                        + entropy)
                 if not np.isfinite(val):
                     return np.inf, np.zeros_like(z), None
-                gm = (model.grad_log_lik(m) + model.grad_log_prior(m, alpha)
+                gm = (model.grad_log_lik(m) + model.grad_log_prior(m, prior)
                       - natural)
                 gz = layout.jacobian_transpose_times(jacobians, gm)
                 if not np.all(np.isfinite(gz)):
@@ -545,7 +548,7 @@ def fit(model, init=None, opts=None, alpha=None):
             break  # below tol, only full steps from a kept factorization
         if fresh:
             try:
-                factor, step = _newton_factor(model, terms, gz, alpha)
+                factor, step = _newton_factor(model, terms, gz)
             except (DomainError, np.linalg.LinAlgError):
                 # a singular J, or a Hessian step that left the domain
                 factor, step = None, -gz
@@ -591,11 +594,11 @@ def fit(model, init=None, opts=None, alpha=None):
     return solution
 
 
-def _newton_factor(model, terms, grad, alpha):
+def _newton_factor(model, terms, grad):
     """(factorization, step) at the point of the layout's fit terms: the
     Newton step on -ELBO from the (Cholesky factors of B + lam I, L) at the
     first lam of DAMPING where they exist; else (None, steepest descent)."""
-    _, _, chol, b = linear_response(model, terms[0], alpha)
+    _, _, chol, b = linear_response(model, terms[0])
     for damping in DAMPING:
         try:
             factor = (scipy.linalg.cho_factor(b + damping * np.eye(b.shape[0])), chol)

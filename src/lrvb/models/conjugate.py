@@ -19,7 +19,7 @@ from scipy.special import gammaln
 from ..errors import DomainError, NotConjugate
 from ..expfam import FAMILIES, Family
 from ..mfvb import BlockDef, Hyperparams, Layout, ModelSpec
-from ..util import digamma, tril
+from ..util import digamma, is_pos_def, tril
 
 _GU = FAMILIES[Family.GAUSSIAN_UNIVARIATE]
 _IG = FAMILIES[Family.INVERSE_GAMMA]
@@ -58,7 +58,7 @@ def normal_normal_model(data, noise_var, prior_natural):
         _, mu0, var0 = prior_natural
         prior_natural = _GU.natural_from_standard([mu0], [[var0]])
     a = np.asarray(prior_natural, dtype=float)
-    if a.shape != (2,) or a[1] >= 0:
+    if a.shape != (2,) or not (np.all(np.isfinite(a)) and a[1] < 0):
         raise DomainError(f"prior natural parameters {a} out of domain")
     x = np.asarray(data, dtype=float)
     n, sx, sxx = x.size, float(np.sum(x)), float(np.sum(x ** 2))
@@ -78,10 +78,10 @@ def normal_normal_model(data, noise_var, prior_natural):
         return lik_coeff.copy()
 
     def _nat(alpha):
-        eta = np.array([alpha["prior_nat_1"], alpha["prior_nat_2"]])
-        if eta[1] >= 0:
-            raise DomainError(f"prior natural parameters {eta} out of domain")
-        return eta
+        h, e = alpha["prior_nat_1"], alpha["prior_nat_2"]
+        if not (abs(h) < np.inf and -np.inf < e < 0):
+            raise DomainError(f"prior natural parameters {[h, e]} out of domain")
+        return np.array([h, e])
 
     prior_norm = None  # (eta, A(eta)) of the last prior
 
@@ -128,8 +128,6 @@ def normal_invgamma_model(data, prior_loc, prior_obs, prior_shape, prior_rate):
     """
     x = np.asarray(data, dtype=float)
     n, sx, sxx = x.size, float(np.sum(x)), float(np.sum(x ** 2))
-    if prior_obs <= 0 or prior_shape <= 0 or prior_rate <= 0:
-        raise DomainError("prior_obs, prior_shape, prior_rate must be positive")
 
     layout = Layout([
         BlockDef("theta", Family.GAUSSIAN_UNIVARIATE, labels=("theta",)),
@@ -147,19 +145,24 @@ def normal_invgamma_model(data, prior_loc, prior_obs, prior_shape, prior_rate):
         quad = sxx - 2.0 * sx * m[0] + n * m[1]
         return np.array([m[2] * sx, -0.5 * n * m[2], -0.5 * quad, -0.5 * n])
 
-    def expected_log_prior(m, alpha):
+    def _unpack(alpha):
         mu0, k0 = alpha["prior_loc"], alpha["prior_obs"]
         a0, b0 = alpha["prior_shape"], alpha["prior_rate"]
-        if k0 <= 0 or a0 <= 0 or b0 <= 0:
-            raise DomainError("hyperparameters left the prior domain")
+        if not (k0 > 0 and a0 > 0 and b0 > 0):
+            raise DomainError("prior_obs, prior_shape, prior_rate must be positive")
+        return mu0, k0, a0, b0
+
+    _unpack(hyper)  # the one domain check of the prior, at build as in every hook
+
+    def expected_log_prior(m, alpha):
+        mu0, k0, a0, b0 = _unpack(alpha)
         quad = m[1] - 2.0 * mu0 * m[0] + mu0 ** 2
         loc = -0.5 * LOG_2PI + 0.5 * np.log(k0) - 0.5 * m[3] - 0.5 * k0 * m[2] * quad
         scale = a0 * np.log(b0) - gammaln(a0) - (a0 + 1.0) * m[3] - b0 * m[2]
         return loc + scale
 
     def grad_log_prior(m, alpha):
-        mu0, k0 = alpha["prior_loc"], alpha["prior_obs"]
-        a0, b0 = alpha["prior_shape"], alpha["prior_rate"]
+        mu0, k0, a0, b0 = _unpack(alpha)
         quad = m[1] - 2.0 * mu0 * m[0] + mu0 ** 2
         return np.array([
             k0 * m[2] * mu0,
@@ -169,19 +172,18 @@ def normal_invgamma_model(data, prior_loc, prior_obs, prior_shape, prior_rate):
         ])
 
     def prior_block_logpdf(point, alpha):
-        a0, b0 = alpha["prior_shape"], alpha["prior_rate"]
+        _, _, a0, b0 = _unpack(alpha)
         return _IG.log_density(point, _IG.natural_from_standard(a0, b0))
 
     def default_init(alpha):
-        a0, b0 = alpha["prior_shape"], alpha["prior_rate"]
+        mu0, k0, a0, b0 = _unpack(alpha)
         v0 = b0 / max(a0 - 1.0, 0.5)
-        m_theta = _GU.mean_from_standard([alpha["prior_loc"]], [[v0 / alpha["prior_obs"]]])
+        m_theta = _GU.mean_from_standard([mu0], [[v0 / k0]])
         m_v = _IG.mean_from_standard(a0, b0)
         return np.concatenate([m_theta, m_v])
 
     def exact_posterior(alpha):
-        mu0, k0 = alpha["prior_loc"], alpha["prior_obs"]
-        a0, b0 = alpha["prior_shape"], alpha["prior_rate"]
+        mu0, k0, a0, b0 = _unpack(alpha)
         kn = k0 + n
         mun = (k0 * mu0 + sx) / kn
         an = a0 + 0.5 * n
@@ -220,10 +222,6 @@ def gaussian_target_model(nat_loc, info):
     d = nat_loc.size
     if info.shape != (d, d) or not np.allclose(info, info.T):
         raise DomainError("precision matrix must be square and symmetric")
-    try:
-        np.linalg.cholesky(info)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("precision matrix must be positive definite") from exc
 
     layout = Layout([BlockDef(f"theta_{i+1}", Family.GAUSSIAN_UNIVARIATE,
                               labels=(f"theta_{i+1}",)) for i in range(d)])
@@ -239,7 +237,11 @@ def gaussian_target_model(nat_loc, info):
         lam = np.zeros((d, d))
         for i, j in zip(*tril(d)):
             lam[i, j] = lam[j, i] = alpha[f"info_{i+1}{j+1}"]
+        if not is_pos_def(lam):
+            raise DomainError("precision matrix must be positive definite")
         return h, lam
+
+    _unpack(hyper)  # the one domain check of the prior, at build as in every hook
 
     def expected_log_lik(m):
         return 0.0
@@ -249,9 +251,7 @@ def gaussian_target_model(nat_loc, info):
 
     def expected_log_prior(m, alpha):
         h, lam = _unpack(alpha)
-        sign, logdet = np.linalg.slogdet(lam)
-        if sign <= 0:
-            raise DomainError("precision hyperparameters left the PD cone")
+        _, logdet = np.linalg.slogdet(lam)
         mu = m[loc_idx]
         quad = float(np.diag(lam) @ m[sq_idx])
         quad += float(mu @ (lam - np.diag(np.diag(lam))) @ mu)

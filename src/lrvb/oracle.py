@@ -16,7 +16,7 @@ import os
 import pickle
 import signal
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -31,12 +31,12 @@ QUAD_ABS_TOL = 1e-8
 MIN_BATCHES = 10  # batch means of a chain; one draw per batch at the least
 
 
-def sampler_log_target(model, alpha):
+def sampler_log_target(model):
     """Log posterior plus log-Jacobian over the sampler coordinates: the
-    model's one pointwise posterior, ``sampler_log_posterior(alpha)``,
-    -inf where it is not finite.  DomainError for a model without it."""
+    model's one pointwise posterior at its prior, -inf where it is not
+    finite.  DomainError for a model without it."""
     _check_pointwise_posterior(model)
-    return model.sampler_log_posterior(alpha)
+    return model.sampler_log_posterior(model.hyperparams)
 
 
 def _check_pointwise_posterior(model):
@@ -94,11 +94,11 @@ class ConjugatePosterior:
     log_evidence: Optional[float] = None
 
 
-def exact_conjugate_posterior(model, alpha=None):
+def exact_conjugate_posterior(model):
     """Closed-form posterior moments from the model's ``exact_posterior`` hook."""
     if model.exact_posterior is None:
         raise NotConjugate(f"no closed-form posterior for model {model.name!r}")
-    mean, log_evidence = model.exact_posterior(model.resolve_alpha(alpha))
+    mean, log_evidence = model.exact_posterior(model.hyperparams)
     return ConjugatePosterior(mean=mean, log_evidence=log_evidence)
 
 
@@ -107,21 +107,20 @@ def exact_conjugate_posterior(model, alpha=None):
 # ---------------------------------------------------------------------------
 
 
-def quadrature_posterior_mean(model, alpha=None, box=None):
+def quadrature_posterior_mean(model, box=None):
     """Exact posterior expected statistics via quadrature (value dim <= 2).
 
     Integrates the unnormalized joint over the underlying variables and
     normalizes; independent of both the fit and the conjugate formulas.
     ``box`` holds one (lo, hi) sampler-coordinate range per block; by
-    default it is placed around a fit of the model at alpha.
+    default it is placed around a fit of the model.
     """
-    alpha = model.resolve_alpha(alpha)
     layout = model.layout
     _check_quadrature_supports(model)
 
-    log_joint_z = sampler_log_target(model, alpha)
+    log_joint_z = sampler_log_target(model)
     if box is None:
-        box = _sampler_box(layout, mfvb.fit(model, alpha=alpha).mean)
+        box = _sampler_box(layout, mfvb.fit(model).mean)
     # peak-normalize to keep exponentials in range
     grid = _box_grid(box, 41)
     peak = max(log_joint_z(z) for z in grid)
@@ -155,7 +154,7 @@ def _box_grid(box, n):
         *(np.linspace(lo, hi, n) for lo, hi in box))]
 
 
-def contaminated_posterior_mean(model, block, contaminant, eps, alpha=None):
+def contaminated_posterior_mean(model, block, contaminant, eps):
     """Exact posterior statistics when the block prior p is mixed with a
     contaminating distribution at weight eps in [0, 1].
 
@@ -173,7 +172,6 @@ def contaminated_posterior_mean(model, block, contaminant, eps, alpha=None):
     ratio is taken in log space.
     """
     _check_weight(eps)
-    alpha = model.resolve_alpha(alpha)
     layout = model.layout
     if len(layout.blocks) != 1:
         raise DomainError("contaminated posterior oracle supports one block")
@@ -183,7 +181,7 @@ def contaminated_posterior_mean(model, block, contaminant, eps, alpha=None):
     kind, payload = contaminant
     if kind not in ("dirac", "density"):
         raise DomainError(f"unknown contaminant kind {kind!r}")
-    log_post = sampler_log_target(model, alpha)
+    log_post = sampler_log_target(model)
     model.factorized_block(block)
 
     def log_joint(x):
@@ -191,7 +189,7 @@ def contaminated_posterior_mean(model, block, contaminant, eps, alpha=None):
         return log_post(zv) - layout.values_from_sampler(zv)[1]
 
     def log_prior(x):
-        return model.prior_block_logpdf[name](x, alpha)
+        return model.prior_block_logpdf[name](x, model.hyperparams)
 
     def mass_and_stats(log_weight):
         """Integrals of the joint times exp(log_weight), times 1 and times
@@ -228,8 +226,6 @@ def contaminated_model(model, block, pc_logpdf, eps):
     keeps only the fit's hooks: it has no pointwise posterior and no
     per-block prior.
     """
-    from dataclasses import replace
-
     _check_weight(eps)
     layout = model.layout
     idx = model.factorized_block(block)
@@ -545,8 +541,7 @@ def check_rerun_inputs(model, engine, direction, step=None):
 
 
 def perturb_and_rerun(model, direction, engine, step=None, sol=None, sys=None,
-                      alpha=None, mcmc_config=None, mcmc_adapt=500,
-                      fit_opts=None):
+                      mcmc_config=None, mcmc_adapt=500, fit_opts=None):
     """Compare predicted sensitivity against an actual rerun.
 
     ``direction`` is a {hyperparameter: coefficient} dict.  ``engine`` is
@@ -554,7 +549,9 @@ def perturb_and_rerun(model, direction, engine, step=None, sol=None, sys=None,
     posterior statistics via integration), or "mcmc" (two coupled chains
     sharing one seed).  Forward differences with step ``step`` (default
     1% of the dominant hyperparameter magnitude); the Vb and Quadrature
-    engines Richardson-extrapolate with a halved step.
+    engines Richardson-extrapolate with a halved step.  ``sol`` and ``sys``
+    must come from ``model``; a rerun at t fits, integrates or samples
+    ``replace(model, hyperparams=model.hyperparams.perturbed(direction, t))``.
 
     The mcmc engine runs the perturbed chain in a child made by
     ``os.fork()`` (so it needs ``os.fork``) while this process runs the
@@ -566,27 +563,28 @@ def perturb_and_rerun(model, direction, engine, step=None, sol=None, sys=None,
     from . import linear_response, robustness
 
     check_rerun_inputs(model, engine, direction, step)
-    alpha = model.resolve_alpha(alpha)
+    alpha = model.hyperparams
     alpha.check_names(direction)
     if step is None:
         mags = [abs(alpha[k]) for k in direction if alpha[k] != 0]
         scale = max(mags) if mags else 1.0
         step = 0.01 * scale / max(abs(v) for v in direction.values())
     if sol is None:
-        sol = mfvb.fit(model, alpha=alpha, opts=fit_opts)
+        sol = mfvb.fit(model, opts=fit_opts)
     if sys is None:
-        sys = linear_response.build_system(model, sol, alpha=alpha)
-    predicted = robustness.hyperparam_sensitivity(model, sol, sys, direction,
-                                                  alpha=alpha)
+        sys = linear_response.build_system(model, sol)
+    predicted = robustness.hyperparam_sensitivity(model, sol, sys, direction)
     names = tuple(model.layout.coord_names())
     # the quadrature engine integrates every rerun over one box around sol
     box = _sampler_box(model.layout, sol.mean) if engine == "quadrature" else None
 
+    def at(t):
+        return replace(model, hyperparams=alpha.perturbed(direction, t))
+
     def means_at(t):
-        a = alpha.perturbed(direction, t)
         if engine == "vb":
-            return mfvb.fit(model, init=sol.mean, alpha=a, opts=fit_opts).mean
-        return quadrature_posterior_mean(model, alpha=a, box=box)
+            return mfvb.fit(at(t), init=sol.mean, opts=fit_opts).mean
+        return quadrature_posterior_mean(at(t), box=box)
 
     chains = None
     if engine != "mcmc":
@@ -604,15 +602,15 @@ def perturb_and_rerun(model, direction, engine, step=None, sol=None, sys=None,
         layout = model.layout
         z0 = layout.sampler_from_values(layout.representative_values(sol.mean))
 
-        def chain(a):
-            run = metropolis_sample(sampler_log_target(model, a), z0, mcmc_config,
+        def chain(m):
+            run = metropolis_sample(sampler_log_target(m), z0, mcmc_config,
                                     adapt_sweeps=mcmc_adapt)
             return (layout.suff_stats_of_sampler_matrix(run.draws),
                     {"acceptance_rate": run.acceptance_rate,
                      "min_ess": float(np.min(run.ess))})
 
         (stats_base, base), (stats_pert, pert) = _beside_forked_child(
-            lambda: chain(alpha), lambda: chain(alpha.perturbed(direction, step)))
+            lambda: chain(model), lambda: chain(at(step)))
         chains = {"base": base, "perturbed": pert}
         diff = (stats_pert - stats_base) / step
         if not np.any(diff):

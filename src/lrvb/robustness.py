@@ -137,7 +137,7 @@ class WorstCaseResult:
 # ---------------------------------------------------------------------------
 
 
-def prior_direction_gradient(model, m, direction, alpha=None):
+def prior_direction_gradient(model, m, direction):
     """d/dm of the directional alpha-derivative of the expected log prior.
 
     The one path for every model: a central difference of
@@ -148,7 +148,7 @@ def prior_direction_gradient(model, m, direction, alpha=None):
     over the same span.  An unknown name raises the KeyError of
     :meth:`Hyperparams.check_names`; a non-finite coefficient, DomainError.
     """
-    alpha = model.resolve_alpha(alpha)
+    alpha = model.hyperparams
     alpha.check_names(direction)
     if not all(np.isfinite(v) for v in direction.values()):
         raise DomainError(f"direction coefficients must be finite, got {direction}")
@@ -167,9 +167,9 @@ def prior_direction_gradient(model, m, direction, alpha=None):
         f"prior gradient failed under perturbation {direction}: {error}") from error
 
 
-def hyperparam_sensitivity(model, sol, sys, direction, alpha=None):
+def hyperparam_sensitivity(model, sol, sys, direction):
     """Derivative of every posterior mean along a hyperparameter direction."""
-    grad_f = prior_direction_gradient(model, sol.mean, direction, alpha)
+    grad_f = prior_direction_gradient(model, sol.mean, direction)
     if grad_f.shape != (sys.dim,):
         raise DimensionMismatch(f"direction gradient has shape {grad_f.shape}")
     return sys.solve(grad_f)
@@ -189,11 +189,11 @@ def _block_setup(model, sys, block):
     return idx, bdef, sl, sys.mean[sl], FAMILIES[bdef.family], eta
 
 
-def _log_density_ratio(model, bdef, fam, eta, x, alpha):
+def _log_density_ratio(model, bdef, fam, eta, x):
     """log q(x) - log p(x) and log p(x) for one block, elementwise over one
     value or an array of them, with one call of each density."""
     name = bdef.name
-    log_p = model.prior_block_logpdf[name](x, alpha)
+    log_p = model.prior_block_logpdf[name](x, model.hyperparams)
     log_q = fam.log_density(x, eta)
     if np.shape(log_p) != np.shape(log_q):
         raise DimensionMismatch(f"prior_block_logpdf[{name!r}] returned shape "
@@ -201,7 +201,7 @@ def _log_density_ratio(model, bdef, fam, eta, x, alpha):
     return log_q - log_p, log_p
 
 
-def influence_function(model, sol, sys, block, point, alpha=None):
+def influence_function(model, sol, sys, block, point):
     """Response of all posterior means to a point mass added to one
     block's prior.
 
@@ -210,11 +210,10 @@ def influence_function(model, sol, sys, block, point, alpha=None):
     convention on higher-order coordinates): the influence grid of the one
     point.
     """
-    alpha = model.resolve_alpha(alpha)
-    return _influence_rows(model, sys, block, point, alpha, one_point=True)[0]
+    return _influence_rows(model, sys, block, point, one_point=True)[0]
 
 
-def influence_grid(model, sol, sys, block, points, alpha=None):
+def influence_grid(model, sol, sys, block, points):
     """Influence vectors over many points, shape (n_points, dim).
 
     Row i is sum_j q/p(x_i) (x_ij - m_j) c_j over the block's d location
@@ -222,11 +221,10 @@ def influence_grid(model, sol, sys, block, points, alpha=None):
     coordinate j; a row does not depend on which other points share the
     call.
     """
-    alpha = model.resolve_alpha(alpha)
-    return _influence_rows(model, sys, block, points, alpha)
+    return _influence_rows(model, sys, block, points)
 
 
-def _influence_rows(model, sys, block, points, alpha, one_point=False):
+def _influence_rows(model, sys, block, points, one_point=False):
     idx, bdef, _, _, fam, eta = _block_setup(model, sys, block)
     if not fam.has_location:
         raise DomainError(f"block {bdef.name!r} has no location statistics")
@@ -240,8 +238,7 @@ def _influence_rows(model, sys, block, points, alpha, one_point=False):
     values = points[:, 0] if fam.scalar else points
     # a far point's densities overflow to -inf or nan: zero prior density below
     with np.errstate(over="ignore", invalid="ignore"):
-        log_ratio, log_p = (np.reshape(v, -1) for v in
-                            _log_density_ratio(model, bdef, fam, eta, values, alpha))
+        log_ratio, log_p = _log_density_ratio(model, bdef, fam, eta, values)
     under = np.flatnonzero(~(log_p >= MIN_PRIOR_DENSITY_LOG))
     if under.size:
         i = under[0]
@@ -261,7 +258,7 @@ def _influence_rows(model, sys, block, points, alpha, one_point=False):
     return rows
 
 
-def contamination_sensitivity(model, sol, sys, spec, target, alpha=None):
+def contamination_sensitivity(model, sol, sys, spec, target):
     """Derivative of a tracked quantity under epsilon-contamination.
 
     ``target`` is the gradient of the quantity with respect to the means
@@ -269,14 +266,13 @@ def contamination_sensitivity(model, sol, sys, spec, target, alpha=None):
     influence function; density contaminants integrate the response
     functional a(x) of :func:`worst_case_perturbation` against p_c.
     """
-    alpha = model.resolve_alpha(alpha)
     grad_h = resolve_target(model.layout, target)
     idx = spec.validated(model)
     kind, payload = spec.contaminant
     if kind == "dirac":
-        vec = influence_function(model, sol, sys, idx, payload, alpha)
+        vec = influence_function(model, sol, sys, idx, payload)
         return float(grad_h @ vec)
-    a_values, _, bounds = _response_functional(model, sys, idx, grad_h, alpha)
+    a_values, _, bounds = _response_functional(model, sys, idx, grad_h)
     # raises QuadratureFailure where the error estimate exceeds 1e-9
     val, _ = quadrature_expectation(lambda x: np.exp(payload(x)), a_values, bounds, tol=1e-9)
     return float(val)
@@ -287,7 +283,7 @@ def contamination_sensitivity(model, sol, sys, spec, target, alpha=None):
 # ---------------------------------------------------------------------------
 
 
-def _response_functional(model, sys, block, target, alpha):
+def _response_functional(model, sys, block, target):
     """a(x), the prior density p(x) and the family's quadrature support of
     one block (a(x) as in worst_case_perturbation; an array for an array)."""
     grad_h = resolve_target(model.layout, target)
@@ -298,17 +294,17 @@ def _response_functional(model, sys, block, target, alpha):
 
     def a_values(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        log_ratio, _ = _log_density_ratio(model, bdef, fam, eta, x, alpha)
+        log_ratio, _ = _log_density_ratio(model, bdef, fam, eta, x)
         out = ((fam.suff_stats(x) - mb) @ row) * np.exp(log_ratio)
         return out if out.size > 1 else float(out[0])
 
     def prior_dens(x):
-        return np.exp(prior_logpdf(x, alpha))
+        return np.exp(prior_logpdf(x, model.hyperparams))
 
     return a_values, prior_dens, bounds
 
 
-def worst_case_perturbation(model, sol, sys, block, target, p_norm, alpha=None):
+def worst_case_perturbation(model, sol, sys, block, target, p_norm):
     """Extremal prior perturbation of unit p-norm size for one block.
 
     The response functional is a(x) = row (s(x) - m) q(x)/p(x) with row
@@ -317,10 +313,9 @@ def worst_case_perturbation(model, sol, sys, block, target, p_norm, alpha=None):
     size; the attained derivative is the conjugate-norm of a, which
     bounds every unit-size perturbation's derivative.
     """
-    alpha = model.resolve_alpha(alpha)
     if not (1.0 < p_norm < np.inf):
         raise DomainError(f"p_norm must lie in (1, inf), got {p_norm}")
-    a_values, prior_dens, bounds = _response_functional(model, sys, block, target, alpha)
+    a_values, prior_dens, bounds = _response_functional(model, sys, block, target)
     q_conj = p_norm / (p_norm - 1.0)
     try:
         norm_q, _ = quadrature_expectation(
@@ -341,14 +336,13 @@ def worst_case_perturbation(model, sol, sys, block, target, p_norm, alpha=None):
                            attained_derivative=float(attained))
 
 
-def perturbation_derivative(model, sol, sys, block, target, pc_over_p, alpha=None):
+def perturbation_derivative(model, sol, sys, block, target, pc_over_p):
     """Derivative under a signed perturbation given as a ratio p_c/p.
 
     Integrates a(x) (p_c/p)(x) against the prior; used to test the
     worst-case bound against arbitrary unit-size perturbations.
     """
-    alpha = model.resolve_alpha(alpha)
-    a_values, prior_dens, bounds = _response_functional(model, sys, block, target, alpha)
+    a_values, prior_dens, bounds = _response_functional(model, sys, block, target)
     val, _ = quadrature_expectation(prior_dens, lambda x: a_values(x) * pc_over_p(x),
                                     bounds, tol=1e-8)
     return float(val)
@@ -372,7 +366,7 @@ def resolve_target(layout, target):
     return grad
 
 
-def make_report(queries, model, sol, sys, alpha=None):
+def make_report(queries, model, sol, sys):
     """Evaluate queries into a report with per-posterior-sd normalization.
 
     Each distinct hyperparameter direction is priced once for all of its
@@ -380,19 +374,17 @@ def make_report(queries, model, sol, sys, alpha=None):
     Per-query failures become error entries instead of aborting the batch;
     a zero-variance target is reported as an error, not a division by zero.
     """
-    alpha = model.resolve_alpha(alpha)
     entries = []
     priced = {}  # hyperparameter direction -> sensitivity of every mean
     for query in queries:
         try:
             grad_h = resolve_target(model.layout, query.target)
             if isinstance(query.direction, ContaminationSpec):
-                value = contamination_sensitivity(model, sol, sys,
-                                                  query.direction, grad_h, alpha)
+                value = contamination_sensitivity(model, sol, sys, query.direction, grad_h)
             else:
                 key = tuple(query.direction.items())
                 if key not in priced:
-                    priced[key] = hyperparam_sensitivity(model, sol, sys, query.direction, alpha)
+                    priced[key] = hyperparam_sensitivity(model, sol, sys, query.direction)
                 value = float(grad_h @ priced[key])
             variance = (sys.variances(model.layout.coord_index(query.target))
                         if isinstance(query.target, str)
@@ -410,14 +402,13 @@ def make_report(queries, model, sol, sys, alpha=None):
                 value=None, normalized=None,
                 error=f"{type(exc).__name__}: {exc}"))
     return SensitivityReport(entries=tuple(entries),
-                             model_hash=model_fingerprint(model, alpha),
+                             model_hash=model_fingerprint(model),
                              solution_hash=solution_fingerprint(sol))
 
 
-def model_fingerprint(model, alpha=None):
-    alpha = model.resolve_alpha(alpha)
+def model_fingerprint(model):
     blob = (model.name + "|" + ",".join(model.layout.coord_names()) + "|"
-            + ",".join(f"{k}={v!r}" for k, v in alpha.items()))
+            + ",".join(f"{k}={v!r}" for k, v in model.hyperparams.items()))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

@@ -415,3 +415,30 @@ class TestUnivariateGaussian:
                               (GU.suff_stats(x), gm.suff_stats(x[:, None]))]:
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("eta", [[0.0, 0.5], [np.nan, -0.5]], ids=["positive", "nan"])
+    def test_log_density_checks_its_domain(self, eta):
+        # the closed form returned NaN, with a RuntimeWarning at (0, 0.5)
+        # and silently at (nan, -0.5), where the multivariate one raises
+        gm = ef.FAMILIES[Family.GAUSSIAN_MULTIVARIATE]
+        for fam in (GU, gm):
+            with pytest.raises(DomainError, match="not negative definite"):
+                fam.log_density(0.3 if fam is GU else [0.3], np.array(eta))
+
+
+class TestMultivariateLogDensityShapes:
+    """One point of shape (d,) gives a float and n points of shape (n, d) an
+    (n,) array, for every n: an (n, d) input with n <= 1 gave a float, or
+    an IndexError at n = 0."""
+
+    @pytest.mark.parametrize("shape, expect", [((0, 2), (0,)), ((1, 2), (1,)), ((2,), None)])
+    def test_shape(self, shape, expect):
+        gm = ef.FAMILIES[Family.GAUSSIAN_MULTIVARIATE]
+        eta = gm.natural_from_standard(np.array([0.5, -1.0]), np.array([[2.0, 0.3], [0.3, 1.0]]))
+        x = np.full(shape, 0.25)
+        out = gm.log_density(x, eta)
+        if expect is None:
+            assert isinstance(out, float)
+            assert out == gm.log_density(x[None], eta)[0]
+        else:
+            assert isinstance(out, np.ndarray) and out.shape == expect

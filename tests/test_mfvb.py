@@ -177,6 +177,16 @@ class TestBlockDef:
             "d[2]*d[0]", "d[2]*d[1]", "d[2]*d[2]"]
         assert BlockDef("x", Family.GAUSSIAN_UNIVARIATE).labels == ("x",)
 
+    @pytest.mark.parametrize("family, var_dim", [
+        (Family.GAMMA, 3), (Family.INVERSE_GAMMA, 2), (Family.GAUSSIAN_UNIVARIATE, 2),
+        (Family.WISHART, 0), (Family.GAUSSIAN_MULTIVARIATE, 0)])
+    def test_var_dim_the_family_does_not_take(self, family, var_dim):
+        # each was accepted: a gamma block with three labels and two
+        # statistics, a scalar Gaussian with five statistics, and empty
+        # Wishart and Gaussian blocks
+        with pytest.raises(ValueError, match="var_dim"):
+            BlockDef("b", family, var_dim)
+
 
 def z_gradient(model, z):
     """Gradient of -ELBO in unconstrained coordinates, as the fit computes it."""
@@ -208,8 +218,7 @@ class TestPolish:
         ref = (ref + ref.T) / 2.0
         rng = np.random.default_rng(0)
         for grad in [z_gradient(model, z + 1e-3)] + list(rng.normal(size=(4, z.size))):
-            _, step = mfvb._newton_factor(model, model.layout.fit_terms(z), grad,
-                                          model.hyperparams)
+            _, step = mfvb._newton_factor(model, model.layout.fit_terms(z), grad)
             newton = np.linalg.solve(ref, -grad)
             assert np.max(np.abs(step - newton)) <= 1e-5 * np.max(np.abs(newton))
 
@@ -253,11 +262,10 @@ class TestPolish:
         eye = np.eye(layout.dim)
         monkeypatch.setattr(Layout, "suff_stat_cov", lambda self, m: eye)
         monkeypatch.setattr(linear_response, "hessian_of_objective",
-                            lambda model, m, alpha: eye)
+                            lambda model, m: eye)
         z = layout.unconstrained_from_mean(sol.mean)
         grad = np.random.default_rng(1).normal(size=z.size)
-        _, step = mfvb._newton_factor(nig_model, layout.fit_terms(z), grad,
-                                      nig_model.hyperparams)
+        _, step = mfvb._newton_factor(nig_model, layout.fit_terms(z), grad)
         assert step @ grad < 0
         direction = np.linalg.solve(layout.mean_jacobian(z),
                                     np.linalg.solve(layout.mean_jacobian(z).T, -grad))

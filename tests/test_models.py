@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrvb import expfam, linear_response, mfvb, oracle, robustness
+from lrvb import cli, expfam, linear_response, mfvb, oracle, robustness
 from lrvb.errors import DomainError
 from lrvb.expfam import FAMILIES, Family
 from lrvb.mfvb import Hyperparams
@@ -107,7 +107,7 @@ class TestBuild:
         alpha = micro_model.hyperparams
         fields = {f.name for f in dataclasses.fields(micro_model)}
         assert not fields & {"log_lik_values", "log_prior_values", "prior_alpha_grad"}
-        target = oracle.sampler_log_target(micro_model, alpha)
+        target = oracle.sampler_log_target(micro_model)
         assert hasattr(target, "coordinate_moves")
         layout = micro_model.layout
         z = layout.sampler_from_values(
@@ -172,13 +172,13 @@ class TestPriorMemos:
             solves.clear()
             value = model.expected_log_prior(point, alpha)
             grad = model.grad_log_prior(point, alpha)
-            robustness.prior_direction_gradient(model, point, {"scale_rate": 1.0}, alpha)
+            robustness.prior_direction_gradient(model, point, {"scale_rate": 1.0})
             assert len(solves) == 1
             fresh = build_microcredit_model(data)
             assert value == fresh.expected_log_prior(point, alpha)
             assert np.array_equal(grad, fresh.grad_log_prior(point, alpha))
         solves.clear()
-        linear_response.hessian_of_objective(model, m, alpha)
+        linear_response.hessian_of_objective(model, m)
         assert 8 <= len(solves) <= 10
 
     @pytest.mark.parametrize("n_sites", [7, 30])
@@ -252,6 +252,30 @@ class TestPriorMemos:
         for _ in range(2):
             with pytest.raises(DomainError):
                 model.prior_block_logpdf["top"](np.zeros(2), bad)
+
+
+class TestPriorDomain:
+    """Where expected_log_prior raises DomainError, grad_log_prior does too:
+    prior_direction_gradient's one-sided difference relies on it."""
+
+    @pytest.mark.parametrize("name, update", [
+        ("nn", {"prior_nat_2": 0.5}), ("nn", {"prior_nat_1": np.nan}),
+        ("nig", {"prior_obs": -1.0}),
+        # eigenvalues -1.82, -0.73 and 2.05: det > 0, so a sign test passed it
+        ("gaussian3d", {"info_11": -1.0, "info_22": -1.5}),
+        ("micro", {"prior_info_11": -1.0})],
+        ids=["nn-positive", "nn-nan", "nig", "gaussian3d", "micro"])
+    def test_both_hooks_raise(self, request, name, update):
+        model = (cli.MODELS[name](None, {}) if name == "gaussian3d"
+                 else request.getfixturevalue(f"{name}_model"))
+        m = model.default_init(model.hyperparams)
+        bad = model.hyperparams.with_updates(**update)
+        for hook in (model.expected_log_prior, model.grad_log_prior):
+            with pytest.raises(DomainError):
+                hook(m, bad)
+        if name == "gaussian3d":
+            with pytest.raises(DomainError, match="positive definite"):
+                model.default_init(bad)
 
 
 class TestSimulate:

@@ -114,7 +114,7 @@ class TestContaminatedModel:
         with pytest.raises(DomainError, match="no pointwise posterior"):
             oracle.quadrature_posterior_mean(model, box=[(-3.0, 5.0)])
         with pytest.raises(DomainError, match="no pointwise posterior"):
-            oracle.sampler_log_target(model, model.hyperparams)
+            oracle.sampler_log_target(model)
         for engine in ("quadrature", "mcmc"):
             with pytest.raises(DomainError, match="no pointwise posterior"):
                 oracle.check_rerun_inputs(model, engine, {"prior_nat_1": 1.0})
@@ -183,7 +183,7 @@ class TestContaminationInputs:
 
 class TestMetropolis:
     def _logpost(self, model):
-        return oracle.sampler_log_target(model, model.hyperparams)
+        return oracle.sampler_log_target(model)
 
     def test_standard_normal_target(self):
         cfg = McmcConfig(chain_length=40_000, burn_in=5_000, seed=11)
@@ -491,8 +491,9 @@ def _serial_rerun(model, sol, direction, step, config):
     then the chain at the perturbed alpha, in turn."""
     alpha, layout = model.hyperparams, model.layout
     z0 = layout.sampler_from_values(layout.representative_values(sol.mean))
-    runs = [oracle.metropolis_sample(oracle.sampler_log_target(model, a), z0, config)
-            for a in (alpha, alpha.perturbed(direction, step))]
+    perturbed = dataclasses.replace(model, hyperparams=alpha.perturbed(direction, step))
+    runs = [oracle.metropolis_sample(oracle.sampler_log_target(m), z0, config)
+            for m in (model, perturbed)]
     base, pert = (layout.suff_stats_of_sampler_matrix(r.draws) for r in runs)
     diff = (pert - base) / step
     chains = {role: {"acceptance_rate": r.acceptance_rate, "min_ess": float(np.min(r.ess))}

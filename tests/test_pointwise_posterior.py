@@ -128,7 +128,7 @@ def reference_target(layout, hooks, alpha):
 
 def _assert_targets_agree(model, hooks, points):
     alpha = model.hyperparams
-    derived = oracle.sampler_log_target(model, alpha)
+    derived = oracle.sampler_log_target(model)
     reference = reference_target(model.layout, hooks, alpha)
     for zv in points:
         got, want = derived(zv), reference(zv)

@@ -41,8 +41,8 @@ class TestHyperparamSensitivity:
         h = 1e-4 / (exact[1] - exact[0] ** 2)  # 2e-4 of the posterior precision
         for name in ("prior_nat_1", "prior_nat_2"):
             sens = rb.hyperparam_sensitivity(model, sol, sys, {name: 1.0})
-            up, down = (oracle.exact_conjugate_posterior(
-                model, alpha.perturbed({name: 1.0}, t)).mean for t in (h, -h))
+            up, down = (oracle.exact_conjugate_posterior(dataclasses.replace(
+                model, hyperparams=alpha.perturbed({name: 1.0}, t))).mean for t in (h, -h))
             fd = (up - down) / (2.0 * h)
             assert np.max(np.abs(sens - fd)) <= 1e-6 * np.max(np.abs(fd)), name
 
@@ -70,12 +70,9 @@ class TestHyperparamSensitivity:
         i_tau = micro_model.layout.coord_index("tau")
         h = 0.5
         opts = mfvb.FitOptions(tol=1e-10)
-        up = mfvb.fit(micro_model, init=sol.mean,
-                      alpha=micro_model.hyperparams.perturbed({"lkj_shape": 1.0}, h),
-                      opts=opts)
-        dn = mfvb.fit(micro_model, init=sol.mean,
-                      alpha=micro_model.hyperparams.perturbed({"lkj_shape": 1.0}, -h),
-                      opts=opts)
+        up, dn = (mfvb.fit(dataclasses.replace(
+            micro_model, hyperparams=micro_model.hyperparams.perturbed({"lkj_shape": 1.0}, t)),
+            init=sol.mean, opts=opts) for t in (h, -h))
         fd = (up.mean[i_tau] - dn.mean[i_tau]) / (2.0 * h)
         assert abs(sens[i_tau] - fd) / abs(fd) < 0.02
 
@@ -184,7 +181,7 @@ class TestInfluenceFunction:
         loc = model.layout.location_indices(block)
         pts = sys.mean[loc] + np.random.default_rng(5).normal(size=(50, loc.size))
         rows = rb.influence_grid(model, sol, sys, block, pts)
-        expected = _dense_rhs_rows(model, sys, block, pts, model.hyperparams)
+        expected = _dense_rhs_rows(model, sys, block, pts)
         assert np.max(np.abs(rows - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_memo_per_system_and_never_alpha(self, micro_model, micro_fit, monkeypatch):
@@ -209,19 +206,22 @@ class TestInfluenceFunction:
         assert solves == [(sys.dim, 2)] and len(priors) == 2
         assert first.tobytes() == second.tobytes()
         assert repr(sys) == before
-        # the prior is priced at every query's own alpha
+        # the memo is keyed by content, not by the model: a model with
+        # another prior reads the same columns and prices its own prior
         alpha = micro_model.hyperparams.perturbed({"prior_info_11": 1.0}, 0.5)
-        shifted = rb.influence_function(model, sol, sys, "top", point, alpha)
+        micro_at = dataclasses.replace(micro_model, hyperparams=alpha)
+        model_at = dataclasses.replace(model, hyperparams=alpha)
+        shifted = rb.influence_function(model_at, sol, sys, "top", point)
         assert len(solves) == 1 and len(priors) == 3
-        ref = _dense_rhs_rows(micro_model, sys, "top", point[None], alpha)[0]
+        ref = _dense_rhs_rows(micro_at, sys, "top", point[None])[0]
         assert np.max(np.abs(shifted - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert not np.array_equal(shifted, first)
         # a system from another fit fills its own memo
-        sol2 = mfvb.fit(micro_model, init=sol.mean, alpha=alpha)
-        sys2 = linear_response.build_system(micro_model, sol2, alpha=alpha)
-        other = rb.influence_function(model, sol2, sys2, "top", point, alpha)
+        sol2 = mfvb.fit(micro_at, init=sol.mean)
+        sys2 = linear_response.build_system(micro_at, sol2)
+        other = rb.influence_function(model_at, sol2, sys2, "top", point)
         assert len(solves) == 2
-        ref = _dense_rhs_rows(micro_model, sys2, "top", point[None], alpha)[0]
+        ref = _dense_rhs_rows(micro_at, sys2, "top", point[None])[0]
         assert np.max(np.abs(other - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_memo_outside_equality_and_repr(self):
@@ -229,6 +229,15 @@ class TestInfluenceFunction:
         names = ("mean", "v", "h", "sigma_hat", "condition")
         assert tuple(f.name for f in fields if f.compare) == names
         assert tuple(f.name for f in fields if f.repr) == names
+
+    @pytest.mark.parametrize("name, block, shape", [("nn", "theta", (0,)),
+                                                    ("micro", "top", (0, 2))])
+    def test_empty_grid(self, request, name, block, shape):
+        # the 2-D grid raised IndexError in the multivariate log density
+        model = request.getfixturevalue(f"{name}_model")
+        sol, sys = request.getfixturevalue(f"{name}_fit")
+        grid = rb.influence_grid(model, sol, sys, block, np.empty(shape))
+        assert grid.shape == (0, sys.dim)
 
     def test_zero_prior_density_rejected_within_grid(self, nn_fit, nn_model):
         # one underflowing point among many fails the whole grid and is named
@@ -270,7 +279,7 @@ class TestInfluenceFunction:
         assert np.array_equal(np.vstack(parts), whole)
 
 
-def _dense_rhs_rows(model, sys, block, points, alpha):
+def _dense_rhs_rows(model, sys, block, points):
     """Influence rows from a dense right-hand side with one column per
     point, solved against a fresh LU of I - VH."""
     layout = model.layout
@@ -281,7 +290,7 @@ def _dense_rhs_rows(model, sys, block, points, alpha):
     rhs = np.zeros((layout.dim, len(points)))
     for col, pt in enumerate(points):
         val = pt[0] if loc.size == 1 else pt
-        log_p = model.prior_block_logpdf[block](val, alpha)
+        log_p = model.prior_block_logpdf[block](val, model.hyperparams)
         rhs[loc, col] = np.exp(float(fam.log_density(val, eta)) - log_p) * (pt - sys.mean[loc])
     lu = scipy.linalg.lu_factor(np.eye(layout.dim) - sys.v @ sys.h)
     return scipy.linalg.lu_solve(lu, rhs).T
@@ -511,11 +520,10 @@ class TestContamination:
         # (I - VH) against E_q[(s(x) - m) p_c(x)/p(x)] on the block
         model = request.getfixturevalue(f"{name}_model")
         sol, sys = request.getfixturevalue(f"{name}_fit")
-        alpha = model.hyperparams
         for pc in contaminants:
             spec = rb.ContaminationSpec(block, ("density", pc))
             response = sys.solve_identity_minus_vh(
-                _density_contamination_rhs(model, sys, block, pc, alpha))
+                _density_contamination_rhs(model, sys, block, pc))
             for target in targets or model.layout.coord_names():
                 value = rb.contamination_sensitivity(model, sol, sys, spec, target)
                 ref = float(rb.resolve_target(model.layout, target) @ response)
@@ -533,7 +541,7 @@ class TestContamination:
             spec.validated(nig_model)
 
 
-def _density_contamination_rhs(model, sys, idx, pc_logpdf, alpha):
+def _density_contamination_rhs(model, sys, idx, pc_logpdf):
     """E_q[(s(x) - m) p_c(x)/p(x)] over the contaminated block, whose solve
     against (I - VH) is the density contamination derivative."""
     _, bdef, sl, mb, fam, eta = rb._block_setup(model, sys, idx)
@@ -541,7 +549,7 @@ def _density_contamination_rhs(model, sys, idx, pc_logpdf, alpha):
 
     def weight(x):
         # q(x) p_c(x) / p(x)
-        return np.exp(pc_logpdf(x) + rb._log_density_ratio(model, bdef, fam, eta, x, alpha)[0])
+        return np.exp(pc_logpdf(x) + rb._log_density_ratio(model, bdef, fam, eta, x)[0])
 
     val, _ = quadrature_expectation(weight, lambda x: fam.suff_stats(x)[0] - mb, bounds,
                                     tol=1e-9)
@@ -634,9 +642,9 @@ class TestReports:
         sol, sys = micro_fit
         price, calls = rb.prior_direction_gradient, []
 
-        def counted(model, m, direction, alpha=None):
+        def counted(model, m, direction):
             calls.append(tuple(direction))
-            return price(model, m, direction, alpha)
+            return price(model, m, direction)
 
         monkeypatch.setattr(rb, "prior_direction_gradient", counted)
         names = micro_model.layout.coord_names()

@@ -58,9 +58,8 @@ def test_wrapped_model_has_the_same_log_target(spans, fixture, request):
     model = request.getfixturevalue(fixture)
     tracer = spans.Tracer()
     wrapped = tracer.wrap_model(model)
-    alpha = model.hyperparams
-    bare = oracle.sampler_log_target(model, alpha)
-    traced = oracle.sampler_log_target(wrapped, alpha)
+    bare = oracle.sampler_log_target(model)
+    traced = oracle.sampler_log_target(wrapped)
     points = np.random.default_rng(5).normal(0.0, 1.5, size=(10, model.layout.value_dim()))
     assert [traced(z) for z in points] == [bare(z) for z in points]
     assert tracer.span_summary()["models.sampler_lp"]["calls"] == len(points)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,8 +115,8 @@ def loop_wishart_sampler_stats(z, k):
     return np.column_stack([mats[:, rows, cols], logdet])
 
 
-def loop_hessian(model, m, alpha=None, rel_step=linear_response.HESSIAN_REL_STEP):
-    alpha = model.resolve_alpha(alpha)
+def loop_hessian(model, m, rel_step=linear_response.HESSIAN_REL_STEP):
+    alpha = model.hyperparams
 
     def grad(x):
         return model.grad_log_lik(x) + model.grad_log_prior(x, alpha)
@@ -130,8 +132,8 @@ def loop_hessian(model, m, alpha=None, rel_step=linear_response.HESSIAN_REL_STEP
     return (hess + hess.T) / 2.0
 
 
-def loop_prior_direction_gradient(model, m, direction, alpha=None):
-    alpha = model.resolve_alpha(alpha)
+def loop_prior_direction_gradient(model, m, direction):
+    alpha = model.hyperparams
     scale = max([abs(alpha[k]) for k in direction] + [1.0])
     size = max(abs(v) for v in direction.values())
     bound = robustness.ALPHA_FD_REL_STEP * scale / size
@@ -305,10 +307,11 @@ class TestFdJacobian:
                                 prior_info_22=1.0),
              ({"prior_info_11": 1.0}, {"prior_info_12": 1.0}, {"prior_info_22": -2.0}))]
         for at, directions in near_edge:
+            model = replace(micro_model, hyperparams=at)
             for direction in directions:
                 assert np.array_equal(
-                    robustness.prior_direction_gradient(micro_model, sol.mean, direction, at),
-                    loop_prior_direction_gradient(micro_model, sol.mean, direction, at))
+                    robustness.prior_direction_gradient(model, sol.mean, direction),
+                    loop_prior_direction_gradient(model, sol.mean, direction))
 
 
 class TestLogMinusDigamma:
