@@ -58,8 +58,15 @@ def _gaussian3d(args, overrides):
 
 
 def _with_hyper(model, overrides):
+    """The model at its hyperparameters with overrides; an override outside
+    the prior's domain is a UsageError, as the microcredit build's check."""
     _check_names(model.hyperparams, overrides)
-    return replace(model, hyperparams=model.hyperparams.with_updates(**overrides))
+    hyper = model.hyperparams.with_updates(**overrides)
+    try:  # the domain check every prior hook makes first
+        model.grad_log_prior(model.default_init(model.hyperparams), hyper)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
+    return replace(model, hyperparams=hyper)
 
 
 def _check_names(hyperparams, names):

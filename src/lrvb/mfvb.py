@@ -13,18 +13,20 @@ matrices are Cholesky-parameterized), so every iterate is automatically
 inside the product of block domains.  One evaluation of the objective
 and its gradient makes one pass over the layout's family groups
 (:meth:`Layout.fit_terms`) and forms J' g block by block, never the dense
-J.  L-BFGS-B runs until the largest gradient entry falls to
-HANDOFF_GRAD; a damped Newton polish then pushes it to the requested
-tolerance, as the downstream covariance correction needs a tight
-optimum.
+J.  A limited-memory BFGS stage in numpy (:func:`_quasi_newton`, the
+compact form of Byrd, Nocedal & Schnabel 1994) runs until the largest
+gradient entry falls to HANDOFF_GRAD; a damped Newton polish then pushes
+it to the requested tolerance, as the downstream covariance correction
+needs a tight optimum.  Neither stage imports scipy.optimize.
 
 The polish's Newton step is the linear-response solve of
 :mod:`lrvb.linear_response`.  It keeps the Cholesky factors of
 B + lam I, B = I - L'HL with V = LL', and L while its full steps shrink
 the gradient KEEP_SHRINK-fold, so one H serves several steps, and
 refreshes H otherwise.  Once the gradient is below tol it takes only
-such full steps, down to tol / 100, so fits end about as tight as a
-quasi-Newton stage run to tol / 10 left them.
+full steps from a kept factorization, while they shrink the gradient,
+down to tol / 100, so fits end about as tight as a quasi-Newton stage
+run to tol / 10 left them.
 
 ModelSpec and VbSolution are immutable after construction.  Fits call
 into the same BLAS library as every other stage, and concurrent calls
@@ -38,7 +40,6 @@ from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import DomainError, DomainViolation, NonConvergence
 from .expfam import FAMILIES, Family
@@ -441,15 +442,22 @@ def elbo_grad_mean(model, m):
             - model.layout.natural_vector(m))
 
 
-# L-BFGS-B hands the fit to the Newton polish once its largest gradient
-# entry is at most HANDOFF_GRAD.  On the microcredit studies of 7 to 300
-# sites, hand-offs from 0.01 to 0.1 cost about the same up to 30 sites.
+# The quasi-Newton stage keeps the last MEMORY curvature pairs, tries at
+# most LINE_SEARCH steps along a direction, and stops once an iteration
+# lowers the objective by at most REL_REDUCTION max(|objective|, 1).
+MEMORY = 30
+LINE_SEARCH = 60
+REL_REDUCTION = 1e-14
+# The quasi-Newton stage hands the fit to the Newton polish once its
+# largest gradient entry is at most HANDOFF_GRAD.  On the microcredit
+# studies of 7 to 300 sites, hand-offs from 0.01 to 0.1 cost about the
+# same up to 30 sites (measured with scipy's L-BFGS-B as that stage).
 # Above 0.02 the 100- and 300-site polishes start outside the quadratic
 # basin and take a second H; at 1.0 they take 5-10 and three times as
-# long.  0.05 keeps the bundled fit at one H and 60 evaluations.
+# long.  0.05 keeps the bundled fit at one H and 58 evaluations.
 HANDOFF_GRAD = 0.05
 # A kept factorization serves while its full steps shrink the largest
-# gradient entry at least this many times.
+# gradient entry at least this many times; below tol, while they shrink it.
 KEEP_SHRINK = 4.0
 # The polish damps B = I - L'HL, which is I where H vanishes, by the first
 # of these lam at which B + lam I is positive definite.
@@ -480,10 +488,13 @@ def fit(model, init=None, opts=None, alpha=None):
     """Maximize the objective; returns a VbSolution or raises NonConvergence.
 
     Deterministic for fixed (model, init, opts).  The per-step objective
-    values are kept in ``elbo_trace``.  The quasi-Newton stage never lowers
-    the objective; a polish step is also accepted when it shrinks the
-    gradient and lowers the objective by at most 1e-12 max(1, |objective|),
-    below which the change is rounding.
+    values are kept in ``elbo_trace``.  The quasi-Newton stage
+    (:func:`_quasi_newton`, from ``init`` to a largest gradient entry of
+    max(HANDOFF_GRAD, tol / 10), at most ``opts.max_iter`` iterations)
+    never lowers the objective and evaluates no point twice; the polish
+    starts from its last evaluation.  A polish step is also accepted when
+    it shrinks the gradient and lowers the objective by at most
+    1e-12 max(1, |objective|), below which the change is rounding.
 
     ``alpha``, when given, fits ``replace(model, hyperparams=alpha)``, for
     callers that refit one model at many priors; no code below reads it.
@@ -517,28 +528,22 @@ def fit(model, init=None, opts=None, alpha=None):
         except (DomainError, np.linalg.LinAlgError, OverflowError):
             return np.inf, np.zeros_like(z), None
 
-    trace = [-evaluate(z0)[0]]
-    res = scipy.optimize.minimize(
-        lambda z: evaluate(z)[:2], z0, jac=True, method="L-BFGS-B",
-        callback=lambda intermediate_result: trace.append(-intermediate_result.fun),
-        options={"maxiter": opts.max_iter, "ftol": 1e-14,
-                 "gtol": max(HANDOFF_GRAD, opts.tol / 10.0), "maxcor": 30, "maxls": 60})
-    z, fz, gz = res.x, res.fun, res.jac
-    terms = None  # the layout's fit terms at z, once the polish needs them
-    iterations = int(res.nit)
+    point = evaluate(z0)
+    trace = [-point[0]]
+    z, (fz, gz, terms), iterations, reason = _quasi_newton(
+        evaluate, z0, point, max(HANDOFF_GRAD, opts.tol / 10.0), opts.max_iter, trace)
     # kept for the error messages: the first sign of a stalled fit
-    quasi_newton = f"; L-BFGS-B stopped after {res.nit} iterations: {res.message}"
+    quasi_newton = f"; quasi-Newton stage stopped after {iterations} iterations: {reason}"
 
     # Damped Newton polish.  A factorization is kept while its full steps
     # shrink the gradient KEEP_SHRINK-fold; otherwise H is refreshed.  Below
-    # tol only such full steps are taken, down to tol / 100.
+    # tol only full steps from a kept factorization are taken, while they
+    # shrink the gradient, down to tol / 100.
     factor = None  # (Cholesky of B + lam I, L) from an earlier iterate
     for _ in range(POLISH_ITER):
         gnorm = np.max(np.abs(gz))
         if gnorm <= opts.tol / 100.0:
             break
-        if terms is None:  # z came from L-BFGS-B with a finite objective
-            terms = layout.fit_terms(z)
         try:
             step = None if factor is None else _factored_step(layout, factor, terms, gz)
         except np.linalg.LinAlgError:  # a singular J
@@ -571,7 +576,8 @@ def fit(model, init=None, opts=None, alpha=None):
                 break
             scale /= 2.0
         iterations += 1
-        if not accepted or scale < 1.0 or np.max(np.abs(gz)) > gnorm / KEEP_SHRINK:
+        keep = KEEP_SHRINK if np.max(np.abs(gz)) > opts.tol else 1.0
+        if not accepted or scale < 1.0 or np.max(np.abs(gz)) > gnorm / keep:
             factor = None
         if not accepted and fresh:
             if gnorm <= 1e3 * opts.tol:
@@ -592,6 +598,93 @@ def fit(model, init=None, opts=None, alpha=None):
             f"gradient norm {grad_norm:.3g} above tol {opts.tol:g} "
             f"after {iterations} iterations{quasi_newton}", solution=solution)
     return solution
+
+
+def _quasi_newton(evaluate, z, point, gtol, max_iter, trace):
+    """L-BFGS on ``evaluate`` from z, where point = evaluate(z), until the
+    largest gradient entry is at most gtol, after max_iter iterations, or
+    once an iteration lowers the objective by at most REL_REDUCTION
+    max(|f|, |f_new|, 1).  Appends -f at each iterate to ``trace``.
+    Returns (z, evaluate(z), iterations, the reason for stopping).
+
+    The direction is -H g for the inverse Hessian of the last MEMORY pairs
+    s = z_new - z, y = g_new - g in the compact form of Byrd, Nocedal &
+    Schnabel (1994), H = gamma I + [S Y] M [S Y]' with gamma =
+    s'y / y'y of the newest pair, M built from the upper triangle R and
+    the diagonal D of S'Y and from Y'Y.  A pair with s'y <= eps y'y is not
+    kept.  Without pairs the step is steepest descent of length one.  A
+    backtracking Armijo search shrinks a step to the minimizer of the
+    quadratic through f, its slope and f_new, within [0.1, 0.5] of it, and
+    halves it past a non-finite objective; when LINE_SEARCH steps fail,
+    the pairs are dropped and steepest descent is tried once more before
+    the stage gives up.
+    """
+    f, g, terms = point
+    n = z.size
+    # rows [0, k) hold the pairs, oldest first; sy[i, j] = s_i'y_j for i <= j
+    s_mem, y_mem = np.zeros((MEMORY, n)), np.zeros((MEMORY, n))
+    sy, yy = np.zeros((MEMORY, MEMORY)), np.zeros((MEMORY, MEMORY))
+    k = iterations = 0
+    with np.errstate(all="ignore"):  # an overflowing pair is not kept
+        while True:
+            if np.max(np.abs(g)) <= gtol:
+                reason = f"largest gradient entry <= {gtol:g}"
+                break
+            if iterations >= max_iter:
+                reason = "iteration limit reached"
+                break
+            if k:
+                d = -_compact_times(s_mem[:k], y_mem[:k], sy[:k, :k], yy[:k, :k], g)
+            if not k or not d @ g < 0:  # no pairs, or not a finite descent direction
+                k = 0
+                gmax = np.max(np.abs(g))
+                d = -g / gmax / np.linalg.norm(g / gmax)
+            step, slope = 1.0, d @ g
+            for _ in range(LINE_SEARCH):
+                f_new, g_new, terms_new = evaluate(z + step * d)
+                if f_new <= f + 1e-4 * step * slope:
+                    break
+                # the minimizer of the quadratic through f, slope and f_new,
+                # within [0.1, 0.5] of the step; half past a non-finite f_new
+                q = -0.5 * slope * step / (f_new - f - slope * step)
+                step *= min(max(q, 0.1), 0.5) if np.isfinite(f_new) and np.isfinite(q) else 0.5
+            else:
+                if not k:
+                    reason = "line search failed"
+                    break
+                k = 0
+                continue
+            s, y = step * d, g_new - g
+            reduction = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+            z, f, g, terms = z + s, f_new, g_new, terms_new
+            trace.append(-f)
+            iterations += 1
+            if s @ y > np.finfo(float).eps * (y @ y):
+                if k == MEMORY:
+                    s_mem[:-1], y_mem[:-1] = s_mem[1:], y_mem[1:]
+                    sy[:-1, :-1], yy[:-1, :-1] = sy[1:, 1:], yy[1:, 1:]
+                    k -= 1
+                s_mem[k], y_mem[k] = s, y
+                sy[:k + 1, k] = s_mem[:k + 1] @ y
+                yy[:k + 1, k] = yy[k, :k + 1] = y_mem[:k + 1] @ y
+                k += 1
+            if reduction <= REL_REDUCTION:
+                reason = f"relative reduction <= {REL_REDUCTION:g}"
+                break
+    return z, (f, g, terms), iterations, reason
+
+
+def _compact_times(s_mem, y_mem, sy, yy, g):
+    """H g for the compact L-BFGS inverse Hessian of the pairs (rows of
+    s_mem, y_mem), with sy's upper triangle S'Y and yy = Y'Y:
+    gamma g + S R^-T ((D + gamma Y'Y) u - gamma Y'g) - gamma Y u, where
+    u = R^-1 S'g."""
+    r = np.triu(sy)
+    gamma = sy[-1, -1] / yy[-1, -1]
+    u = scipy.linalg.solve_triangular(r, s_mem @ g, check_finite=False)
+    w = scipy.linalg.solve_triangular(r, np.diag(r) * u + gamma * (yy @ u - y_mem @ g),
+                                      trans="T", check_finite=False)
+    return gamma * g + s_mem.T @ w - gamma * (y_mem.T @ u)
 
 
 def _newton_factor(model, terms, grad):

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.integrate
 
 from . import mfvb
 from .errors import (DegenerateChain, DomainError, NotConjugate,
@@ -56,7 +55,11 @@ def quadrature_expectation(density, integrand, bounds, tol=QUAD_ABS_TOL):
     ``bounds`` is (lo, hi) or ((lo1, hi1), (lo2, hi2)); infinities allowed.
     Returns (value, error_bound), the largest error estimate of any entry and
     integral, inner or outer; raises QuadratureFailure above ``tol`` (absolute).
+    scipy.integrate is imported on the first call, so that a process that
+    never integrates does not load it and the scipy.optimize it imports.
     """
+    import scipy.integrate
+
     bounds = np.asarray(bounds, dtype=float)
     errors = []
 

@@ -146,7 +146,8 @@ def prior_direction_gradient(model, m, direction):
     so that alpha +- step is exact.  Where one side leaves the prior's
     domain (the model raises DomainError), the difference is one-sided
     over the same span.  An unknown name raises the KeyError of
-    :meth:`Hyperparams.check_names`; a non-finite coefficient, DomainError.
+    :meth:`Hyperparams.check_names`; a non-finite coefficient, or a
+    derivative that overflows, DomainError.
     """
     alpha = model.hyperparams
     alpha.check_names(direction)
@@ -158,11 +159,17 @@ def prior_direction_gradient(model, m, direction):
     h = np.ldexp(0.5, np.frexp(ALPHA_FD_REL_STEP * scale / size)[1])
     for center in (0.0, 1.0, -1.0):  # in units of h: central, else one-sided
         try:
-            return fd_jacobian(
+            diff = fd_jacobian(
                 lambda t: model.grad_log_prior(m, alpha.perturbed(direction, h * t[0])),
-                np.array([center]), rel_step=1.0)[:, 0] / h
+                np.array([center]), rel_step=1.0)[:, 0]
         except DomainError as exc:
             error = exc
+            continue
+        with np.errstate(over="ignore"):  # a coefficient near the largest float
+            grad = diff / h
+        if not np.all(np.isfinite(grad)):
+            raise DomainError(f"prior gradient along {direction} overflows")
+        return grad
     raise NonDifferentiablePrior(
         f"prior gradient failed under perturbation {direction}: {error}") from error
 

@@ -35,15 +35,37 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def fresh_python(code):
+    """Standard output of ``code`` run by a new interpreter on this src/."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
+def test_fit_leaves_scipy_optimize_and_integrate_unloaded(tmp_path):
+    # the fit's quasi-Newton stage is numpy, and scipy.integrate (which
+    # imports scipy.optimize) loads on the first quadrature; this test
+    # process has loaded both already
+    out = fresh_python(
+        "import sys\n"
+        "import numpy as np\n"
+        "from lrvb import cli, oracle\n"
+        f"assert cli.main(['fit', '--model', 'microcredit', '--data', {BUNDLED_CSV!r},\n"
+        f"                 '--out', {str(tmp_path / 'fit.json')!r}]) == 0\n"
+        "print(sorted({'scipy.optimize', 'scipy.integrate'} & set(sys.modules)))\n"
+        "value, _ = oracle.quadrature_expectation(\n"
+        "    lambda x: np.exp(-x * x / 2) / np.sqrt(2 * np.pi), lambda x: x * x,\n"
+        "    (-np.inf, np.inf))\n"
+        "print(abs(value - 1.0) < 1e-9, 'scipy.integrate' in sys.modules)\n")
+    assert out.splitlines()[-2:] == ["[]", "True True"], out
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats is about half of the package's import time, and only
     # Wishart sampling needs it
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, lrvb, lrvb.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    out = fresh_python("import sys, lrvb, lrvb.cli; print('scipy.stats' in sys.modules)")
+    assert out.strip() == "False"
 
 
 class TestFit:
@@ -162,11 +184,26 @@ class TestFit:
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
     def test_array_in_a_failure_message_prints_on_one_line(self, tmp_path, capsys):
+        # an indefinite precision is a usage error, found before the fit
+        # (it exited 3 as a numerical failure)
         code = run("fit", "--model", "gaussian3d", "--out", str(tmp_path / "x.json"),
                    "--set", "info_11=-5")
-        assert code == 3
+        assert code == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "[DomainError]" in err, err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+    @pytest.mark.parametrize("sets", [
+        ["--model", "gaussian3d", "--set", "info_11=-1", "--set", "info_22=-1.5"],
+        ["--model", "normal-normal", "--set", "prior_nat_2=1"],
+    ])
+    def test_override_outside_the_prior_domain_is_usage_error(self, tmp_path, capsys,
+                                                              sets):
+        # the conjugate models' overrides, checked as the microcredit build
+        # checks its priors; each exited 3 with a numerical failure
+        out = tmp_path / "x.json"
+        assert run("fit", *sets, "--out", str(out)) == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
     def test_no_quasi_newton_iterations_is_non_convergence(self, tmp_path, capsys):
         # the polish once let the Hessian's DomainError out of the fit
@@ -222,9 +259,9 @@ class TestFit:
         assert code == 3 and not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path):
-        # indefinite precision override -> domain failure -> exit 3
+        # a prior inside its domain whose second moments overflow -> exit 3
         code = run("fit", "--model", "gaussian3d",
-                   "--out", str(tmp_path / "x.json"), "--set", "info_11=-1")
+                   "--out", str(tmp_path / "x.json"), "--set", "nat_loc_1=1e200")
         assert code == 3
 
 
@@ -588,6 +625,8 @@ class TestExitCodeFuzz:
     @example({"prior_nat_1": 0.0}, None, [])
     @example({"prior_nat_1": 1.0}, 0.0, [])
     @example({"prior_nat_1": 1.0}, 1.0, ["--chain-length", "100", "--burn-in", "100"])
+    # a gradient of ~1e300, whose norm overflows if formed as sqrt(g'g)
+    @example({"prior_nat_1": 0.0, "prior_nat_2": 1.0}, -1e300, [])
     def test_normal_normal_compare_vb(self, direction, step, chain):
         argv = ["compare", "--model", "normal-normal", "--engine", "vb", *chain]
         for key, coef in direction.items():

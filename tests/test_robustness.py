@@ -90,6 +90,17 @@ class TestDirectionValidation:
         for direction in ({"lkj_shape": 0.0}, {}):
             assert not np.any(rb.hyperparam_sensitivity(micro_model, sol, sys, direction))
 
+    def test_overflowing_derivative(self, nn_model, nn_fit):
+        # the derivative along prior_nat_2 is the coefficient, rounded past
+        # the largest float here; it overflowed with a RuntimeWarning
+        sol, _ = nn_fit
+        with pytest.raises(DomainError, match="overflows"):
+            rb.prior_direction_gradient(nn_model, sol.mean,
+                                        {"prior_nat_2": 1.7976931348099962e308})
+        assert np.allclose(
+            rb.prior_direction_gradient(nn_model, sol.mean, {"prior_nat_2": 1e300}),
+            [0.0, 1e300], rtol=1e-10, atol=0.0)
+
     def test_report_tags_unknown_name(self, micro_model, micro_fit):
         # the typo was reported as value 0.0 with no error
         sol, sys = micro_fit
