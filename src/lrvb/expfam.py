@@ -10,7 +10,8 @@ Hessian matrices compose consistently across blocks:
 * ``GAUSSIAN_UNIVARIATE``  x in R,        s(x) = (x, x^2), the d = 1 case
   of the multivariate family, whose maps it shares
 * ``GAMMA``                x > 0,         s(x) = (x, log x)
-* ``INVERSE_GAMMA``        x > 0,         s(x) = (1/x, log x)
+* ``INVERSE_GAMMA``        x > 0,         s(x) = (1/x, log x); one class
+  writes it and the gamma as s(x) = (x^s, log x), s = -1 or 1
 * ``WISHART``              X pos. def.,   s(X) = (vech(X), log|X|)
 
 vech takes the lower triangle in row-major order; matrix-valued natural
@@ -392,13 +393,17 @@ class _GaussianUnivariate(_GaussianMultivariate):
 
 
 class _GammaLike(_Family):
-    """Shared machinery for gamma and inverse-gamma blocks.
+    """Gamma and inverse-gamma blocks, one instance each in ``FAMILIES``.
 
     Both have statistics (x^s, log x) with s = 1 (gamma) or s = -1 (inverse
     gamma), natural parameters (-rate, s * shape - 1) and standard
-    parameters (shape, rate).  Every map below is the gamma one with s
-    multiplying the terms that change sign.
+    parameters (shape, rate).  Every map below, the density and the sampler
+    included, is the gamma one with s multiplying the terms that change
+    sign: x^s is a gamma draw with the block's shape and rate.
     """
+
+    def __init__(self, family, sign):
+        self.family, self.sign = family, sign
 
     def quad_support(self):
         return (0.0, np.inf)
@@ -496,34 +501,15 @@ class _GammaLike(_Family):
         sd = np.sqrt(max(1.0 / shape, 0.05))
         return (center - widen * sd, center + widen * sd)
 
-
-class _Gamma(_GammaLike):
-    family = Family.GAMMA
-    sign = 1.0
-
-    def log_density(self, x, eta):
-        shape, rate = self.standard_from_natural(eta)
-        x = np.asarray(x, dtype=float)
-        return shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x
-
-    def sample(self, eta, size, rng):
-        shape, rate = self.standard_from_natural(eta)
-        return rng.gamma(shape, 1.0 / rate, size=size)
-
-
-class _InverseGamma(_GammaLike):
-    family = Family.INVERSE_GAMMA
-    sign = -1.0
-
     def log_density(self, x, eta):
         shape, rate = self.standard_from_natural(eta)
         x = np.asarray(x, dtype=float)
         return (shape * np.log(rate) - gammaln(shape)
-                - (shape + 1.0) * np.log(x) - rate / x)
+                + (self.sign * shape - 1.0) * np.log(x) - rate * x ** self.sign)
 
     def sample(self, eta, size, rng):
         shape, rate = self.standard_from_natural(eta)
-        return rate / rng.gamma(shape, 1.0, size=size)
+        return (rng.gamma(shape, 1.0, size=size) / rate) ** self.sign
 
 
 class _Wishart(_Family):
@@ -728,8 +714,8 @@ def _wishart_min_gap(k):
 FAMILIES = {
     Family.GAUSSIAN_UNIVARIATE: _GaussianUnivariate(),
     Family.GAUSSIAN_MULTIVARIATE: _GaussianMultivariate(),
-    Family.GAMMA: _Gamma(),
-    Family.INVERSE_GAMMA: _InverseGamma(),
+    Family.GAMMA: _GammaLike(Family.GAMMA, 1.0),
+    Family.INVERSE_GAMMA: _GammaLike(Family.INVERSE_GAMMA, -1.0),
     Family.WISHART: _Wishart(),
 }
 

@@ -17,7 +17,8 @@ J.  A limited-memory BFGS stage in numpy (:func:`_quasi_newton`, the
 compact form of Byrd, Nocedal & Schnabel 1994) runs until the largest
 gradient entry falls to HANDOFF_GRAD; a damped Newton polish then pushes
 it to the requested tolerance, as the downstream covariance correction
-needs a tight optimum.  Neither stage imports scipy.optimize.
+needs a tight optimum.  Both stages step through one backtracking
+search, :func:`_line_search`; neither imports scipy.optimize.
 
 The polish's Newton step is the linear-response solve of
 :mod:`lrvb.linear_response`.  It keeps the Cholesky factors of
@@ -491,10 +492,11 @@ def fit(model, init=None, opts=None, alpha=None):
     values are kept in ``elbo_trace``.  The quasi-Newton stage
     (:func:`_quasi_newton`, from ``init`` to a largest gradient entry of
     max(HANDOFF_GRAD, tol / 10), at most ``opts.max_iter`` iterations)
-    never lowers the objective and evaluates no point twice; the polish
-    starts from its last evaluation.  A polish step is also accepted when
-    it shrinks the gradient and lowers the objective by at most
-    1e-12 max(1, |objective|), below which the change is rounding.
+    evaluates no point twice; the polish starts from its last evaluation.
+    Both stages step through one :func:`_line_search`: a step lowers the
+    objective only when it shrinks the largest gradient entry 0.9-fold, and
+    by at most 1e-12 max(1, |objective|), below which the change is rounding.
+    The mean returned is the one the final iterate's evaluation formed.
 
     ``alpha``, when given, fits ``replace(model, hyperparams=alpha)``, for
     callers that refit one model at many priors; no code below reads it.
@@ -557,29 +559,17 @@ def fit(model, init=None, opts=None, alpha=None):
             except (DomainError, np.linalg.LinAlgError):
                 # a singular J, or a Hessian step that left the domain
                 factor, step = None, -gz
-        accepted = False
-        scale = 1.0
-        # Near the optimum the objective change drops below float
-        # resolution, so a step also counts when it shrinks the gradient
-        # without measurably moving the objective.
-        float_floor = 1e-12 * max(1.0, abs(fz))
-        for _ in range(40 if fresh else 1):  # a kept factorization: full steps only
-            z_new = z + scale * step
-            f_new, g_new, terms_new = evaluate(z_new)
-            better_f = f_new < fz
-            flat_better_g = (f_new <= fz + float_floor
-                             and np.max(np.abs(g_new)) < 0.9 * gnorm)
-            if better_f or flat_better_g:
-                z, fz, gz, terms = z_new, f_new, g_new, terms_new
-                trace.append(-fz)
-                accepted = True
-                break
-            scale /= 2.0
+        # a kept factorization: full steps only
+        found = _line_search(evaluate, z, fz, gz, step, LINE_SEARCH if fresh else 1)
         iterations += 1
+        if found is not None:
+            scale, (fz, gz, terms) = found
+            z = z + scale * step
+            trace.append(-fz)
         keep = KEEP_SHRINK if np.max(np.abs(gz)) > opts.tol else 1.0
-        if not accepted or scale < 1.0 or np.max(np.abs(gz)) > gnorm / keep:
+        if found is None or scale < 1.0 or np.max(np.abs(gz)) > gnorm / keep:
             factor = None
-        if not accepted and fresh:
+        if found is None and fresh:
             if gnorm <= 1e3 * opts.tol:
                 break  # stuck at rounding floor near the optimum
             raise DomainViolation(
@@ -589,8 +579,7 @@ def fit(model, init=None, opts=None, alpha=None):
         raise DomainViolation(f"objective is not finite at the final iterate{quasi_newton}")
     grad_norm = float(np.max(np.abs(gz)))
     converged = grad_norm <= opts.tol
-    mean = layout.mean_from_unconstrained(z)
-    solution = VbSolution(mean=mean, elbo=float(-fz), iterations=iterations,
+    solution = VbSolution(mean=terms[0], elbo=float(-fz), iterations=iterations,
                           converged=converged, grad_norm=grad_norm,
                           elbo_trace=tuple(trace))
     if not converged:
@@ -612,12 +601,10 @@ def _quasi_newton(evaluate, z, point, gtol, max_iter, trace):
     Schnabel (1994), H = gamma I + [S Y] M [S Y]' with gamma =
     s'y / y'y of the newest pair, M built from the upper triangle R and
     the diagonal D of S'Y and from Y'Y.  A pair with s'y <= eps y'y is not
-    kept.  Without pairs the step is steepest descent of length one.  A
-    backtracking Armijo search shrinks a step to the minimizer of the
-    quadratic through f, its slope and f_new, within [0.1, 0.5] of it, and
-    halves it past a non-finite objective; when LINE_SEARCH steps fail,
-    the pairs are dropped and steepest descent is tried once more before
-    the stage gives up.
+    kept.  Without pairs the step is steepest descent of length one.  The
+    step length comes from :func:`_line_search`, within LINE_SEARCH
+    steps; when they all fail, the pairs are dropped and steepest descent
+    is tried once more before the stage gives up.
     """
     f, g, terms = point
     n = z.size
@@ -639,21 +626,14 @@ def _quasi_newton(evaluate, z, point, gtol, max_iter, trace):
                 k = 0
                 gmax = np.max(np.abs(g))
                 d = -g / gmax / np.linalg.norm(g / gmax)
-            step, slope = 1.0, d @ g
-            for _ in range(LINE_SEARCH):
-                f_new, g_new, terms_new = evaluate(z + step * d)
-                if f_new <= f + 1e-4 * step * slope:
-                    break
-                # the minimizer of the quadratic through f, slope and f_new,
-                # within [0.1, 0.5] of the step; half past a non-finite f_new
-                q = -0.5 * slope * step / (f_new - f - slope * step)
-                step *= min(max(q, 0.1), 0.5) if np.isfinite(f_new) and np.isfinite(q) else 0.5
-            else:
+            found = _line_search(evaluate, z, f, g, d, LINE_SEARCH)
+            if found is None:
                 if not k:
                     reason = "line search failed"
                     break
                 k = 0
                 continue
+            step, (f_new, g_new, terms_new) = found
             s, y = step * d, g_new - g
             reduction = (f - f_new) / max(abs(f), abs(f_new), 1.0)
             z, f, g, terms = z + s, f_new, g_new, terms_new
@@ -672,6 +652,30 @@ def _quasi_newton(evaluate, z, point, gtol, max_iter, trace):
                 reason = f"relative reduction <= {REL_REDUCTION:g}"
                 break
     return z, (f, g, terms), iterations, reason
+
+
+def _line_search(evaluate, z, f, g, d, tries):
+    """(step, evaluate(z + step d)) for the first of at most ``tries``
+    steps along d from z, where (f, g) are the objective and gradient at z,
+    that lowers f by the Armijo rule, f_new <= f + 1e-4 step d'g, or raises
+    it by at most 1e-12 max(1, |f|) while shrinking the largest gradient
+    entry 0.9-fold: near the optimum the objective's change drops below
+    float resolution.  None when every step fails.  The first step is 1; a
+    failed one shrinks to the minimizer of the quadratic through f, its
+    slope and f_new, within [0.1, 0.5] of it, and halves past a non-finite
+    objective."""
+    with np.errstate(all="ignore"):  # an overflowing slope or quadratic
+        slope, step = d @ g, 1.0
+        floor, gmax = 1e-12 * max(1.0, abs(f)), np.max(np.abs(g))
+        for _ in range(tries):
+            point = evaluate(z + step * d)
+            f_new, g_new = point[:2]
+            if f_new <= f + 1e-4 * step * slope or (
+                    f_new <= f + floor and np.max(np.abs(g_new)) < 0.9 * gmax):
+                return step, point
+            q = -0.5 * slope * step / (f_new - f - slope * step)
+            step *= min(max(q, 0.1), 0.5) if np.isfinite(f_new) and np.isfinite(q) else 0.5
+    return None
 
 
 def _compact_times(s_mem, y_mem, sy, yy, g):

@@ -239,6 +239,35 @@ class TestGaussianLogDensity:
             ef.FAMILIES[Family.GAUSSIAN_MULTIVARIATE].log_density(np.zeros(2), eta)
 
 
+GAMMAS = [(Family.GAMMA, lambda shape, rate: scipy.stats.gamma(shape, scale=1.0 / rate),
+           lambda shape, rate: shape / rate),
+          (Family.INVERSE_GAMMA, lambda shape, rate: scipy.stats.invgamma(shape, scale=rate),
+           lambda shape, rate: rate / (shape - 1.0))]
+
+
+class TestGammaFamilies:
+    # gamma and inverse gamma share one density and one sampler, x^s a
+    # gamma draw with s = 1 or -1
+    @pytest.mark.parametrize("family, ref, _", GAMMAS, ids=["gamma", "inverse_gamma"])
+    @pytest.mark.parametrize("shape", [0.5, 2.0, 7.5])
+    @pytest.mark.parametrize("rate", [0.3, 1.0, 4.0])
+    def test_log_density_matches_scipy(self, family, ref, _, shape, rate):
+        fam = ef.FAMILIES[family]
+        x = np.geomspace(0.01, 50.0, 41)
+        ours = fam.log_density(x, fam.natural_from_standard(shape, rate))
+        assert np.allclose(ours, ref(shape, rate).logpdf(x), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("family, ref, mean", GAMMAS, ids=["gamma", "inverse_gamma"])
+    def test_sample_mean(self, family, ref, mean):
+        fam = ef.FAMILIES[family]
+        shape, rate, n = 3.5, 2.0, 10 ** 5
+        draws = fam.sample(fam.natural_from_standard(shape, rate), n,
+                           np.random.default_rng(3))
+        assert draws.shape == (n,) and np.all(draws > 0)
+        se = ref(shape, rate).std() / np.sqrt(n)
+        assert abs(np.mean(draws) - mean(shape, rate)) <= 4.0 * se
+
+
 def _round_trip_error(family, params):
     fam = ef.FAMILIES[family]
     back = fam.standard_from_mean(fam.mean_from_standard(*params))

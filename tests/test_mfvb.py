@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -286,6 +286,61 @@ class TestQuasiNewton:
         assert len(calls) == 1 + mfvb.LINE_SEARCH and f == 0.0 and not np.any(z)
 
 
+class TestLineSearch:
+    def test_one_try_evaluates_one_point(self):
+        # an ascent direction: the unit step raises the objective
+        evaluate, calls = quadratic(np.eye(2), np.ones(2))
+        z0 = np.zeros(2)
+        f, g, _ = evaluate(z0)
+        assert mfvb._line_search(evaluate, z0, f, g, g, 1) is None
+        assert len(calls) == 2
+
+    def test_shrinks_a_failed_step(self):
+        # 0.5 z'z - b'z with b = (1, 1) has its optimum at (1, 1).  From 0
+        # along -4 g = (4, 4) the unit step overshoots to f = 8 > 0, and the
+        # minimizer of the quadratic through f, its slope and f_new is a
+        # quarter, exactly the optimum
+        evaluate, calls = quadratic(np.eye(2), np.ones(2))
+        z0 = np.zeros(2)
+        f, g, _ = evaluate(z0)
+        step, (f_new, g_new, terms) = mfvb._line_search(evaluate, z0, f, g, -4.0 * g, 5)
+        assert step == 0.25 and len(calls) == 3
+        assert f_new == -1.0 and not np.any(g_new) and np.array_equal(terms, [1.0, 1.0])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    @pytest.mark.parametrize("rise, g_new, accepted", [
+        (0.5e-12, 0.5, True),     # below the rounding floor, gradient shrinks
+        (0.5e-12, 0.95, False),   # the gradient shrinks less than 0.9-fold
+        (2e-12, 0.5, False),      # the objective rises above the floor
+    ])
+    def test_rounding_floor(self, scale, rise, g_new, accepted):
+        # f = scale, g = 1 at z = 0; the unit step along -1 fails the Armijo
+        # rule, so only the rounding floor 1e-12 max(1, |f|) can accept it
+        def evaluate(z):
+            return scale + rise * scale, np.full(1, g_new), None
+
+        found = mfvb._line_search(evaluate, np.zeros(1), scale, np.ones(1), -np.ones(1), 1)
+        assert (found is not None) == accepted
+        if accepted:
+            assert found[0] == 1.0 and found[1][0] == scale + rise * scale
+
+    def test_quasi_newton_accepts_at_the_rounding_floor(self):
+        # the only step from 0 that the objective allows raises it by
+        # 5e-13 and shrinks the gradient from 1 to 0.5.  The stage takes it,
+        # and stops there, as the objective no longer falls
+        def evaluate(z):
+            if z[0] == 0.0:
+                return 1.0, np.ones(1), None
+            if z[0] == -1.0:
+                return 1.0 + 5e-13, np.full(1, 0.5), None
+            return np.inf, np.zeros(1), None
+
+        z, _, iterations, reason = mfvb._quasi_newton(
+            evaluate, np.zeros(1), evaluate(np.zeros(1)), 1e-3, 100, [])
+        assert (iterations, reason) == (1, "relative reduction <= 1e-14")
+        assert z[0] == -1.0
+
+
 class TestPolish:
     @pytest.mark.parametrize("name", ["nig", "micro"])
     def test_step_matches_newton_step_of_fd_z_hessian(self, name, request):
@@ -366,6 +421,12 @@ class TestPolish:
 
     @settings(max_examples=30, deadline=None)
     @given(gaussian_targets())
+    # a strongly correlated d = 5 target: with a kept factorization refreshed
+    # whenever full steps shrink the gradient less than KEEP_SHRINK-fold it
+    # converges; refreshed only when they do not shrink it at all
+    # (KEEP_SHRINK = 1), the polish stalls above tol and the fit raises
+    # NonConvergence
+    @example(target=(np.zeros(5), np.full((5, 5), 5.0) + 0.5 * np.eye(5), 1.0))
     def test_random_gaussian_target_recovers_inverse_precision(self, target):
         nat_loc, prec, shift = target
         model = gaussian_target_model(nat_loc, prec)
